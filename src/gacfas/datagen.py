@@ -159,7 +159,10 @@ def leave_one_out(specs, held: int) -> tuple[SourceSet, Batch]:
 
 def sample_minibatch(source: SourceSet, per_domain: int, prng: Prng) -> Batch:
     """Exactly per_domain rows drawn without replacement from each domain,
-    concatenated in ascending domain-index order (balanced sampler)."""
+    concatenated in the source set's domain order (balanced sampler). When
+    that order is strictly ascending in domain id, as leave_one_out and
+    build_source_set make it, the batch records its layout as
+    Batch.per_domain so the optimizers take the domain parts as views."""
     if per_domain < 1:
         raise ValueError(f"per_domain must be >= 1, got {per_domain}")
     smallest = min(batch.n for _, batch in source.domains)
@@ -173,7 +176,12 @@ def sample_minibatch(source: SourceSet, per_domain: int, prng: Prng) -> Batch:
         np.concatenate([batch.inputs[idx] for batch, idx in picks]),
         np.concatenate([batch.labels[idx] for batch, idx in picks]),
         np.concatenate([batch.domain_ids[idx] for batch, idx in picks]),
+        per_domain=per_domain if _ascending(source.domain_indices()) else 0,
     )
+
+
+def _ascending(ids) -> bool:
+    return all(a < b for a, b in zip(ids, ids[1:]))
 
 
 CSV_HEADER = ["x0", "x1", "label", "domain_id"]

@@ -17,7 +17,7 @@ import numpy as np
 from . import numerics
 from .model import Batch, ParamVector
 from .numerics import Prng, axpy, dot, l2_norm
-from .optim import ascending_vector, batch_loss, batch_loss_and_grad, _loss_and_grad
+from .optim import _batch_parts, _part_terms, _sum_terms, ascending_vector, batch_loss, batch_loss_and_grad
 
 
 @dataclass(frozen=True)
@@ -80,13 +80,17 @@ def perturbed_loss(model, params: ParamVector, batch: Batch, rho: float) -> floa
     return batch_loss(model, axpy(1.0, asc.eps, params.theta), batch)
 
 
-def surrogate_gap(model, params: ParamVector, batch: Batch, rho: float) -> float:
-    """h(theta) = L(theta + eps) - L(theta), the whole-batch sharpness gap."""
+def surrogate_gap(model, params: ParamVector, batch: Batch, rho: float, return_loss: bool = False):
+    """h(theta) = L(theta + eps) - L(theta), the whole-batch sharpness gap.
+
+    With return_loss, returns (gap, L(theta)): the loss the gap is measured
+    from, the same value batch_loss gives."""
     if rho < 0:
         raise ValueError(f"rho must be >= 0, got {rho}")
     loss, g = batch_loss_and_grad(model, params.theta, batch)
     asc = ascending_vector(g, rho)
-    return batch_loss(model, axpy(1.0, asc.eps, params.theta), batch) - loss
+    gap = batch_loss(model, axpy(1.0, asc.eps, params.theta), batch) - loss
+    return (gap, loss) if return_loss else gap
 
 
 def alignment_inner_products(model, params: ParamVector, source, i: int, rho: float, gamma: float) -> np.ndarray:
@@ -101,23 +105,16 @@ def alignment_inner_products(model, params: ParamVector, source, i: int, rho: fl
     if not 0 <= i < k:
         raise ValueError(f"domain index {i} out of range for k={k}")
     theta = params.theta
-    plain = []
-    for _, dom_batch in source.domains:
-        _, g_m = _loss_and_grad(model, theta, dom_batch.inputs, dom_batch.labels)
-        plain.append(g_m)
-    g = plain[0].copy()
-    for g_m in plain[1:]:
-        g += g_m
-    asc = ascending_vector(plain[i], rho)
+    parts = _batch_parts(batch for _, batch in source.domains)
+    plain = _part_terms(model, theta, parts)
+    _, g = _sum_terms(plain)
+    asc = ascending_vector(plain[i][2], rho)
     theta_adv = axpy(1.0, asc.eps, axpy(-gamma, g, theta))
-    perturbed = []
-    for _, dom_batch in source.domains:
-        _, gp_m = _loss_and_grad(model, theta_adv, dom_batch.inputs, dom_batch.labels)
-        perturbed.append(gp_m)
+    perturbed = _part_terms(model, theta_adv, parts)
     out = np.empty((k, k), dtype=np.float64)
     for m in range(k):
         for n in range(k):
-            out[m, n] = dot(perturbed[m], plain[n])
+            out[m, n] = dot(perturbed[m][2], plain[n][2])
     return out
 
 

@@ -29,7 +29,8 @@ from . import datagen, diagnostics, evalmetrics, model as model_mod
 from .datagen import DomainSpec
 from .model import Batch, MlpSpec, ParamVector, layout_for
 from .numerics import Prng
-from .optim import MODES, SCHEDULE_KINDS, OptimizerConfig, Schedule, StepDiagnostics, batch_loss, take_step
+from .optim import MODES, SCHEDULE_KINDS, OptimizerConfig, Schedule, StepDiagnostics, batch_loss, schedule_value, take_step
+from .optim import _aligned_perturbation, _batch_parts, _diagnostics, _part_terms, _sum_terms
 
 METRICS_HEADER = "step,hter,auc,tpr95,train_loss,surrogate_gap"
 
@@ -103,6 +104,9 @@ class ExperimentConfig:
             raise ConfigValueError(f"diagnostics_every must be >= 1, got {self.diagnostics_every}")
         if not self.seeds:
             raise ConfigValueError("seeds must be nonempty")
+        repeated = sorted({seed for seed in self.seeds if self.seeds.count(seed) > 1})
+        if repeated:
+            raise ConfigValueError(f"seeds must be distinct, got {list(self.seeds)} (repeated: {repeated})")
 
 
 @dataclass(frozen=True)
@@ -135,10 +139,27 @@ def _as_int(value, context: str) -> int:
     return value
 
 
+class _JsonConstant:
+    """A NaN, Infinity or -Infinity literal in the config text. No typed
+    reader accepts it, so the error names the key it was given for."""
+
+    def __init__(self, literal: str):
+        self.literal = literal
+
+    def __repr__(self) -> str:
+        return self.literal
+
+
 def _as_float(value, context: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigValueError(f"{context}: expected a number, got {value!r}")
-    return float(value)
+        raise ConfigValueError(f"{context}: expected a finite number, got {value!r}")
+    try:
+        number = float(value)
+    except OverflowError:
+        number = math.inf
+    if not math.isfinite(number):
+        raise ConfigValueError(f"{context}: expected a finite number, got {value!r}")
+    return number
 
 
 def _as_bool(value, context: str) -> bool:
@@ -228,7 +249,7 @@ def _parse_optimizer(obj) -> OptimizerConfig:
 
 def parse_config(text: str, origin: str = "<string>") -> ExperimentConfig:
     try:
-        raw = json.loads(text)
+        raw = json.loads(text, parse_constant=_JsonConstant)
     except json.JSONDecodeError as exc:
         raise ConfigParseError(f"{origin}:{exc.lineno}:{exc.colno}: {exc.msg}") from exc
     allowed = {
@@ -339,23 +360,31 @@ def _evaluate(cfg: ExperimentConfig, spec, params, test: Batch, train_all: Batch
     hter, _ = evalmetrics.hter_at_eer(scored)
     auc = evalmetrics.roc_auc(scored)
     tpr95 = evalmetrics.tpr_at_fpr(scored, 0.05)
-    train_loss = batch_loss(spec, params.theta, train_all)
     if cfg.optimizer.track_surrogate_gap:
-        gap = diagnostics.surrogate_gap(spec, params, train_all, cfg.optimizer.rho)
+        # The gap is measured from the training loss at theta; reuse it.
+        gap, train_loss = diagnostics.surrogate_gap(spec, params, train_all, cfg.optimizer.rho, return_loss=True)
     else:
-        gap = math.nan
+        gap, train_loss = math.nan, batch_loss(spec, params.theta, train_all)
     return EvalReport(step, float(hter), float(auc), float(tpr95), float(train_loss), float(gap))
 
 
 def run_training(cfg: ExperimentConfig, seed: int, held_out=None) -> RunRecord:
     """One training run, deterministic given (cfg, seed, held_out).
 
-    held_out overrides cfg.held_out (used by the leave-one-out rotation);
-    the effective value must be a single domain index."""
+    held_out overrides cfg.held_out; the effective value must be a single
+    domain index."""
     held = cfg.held_out if held_out is None else held_out
     if not isinstance(held, int) or isinstance(held, bool):
         raise ConfigValueError("run_training needs an integer held_out domain (got \"all\"; use run_leave_one_out)")
-    source, test = datagen.leave_one_out(list(cfg.domains), held)
+    return _train_on_split(cfg, seed, held, datagen.leave_one_out(list(cfg.domains), held))
+
+
+def _train_on_split(cfg: ExperimentConfig, seed: int, held: int, split) -> RunRecord:
+    """run_training on an already realized (source, test) split of held.
+
+    The realization depends only on the domain specs and held, so every
+    seed of a rotation can share one."""
+    source, test = split
     train_indices = [i for i in range(len(cfg.domains)) if i != held]
     speh = steps_per_epoch(cfg, train_indices)
     opt = _resolved_optimizer(cfg, speh)
@@ -499,8 +528,9 @@ def run_leave_one_out(cfg: ExperimentConfig, write: bool = True):
     aggregate last-window metrics per rotation. Returns (summary, run_rows)."""
     run_rows = []
     for held in range(len(cfg.domains)):
+        split = datagen.leave_one_out(list(cfg.domains), held)
         for seed in cfg.seeds:
-            record = run_training(cfg, seed, held_out=held)
+            record = _train_on_split(cfg, seed, held, split)
             if write:
                 write_outputs(record, os.path.join(cfg.output_dir, f"held{held}_seed{seed}"))
             wm = window_means(record, cfg.eval_window)
@@ -545,6 +575,7 @@ def run_sweep(cfg: ExperimentConfig, gammas, rhos, write: bool = True):
         raise ConfigValueError("sweep grids must be nonempty")
     if not isinstance(cfg.held_out, int) or isinstance(cfg.held_out, bool):
         raise ConfigValueError("sweep requires an integer held_out domain")
+    split = datagen.leave_one_out(list(cfg.domains), cfg.held_out)
     cells = []
     for gamma in gammas:
         for rho in rhos:
@@ -552,7 +583,7 @@ def run_sweep(cfg: ExperimentConfig, gammas, rhos, write: bool = True):
             sub = dataclasses.replace(cfg, optimizer=opt)
             per_seed = []
             for seed in cfg.seeds:
-                record = run_training(sub, seed)
+                record = _train_on_split(sub, seed, cfg.held_out, split)
                 if write:
                     write_outputs(
                         record,
@@ -582,48 +613,20 @@ def fullset_step_diagnostics(spec, params: ParamVector, source, opt: OptimizerCo
     gradient at the iterates, which minibatch gradients hide behind a
     sampling-noise floor. adv_grad_norms[i] is the norm of the whole-set
     gradient at domain i's ascending point theta + eps_i - gamma_t * g."""
-    from .optim import ascending_vector, schedule_value, _part_terms, _sum_terms
-    from .numerics import axpy, l2_norm
-
     rho_t = schedule_value(opt.schedule, opt.rho, t)
     gamma_t = schedule_value(opt.schedule, opt.gamma, t)
     theta = params.theta
     # The realized domain batches are exactly the per-domain rows of
     # source.concatenated(); taking them in ascending id order skips
     # re-stacking the whole source set on every call.
-    parts = sorted(
-        ((int(batch.domain_ids[0]), batch.inputs, batch.labels) for _, batch in source.domains),
-        key=lambda part: part[0],
-    )
+    parts = _batch_parts(sorted((batch for _, batch in source.domains), key=lambda b: int(b.domain_ids[0])))
     terms = _part_terms(spec, theta, parts)
     loss, g = _sum_terms(terms)
-    offset = axpy(-gamma_t, g, theta)
-    adv_norms = []
-    align = []
+    adv_losses, adv_grads = _aligned_perturbation(spec, theta, parts, terms, g, rho_t, gamma_t, opt.zero_grad_eps)
     gap = 0.0
-    k = len(terms)
-    from .numerics import dot as _dot
-
-    for dom, _, dom_grad in terms:
-        asc = ascending_vector(dom_grad, rho_t, opt.zero_grad_eps, domain=dom)
-        theta_adv = axpy(1.0, asc.eps, offset)
-        loss_adv, gp = _sum_terms(_part_terms(spec, theta_adv, parts))
-        norm_gp = l2_norm(gp)
-        adv_norms.append(norm_gp)
-        denom = norm_gp * l2_norm(g)
-        align.append(min(1.0, max(-1.0, _dot(gp, g) / denom)) if denom > 0 else 0.0)
+    for loss_adv in adv_losses:
         gap += loss_adv - loss
-    return StepDiagnostics(
-        step_index=t,
-        domain_ids=tuple(dom for dom, _, _ in terms),
-        loss_erm=loss,
-        per_domain_loss=tuple(l for _, l, _ in terms),
-        grad_norm=l2_norm(g),
-        per_domain_perturbed_grad_norm=tuple(adv_norms),
-        alignment_cos=tuple(align),
-        adv_grad_norms=tuple(adv_norms),
-        surrogate_gap=gap / k,
-    )
+    return _diagnostics(t, terms, loss, g, adv_grads, gap / len(terms))
 
 
 def run_convergence(cfg: ExperimentConfig, window: int = 40, trace_every: int = 5, write: bool = True):

@@ -8,6 +8,17 @@ finite-difference oracle below is the independent check on it.
 Parameters live in a single flat Vec64 with a block layout (one weight matrix
 and one bias vector per layer) so the optimizers can treat theta as opaque
 storage while landscape tooling can still address individual blocks.
+
+Stacked kernel contract: mean_loss_and_grad (and mean_loss, forward) take
+theta of shape (..., P), inputs of shape (..., n, d) and labels of shape
+(..., n), whose leading dimensions broadcast against each other. The result
+holds one mean loss per broadcast (theta, sub-batch) pair, shape (...), and
+the matching gradients, shape (..., P). The plain 2-D call is the case with
+no leading dimensions and returns a float loss. Every pair goes through the
+same per-slice arithmetic (one BLAS product per slice, reductions along the
+row axis in row order), so a stacked result equals the per-pair 2-D calls
+bit for bit; the optimizers rely on that for their exact reduction
+identities.
 """
 
 from __future__ import annotations
@@ -68,7 +79,8 @@ class Block:
         object.__setattr__(self, "size", math.prod(self.shape))
 
     def view(self, theta: np.ndarray) -> np.ndarray:
-        return theta[self.offset : self.offset + self.size].reshape(self.shape)
+        """This block of theta (..., P) as an array of shape (...) + shape."""
+        return theta[..., self.offset : self.offset + self.size].reshape(theta.shape[:-1] + self.shape)
 
 
 @functools.lru_cache(maxsize=64)
@@ -122,11 +134,17 @@ class ParamVector:
 
 @dataclass(frozen=True)
 class Batch:
-    """Inputs, class labels, and domain ids of equal length n >= 1."""
+    """Inputs, class labels, and domain ids of equal length n >= 1.
+
+    per_domain > 0 records the balanced sampler's layout: the rows are
+    consecutive blocks of per_domain rows, one block per domain, in strictly
+    ascending domain-id order. The optimizers then take the domain parts as
+    views instead of searching the ids."""
 
     inputs: np.ndarray
     labels: np.ndarray
     domain_ids: np.ndarray
+    per_domain: int = 0
 
     def __post_init__(self):
         inputs = np.ascontiguousarray(self.inputs, dtype=np.float64)
@@ -145,6 +163,12 @@ class Batch:
             raise ValueError("labels must be non-negative class indices")
         if domain_ids.min() < 0:
             raise ValueError("domain_ids must be non-negative")
+        if self.per_domain < 0:
+            raise ValueError(f"per_domain must be >= 0, got {self.per_domain}")
+        if self.per_domain and not _ascending_blocks(domain_ids, self.per_domain):
+            raise ValueError(
+                f"per_domain={self.per_domain} but the rows are not ascending blocks of that size per domain"
+            )
         object.__setattr__(self, "inputs", inputs)
         object.__setattr__(self, "labels", labels)
         object.__setattr__(self, "domain_ids", domain_ids)
@@ -155,6 +179,16 @@ class Batch:
 
     def take(self, idx: np.ndarray) -> "Batch":
         return Batch(self.inputs[idx], self.labels[idx], self.domain_ids[idx])
+
+
+def _ascending_blocks(domain_ids: np.ndarray, size: int) -> bool:
+    """Whether the ids form consecutive blocks of `size` equal ids, with
+    strictly ascending ids from block to block."""
+    if domain_ids.shape[0] % size:
+        return False
+    blocks = domain_ids.reshape(-1, size)
+    firsts = blocks[:, 0].tolist()
+    return bool((blocks == blocks[:, :1]).all()) and all(a < b for a, b in zip(firsts, firsts[1:]))
 
 
 def domain_slices(batch: Batch) -> list[tuple[int, np.ndarray]]:
@@ -178,16 +212,36 @@ def init_params(spec: MlpSpec, prng: numerics.Prng) -> ParamVector:
     return ParamVector(theta, layout)
 
 
-def _check_inputs(spec: MlpSpec, inputs: np.ndarray) -> np.ndarray:
+def _check_inputs(spec: MlpSpec, inputs) -> np.ndarray:
     inputs = np.asarray(inputs, dtype=np.float64)
-    if inputs.ndim != 2 or inputs.shape[1] != spec.input_dim:
-        raise ValueError(f"inputs must be n x {spec.input_dim}, got shape {inputs.shape}")
+    if inputs.ndim < 2 or inputs.shape[-1] != spec.input_dim:
+        raise ValueError(f"inputs must be (..., n, {spec.input_dim}), got shape {inputs.shape}")
     return inputs
 
 
+def _check_labeled(spec: MlpSpec, inputs, labels):
+    """Validated float64 inputs (..., n, d) and int64 labels (..., n)."""
+    inputs = _check_inputs(spec, inputs)
+    labels = np.asarray(labels, dtype=np.int64)
+    n = inputs.shape[-2]
+    if n == 0:
+        raise ValueError("cannot evaluate loss on an empty batch")
+    if labels.ndim < 1 or labels.shape[-1] != n:
+        raise ValueError(f"labels must be (..., {n}) to match the inputs, got shape {labels.shape}")
+    if labels.max() >= spec.n_classes:
+        raise ValueError(f"label {labels.max()} out of range for {spec.n_classes} classes")
+    # Labels may carry leading axes the inputs lack; give them to the inputs
+    # (a read-only view) so the logits cover every pair.
+    lead = np.broadcast_shapes(inputs.shape[:-2], labels.shape[:-1])
+    if lead != inputs.shape[:-2]:
+        inputs = np.broadcast_to(inputs, lead + inputs.shape[-2:])
+    return inputs, labels
+
+
 def _forward_cached(spec: MlpSpec, theta: np.ndarray, inputs: np.ndarray):
-    """Logits plus the per-layer outputs (and relu pre-activations) needed
-    for backward.
+    """Logits (..., n, C) plus the per-layer outputs (and relu
+    pre-activations) needed for backward; theta (..., P) and inputs
+    (..., n, d) broadcast.
 
     Each layer's product is a fresh array, so the bias add and the tanh run
     in place on it; tanh backward needs only the outputs."""
@@ -198,7 +252,7 @@ def _forward_cached(spec: MlpSpec, theta: np.ndarray, inputs: np.ndarray):
     pre_acts = []
     for i in range(n_layers):
         z = h @ layout[2 * i].view(theta)
-        z += layout[2 * i + 1].view(theta)
+        z += layout[2 * i + 1].view(theta)[..., None, :]
         if i == n_layers - 1:
             return z, hiddens, pre_acts
         if spec.activation == "relu":
@@ -217,56 +271,64 @@ def forward(spec: MlpSpec, params: ParamVector, inputs) -> np.ndarray:
 
 
 def _softmax_cross_entropy(logits: np.ndarray, labels: np.ndarray):
-    """Mean cross-entropy and d(loss)/d(logits), max-subtracted for stability."""
-    shifted = logits - logits.max(axis=1, keepdims=True)
+    """Mean cross-entropy over the rows and d(loss)/d(logits),
+    max-subtracted for stability. logits (..., n, C) and labels (..., n)
+    broadcast; the loss has the leading shape (a numpy scalar for 2-D
+    logits)."""
+    shifted = logits - logits.max(axis=-1, keepdims=True)
     exps = np.exp(shifted)
-    total = exps.sum(axis=1, keepdims=True)
+    total = exps.sum(axis=-1, keepdims=True)
     log_probs = shifted - np.log(total)
-    n = logits.shape[0]
-    rows = np.arange(n)
-    loss = float(-log_probs[rows, labels].mean())
+    n_classes = logits.shape[-1]
+    pair_rows = logits.shape[:-1]
+    if labels.shape != pair_rows:
+        labels = np.broadcast_to(labels, pair_rows)
+    # One label pick per row of every pair, through flat (rows, classes)
+    # views of the fresh, contiguous arrays.
+    rows = np.arange(logits.size // n_classes)
+    picks = labels.ravel()
+    loss = -log_probs.reshape(-1, n_classes)[rows, picks].reshape(pair_rows).mean(axis=-1)
     dlogits = exps
     dlogits /= total
-    dlogits[rows, labels] -= 1.0
-    dlogits /= n
+    dlogits.reshape(-1, n_classes)[rows, picks] -= 1.0
+    dlogits /= logits.shape[-2]
     return loss, dlogits
 
 
-def mean_loss(spec: MlpSpec, theta: np.ndarray, inputs, labels) -> float:
-    """Mean softmax cross-entropy over the given samples."""
-    inputs = _check_inputs(spec, inputs)
-    labels = np.asarray(labels, dtype=np.int64)
-    if inputs.shape[0] == 0:
-        raise ValueError("cannot evaluate loss on an empty batch")
-    if labels.max() >= spec.n_classes:
-        raise ValueError(f"label {labels.max()} out of range for {spec.n_classes} classes")
+def _as_loss(loss):
+    """A float for a single (theta, sub-batch) pair, else the loss array."""
+    return float(loss) if np.ndim(loss) == 0 else loss
+
+
+def mean_loss(spec: MlpSpec, theta: np.ndarray, inputs, labels):
+    """Mean softmax cross-entropy over the given samples, per broadcast
+    (theta, sub-batch) pair."""
+    inputs, labels = _check_labeled(spec, inputs, labels)
     logits, _, _ = _forward_cached(spec, theta, inputs)
     loss, _ = _softmax_cross_entropy(logits, labels)
-    return loss
+    return _as_loss(loss)
 
 
 def mean_loss_and_grad(spec: MlpSpec, theta: np.ndarray, inputs, labels):
-    """Mean cross-entropy and its exact gradient w.r.t. every theta entry."""
-    inputs = _check_inputs(spec, inputs)
-    labels = np.asarray(labels, dtype=np.int64)
-    if inputs.shape[0] == 0:
-        raise ValueError("cannot evaluate loss on an empty batch")
-    if labels.max() >= spec.n_classes:
-        raise ValueError(f"label {labels.max()} out of range for {spec.n_classes} classes")
-
+    """Mean cross-entropy and its exact gradient w.r.t. every theta entry,
+    per broadcast (theta, sub-batch) pair: losses of the leading shape and
+    gradients of that shape + (P,)."""
+    inputs, labels = _check_labeled(spec, inputs, labels)
     layout = layout_for(spec)
     n_layers = len(spec.layer_sizes) - 1
     logits, hiddens, pre_acts = _forward_cached(spec, theta, inputs)
     loss, delta = _softmax_cross_entropy(logits, labels)
 
-    grad = numerics.zeros(theta.shape[0])
+    lead = delta.shape[:-2]
+    grad = np.empty(lead + (theta.shape[-1],), dtype=np.float64)
     for i in range(n_layers - 1, -1, -1):
         w_block, b_block = layout[2 * i], layout[2 * i + 1]
         h_in = hiddens[i]
-        grad[w_block.offset : w_block.offset + w_block.size] = (h_in.T @ delta).ravel()
-        grad[b_block.offset : b_block.offset + b_block.size] = delta.sum(axis=0)
+        grad_w = np.swapaxes(h_in, -1, -2) @ delta
+        grad[..., w_block.offset : w_block.offset + w_block.size] = grad_w.reshape(lead + (w_block.size,))
+        grad[..., b_block.offset : b_block.offset + b_block.size] = delta.sum(axis=-2)
         if i > 0:
-            delta = delta @ w_block.view(theta).T
+            delta = delta @ np.swapaxes(w_block.view(theta), -1, -2)
             if spec.activation == "relu":
                 delta = np.where(pre_acts[i - 1] > 0.0, delta, 0.0)
             else:
@@ -276,7 +338,7 @@ def mean_loss_and_grad(spec: MlpSpec, theta: np.ndarray, inputs, labels):
                 np.square(d_act, out=d_act)
                 np.subtract(1.0, d_act, out=d_act)
                 delta *= d_act
-    return loss, grad
+    return _as_loss(loss), grad
 
 
 def loss_and_grad(spec: MlpSpec, params: ParamVector, batch: Batch):

@@ -17,6 +17,18 @@ and return a fresh one. The model argument may be an MlpSpec or any object
 exposing loss(theta, inputs, labels) and loss_and_grad(theta, inputs, labels)
 returning per-sub-batch means; the scalar oracles in the test suite use the
 latter hook.
+
+Stacked evaluation: a step evaluates its (parameter point, domain part)
+pairs in at most two kernel calls. On a balanced-sampler batch of an MlpSpec
+model the k parts are (k, n, d) views, and model.mean_loss_and_grad takes
+the plain point against all parts in one call, then the k perturbed points
+in one more: paired with their own part (sam_domain, reg_domain_perturb),
+against every part as a (k, 1, P) x (k, n, d) grid (gac_fas), or as one
+point against all parts (sam_whole). The kernel gives every pair the bits a
+separate 2-D call would, and the reductions over domains keep the
+ascending-id order, so stacking changes no output bit. A call whose pairs
+exceed STACK_ROWS rows, a batch without the balanced layout, and the
+duck-typed models all take one call per pair instead.
 """
 
 from __future__ import annotations
@@ -151,6 +163,12 @@ def schedule_value(schedule: Schedule, base: float, t: int) -> float:
     return base * schedule.factor ** ((t - 1) // schedule.period_steps)
 
 
+# A stacked kernel call covers at most this many rows (pairs x rows per
+# part). Larger evaluations, such as the 2,000-row full-domain parts of the
+# diagnostics, go pair by pair: stacking them only grows the temporaries.
+STACK_ROWS = 1024
+
+
 def _loss_and_grad(model, theta: np.ndarray, inputs, labels):
     fn = getattr(model, "loss_and_grad", None)
     if fn is not None:
@@ -166,22 +184,89 @@ def _mean_loss(model, theta: np.ndarray, inputs, labels) -> float:
     return model_mod.mean_loss(model, theta, inputs, labels)
 
 
-def _domain_parts(batch: Batch):
-    """(domain_id, inputs, labels) per domain, ascending id order.
+@dataclass(frozen=True)
+class _Parts:
+    """Per-domain sub-batches, in ascending domain-id order when split from
+    a batch.
 
-    A step evaluates the same sub-batches at several points; splitting the
-    batch once per step keeps domain_slices out of the inner loops."""
-    return [(dom, batch.inputs[idx], batch.labels[idx]) for dom, idx in domain_slices(batch)]
+    Stacked parts hold (k, n, d) inputs and (k, n) labels for the stacked
+    kernel; otherwise inputs and labels are per-domain lists."""
+
+    ids: tuple[int, ...]
+    inputs: object
+    labels: object
+
+    @property
+    def stacked(self) -> bool:
+        return isinstance(self.inputs, np.ndarray)
 
 
-def _part_terms(model, theta: np.ndarray, parts):
-    """(domain_id, mean loss, mean gradient) per pre-split domain part."""
-    return [(dom, *_loss_and_grad(model, theta, inputs, labels)) for dom, inputs, labels in parts]
+def _domain_parts(model, batch: Batch) -> _Parts:
+    """Split a batch into its domain parts, once per step.
+
+    A balanced-sampler batch (batch.per_domain set) of an MlpSpec model is
+    reshaped into stacked views with no id search. Other batches and the
+    duck-typed models take per-domain copies through domain_slices."""
+    if batch.per_domain and isinstance(model, model_mod.MlpSpec):
+        m = batch.per_domain
+        k = batch.n // m
+        return _Parts(
+            tuple(batch.domain_ids[::m].tolist()),
+            batch.inputs.reshape(k, m, batch.inputs.shape[1]),
+            batch.labels.reshape(k, m),
+        )
+    slices = domain_slices(batch)
+    return _Parts(
+        tuple(dom for dom, _ in slices),
+        [batch.inputs[idx] for _, idx in slices],
+        [batch.labels[idx] for _, idx in slices],
+    )
+
+
+def _batch_parts(batches) -> _Parts:
+    """Parts from single-domain batches, kept in the given order."""
+    batches = list(batches)
+    return _Parts(
+        tuple(int(b.domain_ids[0]) for b in batches), [b.inputs for b in batches], [b.labels for b in batches]
+    )
+
+
+def _pair_losses_grads(model, points: np.ndarray, parts: _Parts, grid: bool = False):
+    """Mean losses and gradients of parameter points against domain parts.
+
+    points (P,) meets every part: shapes (k,) and (k, P). points (k, P)
+    meets part i with row i: also (k,) and (k, P). With grid, points (m, P)
+    meets every part with every row: (m, k) and (m, k, P).
+
+    Stacked parts within STACK_ROWS rows take one stacked kernel call;
+    anything else takes one call per (point, part) pair, with equal bits."""
+    if grid:
+        points = points[:, None, :]
+    lead = np.broadcast_shapes(points.shape[:-1], (len(parts.ids),))
+    if parts.stacked and math.prod(lead) * parts.inputs.shape[1] <= STACK_ROWS:
+        return model_mod.mean_loss_and_grad(model, points, parts.inputs, parts.labels)
+    points = np.broadcast_to(points, lead + points.shape[-1:])
+    losses = np.empty(lead, dtype=np.float64)
+    grads = np.empty(points.shape, dtype=np.float64)
+    for idx in np.ndindex(*lead):
+        j = idx[-1]
+        losses[idx], grads[idx] = _loss_and_grad(model, points[idx], parts.inputs[j], parts.labels[j])
+    return losses, grads
+
+
+def _terms(parts: _Parts, losses: np.ndarray, grads: np.ndarray):
+    """(domain_id, mean loss, mean gradient) per part, in part order."""
+    return list(zip(parts.ids, losses.tolist(), grads))
+
+
+def _part_terms(model, theta: np.ndarray, parts: _Parts):
+    """Terms of one parameter vector against every domain part."""
+    return _terms(parts, *_pair_losses_grads(model, theta, parts))
 
 
 def _domain_terms(model, theta: np.ndarray, batch: Batch):
     """(domain_id, mean loss, mean gradient) per domain, ascending id order."""
-    return _part_terms(model, theta, _domain_parts(batch))
+    return _part_terms(model, theta, _domain_parts(model, batch))
 
 
 def _sum_terms(terms):
@@ -220,29 +305,47 @@ def _cos(a: np.ndarray, b: np.ndarray) -> float:
     return min(1.0, max(-1.0, dot(a, b) / denom))
 
 
-def erm_step(model, params: ParamVector, batch: Batch, cfg: OptimizerConfig, t: int, n_domains=None):
-    """theta <- theta - eta_t (grad L(theta;B) + grad R)."""
-    eta_t = schedule_value(cfg.schedule, cfg.eta0, t)
-    theta = params.theta
-    terms = _domain_terms(model, theta, batch)
+def _plain_terms(model, theta: np.ndarray, batch: Batch, n_domains):
+    """Parts, plain per-domain terms, and their sums (loss, g) at theta."""
+    parts = _domain_parts(model, batch)
+    terms = _part_terms(model, theta, parts)
     _check_domains(terms, n_domains)
-    loss, g = _sum_terms(terms)
-    r = regularizer_grad(params, cfg.weight_decay)
-    new_theta = axpy(-eta_t, g + r, theta)
-    g_norm = l2_norm(g)
-    domain_grad_norms = tuple(l2_norm(grad) for _, _, grad in terms)
-    diag = StepDiagnostics(
+    return (parts, terms, *_sum_terms(terms))
+
+
+def _diagnostics(t: int, terms, loss: float, g: np.ndarray, adv_grads, gap: float) -> StepDiagnostics:
+    """The step record: adv_grads[i] is domain i's perturbed (or, for erm,
+    plain) gradient; gap is already NaN when tracking is off."""
+    adv_norms = tuple(l2_norm(gp) for gp in adv_grads)
+    return StepDiagnostics(
         step_index=t,
         domain_ids=tuple(dom for dom, _, _ in terms),
         loss_erm=loss,
         per_domain_loss=tuple(l for _, l, _ in terms),
-        grad_norm=g_norm,
-        per_domain_perturbed_grad_norm=domain_grad_norms,
-        alignment_cos=tuple(_cos(grad, g) for _, _, grad in terms),
-        adv_grad_norms=domain_grad_norms,
-        surrogate_gap=0.0 if cfg.track_surrogate_gap else math.nan,
+        grad_norm=l2_norm(g),
+        per_domain_perturbed_grad_norm=adv_norms,
+        alignment_cos=tuple(_cos(gp, g) for gp in adv_grads),
+        adv_grad_norms=adv_norms,
+        surrogate_gap=gap,
     )
-    return params.with_theta(new_theta), diag
+
+
+def _ascent_points(terms, base: np.ndarray, rho_t: float, zero_grad_eps: float) -> np.ndarray:
+    """Row i: base + eps_i, with eps_i from domain i's plain gradient."""
+    return np.stack(
+        [axpy(1.0, ascending_vector(grad, rho_t, zero_grad_eps, domain=dom).eps, base) for dom, _, grad in terms]
+    )
+
+
+def erm_step(model, params: ParamVector, batch: Batch, cfg: OptimizerConfig, t: int, n_domains=None):
+    """theta <- theta - eta_t (grad L(theta;B) + grad R)."""
+    eta_t = schedule_value(cfg.schedule, cfg.eta0, t)
+    theta = params.theta
+    _, terms, loss, g = _plain_terms(model, theta, batch, n_domains)
+    r = regularizer_grad(params, cfg.weight_decay)
+    new_theta = axpy(-eta_t, g + r, theta)
+    gap = 0.0 if cfg.track_surrogate_gap else math.nan
+    return params.with_theta(new_theta), _diagnostics(t, terms, loss, g, [grad for _, _, grad in terms], gap)
 
 
 def sam_whole_step(model, params: ParamVector, batch: Batch, cfg: OptimizerConfig, t: int, n_domains=None):
@@ -251,31 +354,14 @@ def sam_whole_step(model, params: ParamVector, batch: Batch, cfg: OptimizerConfi
     eta_t = schedule_value(cfg.schedule, cfg.eta0, t)
     rho_t = schedule_value(cfg.schedule, cfg.rho, t)
     theta = params.theta
-    parts = _domain_parts(batch)
-    terms = _part_terms(model, theta, parts)
-    _check_domains(terms, n_domains)
-    loss, g = _sum_terms(terms)
+    parts, terms, loss, g = _plain_terms(model, theta, batch, n_domains)
     asc = ascending_vector(g, rho_t, cfg.zero_grad_eps)
     theta_p = axpy(1.0, asc.eps, theta)
-    p_terms = _part_terms(model, theta_p, parts)
-    loss_p, g_p = _sum_terms(p_terms)
+    loss_p, g_p = _sum_terms(_part_terms(model, theta_p, parts))
     r = regularizer_grad(params, cfg.weight_decay)
     new_theta = axpy(-eta_t, g_p + r, theta)
-    k = len(terms)
-    gp_norm = l2_norm(g_p)
-    align = _cos(g_p, g)
-    diag = StepDiagnostics(
-        step_index=t,
-        domain_ids=tuple(dom for dom, _, _ in terms),
-        loss_erm=loss,
-        per_domain_loss=tuple(l for _, l, _ in terms),
-        grad_norm=l2_norm(g),
-        per_domain_perturbed_grad_norm=(gp_norm,) * k,
-        alignment_cos=(align,) * k,
-        adv_grad_norms=(gp_norm,) * k,
-        surrogate_gap=(loss_p - loss) if cfg.track_surrogate_gap else math.nan,
-    )
-    return params.with_theta(new_theta), diag
+    gap = (loss_p - loss) if cfg.track_surrogate_gap else math.nan
+    return params.with_theta(new_theta), _diagnostics(t, terms, loss, g, [g_p] * len(terms), gap)
 
 
 def sam_domain_step(model, params: ParamVector, batch: Batch, cfg: OptimizerConfig, t: int, n_domains=None):
@@ -284,19 +370,12 @@ def sam_domain_step(model, params: ParamVector, batch: Batch, cfg: OptimizerConf
     eta_t = schedule_value(cfg.schedule, cfg.eta0, t)
     rho_t = schedule_value(cfg.schedule, cfg.rho, t)
     theta = params.theta
-    parts = _domain_parts(batch)
-    terms = _part_terms(model, theta, parts)
-    _check_domains(terms, n_domains)
-    loss, g = _sum_terms(terms)
+    parts, terms, loss, g = _plain_terms(model, theta, batch, n_domains)
     k = len(terms)
 
+    losses_p, gp_list = _pair_losses_grads(model, _ascent_points(terms, theta, rho_t, cfg.zero_grad_eps), parts)
     gap = 0.0
-    gp_list = []
-    for (dom, dom_loss, dom_grad), (_, inputs, labels) in zip(terms, parts):
-        asc = ascending_vector(dom_grad, rho_t, cfg.zero_grad_eps, domain=dom)
-        theta_p = axpy(1.0, asc.eps, theta)
-        loss_p, gp = _loss_and_grad(model, theta_p, inputs, labels)
-        gp_list.append(gp)
+    for loss_p, (_, dom_loss, _) in zip(losses_p.tolist(), terms):
         gap += loss_p - dom_loss
     acc = gp_list[0].copy()
     for gp in gp_list[1:]:
@@ -304,18 +383,25 @@ def sam_domain_step(model, params: ParamVector, batch: Batch, cfg: OptimizerConf
     mean_gp = acc * (1.0 / k)
     r = regularizer_grad(params, cfg.weight_decay)
     new_theta = axpy(-eta_t, mean_gp + r, theta)
-    diag = StepDiagnostics(
-        step_index=t,
-        domain_ids=tuple(dom for dom, _, _ in terms),
-        loss_erm=loss,
-        per_domain_loss=tuple(l for _, l, _ in terms),
-        grad_norm=l2_norm(g),
-        per_domain_perturbed_grad_norm=tuple(l2_norm(gp) for gp in gp_list),
-        alignment_cos=tuple(_cos(gp, g) for gp in gp_list),
-        adv_grad_norms=tuple(l2_norm(gp) for gp in gp_list),
-        surrogate_gap=(gap / k) if cfg.track_surrogate_gap else math.nan,
-    )
-    return params.with_theta(new_theta), diag
+    gap = (gap / k) if cfg.track_surrogate_gap else math.nan
+    return params.with_theta(new_theta), _diagnostics(t, terms, loss, g, gp_list, gap)
+
+
+def _aligned_perturbation(model, theta: np.ndarray, parts: _Parts, terms, g, rho_t, gamma_t, zero_grad_eps,
+                         domain_scope: bool = False):
+    """Per domain i, the loss and gradient at theta + eps_i - gamma_t * g,
+    with eps_i from domain i's plain gradient in terms: over the whole batch
+    (summed over parts in ascending id order), or with domain_scope over
+    part i alone, rescaled by k. Returns the lists (losses, gradients)."""
+    k = len(terms)
+    points = _ascent_points(terms, axpy(-gamma_t, g, theta), rho_t, zero_grad_eps)
+    losses, grads = _pair_losses_grads(model, points, parts, grid=not domain_scope)
+    if domain_scope:
+        # Rescale the single-domain estimate to whole-batch (sum) units so
+        # k=1 and fully symmetric domains reproduce the unscoped step.
+        return [loss * float(k) for loss in losses.tolist()], [gp * float(k) for gp in grads]
+    sums = [_sum_terms(_terms(parts, losses[i], grads[i])) for i in range(k)]
+    return [loss for loss, _ in sums], [gp for _, gp in sums]
 
 
 def _aligned_perturb_step(model, params, batch, cfg, t, n_domains, domain_scope: bool):
@@ -330,29 +416,16 @@ def _aligned_perturb_step(model, params, batch, cfg, t, n_domains, domain_scope:
     rho_t = schedule_value(cfg.schedule, cfg.rho, t)
     gamma_t = schedule_value(cfg.schedule, cfg.gamma, t)
     theta = params.theta
-    parts = _domain_parts(batch)
-    terms = _part_terms(model, theta, parts)
-    _check_domains(terms, n_domains)
-    loss, g = _sum_terms(terms)
+    parts, terms, loss, g = _plain_terms(model, theta, batch, n_domains)
     k = len(terms)
     r = regularizer_grad(params, cfg.weight_decay)
 
-    offset = axpy(-gamma_t, g, theta)
+    adv_losses, gp_list = _aligned_perturbation(
+        model, theta, parts, terms, g, rho_t, gamma_t, cfg.zero_grad_eps, domain_scope
+    )
     deviations = numerics.zeros(theta.shape[0])
     gap = 0.0
-    gp_list = []
-    for (dom, _, dom_grad), (_, inputs, labels) in zip(terms, parts):
-        asc = ascending_vector(dom_grad, rho_t, cfg.zero_grad_eps, domain=dom)
-        theta_adv = axpy(1.0, asc.eps, offset)
-        if domain_scope:
-            loss_adv, gp = _loss_and_grad(model, theta_adv, inputs, labels)
-            # Rescale the single-domain estimate to whole-batch (sum) units so
-            # k=1 and fully symmetric domains reproduce the unscoped step.
-            gp = gp * float(k)
-            loss_adv = loss_adv * float(k)
-        else:
-            loss_adv, gp = _sum_terms(_part_terms(model, theta_adv, parts))
-        gp_list.append(gp)
+    for loss_adv, gp in zip(adv_losses, gp_list):
         # Accumulating deviations from g keeps the terms small (they cluster
         # around g for small rho/gamma) and makes the rho=0, gamma=0 collapse
         # back to the doubled ERM gradient exact in floating point.
@@ -360,18 +433,8 @@ def _aligned_perturb_step(model, params, batch, cfg, t, n_domains, domain_scope:
         gap += loss_adv - loss
     mean_gp = axpy(1.0 / k, deviations, g)
     new_theta = axpy(-eta_t, (g + mean_gp) + r, theta)
-    diag = StepDiagnostics(
-        step_index=t,
-        domain_ids=tuple(dom for dom, _, _ in terms),
-        loss_erm=loss,
-        per_domain_loss=tuple(l for _, l, _ in terms),
-        grad_norm=l2_norm(g),
-        per_domain_perturbed_grad_norm=tuple(l2_norm(gp) for gp in gp_list),
-        alignment_cos=tuple(_cos(gp, g) for gp in gp_list),
-        adv_grad_norms=tuple(l2_norm(gp) for gp in gp_list),
-        surrogate_gap=(gap / k) if cfg.track_surrogate_gap else math.nan,
-    )
-    return params.with_theta(new_theta), diag
+    gap = (gap / k) if cfg.track_surrogate_gap else math.nan
+    return params.with_theta(new_theta), _diagnostics(t, terms, loss, g, gp_list, gap)
 
 
 def gac_fas_step(model, params: ParamVector, batch: Batch, cfg: OptimizerConfig, t: int, n_domains=None):

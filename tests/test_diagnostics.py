@@ -52,6 +52,14 @@ def test_surrogate_gap_examples_and_monotonicity():
     assert all(a <= b + 1e-15 for a, b in zip(gaps, gaps[1:]))
 
 
+def test_surrogate_gap_return_loss_gives_the_batch_loss():
+    for seed in range(5):
+        spec, params, batch = random_instance(seed)
+        gap, loss = surrogate_gap(spec, params, batch, 0.1, return_loss=True)
+        assert gap == surrogate_gap(spec, params, batch, 0.1)
+        assert loss == batch_loss(spec, params.theta, batch)
+
+
 def test_surrogate_gap_zero_for_every_theta_at_rho_zero():
     for seed in range(5):
         spec, params, batch = random_instance(seed)

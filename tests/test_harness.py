@@ -4,6 +4,7 @@ output files, leave-one-out and sweep drivers, and the CLI."""
 import json
 import math
 import os
+import re
 
 import numpy as np
 import pytest
@@ -102,6 +103,47 @@ def test_parse_rejects_unknown_keys_by_name():
 def test_parse_reports_json_error_position():
     with pytest.raises(ConfigParseError, match=r"cfg\.json:2:3"):
         parse_config('{\n  bad json\n}', origin="cfg.json")
+
+
+def _cli_train_exit(tmp_path, text: str) -> int:
+    path = tmp_path / "cfg.json"
+    path.write_text(text)
+    return cli.main(["train", "--config", str(path), "--seed", "0"])
+
+
+@pytest.mark.parametrize(
+    "key,old,new",
+    [
+        ("optimizer.eta0", '"eta0": 0.1', '"eta0": NaN'),
+        ("domains[0].noise_sigma", '"noise_sigma": 0.1', '"noise_sigma": NaN'),
+        ("optimizer.rho", '"rho": 0.1', '"rho": Infinity'),
+        ("domains[0].translation", '"noise_sigma"', '"translation": [-Infinity, 0.0], "noise_sigma"'),
+    ],
+)
+def test_parse_rejects_non_finite_json_literals_by_key(tmp_path, capsys, key, old, new):
+    text = tiny_config_json(str(tmp_path / "out"), optimizer={"mode": "gac_fas", "eta0": 0.1, "rho": 0.1})
+    text = text.replace(old, new, 1)
+    with pytest.raises(ConfigValueError, match=re.escape(key) + ": expected a finite number"):
+        parse_config(text)
+    assert _cli_train_exit(tmp_path, text) == 1
+    assert key in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("literal", ["1e999", "1" + "0" * 400])
+def test_parse_rejects_overflowing_numbers_by_key(tmp_path, capsys, literal):
+    text = tiny_config_json(str(tmp_path / "out")).replace('"eta0": 0.1', f'"eta0": {literal}')
+    with pytest.raises(ConfigValueError, match=r"optimizer\.eta0: expected a finite number"):
+        parse_config(text)
+    assert _cli_train_exit(tmp_path, text) == 1
+    assert "optimizer.eta0" in capsys.readouterr().err
+
+
+def test_parse_rejects_duplicate_seeds(tmp_path, capsys):
+    text = tiny_config_json(str(tmp_path / "out"), seeds=[3, 1, 3])
+    with pytest.raises(ConfigValueError, match=r"seeds must be distinct.*repeated: \[3\]"):
+        parse_config(text)
+    assert _cli_train_exit(tmp_path, text) == 1
+    assert "seeds" in capsys.readouterr().err
 
 
 def test_parse_type_strictness():
@@ -301,6 +343,39 @@ def test_run_leave_one_out_covers_all_rotations(tmp_path):
             assert os.path.exists(tmp_path / f"held{held}_seed{seed}" / "metrics.csv")
     payload = json.loads((tmp_path / "loo_summary.json").read_text())
     assert len(payload["runs"]) == 6
+
+
+def test_run_leave_one_out_realizes_each_split_once(monkeypatch):
+    from gacfas import datagen
+
+    held_calls = []
+    real = datagen.leave_one_out
+
+    def counting(specs, held):
+        held_calls.append(held)
+        return real(specs, held)
+
+    monkeypatch.setattr(datagen, "leave_one_out", counting)
+    cfg = tiny_config(seeds=(0, 1))
+    _, rows = run_leave_one_out(cfg, write=False)
+    assert held_calls == [0, 1, 2]
+    monkeypatch.setattr(datagen, "leave_one_out", real)
+    for row in rows:
+        alone = window_means(run_training(cfg, row["seed"], held_out=row["held_out"]), cfg.eval_window)
+        assert {key: row[key] for key in alone} == alone
+
+
+def test_eval_train_loss_is_the_batch_loss_with_and_without_gap_tracking():
+    from gacfas import datagen
+    from gacfas.optim import batch_loss
+
+    for track in (True, False):
+        cfg = tiny_config(optimizer=OptimizerConfig(mode="gac_fas", eta0=0.1, track_surrogate_gap=track))
+        record = run_training(cfg, seed=0)
+        source, _ = datagen.leave_one_out(list(cfg.domains), cfg.held_out)
+        final = record.evals[-1]
+        assert final.train_loss == batch_loss(cfg.model, record.final_params.theta, source.concatenated())
+        assert math.isnan(final.surrogate_gap) != track
 
 
 def test_run_sweep_grid(tmp_path):

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gacfas.model import (
     Batch,
@@ -16,6 +18,7 @@ from gacfas.model import (
     layout_for,
     loss_and_grad,
     mean_loss,
+    mean_loss_and_grad,
 )
 from gacfas.numerics import Prng
 
@@ -66,6 +69,23 @@ def test_batch_validation():
         Batch(np.zeros((2, 2)), np.array([0, -1]), np.zeros(2, dtype=np.int64))
     with pytest.raises(ValueError):
         Batch(np.zeros((2, 2)), np.zeros(2, dtype=np.int64), np.array([0, -1]))
+
+
+def test_batch_per_domain_layout_is_checked():
+    ids = np.array([0, 0, 2, 2, 5, 5])
+    b = Batch(np.zeros((6, 2)), np.zeros(6, dtype=np.int64), ids, per_domain=2)
+    assert b.per_domain == 2
+    assert b.take(np.arange(3)).per_domain == 0
+    for bad_ids, per_domain in (
+        ([0, 0, 1, 1, 2, 2], 4),  # 6 rows are not blocks of 4
+        ([0, 1, 0, 1, 2, 2], 2),  # a block mixes domains
+        ([1, 1, 0, 0, 2, 2], 2),  # blocks out of order
+        ([0, 0, 0, 0, 1, 1], 2),  # one domain in two blocks
+    ):
+        with pytest.raises(ValueError, match="per_domain"):
+            Batch(np.zeros((6, 2)), np.zeros(6, dtype=np.int64), np.array(bad_ids), per_domain=per_domain)
+    with pytest.raises(ValueError, match="per_domain"):
+        Batch(np.zeros((6, 2)), np.zeros(6, dtype=np.int64), ids, per_domain=-2)
 
 
 def test_domain_slices_ascending_order():
@@ -169,6 +189,54 @@ def test_label_out_of_range_rejected():
     bad = Batch(batch.inputs, np.full(batch.n, 2, dtype=np.int64), batch.domain_ids)
     with pytest.raises(ValueError):
         loss_and_grad(spec, params, bad)
+
+
+def test_labels_must_match_the_row_count():
+    spec, params, batch = random_instance(3, sizes=(2, 4, 2))
+    with pytest.raises(ValueError, match="labels"):
+        mean_loss_and_grad(spec, params.theta, batch.inputs, batch.labels[:1])
+    with pytest.raises(ValueError, match="inputs"):
+        mean_loss_and_grad(spec, params.theta, batch.inputs[0], batch.labels)
+
+
+@st.composite
+def stacked_cases(draw):
+    """A random MLP and broadcasting (theta, inputs, labels) stacks."""
+    hidden = draw(st.lists(st.integers(1, 24), min_size=0, max_size=3))
+    sizes = (draw(st.integers(1, 4)), *hidden, draw(st.integers(2, 4)))
+    spec = MlpSpec(sizes, draw(st.sampled_from(("tanh", "relu"))))
+    lead = tuple(draw(st.lists(st.integers(1, 3), min_size=0, max_size=3)))
+
+    def operand_lead():
+        # Drop some leading axes, and broadcast some of the rest from 1.
+        kept = lead[draw(st.integers(0, len(lead))) :]
+        return tuple(1 if draw(st.booleans()) else size for size in kept)
+
+    n = draw(st.sampled_from((1, 2, 3, 8, 17, 32, 100)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    scale = draw(st.sampled_from((0.1, 1.0, 4.0)))
+    theta = scale * rng.standard_normal(operand_lead() + (spec.param_count(),))
+    inputs = rng.standard_normal(operand_lead() + (n, sizes[0]))
+    labels = rng.integers(0, sizes[-1], size=operand_lead() + (n,))
+    return spec, theta, inputs, labels
+
+
+@settings(max_examples=150, deadline=None)
+@given(stacked_cases())
+def test_stacked_kernel_equals_per_pair_calls_bitwise(case):
+    spec, theta, inputs, labels = case
+    losses, grads = mean_loss_and_grad(spec, theta, inputs, labels)
+    only_losses = mean_loss(spec, theta, inputs, labels)
+    lead = np.broadcast_shapes(theta.shape[:-1], inputs.shape[:-2], labels.shape[:-1])
+    assert np.shape(losses) == lead and grads.shape == lead + theta.shape[-1:]
+    thetas = np.broadcast_to(theta, lead + theta.shape[-1:])
+    inputs = np.broadcast_to(inputs, lead + inputs.shape[-2:])
+    labels = np.broadcast_to(labels, lead + labels.shape[-1:])
+    for idx in np.ndindex(*lead):
+        loss, grad = mean_loss_and_grad(spec, thetas[idx].copy(), inputs[idx].copy(), labels[idx].copy())
+        assert type(loss) is float
+        assert loss == np.asarray(losses)[idx] == np.asarray(only_losses)[idx]
+        assert np.array_equal(grad, grads[idx])
 
 
 def _independent_fd(spec, params, batch, h):

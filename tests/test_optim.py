@@ -7,10 +7,12 @@ import math
 import numpy as np
 import pytest
 
+from gacfas import model as model_mod
 from gacfas.model import Batch
-from gacfas.numerics import Prng, gaussian, l2_norm
+from gacfas.numerics import Prng, axpy, gaussian, l2_norm
 from gacfas.optim import (
     MODES,
+    STACK_ROWS,
     OptimizerConfig,
     Schedule,
     ascending_vector,
@@ -408,3 +410,122 @@ def test_taylor_first_order_error_shrinks_quadratically():
         assert errs[0] > 0 and errs[1] > 0
         assert errs[0] / errs[1] >= 3.0
         assert errs[1] / errs[2] >= 3.0
+
+
+# -------------------------------------------------------- stacked kernel ----
+
+
+def balanced(batch: Batch, per_domain: int) -> Batch:
+    """The same rows, marked with the balanced sampler's layout."""
+    return Batch(batch.inputs, batch.labels, batch.domain_ids, per_domain=per_domain)
+
+
+def count_kernel_calls(monkeypatch) -> list:
+    """Record the inputs shape of every MLP kernel call the optimizers make."""
+    shapes = []
+    real = model_mod.mean_loss_and_grad
+
+    def counting(spec, theta, inputs, labels):
+        shapes.append(np.shape(inputs))
+        return real(spec, theta, inputs, labels)
+
+    monkeypatch.setattr(model_mod, "mean_loss_and_grad", counting)
+    return shapes
+
+
+class CountingQuadratic(ScalarQuadratic):
+    def __init__(self):
+        self.calls = 0
+
+    def loss_and_grad(self, theta, inputs, labels):
+        self.calls += 1
+        return super().loss_and_grad(theta, inputs, labels)
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_stacked_and_looped_steps_are_bitwise_equal(mode):
+    c = cfg(mode, rho=0.1, gamma=0.01, weight_decay=1e-3)
+    for seed in range(20):
+        k = (seed % 3) + 1
+        spec, params, batch = random_instance(1000 + seed, sizes=(2, 6, 5, 2), k=k, per_domain=6)
+        out_loop, diag_loop = take_step(spec, params, batch, c, t=3)
+        out_stacked, diag_stacked = take_step(spec, params, balanced(batch, 6), c, t=3)
+        assert np.array_equal(out_loop.theta, out_stacked.theta)
+        assert diag_loop == diag_stacked
+
+
+def test_gac_reduction_identity_is_bit_exact_on_stacked_batches():
+    for seed in range(50):
+        spec, params, batch = random_instance(700 + seed, k=(seed % 3) + 1, per_domain=4)
+        batch = balanced(batch, 4)
+        eta = 0.01 + 0.001 * (seed % 7)
+        out_gac, _ = gac_fas_step(spec, params, batch, cfg("gac_fas", eta0=eta, rho=0.0, gamma=0.0), t=1)
+        out_erm, _ = erm_step(spec, params, batch, cfg("erm", eta0=2.0 * eta), t=1)
+        assert np.array_equal(out_gac.theta, out_erm.theta)
+
+
+@pytest.mark.parametrize(
+    "mode,calls", [("erm", 1), ("sam_whole", 2), ("sam_domain", 2), ("gac_fas", 2), ("reg_domain_perturb", 2)]
+)
+def test_balanced_mlp_step_makes_stacked_kernel_calls(monkeypatch, mode, calls):
+    spec, params, batch = random_instance(5, sizes=(2, 16, 16, 2), k=3, per_domain=32)
+    shapes = count_kernel_calls(monkeypatch)
+    take_step(spec, params, balanced(batch, 32), cfg(mode), t=1, n_domains=3)
+    assert shapes == [(3, 32, 2)] * calls
+
+
+def test_unequal_domain_batch_takes_the_loop_with_unchanged_results(monkeypatch):
+    """Domains of 3 and 5 rows: k + k^2 = 6 per-pair calls, and the step
+    equals a straight-line recomputation of the rule bit for bit."""
+    spec, params, batch = random_instance(11, sizes=(2, 6, 2), k=1, per_domain=8)
+    batch = Batch(batch.inputs, batch.labels, np.array([0, 0, 0, 1, 1, 1, 1, 1]))
+    parts = [(batch.inputs[:3], batch.labels[:3]), (batch.inputs[3:], batch.labels[3:])]
+    eta, rho, gamma, wd = 0.05, 0.1, 0.01, 1e-3
+    shapes = count_kernel_calls(monkeypatch)
+    out, _ = gac_fas_step(spec, params, batch, cfg("gac_fas", eta0=eta, rho=rho, gamma=gamma, weight_decay=wd), t=1)
+    assert shapes == [(3, 2), (5, 2)] * 3
+
+    def whole_grad(theta):
+        total = model_mod.mean_loss_and_grad(spec, theta, *parts[0])[1].copy()
+        total += model_mod.mean_loss_and_grad(spec, theta, *parts[1])[1]
+        return total
+
+    theta = params.theta
+    g = whole_grad(theta)
+    offset = axpy(-gamma, g, theta)
+    deviations = np.zeros_like(theta)
+    for inputs, labels in parts:
+        g_i = model_mod.mean_loss_and_grad(spec, theta, inputs, labels)[1]
+        deviations += whole_grad(axpy(1.0, ascending_vector(g_i, rho).eps, offset)) - g
+    want = axpy(-eta, (g + axpy(0.5, deviations, g)) + theta * wd, theta)
+    assert np.array_equal(out.theta, want)
+
+
+def test_oracle_models_take_the_loop_on_balanced_batches():
+    model = CountingQuadratic()
+    c = cfg("gac_fas", eta0=0.1, rho=0.1, gamma=0.05)
+    params, _ = gac_fas_step(model, scalar_params(1.0), balanced(k_domain_batch(2), 2), c, t=1)
+    assert model.calls == 2 + 4
+    assert abs(params.theta[0] - 0.6) <= 1e-12
+    mirror = mirror_batch()
+    for mode in ("sam_domain", "gac_fas"):
+        c = cfg(mode, eta0=0.1, rho=0.1)
+        out_loop, diag_loop = take_step(MirrorLinear(), scalar_params(0.5), mirror, c, t=1)
+        out_marked, diag_marked = take_step(MirrorLinear(), scalar_params(0.5), balanced(mirror, 2), c, t=1)
+        assert np.array_equal(out_loop.theta, out_marked.theta) and diag_loop == diag_marked
+
+
+def test_stacked_calls_stop_at_the_row_cap(monkeypatch):
+    """A stacked call covers at most STACK_ROWS rows; past that, and for the
+    2,000-row full-domain parts, every (point, part) pair is its own call."""
+    shapes = count_kernel_calls(monkeypatch)
+    at_cap = STACK_ROWS // 4
+    for per_domain, want in ((at_cap, [(4, at_cap, 2)]), (at_cap + 1, [(at_cap + 1, 2)] * 4)):
+        spec, params, batch = random_instance(12, k=4, per_domain=per_domain)
+        shapes.clear()
+        batch_loss_and_grad(spec, params.theta, balanced(batch, per_domain))
+        assert shapes == want
+    spec, params, batch = random_instance(13, sizes=(2, 16, 16, 2), k=3, per_domain=2000)
+    shapes.clear()
+    gac_fas_step(spec, params, balanced(batch, 2000), cfg("gac_fas"), t=1, n_domains=3)
+    assert shapes == [(2000, 2)] * 12
