@@ -139,17 +139,6 @@ def _as_int(value, context: str) -> int:
     return value
 
 
-class _JsonConstant:
-    """A NaN, Infinity or -Infinity literal in the config text. No typed
-    reader accepts it, so the error names the key it was given for."""
-
-    def __init__(self, literal: str):
-        self.literal = literal
-
-    def __repr__(self) -> str:
-        return self.literal
-
-
 def _as_float(value, context: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigValueError(f"{context}: expected a finite number, got {value!r}")
@@ -249,7 +238,7 @@ def _parse_optimizer(obj) -> OptimizerConfig:
 
 def parse_config(text: str, origin: str = "<string>") -> ExperimentConfig:
     try:
-        raw = json.loads(text, parse_constant=_JsonConstant)
+        raw = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ConfigParseError(f"{origin}:{exc.lineno}:{exc.colno}: {exc.msg}") from exc
     allowed = {

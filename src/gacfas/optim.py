@@ -26,9 +26,10 @@ in one more: paired with their own part (sam_domain, reg_domain_perturb),
 against every part as a (k, 1, P) x (k, n, d) grid (gac_fas), or as one
 point against all parts (sam_whole). The kernel gives every pair the bits a
 separate 2-D call would, and the reductions over domains keep the
-ascending-id order, so stacking changes no output bit. A call whose pairs
-exceed STACK_ROWS rows, a batch without the balanced layout, and the
-duck-typed models all take one call per pair instead.
+ascending-id order, so stacking changes no output bit. A batch without the
+balanced layout, parts given as a list of single-domain batches (the
+full-domain parts of the diagnostics), and the duck-typed models all take
+one call per pair instead.
 """
 
 from __future__ import annotations
@@ -163,12 +164,6 @@ def schedule_value(schedule: Schedule, base: float, t: int) -> float:
     return base * schedule.factor ** ((t - 1) // schedule.period_steps)
 
 
-# A stacked kernel call covers at most this many rows (pairs x rows per
-# part). Larger evaluations, such as the 2,000-row full-domain parts of the
-# diagnostics, go pair by pair: stacking them only grows the temporaries.
-STACK_ROWS = 1024
-
-
 def _loss_and_grad(model, theta: np.ndarray, inputs, labels):
     fn = getattr(model, "loss_and_grad", None)
     if fn is not None:
@@ -238,13 +233,13 @@ def _pair_losses_grads(model, points: np.ndarray, parts: _Parts, grid: bool = Fa
     meets part i with row i: also (k,) and (k, P). With grid, points (m, P)
     meets every part with every row: (m, k) and (m, k, P).
 
-    Stacked parts within STACK_ROWS rows take one stacked kernel call;
-    anything else takes one call per (point, part) pair, with equal bits."""
+    Stacked parts take one stacked kernel call; list parts take one call
+    per (point, part) pair, with equal bits."""
     if grid:
         points = points[:, None, :]
-    lead = np.broadcast_shapes(points.shape[:-1], (len(parts.ids),))
-    if parts.stacked and math.prod(lead) * parts.inputs.shape[1] <= STACK_ROWS:
+    if parts.stacked:
         return model_mod.mean_loss_and_grad(model, points, parts.inputs, parts.labels)
+    lead = np.broadcast_shapes(points.shape[:-1], (len(parts.ids),))
     points = np.broadcast_to(points, lead + points.shape[-1:])
     losses = np.empty(lead, dtype=np.float64)
     grads = np.empty(points.shape, dtype=np.float64)
@@ -302,7 +297,10 @@ def _cos(a: np.ndarray, b: np.ndarray) -> float:
     denom = l2_norm(a) * l2_norm(b)
     if denom == 0.0:
         return 0.0
-    return min(1.0, max(-1.0, dot(a, b) / denom))
+    cos = dot(a, b) / denom
+    if math.isnan(cos):
+        return math.nan
+    return min(1.0, max(-1.0, cos))
 
 
 def _plain_terms(model, theta: np.ndarray, batch: Batch, n_domains):

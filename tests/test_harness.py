@@ -405,6 +405,20 @@ def test_fullset_diagnostics_rho_gamma_zero_matches_plain_gradient():
     assert diag.surrogate_gap == 0.0
 
 
+def test_fullset_diagnostics_report_nan_alignment_for_nan_gradients():
+    from gacfas import datagen
+    from gacfas.model import init_params
+    from gacfas.numerics import Prng
+
+    cfg = tiny_config()
+    source, _ = datagen.leave_one_out(list(cfg.domains), 2)
+    params = init_params(cfg.model, Prng(0, 0))
+    theta = params.theta.copy()
+    theta[0] = math.nan
+    diag = fullset_step_diagnostics(cfg.model, ParamVector(theta, params.layout), source, cfg.optimizer, t=1)
+    assert all(math.isnan(c) for c in diag.alignment_cos)
+
+
 def test_run_convergence_forces_theorem1_and_writes_outputs(tmp_path):
     cfg = tiny_config(output_dir=str(tmp_path), steps=60, eval_every=30, eval_window=1)
     record, trace = run_convergence(cfg, window=4, trace_every=5)

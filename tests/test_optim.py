@@ -12,7 +12,6 @@ from gacfas.model import Batch
 from gacfas.numerics import Prng, axpy, gaussian, l2_norm
 from gacfas.optim import (
     MODES,
-    STACK_ROWS,
     OptimizerConfig,
     Schedule,
     ascending_vector,
@@ -515,17 +514,30 @@ def test_oracle_models_take_the_loop_on_balanced_batches():
         assert np.array_equal(out_loop.theta, out_marked.theta) and diag_loop == diag_marked
 
 
-def test_stacked_calls_stop_at_the_row_cap(monkeypatch):
-    """A stacked call covers at most STACK_ROWS rows; past that, and for the
-    2,000-row full-domain parts, every (point, part) pair is its own call."""
+def test_full_domain_parts_go_pair_by_pair(monkeypatch):
+    """The full-set diagnostics hand their 2,000-row domains over as a list
+    of parts, so every (point, part) pair is its own call; a balanced batch
+    of the same size is stacked like any other."""
+    from gacfas import datagen
+    from gacfas.harness import fullset_step_diagnostics
+
     shapes = count_kernel_calls(monkeypatch)
-    at_cap = STACK_ROWS // 4
-    for per_domain, want in ((at_cap, [(4, at_cap, 2)]), (at_cap + 1, [(at_cap + 1, 2)] * 4)):
-        spec, params, batch = random_instance(12, k=4, per_domain=per_domain)
-        shapes.clear()
-        batch_loss_and_grad(spec, params.theta, balanced(batch, per_domain))
-        assert shapes == want
+    domains = [datagen.DomainSpec(rotation=0.3 * i, noise_sigma=0.1, n_samples=2000, seed=i) for i in range(4)]
+    source, _ = datagen.leave_one_out(domains, 3)
+    spec = model_mod.MlpSpec((2, 16, 16, 2), "tanh")
+    fullset_step_diagnostics(spec, model_mod.init_params(spec, Prng(0, 0)), source, cfg("gac_fas"), t=1)
+    assert shapes == [(2000, 2)] * 12
     spec, params, batch = random_instance(13, sizes=(2, 16, 16, 2), k=3, per_domain=2000)
     shapes.clear()
     gac_fas_step(spec, params, balanced(batch, 2000), cfg("gac_fas"), t=1, n_domains=3)
-    assert shapes == [(2000, 2)] * 12
+    assert shapes == [(3, 2000, 2)] * 2
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_alignment_cos_is_nan_when_the_gradients_are(mode):
+    """A diverged iterate reports NaN alignment, not a clamped -1.0."""
+    spec, params, batch = random_instance(17, k=2)
+    theta = params.theta.copy()
+    theta[0] = math.nan
+    _, diag = take_step(spec, model_mod.ParamVector(theta, params.layout), balanced(batch, 5), cfg(mode), t=1)
+    assert all(math.isnan(c) for c in diag.alignment_cos)
