@@ -17,7 +17,7 @@ import numpy as np
 from . import numerics
 from .model import Batch, ParamVector
 from .numerics import Prng, axpy, dot, l2_norm
-from .optim import _batch_parts, _part_terms, _sum_terms, ascending_vector, batch_loss, batch_loss_and_grad
+from .optim import _batch_parts, _domain_parts, _part_terms, _parts_loss, _sum_terms, ascending_vector, batch_loss
 
 
 @dataclass(frozen=True)
@@ -71,13 +71,20 @@ class ConvergenceTrace:
         return self.fitted_C * math.log(t + 1.0) / math.sqrt(t)
 
 
-def perturbed_loss(model, params: ParamVector, batch: Batch, rho: float) -> float:
-    """L evaluated at theta + ascending_vector(grad L(theta; B), rho)."""
+def _loss_and_perturbed_loss(model, theta: np.ndarray, batch: Batch, rho: float):
+    """L(theta) and L(theta + eps), eps = ascending_vector(grad L(theta; B), rho),
+    with the batch split into its domain parts once for both."""
     if rho < 0:
         raise ValueError(f"rho must be >= 0, got {rho}")
-    _, g = batch_loss_and_grad(model, params.theta, batch)
+    parts = _domain_parts(model, batch)
+    loss, g = _sum_terms(_part_terms(model, theta, parts))
     asc = ascending_vector(g, rho)
-    return batch_loss(model, axpy(1.0, asc.eps, params.theta), batch)
+    return loss, _parts_loss(model, axpy(1.0, asc.eps, theta), parts)
+
+
+def perturbed_loss(model, params: ParamVector, batch: Batch, rho: float) -> float:
+    """L evaluated at theta + ascending_vector(grad L(theta; B), rho)."""
+    return _loss_and_perturbed_loss(model, params.theta, batch, rho)[1]
 
 
 def surrogate_gap(model, params: ParamVector, batch: Batch, rho: float, return_loss: bool = False):
@@ -85,11 +92,8 @@ def surrogate_gap(model, params: ParamVector, batch: Batch, rho: float, return_l
 
     With return_loss, returns (gap, L(theta)): the loss the gap is measured
     from, the same value batch_loss gives."""
-    if rho < 0:
-        raise ValueError(f"rho must be >= 0, got {rho}")
-    loss, g = batch_loss_and_grad(model, params.theta, batch)
-    asc = ascending_vector(g, rho)
-    gap = batch_loss(model, axpy(1.0, asc.eps, params.theta), batch) - loss
+    loss, loss_p = _loss_and_perturbed_loss(model, params.theta, batch, rho)
+    gap = loss_p - loss
     return (gap, loss) if return_loss else gap
 
 

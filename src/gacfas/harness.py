@@ -357,6 +357,18 @@ def _evaluate(cfg: ExperimentConfig, spec, params, test: Batch, train_all: Batch
     return EvalReport(step, float(hter), float(auc), float(tpr95), float(train_loss), float(gap))
 
 
+def _checked_step(spec, params: ParamVector, minibatch: Batch, opt: OptimizerConfig, t: int, k: int):
+    """take_step, with its failures and a non-finite step loss raised as a
+    RuntimeError that names step t, so a diverged run stops at once."""
+    try:
+        params, diag = take_step(spec, params, minibatch, opt, t, n_domains=k)
+    except Exception as exc:
+        raise RuntimeError(f"optimizer step {t} failed: {exc}") from exc
+    if not math.isfinite(diag.loss_erm):
+        raise RuntimeError(f"optimizer step {t} failed: the step loss is {diag.loss_erm!r}")
+    return params, diag
+
+
 def run_training(cfg: ExperimentConfig, seed: int, held_out=None) -> RunRecord:
     """One training run, deterministic given (cfg, seed, held_out).
 
@@ -388,10 +400,7 @@ def _train_on_split(cfg: ExperimentConfig, seed: int, held: int, split) -> RunRe
     diags = []
     for t in range(1, cfg.steps + 1):
         minibatch = datagen.sample_minibatch(source, cfg.per_domain_batch, batch_prng)
-        try:
-            params, diag = take_step(spec, params, minibatch, opt, t, n_domains=k)
-        except Exception as exc:
-            raise RuntimeError(f"optimizer step {t} failed: {exc}") from exc
+        params, diag = _checked_step(spec, params, minibatch, opt, t, k)
         if t % cfg.diagnostics_every == 0:
             diags.append(diag)
         if t % cfg.eval_every == 0:
@@ -645,7 +654,7 @@ def run_convergence(cfg: ExperimentConfig, window: int = 40, trace_every: int = 
     records = []
     for t in range(1, cfg.steps + 1):
         minibatch = datagen.sample_minibatch(source, cfg.per_domain_batch, batch_prng)
-        params, _ = take_step(spec, params, minibatch, opt, t, n_domains=k)
+        params, _ = _checked_step(spec, params, minibatch, opt, t, k)
         if t % trace_every == 0:
             records.append(fullset_step_diagnostics(spec, params, source, opt, t))
         if t % cfg.eval_every == 0:

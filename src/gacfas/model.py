@@ -19,6 +19,15 @@ same per-slice arithmetic (one BLAS product per slice, reductions along the
 row axis in row order), so a stacked result equals the per-pair 2-D calls
 bit for bit; the optimizers rely on that for their exact reduction
 identities.
+
+Scratch rule: each spec keeps one grow-only buffer (_Scratch) for a call's
+per-layer temporaries: the hidden layers' outputs, the backward deltas at
+them and the relu masks. A call writes these in place (np.matmul with out=,
+in-place bias add, activation and derivative), so it allocates only what it
+returns. Losses, gradients and forward's logits are always fresh arrays and
+never alias the buffer. The buffer holds what the largest single call
+needed, whatever the number of shapes seen. The next call on the same spec
+overwrites it, so the kernel assumes single-threaded use.
 """
 
 from __future__ import annotations
@@ -238,35 +247,95 @@ def _check_labeled(spec: MlpSpec, inputs, labels):
     return inputs, labels
 
 
-def _forward_cached(spec: MlpSpec, theta: np.ndarray, inputs: np.ndarray):
-    """Logits (..., n, C) plus the per-layer outputs (and relu
-    pre-activations) needed for backward; theta (..., P) and inputs
-    (..., n, d) broadcast.
+class _Scratch:
+    """Grow-only byte storage for one spec's per-call temporaries.
 
-    Each layer's product is a fresh array, so the bias add and the tanh run
-    in place on it; tanh backward needs only the outputs."""
+    A call takes all its arrays from the front of one buffer, so the buffer
+    only ever grows to what the largest single call needed. Every array
+    starts on a 64-byte boundary and is C-contiguous, like a fresh array, so
+    numpy and BLAS take the same paths on it. The arrays of a call shape are
+    kept for the next call of that shape, until the buffer grows or more
+    than 32 call shapes are kept."""
+
+    def __init__(self, spec: MlpSpec):
+        self.widths = spec.layer_sizes[1:-1]
+        self.relu = spec.activation == "relu"
+        self.buffer = np.empty(0, dtype=np.uint8)
+        self.carved = {}
+
+    def arrays(self, theta_shape, inputs_shape, backward: bool):
+        """(outs, deltas, masks) for theta (..., P) and inputs (..., n, d):
+        per hidden layer, float64 arrays of the broadcast leading shape +
+        (n, width) for its output and, with backward, for the delta at its
+        output, plus bool masks for a relu spec. Their contents are left
+        over from earlier calls."""
+        key = (theta_shape, inputs_shape, backward)
+        found = self.carved.get(key)
+        if found is None:
+            found = self._carve(theta_shape, inputs_shape, backward)
+            if len(self.carved) >= 32:
+                self.carved.clear()
+            self.carved[key] = found
+        return found
+
+    def _carve(self, theta_shape, inputs_shape, backward):
+        lead = np.broadcast_shapes(theta_shape[:-1], inputs_shape[:-2])
+        shapes = [lead + (inputs_shape[-2], width) for width in self.widths]
+        wanted = [(shape, np.dtype(np.float64)) for shape in shapes]
+        if backward:
+            wanted += [(shape, np.dtype(np.float64)) for shape in shapes]
+            if self.relu:
+                wanted += [(shape, np.dtype(np.bool_)) for shape in shapes]
+        spans = []
+        end = 0
+        for shape, dtype in wanted:
+            start = -(-end // 64) * 64
+            end = start + math.prod(shape) * dtype.itemsize
+            spans.append((start, end))
+        if end > self.buffer.size:
+            # Arrays kept for other shapes point into the old buffer.
+            self.carved.clear()
+            self.buffer = np.empty(end, dtype=np.uint8)
+        views = [self.buffer[a:b].view(dtype).reshape(shape) for (shape, dtype), (a, b) in zip(wanted, spans)]
+        n = len(shapes)
+        return views[:n], views[n : 2 * n], views[2 * n :]
+
+
+@functools.lru_cache(maxsize=64)
+def _scratch_for(spec: MlpSpec) -> _Scratch:
+    """The scratch store of a spec, shared by every call on that spec."""
+    return _Scratch(spec)
+
+
+def _forward_cached(spec: MlpSpec, theta: np.ndarray, inputs: np.ndarray, outs):
+    """Logits (..., n, C) and the input of every layer, [inputs, *outs];
+    theta (..., P) and inputs (..., n, d) broadcast.
+
+    outs holds one array per hidden layer (see _Scratch.arrays); that
+    layer's product, bias add and activation all run in it. The logits are a
+    fresh array."""
     layout = layout_for(spec)
-    n_layers = len(spec.layer_sizes) - 1
     h = inputs
     hiddens = [h]
-    pre_acts = []
-    for i in range(n_layers):
-        z = h @ layout[2 * i].view(theta)
+    for i, z in enumerate(outs):
+        np.matmul(h, layout[2 * i].view(theta), out=z)
         z += layout[2 * i + 1].view(theta)[..., None, :]
-        if i == n_layers - 1:
-            return z, hiddens, pre_acts
         if spec.activation == "relu":
-            pre_acts.append(z)
-            h = np.maximum(z, 0.0)
+            h = np.maximum(z, 0.0, out=z)
         else:
             h = np.tanh(z, out=z)
         hiddens.append(h)
+    last = len(outs)
+    logits = h @ layout[2 * last].view(theta)
+    logits += layout[2 * last + 1].view(theta)[..., None, :]
+    return logits, hiddens
 
 
 def forward(spec: MlpSpec, params: ParamVector, inputs) -> np.ndarray:
     """Row i of the result holds the C logits for sample i."""
     inputs = _check_inputs(spec, inputs)
-    logits, _, _ = _forward_cached(spec, params.theta, inputs)
+    outs, _, _ = _scratch_for(spec).arrays(params.theta.shape, inputs.shape, False)
+    logits, _ = _forward_cached(spec, params.theta, inputs, outs)
     return logits
 
 
@@ -304,7 +373,8 @@ def mean_loss(spec: MlpSpec, theta: np.ndarray, inputs, labels):
     """Mean softmax cross-entropy over the given samples, per broadcast
     (theta, sub-batch) pair."""
     inputs, labels = _check_labeled(spec, inputs, labels)
-    logits, _, _ = _forward_cached(spec, theta, inputs)
+    outs, _, _ = _scratch_for(spec).arrays(theta.shape, inputs.shape, False)
+    logits, _ = _forward_cached(spec, theta, inputs, outs)
     loss, _ = _softmax_cross_entropy(logits, labels)
     return _as_loss(loss)
 
@@ -315,29 +385,35 @@ def mean_loss_and_grad(spec: MlpSpec, theta: np.ndarray, inputs, labels):
     gradients of that shape + (P,)."""
     inputs, labels = _check_labeled(spec, inputs, labels)
     layout = layout_for(spec)
-    n_layers = len(spec.layer_sizes) - 1
-    logits, hiddens, pre_acts = _forward_cached(spec, theta, inputs)
+    relu = spec.activation == "relu"
+    outs, deltas, masks = _scratch_for(spec).arrays(theta.shape, inputs.shape, True)
+    logits, hiddens = _forward_cached(spec, theta, inputs, outs)
     loss, delta = _softmax_cross_entropy(logits, labels)
 
     lead = delta.shape[:-2]
     grad = np.empty(lead + (theta.shape[-1],), dtype=np.float64)
-    for i in range(n_layers - 1, -1, -1):
+    for i in range(len(outs), -1, -1):
         w_block, b_block = layout[2 * i], layout[2 * i + 1]
-        h_in = hiddens[i]
-        grad_w = np.swapaxes(h_in, -1, -2) @ delta
-        grad[..., w_block.offset : w_block.offset + w_block.size] = grad_w.reshape(lead + (w_block.size,))
+        np.matmul(np.swapaxes(hiddens[i], -1, -2), delta, out=w_block.view(grad))
         grad[..., b_block.offset : b_block.offset + b_block.size] = delta.sum(axis=-2)
         if i > 0:
-            delta = delta @ np.swapaxes(w_block.view(theta), -1, -2)
-            if spec.activation == "relu":
-                delta = np.where(pre_acts[i - 1] > 0.0, delta, 0.0)
+            out = deltas[i - 1]
+            np.matmul(delta, np.swapaxes(w_block.view(theta), -1, -2), out=out)
+            if relu:
+                # hiddens[i] = max(z, 0) is > 0 exactly where z is (for NaN
+                # neither is), so this zeroes the entries where z > 0 fails.
+                dead = masks[i - 1]
+                np.greater(hiddens[i], 0.0, out=dead)
+                np.logical_not(dead, out=dead)
+                np.copyto(out, 0.0, where=dead)
             else:
                 # tanh' = 1 - tanh^2, built in place in the forward pass's
                 # output for this layer, which no later step reads.
                 d_act = hiddens[i]
                 np.square(d_act, out=d_act)
                 np.subtract(1.0, d_act, out=d_act)
-                delta *= d_act
+                out *= d_act
+            delta = out
     return _as_loss(loss), grad
 
 

@@ -105,8 +105,6 @@ class AscendingVector:
     gradient is numerically zero)."""
 
     eps: np.ndarray
-    domain: int
-    rho_used: float
 
 
 @dataclass(frozen=True)
@@ -125,15 +123,12 @@ class StepDiagnostics:
     loss_erm: float
     per_domain_loss: tuple[float, ...]
     grad_norm: float
-    per_domain_perturbed_grad_norm: tuple[float, ...]
     alignment_cos: tuple[float, ...]
     adv_grad_norms: tuple[float, ...]
     surrogate_gap: float
 
 
-def ascending_vector(
-    grad: np.ndarray, rho: float, zero_grad_eps: float = 1e-12, domain: int = 0
-) -> AscendingVector:
+def ascending_vector(grad: np.ndarray, rho: float, zero_grad_eps: float = 1e-12) -> AscendingVector:
     """eps = rho * grad / ||grad|| when ||grad|| > zero_grad_eps, else zero.
 
     The guard prevents division blow-up at exact minima."""
@@ -144,7 +139,7 @@ def ascending_vector(
         eps = grad * (rho / norm)
     else:
         eps = numerics.zeros(grad.shape[0])
-    return AscendingVector(eps, int(domain), float(rho))
+    return AscendingVector(eps)
 
 
 def regularizer_grad(params: ParamVector, weight_decay: float) -> np.ndarray:
@@ -280,11 +275,16 @@ def batch_loss_and_grad(model, theta: np.ndarray, batch: Batch):
     return _sum_terms(_domain_terms(model, theta, batch))
 
 
-def batch_loss(model, theta: np.ndarray, batch: Batch) -> float:
+def _parts_loss(model, theta: np.ndarray, parts: _Parts) -> float:
+    """Sum of the per-part mean losses, in part order."""
     total = 0.0
-    for dom, idx in domain_slices(batch):
-        total += _mean_loss(model, theta, batch.inputs[idx], batch.labels[idx])
+    for inputs, labels in zip(parts.inputs, parts.labels):
+        total += _mean_loss(model, theta, inputs, labels)
     return total
+
+
+def batch_loss(model, theta: np.ndarray, batch: Batch) -> float:
+    return _parts_loss(model, theta, _domain_parts(model, batch))
 
 
 def _check_domains(terms, n_domains):
@@ -314,16 +314,14 @@ def _plain_terms(model, theta: np.ndarray, batch: Batch, n_domains):
 def _diagnostics(t: int, terms, loss: float, g: np.ndarray, adv_grads, gap: float) -> StepDiagnostics:
     """The step record: adv_grads[i] is domain i's perturbed (or, for erm,
     plain) gradient; gap is already NaN when tracking is off."""
-    adv_norms = tuple(l2_norm(gp) for gp in adv_grads)
     return StepDiagnostics(
         step_index=t,
         domain_ids=tuple(dom for dom, _, _ in terms),
         loss_erm=loss,
         per_domain_loss=tuple(l for _, l, _ in terms),
         grad_norm=l2_norm(g),
-        per_domain_perturbed_grad_norm=adv_norms,
         alignment_cos=tuple(_cos(gp, g) for gp in adv_grads),
-        adv_grad_norms=adv_norms,
+        adv_grad_norms=tuple(l2_norm(gp) for gp in adv_grads),
         surrogate_gap=gap,
     )
 
@@ -331,7 +329,7 @@ def _diagnostics(t: int, terms, loss: float, g: np.ndarray, adv_grads, gap: floa
 def _ascent_points(terms, base: np.ndarray, rho_t: float, zero_grad_eps: float) -> np.ndarray:
     """Row i: base + eps_i, with eps_i from domain i's plain gradient."""
     return np.stack(
-        [axpy(1.0, ascending_vector(grad, rho_t, zero_grad_eps, domain=dom).eps, base) for dom, _, grad in terms]
+        [axpy(1.0, ascending_vector(grad, rho_t, zero_grad_eps).eps, base) for _, _, grad in terms]
     )
 
 

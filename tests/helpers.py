@@ -12,7 +12,7 @@ import math
 
 import numpy as np
 
-from gacfas.model import Batch, MlpSpec, ParamVector, init_params
+from gacfas.model import Batch, MlpSpec, ParamVector, _as_loss, _check_labeled, init_params, layout_for
 from gacfas.numerics import Prng
 
 
@@ -87,6 +87,75 @@ def random_instance(seed: int, sizes=(2, 6, 2), activation="tanh", k: int = 3, p
     labels = prng.generator.integers(0, sizes[-1], size=n).astype(np.int64)
     ids = np.repeat(np.arange(k, dtype=np.int64), per_domain)
     return spec, params, Batch(inputs, labels, ids)
+
+
+def reference_forward_cached(spec: MlpSpec, theta: np.ndarray, inputs: np.ndarray):
+    """The MLP forward pass with a fresh array per layer, as the kernel ran
+    before it reused buffers: logits, the per-layer outputs, and the relu
+    pre-activations. The kernel must match it bit for bit."""
+    layout = layout_for(spec)
+    n_layers = len(spec.layer_sizes) - 1
+    h = inputs
+    hiddens = [h]
+    pre_acts = []
+    for i in range(n_layers):
+        z = h @ layout[2 * i].view(theta)
+        z += layout[2 * i + 1].view(theta)[..., None, :]
+        if i == n_layers - 1:
+            return z, hiddens, pre_acts
+        if spec.activation == "relu":
+            pre_acts.append(z)
+            h = np.maximum(z, 0.0)
+        else:
+            h = np.tanh(z, out=z)
+        hiddens.append(h)
+
+
+def reference_softmax_cross_entropy(logits: np.ndarray, labels: np.ndarray):
+    """Mean cross-entropy and d(loss)/d(logits), as reference_mean_loss_and_grad uses them."""
+    shifted = logits - logits.max(axis=-1, keepdims=True)
+    exps = np.exp(shifted)
+    total = exps.sum(axis=-1, keepdims=True)
+    log_probs = shifted - np.log(total)
+    n_classes = logits.shape[-1]
+    pair_rows = logits.shape[:-1]
+    if labels.shape != pair_rows:
+        labels = np.broadcast_to(labels, pair_rows)
+    rows = np.arange(logits.size // n_classes)
+    picks = labels.ravel()
+    loss = -log_probs.reshape(-1, n_classes)[rows, picks].reshape(pair_rows).mean(axis=-1)
+    dlogits = exps
+    dlogits /= total
+    dlogits.reshape(-1, n_classes)[rows, picks] -= 1.0
+    dlogits /= logits.shape[-2]
+    return loss, dlogits
+
+
+def reference_mean_loss_and_grad(spec: MlpSpec, theta: np.ndarray, inputs, labels):
+    """model.mean_loss_and_grad with a fresh array for every temporary, the
+    exact reference for the buffer-reusing kernel."""
+    inputs, labels = _check_labeled(spec, inputs, labels)
+    layout = layout_for(spec)
+    n_layers = len(spec.layer_sizes) - 1
+    logits, hiddens, pre_acts = reference_forward_cached(spec, theta, inputs)
+    loss, delta = reference_softmax_cross_entropy(logits, labels)
+    lead = delta.shape[:-2]
+    grad = np.empty(lead + (theta.shape[-1],), dtype=np.float64)
+    for i in range(n_layers - 1, -1, -1):
+        w_block, b_block = layout[2 * i], layout[2 * i + 1]
+        grad_w = np.swapaxes(hiddens[i], -1, -2) @ delta
+        grad[..., w_block.offset : w_block.offset + w_block.size] = grad_w.reshape(lead + (w_block.size,))
+        grad[..., b_block.offset : b_block.offset + b_block.size] = delta.sum(axis=-2)
+        if i > 0:
+            delta = delta @ np.swapaxes(w_block.view(theta), -1, -2)
+            if spec.activation == "relu":
+                delta = np.where(pre_acts[i - 1] > 0.0, delta, 0.0)
+            else:
+                d_act = hiddens[i]
+                np.square(d_act, out=d_act)
+                np.subtract(1.0, d_act, out=d_act)
+                delta *= d_act
+    return _as_loss(loss), grad
 
 
 def kahan_dot(a, b) -> float:

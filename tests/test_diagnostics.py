@@ -219,7 +219,6 @@ def _diag(t: int, grad_sq: float, adv_sq: float) -> StepDiagnostics:
         loss_erm=0.0,
         per_domain_loss=(0.0,),
         grad_norm=g,
-        per_domain_perturbed_grad_norm=(a,),
         alignment_cos=(1.0,),
         adv_grad_norms=(a,),
         surrogate_gap=0.0,

@@ -9,8 +9,8 @@ import re
 import numpy as np
 import pytest
 
-from gacfas import cli
-from gacfas.datagen import DomainSpec
+from gacfas import cli, harness
+from gacfas.datagen import DomainSpec, leave_one_out
 from gacfas.harness import (
     ConfigKeyError,
     ConfigNotFoundError,
@@ -39,7 +39,8 @@ from gacfas.harness import (
     window_means,
     write_outputs,
 )
-from gacfas.model import MlpSpec, ParamVector, layout_for
+from gacfas.model import MlpSpec, ParamVector, init_params, layout_for
+from gacfas.numerics import Prng
 from gacfas.optim import OptimizerConfig, Schedule
 
 
@@ -221,10 +222,59 @@ def test_run_training_held_out_override_and_all_rejected():
 
 
 def test_run_training_diverged_scores_fail_with_step():
+    # At eta0=1e200 the step loss of this config first turns NaN at step 3,
+    # before the first evaluation (step 5).
     cfg = tiny_config(optimizer=OptimizerConfig(mode="gac_fas", eta0=1e200))
-    expected = "evaluation at step 5 failed: scores must be finite"
+    expected = "optimizer step 3 failed: the step loss is nan"
     with np.errstate(all="ignore"), pytest.raises(RuntimeError, match=expected):
         run_training(cfg, seed=0)
+
+
+@pytest.mark.parametrize("command", ["train", "convergence"])
+def test_diverged_run_stops_at_the_first_non_finite_step_loss(monkeypatch, command):
+    # Evaluating only after the last step, a diverged run used to compute
+    # every step before it failed.
+    cfg = tiny_config(optimizer=OptimizerConfig(mode="gac_fas", eta0=1e200), eval_every=10, eval_window=1)
+    steps = []
+    real = harness.take_step
+
+    def counted(*args, **kwargs):
+        steps.append(args[4])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(harness, "take_step", counted)
+    run = {
+        "train": lambda: run_training(cfg, seed=0),
+        "convergence": lambda: run_convergence(cfg, window=1, trace_every=5, write=False),
+    }[command]
+    with np.errstate(all="ignore"), pytest.raises(RuntimeError, match="optimizer step 3 failed: the step loss is nan"):
+        run()
+    assert steps == [1, 2, 3]
+
+
+def test_run_convergence_names_the_failing_step(monkeypatch):
+    def failing(*args, **kwargs):
+        raise ValueError("boom")
+
+    monkeypatch.setattr(harness, "take_step", failing)
+    with pytest.raises(RuntimeError, match="optimizer step 1 failed: boom"):
+        run_convergence(tiny_config(eval_window=1), window=1, write=False)
+
+
+def test_cli_exits_2_on_a_diverged_run(tmp_path, capsys):
+    text = tiny_config_json(str(tmp_path / "out"), optimizer={"mode": "gac_fas", "eta0": 1e200})
+    with np.errstate(all="ignore"):
+        assert _cli_train_exit(tmp_path, text) == 2
+    assert "optimizer step 3 failed" in capsys.readouterr().err
+
+
+def test_evaluate_refuses_nan_parameters_with_the_step():
+    cfg = tiny_config()
+    source, test = leave_one_out(list(cfg.domains), 2)
+    params = init_params(cfg.model, Prng(0, 0))
+    nan_params = params.with_theta(np.full_like(params.theta, math.nan))
+    with pytest.raises(RuntimeError, match="evaluation at step 7 failed: scores must be finite"):
+        harness._evaluate(cfg, cfg.model, nan_params, test, source.concatenated(), 7)
 
 
 def test_run_training_manifest_contents():

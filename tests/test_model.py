@@ -19,10 +19,11 @@ from gacfas.model import (
     loss_and_grad,
     mean_loss,
     mean_loss_and_grad,
+    _scratch_for,
 )
 from gacfas.numerics import Prng
 
-from helpers import random_instance
+from helpers import random_instance, reference_forward_cached, reference_mean_loss_and_grad
 
 
 def test_spec_validation():
@@ -237,6 +238,100 @@ def test_stacked_kernel_equals_per_pair_calls_bitwise(case):
         assert type(loss) is float
         assert loss == np.asarray(losses)[idx] == np.asarray(only_losses)[idx]
         assert np.array_equal(grad, grads[idx])
+    ref_losses, ref_grads = reference_mean_loss_and_grad(spec, theta, inputs, labels)
+    assert np.array_equal(losses, ref_losses) and np.array_equal(grads, ref_grads)
+
+
+def _kernel_case(rng, spec, n, layout, k=3):
+    """theta, inputs, labels for one call: a plain 2-D call, (k,) pairs, or
+    the (k, 1, P) x (k, n, d) grid; plain calls carry a NaN input row."""
+    p, d, c = spec.param_count(), spec.input_dim, spec.n_classes
+    theta_lead, data_lead = {"plain": ((), ()), "pairs": ((k,), (k,)), "grid": ((k, 1), (k,))}[layout]
+    theta = 0.5 * rng.standard_normal(theta_lead + (p,))
+    inputs = rng.standard_normal(data_lead + (n, d))
+    labels = rng.integers(0, c, size=data_lead + (n,))
+    if layout == "plain":
+        inputs[n // 2, 0] = math.nan
+    return theta, inputs, labels
+
+
+def _same(a, b) -> bool:
+    return np.shape(a) == np.shape(b) and np.array_equal(a, b, equal_nan=True)
+
+
+@pytest.mark.parametrize("activation", ["tanh", "relu"])
+def test_kernel_equals_the_fresh_array_reference_bitwise(activation):
+    """Buffer reuse changes no bit: every call shape, in an order that grows
+    the scratch and then shrinks back into it, matches the reference kernel
+    that allocates every temporary afresh, NaN rows included."""
+    spec = MlpSpec((2, 16, 16, 2), activation)
+    rng = np.random.default_rng(17)
+    for n in (1, 32, 2000, 3000, 32, 1):
+        for layout in ("plain", "pairs", "grid"):
+            theta, inputs, labels = _kernel_case(rng, spec, n, layout)
+            with np.errstate(invalid="ignore"):
+                want_loss, want_grad = reference_mean_loss_and_grad(spec, theta, inputs, labels)
+                loss, grad = mean_loss_and_grad(spec, theta, inputs, labels)
+                only_loss = mean_loss(spec, theta, inputs, labels)
+                want_logits = reference_forward_cached(spec, theta, inputs)[0]
+                logits = forward(spec, ParamVector(theta, layout_for(spec)), inputs) if layout == "plain" else None
+            assert type(loss) is type(want_loss) and _same(loss, want_loss) and _same(only_loss, want_loss)
+            assert _same(grad, want_grad)
+            if logits is not None:
+                assert _same(logits, want_logits)
+                assert np.isnan(loss) and np.isnan(logits[n // 2]).all()
+
+
+@pytest.mark.parametrize("activation", ["tanh", "relu"])
+def test_returned_arrays_do_not_alias_the_scratch(activation):
+    spec = MlpSpec((2, 16, 16, 2), activation)
+    rng = np.random.default_rng(5)
+    theta, inputs, labels = _kernel_case(rng, spec, 2000, "pairs")
+    params = ParamVector(theta[0], layout_for(spec))
+    losses, grads = mean_loss_and_grad(spec, theta, inputs, labels)
+    logits = forward(spec, params, inputs[0])
+    kept = losses.copy(), grads.copy(), logits.copy()
+    # Same shapes, other values: any returned view of the scratch would change.
+    mean_loss_and_grad(spec, -theta, inputs[::-1].copy(), labels)
+    forward(spec, params.with_theta(-theta[0]), inputs[1])
+    mean_loss(spec, theta, inputs, labels)
+    assert _same(losses, kept[0]) and _same(grads, kept[1]) and _same(logits, kept[2])
+
+
+def test_retained_scratch_is_bounded_by_the_largest_call():
+    spec = MlpSpec((3, 7, 5, 2), "relu")  # used by no other test: its scratch starts empty
+    widths = spec.layer_sizes[1:-1]
+    rng = np.random.default_rng(8)
+
+    def need(rows: int) -> int:
+        """Bytes of a gradient call's scratch arrays, each padded to 64
+        bytes: the hidden outputs, their deltas and the relu masks."""
+        sizes = [8 * rows * w for w in widths] * 2 + [rows * w for w in widths]
+        return sum(-(-size // 64) * 64 for size in sizes)
+
+    def retained() -> int:
+        """Bytes of every buffer the spec's scratch keeps alive, its current
+        one and any that a kept array still points into."""
+        scratch = _scratch_for(spec)
+        kept = [a for arrays in scratch.carved.values() for group in arrays for a in group]
+        buffers = {id(b): b.nbytes for b in [scratch.buffer] + [a.base for a in kept]}
+        return sum(buffers.values())
+
+    largest = 0
+    for n in [41, 700] + list(range(1, 60)) + [350]:
+        for layout in ("plain", "pairs", "grid"):
+            theta, inputs, labels = _kernel_case(rng, spec, n, layout)
+            pairs = int(np.prod(np.broadcast_shapes(theta.shape[:-1], inputs.shape[:-2])))
+            with np.errstate(invalid="ignore"):
+                mean_loss_and_grad(spec, theta, inputs, labels)
+                mean_loss(spec, theta, inputs, labels)
+            largest = max(largest, need(pairs * n))
+            assert retained() <= largest
+    # Exactly the largest call's arrays (3 x 3 pairs of 700 rows), less the
+    # last one's padding. The hundreds of smaller call shapes after it kept
+    # at most 32 sets of arrays.
+    assert retained() > largest - 64
+    assert len(_scratch_for(spec).carved) <= 32
 
 
 def _independent_fd(spec, params, batch, h):
@@ -288,13 +383,11 @@ def test_gradcheck_tanh_random_instances():
 
 
 def test_gradcheck_relu_away_from_kinks():
-    from gacfas.model import _forward_cached
-
     found = 0
     seed = 0
     while found < 3 and seed < 200:
         spec, params, batch = random_instance(300 + seed, sizes=(2, 6, 2), activation="relu", k=1, per_domain=8)
-        _, _, pre_acts = _forward_cached(spec, params.theta, batch.inputs)
+        _, _, pre_acts = reference_forward_cached(spec, params.theta, batch.inputs)
         seed += 1
         if min(float(np.min(np.abs(z))) for z in pre_acts) <= 1e-3:
             continue  # instance too close to a relu kink for finite differences

@@ -81,7 +81,6 @@ def test_config_defaults_and_validation():
 def test_ascending_vector_direct_example():
     asc = ascending_vector(np.array([3.0, 4.0]), 0.1)
     assert np.max(np.abs(asc.eps - np.array([0.06, 0.08]))) <= 1e-15
-    assert asc.rho_used == 0.1
 
 
 def test_ascending_vector_zero_gradient_guard():
@@ -246,7 +245,7 @@ def test_sam_domain_mirror_conflict_cancels_update():
     params = scalar_params(1.0)
     out, diag = sam_domain_step(MirrorLinear(), params, mirror_batch(), cfg("sam_domain", rho=0.3), t=1)
     assert out.theta[0] == 1.0
-    assert diag.per_domain_perturbed_grad_norm == (1.0, 1.0)
+    assert diag.adv_grad_norms == (1.0, 1.0)
     assert diag.grad_norm == 0.0  # summed gradient cancels exactly
 
 
