@@ -250,18 +250,16 @@ def _check_labeled(spec: MlpSpec, inputs, labels):
 class _Scratch:
     """Grow-only byte storage for one spec's per-call temporaries.
 
-    A call takes all its arrays from the front of one buffer, so the buffer
-    only ever grows to what the largest single call needed. Every array
-    starts on a 64-byte boundary and is C-contiguous, like a fresh array, so
-    numpy and BLAS take the same paths on it. The arrays of a call shape are
-    kept for the next call of that shape, until the buffer grows or more
-    than 32 call shapes are kept."""
+    A call takes all its arrays, C-contiguous and back to back, from the
+    front of one buffer, so the buffer only ever grows to what the largest
+    single call needed. The float arrays come first, read through a float64
+    view of the buffer."""
 
     def __init__(self, spec: MlpSpec):
         self.widths = spec.layer_sizes[1:-1]
         self.relu = spec.activation == "relu"
         self.buffer = np.empty(0, dtype=np.uint8)
-        self.carved = {}
+        self.floats = self.buffer.view(np.float64)
 
     def arrays(self, theta_shape, inputs_shape, backward: bool):
         """(outs, deltas, masks) for theta (..., P) and inputs (..., n, d):
@@ -269,36 +267,28 @@ class _Scratch:
         (n, width) for its output and, with backward, for the delta at its
         output, plus bool masks for a relu spec. Their contents are left
         over from earlier calls."""
-        key = (theta_shape, inputs_shape, backward)
-        found = self.carved.get(key)
-        if found is None:
-            found = self._carve(theta_shape, inputs_shape, backward)
-            if len(self.carved) >= 32:
-                self.carved.clear()
-            self.carved[key] = found
-        return found
-
-    def _carve(self, theta_shape, inputs_shape, backward):
         lead = np.broadcast_shapes(theta_shape[:-1], inputs_shape[:-2])
         shapes = [lead + (inputs_shape[-2], width) for width in self.widths]
-        wanted = [(shape, np.dtype(np.float64)) for shape in shapes]
-        if backward:
-            wanted += [(shape, np.dtype(np.float64)) for shape in shapes]
-            if self.relu:
-                wanted += [(shape, np.dtype(np.bool_)) for shape in shapes]
-        spans = []
-        end = 0
-        for shape, dtype in wanted:
-            start = -(-end // 64) * 64
-            end = start + math.prod(shape) * dtype.itemsize
-            spans.append((start, end))
-        if end > self.buffer.size:
-            # Arrays kept for other shapes point into the old buffer.
-            self.carved.clear()
-            self.buffer = np.empty(end, dtype=np.uint8)
-        views = [self.buffer[a:b].view(dtype).reshape(shape) for (shape, dtype), (a, b) in zip(wanted, spans)]
-        n = len(shapes)
-        return views[:n], views[n : 2 * n], views[2 * n :]
+        sizes = [math.prod(shape) for shape in shapes]
+        total = sum(sizes)
+        n_floats = 2 * total if backward else total
+        n_masks = total if backward and self.relu else 0
+        if 8 * n_floats + n_masks > self.buffer.size:
+            self.buffer = np.empty(8 * n_floats + n_masks, dtype=np.uint8)
+            self.floats = self.buffer[: self.buffer.size // 8 * 8].view(np.float64)
+        outs = _cut(self.floats, 0, shapes, sizes)
+        deltas = _cut(self.floats, total, shapes, sizes) if backward else []
+        masks = _cut(self.buffer[8 * n_floats :].view(np.bool_), 0, shapes, sizes) if n_masks else []
+        return outs, deltas, masks
+
+
+def _cut(flat: np.ndarray, start: int, shapes, sizes) -> list[np.ndarray]:
+    """Consecutive views of flat from start on, one per shape."""
+    views = []
+    for shape, size in zip(shapes, sizes):
+        views.append(flat[start : start + size].reshape(shape))
+        start += size
+    return views
 
 
 @functools.lru_cache(maxsize=64)
