@@ -143,8 +143,8 @@ def landscape_slice(model, params: ParamVector, batch: Batch, dims: int, radius:
     offsets at exact multiples of radius/((steps-1)/2)."""
     if dims not in (1, 2):
         raise ValueError(f"dims must be 1 or 2, got {dims}")
-    if radius <= 0:
-        raise ValueError(f"radius must be > 0, got {radius}")
+    if not (math.isfinite(radius) and radius > 0):
+        raise ValueError(f"radius must be finite and > 0, got {radius}")
     if steps < 3 or steps % 2 == 0:
         raise ValueError(f"steps must be odd and >= 3 so the center is a grid point, got {steps}")
     directions = tuple(_block_normalized_direction(params, prng) for _ in range(dims))

@@ -462,6 +462,9 @@ def read_params_bin(path: str, spec: MlpSpec) -> ParamVector:
     theta = np.frombuffer(raw, dtype="<f8", offset=8).astype(np.float64)
     if count != spec.param_count():
         raise ValueError(f"{path}: {count} values do not match model with {spec.param_count()} parameters")
+    bad = np.flatnonzero(~np.isfinite(theta))
+    if bad.size:
+        raise ValueError(f"{path}: parameter {bad[0]} is {theta[bad[0]]}, expected a finite value")
     return ParamVector(theta, layout_for(spec))
 
 

@@ -20,6 +20,19 @@ row axis in row order), so a stacked result equals the per-pair 2-D calls
 bit for bit; the optimizers rely on that for their exact reduction
 identities.
 
+Reduction rule: every reduction gives the bits of the plain numpy reduction
+it stands for, without numpy's slow reduce over a narrow inner axis.
+- The row max of the logits is np.maximum over the class columns, as exact
+  as logits.max(axis=-1), with NaN propagated the same way.
+- The row sum of the exps adds the class columns in class order, which is
+  exps.sum(axis=-1)'s order for up to 7 classes. From 8 classes on numpy
+  sums pairwise with unrolled partial sums, so the kernel keeps sum there.
+- The mean loss is np.add.reduce over the rows divided by n, as np.mean.
+- The bias gradient is np.einsum("...ij->...j", delta), which adds the rows
+  in row order as delta.sum(axis=-2) does for a width of 2 or more. For a
+  width-1 layer numpy sums the single column pairwise, so the kernel keeps
+  sum there.
+
 Scratch rule: each spec keeps one grow-only buffer (_Scratch) for a call's
 per-layer temporaries: the hidden layers' outputs, the backward deltas at
 them and the relu masks. A call writes these in place (np.matmul with out=,
@@ -228,8 +241,10 @@ def _check_inputs(spec: MlpSpec, inputs) -> np.ndarray:
     return inputs
 
 
-def _check_labeled(spec: MlpSpec, inputs, labels):
-    """Validated float64 inputs (..., n, d) and int64 labels (..., n)."""
+def _check_labeled(spec: MlpSpec, theta_shape, inputs, labels):
+    """Validated float64 inputs (..., n, d) and int64 labels (..., n), and
+    the leading shape of the (theta, sub-batch) pairs, which theta (..., P),
+    inputs and labels broadcast to."""
     inputs = _check_inputs(spec, inputs)
     labels = np.asarray(labels, dtype=np.int64)
     n = inputs.shape[-2]
@@ -239,12 +254,12 @@ def _check_labeled(spec: MlpSpec, inputs, labels):
         raise ValueError(f"labels must be (..., {n}) to match the inputs, got shape {labels.shape}")
     if labels.max() >= spec.n_classes:
         raise ValueError(f"label {labels.max()} out of range for {spec.n_classes} classes")
-    # Labels may carry leading axes the inputs lack; give them to the inputs
-    # (a read-only view) so the logits cover every pair.
-    lead = np.broadcast_shapes(inputs.shape[:-2], labels.shape[:-1])
-    if lead != inputs.shape[:-2]:
+    lead = np.broadcast_shapes(theta_shape[:-1], inputs.shape[:-2], labels.shape[:-1])
+    # Labels may carry leading axes the inputs lack; give the inputs every
+    # pair's axes (a read-only view) so the logits cover every pair.
+    if labels.shape[:-1] not in ((), inputs.shape[:-2]):
         inputs = np.broadcast_to(inputs, lead + inputs.shape[-2:])
-    return inputs, labels
+    return inputs, labels, lead
 
 
 class _Scratch:
@@ -261,14 +276,13 @@ class _Scratch:
         self.buffer = np.empty(0, dtype=np.uint8)
         self.floats = self.buffer.view(np.float64)
 
-    def arrays(self, theta_shape, inputs_shape, backward: bool):
-        """(outs, deltas, masks) for theta (..., P) and inputs (..., n, d):
-        per hidden layer, float64 arrays of the broadcast leading shape +
-        (n, width) for its output and, with backward, for the delta at its
-        output, plus bool masks for a relu spec. Their contents are left
-        over from earlier calls."""
-        lead = np.broadcast_shapes(theta_shape[:-1], inputs_shape[:-2])
-        shapes = [lead + (inputs_shape[-2], width) for width in self.widths]
+    def arrays(self, lead: tuple[int, ...], n: int, backward: bool):
+        """(outs, deltas, masks) for n-row sub-batches of the pairs' leading
+        shape: per hidden layer, float64 arrays of shape lead + (n, width)
+        for its output and, with backward, for the delta at its output, plus
+        bool masks for a relu spec. Their contents are left over from
+        earlier calls."""
+        shapes = [lead + (n, width) for width in self.widths]
         sizes = [math.prod(shape) for shape in shapes]
         total = sum(sizes)
         n_floats = 2 * total if backward else total
@@ -324,34 +338,49 @@ def _forward_cached(spec: MlpSpec, theta: np.ndarray, inputs: np.ndarray, outs):
 def forward(spec: MlpSpec, params: ParamVector, inputs) -> np.ndarray:
     """Row i of the result holds the C logits for sample i."""
     inputs = _check_inputs(spec, inputs)
-    outs, _, _ = _scratch_for(spec).arrays(params.theta.shape, inputs.shape, False)
+    lead = np.broadcast_shapes(params.theta.shape[:-1], inputs.shape[:-2])
+    outs, _, _ = _scratch_for(spec).arrays(lead, inputs.shape[-2], False)
     logits, _ = _forward_cached(spec, params.theta, inputs, outs)
     return logits
 
 
-def _softmax_cross_entropy(logits: np.ndarray, labels: np.ndarray):
-    """Mean cross-entropy over the rows and d(loss)/d(logits),
-    max-subtracted for stability. logits (..., n, C) and labels (..., n)
-    broadcast; the loss has the leading shape (a numpy scalar for 2-D
-    logits)."""
-    shifted = logits - logits.max(axis=-1, keepdims=True)
-    exps = np.exp(shifted)
-    total = exps.sum(axis=-1, keepdims=True)
-    log_probs = shifted - np.log(total)
+# Up to this many classes numpy sums a row left to right; from 8 on it
+# sums pairwise, so _shift_and_sum keeps numpy's sum there.
+_MAX_CLASSES_IN_ORDER = 7
+
+
+def _shift_and_sum(logits: np.ndarray):
+    """Shift every row of logits (..., n, C) in place by its max, for
+    stability; return the exps of the shifted rows (a fresh array) and their
+    row sums (..., n). See the reduction rule at the top of the module."""
     n_classes = logits.shape[-1]
-    pair_rows = logits.shape[:-1]
-    if labels.shape != pair_rows:
-        labels = np.broadcast_to(labels, pair_rows)
-    # One label pick per row of every pair, through flat (rows, classes)
-    # views of the fresh, contiguous arrays.
-    rows = np.arange(logits.size // n_classes)
-    picks = labels.ravel()
-    loss = -log_probs.reshape(-1, n_classes)[rows, picks].reshape(pair_rows).mean(axis=-1)
-    dlogits = exps
-    dlogits /= total
-    dlogits.reshape(-1, n_classes)[rows, picks] -= 1.0
-    dlogits /= logits.shape[-2]
-    return loss, dlogits
+    top = np.maximum(logits[..., 0], logits[..., 1])
+    for c in range(2, n_classes):
+        np.maximum(top, logits[..., c], out=top)
+    logits -= top[..., None]
+    exps = np.exp(logits)
+    if n_classes > _MAX_CLASSES_IN_ORDER:
+        return exps, exps.sum(axis=-1)
+    total = exps[..., 0] + exps[..., 1]
+    for c in range(2, n_classes):
+        total += exps[..., c]
+    return exps, total
+
+
+def _label_picks(logits: np.ndarray, labels: np.ndarray) -> np.ndarray:
+    """Flat indices into logits (..., n, C) of each row's label entry;
+    labels (..., n) broadcast to the rows of logits."""
+    row_starts = np.arange(0, logits.size, logits.shape[-1]).reshape(logits.shape[:-1])
+    return (row_starts + labels).reshape(-1)
+
+
+def _mean_cross_entropy(shifted, total, picks):
+    """Minus the mean over the rows of each label's log-probability, the
+    shifted label logit - log(total); one loss per pair (a numpy scalar for
+    a single pair)."""
+    rows = total.shape
+    log_probs = shifted.reshape(-1)[picks].reshape(rows) - np.log(total)
+    return -(np.add.reduce(log_probs, axis=-1) / rows[-1])
 
 
 def _as_loss(loss):
@@ -362,33 +391,45 @@ def _as_loss(loss):
 def mean_loss(spec: MlpSpec, theta: np.ndarray, inputs, labels):
     """Mean softmax cross-entropy over the given samples, per broadcast
     (theta, sub-batch) pair."""
-    inputs, labels = _check_labeled(spec, inputs, labels)
-    outs, _, _ = _scratch_for(spec).arrays(theta.shape, inputs.shape, False)
+    inputs, labels, lead = _check_labeled(spec, theta.shape, inputs, labels)
+    outs, _, _ = _scratch_for(spec).arrays(lead, inputs.shape[-2], False)
     logits, _ = _forward_cached(spec, theta, inputs, outs)
-    loss, _ = _softmax_cross_entropy(logits, labels)
-    return _as_loss(loss)
+    _, total = _shift_and_sum(logits)
+    return _as_loss(_mean_cross_entropy(logits, total, _label_picks(logits, labels)))
 
 
 def mean_loss_and_grad(spec: MlpSpec, theta: np.ndarray, inputs, labels):
     """Mean cross-entropy and its exact gradient w.r.t. every theta entry,
     per broadcast (theta, sub-batch) pair: losses of the leading shape and
     gradients of that shape + (P,)."""
-    inputs, labels = _check_labeled(spec, inputs, labels)
+    inputs, labels, lead = _check_labeled(spec, theta.shape, inputs, labels)
     layout = layout_for(spec)
     relu = spec.activation == "relu"
-    outs, deltas, masks = _scratch_for(spec).arrays(theta.shape, inputs.shape, True)
+    n = inputs.shape[-2]
+    outs, deltas, masks = _scratch_for(spec).arrays(lead, n, True)
     logits, hiddens = _forward_cached(spec, theta, inputs, outs)
-    loss, delta = _softmax_cross_entropy(logits, labels)
+    delta, total = _shift_and_sum(logits)
+    picks = _label_picks(logits, labels)
+    loss = _mean_cross_entropy(logits, total, picks)
+    # d(loss)/d(logits) = (softmax - onehot(label)) / n, built in the exps.
+    delta /= total[..., None]
+    delta.reshape(-1)[picks] -= 1.0
+    delta /= n
 
-    lead = delta.shape[:-2]
     grad = np.empty(lead + (theta.shape[-1],), dtype=np.float64)
     for i in range(len(outs), -1, -1):
         w_block, b_block = layout[2 * i], layout[2 * i + 1]
-        np.matmul(np.swapaxes(hiddens[i], -1, -2), delta, out=w_block.view(grad))
-        grad[..., b_block.offset : b_block.offset + b_block.size] = delta.sum(axis=-2)
+        np.matmul(hiddens[i].swapaxes(-1, -2), delta, out=w_block.view(grad))
+        # Row sums with delta.sum(axis=-2)'s bits: einsum adds the rows in
+        # the same order from width 2 on (see the reduction rule above).
+        if delta.shape[-1] == 1:
+            bias_grad = delta.sum(axis=-2)
+        else:
+            bias_grad = np.einsum("...ij->...j", delta)
+        grad[..., b_block.offset : b_block.offset + b_block.size] = bias_grad
         if i > 0:
             out = deltas[i - 1]
-            np.matmul(delta, np.swapaxes(w_block.view(theta), -1, -2), out=out)
+            np.matmul(delta, w_block.view(theta).swapaxes(-1, -2), out=out)
             if relu:
                 # hiddens[i] = max(z, 0) is > 0 exactly where z is (for NaN
                 # neither is), so this zeroes the entries where z > 0 fails.

@@ -12,7 +12,7 @@ import math
 
 import numpy as np
 
-from gacfas.model import Batch, MlpSpec, ParamVector, _as_loss, _check_labeled, init_params, layout_for
+from gacfas.model import Batch, MlpSpec, ParamVector, _as_loss, init_params, layout_for
 from gacfas.numerics import Prng
 
 
@@ -134,7 +134,12 @@ def reference_softmax_cross_entropy(logits: np.ndarray, labels: np.ndarray):
 def reference_mean_loss_and_grad(spec: MlpSpec, theta: np.ndarray, inputs, labels):
     """model.mean_loss_and_grad with a fresh array for every temporary, the
     exact reference for the buffer-reusing kernel."""
-    inputs, labels = _check_labeled(spec, inputs, labels)
+    inputs = np.asarray(inputs, dtype=np.float64)
+    labels = np.asarray(labels, dtype=np.int64)
+    # Labels may carry leading axes the inputs lack; only those reach the inputs.
+    lead = np.broadcast_shapes(inputs.shape[:-2], labels.shape[:-1])
+    if lead != inputs.shape[:-2]:
+        inputs = np.broadcast_to(inputs, lead + inputs.shape[-2:])
     layout = layout_for(spec)
     n_layers = len(spec.layer_sizes) - 1
     logits, hiddens, pre_acts = reference_forward_cached(spec, theta, inputs)

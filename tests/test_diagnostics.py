@@ -162,6 +162,9 @@ def test_landscape_validation():
         landscape_slice(spec, params, batch, dims=3, radius=1.0, steps=5, prng=Prng(0, 2))
     with pytest.raises(ValueError):
         landscape_slice(spec, params, batch, dims=1, radius=0.0, steps=5, prng=Prng(0, 2))
+    for radius in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="radius"):
+            landscape_slice(spec, params, batch, dims=1, radius=radius, steps=5, prng=Prng(0, 2))
     with pytest.raises(ValueError):
         landscape_slice(spec, params, batch, dims=1, radius=1.0, steps=4, prng=Prng(0, 2))
     with pytest.raises(ValueError):

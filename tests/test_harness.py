@@ -5,6 +5,7 @@ import json
 import math
 import os
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -363,6 +364,11 @@ def test_read_params_bin_rejects_mismatch(tmp_path):
     path.write_bytes(b"\x01\x02")
     with pytest.raises(ValueError):
         read_params_bin(str(path), spec)
+    theta = np.zeros(spec.param_count())
+    theta[7] = math.inf
+    path.write_bytes(params_bin(ParamVector(theta, layout_for(spec))))
+    with pytest.raises(ValueError, match="parameter 7 is inf"):
+        read_params_bin(str(path), spec)
 
 
 def test_write_outputs_creates_all_files(tmp_path):
@@ -371,7 +377,7 @@ def test_write_outputs_creates_all_files(tmp_path):
     paths = write_outputs(rec, cfg.output_dir)
     for path in paths.values():
         assert os.path.exists(path)
-    manifest = json.loads(open(paths["manifest"]).read())
+    manifest = json.loads(Path(paths["manifest"]).read_text())
     assert manifest["config_sha256"] == config_digest(cfg)
     back = read_params_bin(paths["params"], cfg.model)
     assert np.array_equal(back.theta, rec.final_params.theta)
@@ -569,6 +575,39 @@ def test_cli_landscape_from_checkpoint(tmp_path, capsys):
     assert len(text.strip().split("\n")) == 6
     assert cli.main(["landscape", "--config", str(cfg_path), "--checkpoint", "/missing.bin"]) == 1
     capsys.readouterr()
+
+
+def _landscape_setup(tmp_path, nan_from=None):
+    """A config and a checkpoint of the config's model, with every
+    parameter from index nan_from on set to NaN if given."""
+    out_dir = tmp_path / "run"
+    cfg_path = tmp_path / "cfg.json"
+    text = tiny_config_json(str(out_dir))
+    cfg_path.write_text(text)
+    params = init_params(parse_config(text).model, Prng(0, 0))
+    theta = params.theta.copy()
+    if nan_from is not None:
+        theta[nan_from:] = math.nan
+    ckpt = tmp_path / "params.bin"
+    ckpt.write_bytes(params_bin(params.with_theta(theta)))
+    return cfg_path, ckpt, out_dir
+
+
+def test_cli_landscape_refuses_a_non_finite_checkpoint(tmp_path, capsys):
+    cfg_path, ckpt, out_dir = _landscape_setup(tmp_path, nan_from=5)
+    assert cli.main(["landscape", "--config", str(cfg_path), "--checkpoint", str(ckpt), "--steps", "5"]) == 1
+    err = capsys.readouterr().err
+    assert str(ckpt) in err and "parameter 5 is nan" in err
+    assert not (out_dir / "landscape.csv").exists()
+
+
+@pytest.mark.parametrize("radius", ["nan", "inf", "-inf"])
+def test_cli_landscape_refuses_a_non_finite_radius(tmp_path, capsys, radius):
+    cfg_path, ckpt, out_dir = _landscape_setup(tmp_path)
+    argv = ["landscape", "--config", str(cfg_path), "--checkpoint", str(ckpt), "--steps", "5", f"--radius={radius}"]
+    assert cli.main(argv) == 1
+    assert f"radius must be finite and > 0, got {radius}" in capsys.readouterr().err
+    assert not (out_dir / "landscape.csv").exists()
 
 
 def test_cli_convergence(tmp_path, capsys):

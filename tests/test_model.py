@@ -202,9 +202,10 @@ def test_labels_must_match_the_row_count():
 
 @st.composite
 def stacked_cases(draw):
-    """A random MLP and broadcasting (theta, inputs, labels) stacks."""
+    """A random MLP and broadcasting (theta, inputs, labels) stacks. Class
+    counts reach past 7, where the kernel's class sums switch order."""
     hidden = draw(st.lists(st.integers(1, 24), min_size=0, max_size=3))
-    sizes = (draw(st.integers(1, 4)), *hidden, draw(st.integers(2, 4)))
+    sizes = (draw(st.integers(1, 4)), *hidden, draw(st.integers(2, 12)))
     spec = MlpSpec(sizes, draw(st.sampled_from(("tanh", "relu"))))
     lead = tuple(draw(st.lists(st.integers(1, 3), min_size=0, max_size=3)))
 
@@ -261,14 +262,18 @@ def _same(a, b) -> bool:
 
 @pytest.mark.parametrize("activation", ["tanh", "relu"])
 def test_kernel_equals_the_fresh_array_reference_bitwise(activation):
-    """Buffer reuse changes no bit: every call shape, in an order that grows
-    the scratch and then shrinks back into it, matches the reference kernel
-    that allocates every temporary afresh, NaN rows included. The odd widths
-    put some scratch arrays on offsets that are not multiples of 16 bytes."""
+    """Buffer reuse and the kernel's own reductions change no bit: every
+    call shape, in an order that grows the scratch and then shrinks back
+    into it, matches the reference kernel that allocates every temporary
+    afresh and reduces with numpy's max, sum and mean, NaN rows included.
+    The odd widths put some scratch arrays on offsets that are not multiples
+    of 16 bytes. Class counts 7, 8 and 12 straddle the switch of the class
+    sums' order, a width-1 layer takes the bias gradient's other reduction,
+    and 7 to 9 rows straddle numpy's switch to pairwise row sums."""
     rng = np.random.default_rng(17)
-    for sizes in [(2, 16, 16, 2), (2, 7, 5, 3)]:
+    for sizes in [(2, 16, 16, 2), (2, 7, 5, 3), (2, 16, 1, 7), (3, 1, 8), (2, 9, 12)]:
         spec = MlpSpec(sizes, activation)
-        for n in (1, 32, 2000, 3000, 32, 1):
+        for n in (1, 7, 8, 9, 32, 2000, 3000, 32, 1):
             for layout in ("plain", "pairs", "grid"):
                 theta, inputs, labels = _kernel_case(rng, spec, n, layout)
                 with np.errstate(invalid="ignore"):

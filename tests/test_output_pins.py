@@ -12,6 +12,7 @@ accumulation order may re-pin them, and must say so where it is recorded.
 """
 
 import hashlib
+from pathlib import Path
 
 import pytest
 
@@ -92,7 +93,7 @@ def test_run_outputs_match_pinned_digests(tmp_path, mode, activation):
     record = run_training(pin_config(mode, activation), seed=3)
     paths = write_outputs(record, str(tmp_path))
     written = tuple(
-        hashlib.sha256(open(paths[name], "rb").read()).hexdigest() for name in ("metrics", "diagnostics")
+        hashlib.sha256(Path(paths[name]).read_bytes()).hexdigest() for name in ("metrics", "diagnostics")
     )
     assert written == RUN_PINS[(mode, activation)]
 
