@@ -8,6 +8,7 @@ preconditions), 2 runtime error.
 from __future__ import annotations
 
 import argparse
+import json
 import os
 import sys
 
@@ -44,9 +45,30 @@ def _parse_grid(text: str, name: str):
     return values
 
 
+def _refuse_other_seed(output_dir: str, seed: int) -> None:
+    """Refuse to train into a directory whose manifest records another seed:
+    its files would be overwritten. The same seed overwrites them, as a
+    rerun should."""
+    path = os.path.join(output_dir, "manifest.json")
+    if not os.path.exists(path):
+        return
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            manifest = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ConfigValueError(f"{path} is not a readable run manifest: {exc}") from exc
+    recorded = manifest.get("seed") if isinstance(manifest, dict) else None
+    if recorded != seed:
+        raise ConfigValueError(
+            f"{path} records seed {recorded!r}; train --seed {seed} would overwrite that run's files "
+            f"(set a different output_dir for seed {seed})"
+        )
+
+
 def _cmd_train(args) -> int:
     cfg = harness.load_config(args.config)
     _require_index(cfg, "train")
+    _refuse_other_seed(cfg.output_dir, args.seed)
     record = harness.run_training(cfg, args.seed)
     paths = harness.write_outputs(record, cfg.output_dir)
     final = record.evals[-1] if record.evals else None

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -50,10 +50,20 @@ class DomainSpec:
 
 @dataclass(frozen=True)
 class SourceSet:
-    """k realized domains; every batch carries its domain's index uniformly."""
+    """k realized domains; every batch carries its domain's index uniformly.
+
+    The set stacks its domains' rows once, on construction, and keeps each
+    domain's batch as a read-only view of its block. It also keeps what the
+    sampler needs: where each domain's rows start, the smallest domain size,
+    and whether the domain ids ascend."""
 
     domains: tuple[tuple[DomainSpec, Batch], ...]
     k: int
+    _rows: Batch = field(init=False, repr=False, compare=False)
+    _starts: np.ndarray = field(init=False, repr=False, compare=False)
+    _sizes: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    _smallest: int = field(init=False, repr=False, compare=False)
+    _ascending: bool = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.k != len(self.domains) or self.k < 1:
@@ -62,18 +72,36 @@ class SourceSet:
             ids = np.unique(batch.domain_ids)
             if ids.shape[0] != 1:
                 raise ValueError(f"realized domain batch mixes domain ids {ids}")
+        batches = [batch for _, batch in self.domains]
+        rows = Batch(
+            np.concatenate([b.inputs for b in batches]),
+            np.concatenate([b.labels for b in batches]),
+            np.concatenate([b.domain_ids for b in batches]),
+        )
+        # Every caller shares these rows; make a stray write fail loudly.
+        for array in (rows.inputs, rows.labels, rows.domain_ids):
+            array.flags.writeable = False
+        sizes = tuple(b.n for b in batches)
+        starts = np.cumsum((0,) + sizes[:-1], dtype=np.int64)
+        # Hold the rows once: each domain's batch becomes a view of its block.
+        views = tuple(
+            (spec, Batch(rows.inputs[a : a + n], rows.labels[a : a + n], rows.domain_ids[a : a + n]))
+            for (spec, _), a, n in zip(self.domains, starts.tolist(), sizes)
+        )
+        object.__setattr__(self, "domains", views)
+        object.__setattr__(self, "_rows", rows)
+        object.__setattr__(self, "_starts", starts[:, None])
+        object.__setattr__(self, "_sizes", sizes)
+        object.__setattr__(self, "_smallest", min(sizes))
+        object.__setattr__(self, "_ascending", _ascending(self.domain_indices()))
 
     def domain_indices(self) -> tuple[int, ...]:
         return tuple(int(batch.domain_ids[0]) for _, batch in self.domains)
 
     def concatenated(self) -> Batch:
-        """All domains stacked into one batch, ascending domain-index order."""
-        batches = [batch for _, batch in self.domains]
-        return Batch(
-            np.concatenate([b.inputs for b in batches]),
-            np.concatenate([b.labels for b in batches]),
-            np.concatenate([b.domain_ids for b in batches]),
-        )
+        """All domains stacked into one batch, in the set's domain order (the
+        same read-only batch on every call)."""
+        return self._rows
 
 
 def gen_two_moons(n: int, sigma: float, prng: Prng) -> Batch:
@@ -162,21 +190,25 @@ def sample_minibatch(source: SourceSet, per_domain: int, prng: Prng) -> Batch:
     concatenated in the source set's domain order (balanced sampler). When
     that order is strictly ascending in domain id, as leave_one_out and
     build_source_set make it, the batch records its layout as
-    Batch.per_domain so the optimizers take the domain parts as views."""
+    Batch.per_domain so the optimizers take the domain parts as views.
+
+    Each domain's rows come from one Generator.choice call, in domain order.
+    The draws, shifted by the row where each domain starts, index the
+    source set's stacked rows, and one take per array gathers the batch."""
     if per_domain < 1:
         raise ValueError(f"per_domain must be >= 1, got {per_domain}")
-    smallest = min(batch.n for _, batch in source.domains)
-    if per_domain > smallest:
-        raise ValueError(f"per_domain={per_domain} exceeds smallest domain size {smallest}")
-    picks = [
-        (batch, prng.generator.choice(batch.n, size=per_domain, replace=False))
-        for _, batch in source.domains
-    ]
+    if per_domain > source._smallest:
+        raise ValueError(f"per_domain={per_domain} exceeds smallest domain size {source._smallest}")
+    choice = prng.generator.choice
+    idx = np.concatenate([choice(n, size=per_domain, replace=False) for n in source._sizes])
+    blocks = idx.reshape(source.k, per_domain)
+    blocks += source._starts
+    rows = source._rows
     return Batch(
-        np.concatenate([batch.inputs[idx] for batch, idx in picks]),
-        np.concatenate([batch.labels[idx] for batch, idx in picks]),
-        np.concatenate([batch.domain_ids[idx] for batch, idx in picks]),
-        per_domain=per_domain if _ascending(source.domain_indices()) else 0,
+        rows.inputs.take(idx, axis=0),
+        rows.labels.take(idx),
+        rows.domain_ids.take(idx),
+        per_domain=per_domain if source._ascending else 0,
     )
 
 

@@ -112,13 +112,13 @@ def alignment_inner_products(model, params: ParamVector, source, i: int, rho: fl
     parts = _batch_parts(batch for _, batch in source.domains)
     plain = _part_terms(model, theta, parts)
     _, g = _sum_terms(plain)
-    asc = ascending_vector(plain[i][2], rho)
+    asc = ascending_vector(plain.grads[i], rho)
     theta_adv = axpy(1.0, asc.eps, axpy(-gamma, g, theta))
     perturbed = _part_terms(model, theta_adv, parts)
     out = np.empty((k, k), dtype=np.float64)
     for m in range(k):
         for n in range(k):
-            out[m, n] = dot(perturbed[m][2], plain[n][2])
+            out[m, n] = dot(perturbed.grads[m], plain.grads[n])
     return out
 
 

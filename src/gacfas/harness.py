@@ -30,7 +30,7 @@ from .datagen import DomainSpec
 from .model import Batch, MlpSpec, ParamVector, layout_for
 from .numerics import Prng
 from .optim import MODES, SCHEDULE_KINDS, OptimizerConfig, Schedule, StepDiagnostics, batch_loss, schedule_value, take_step
-from .optim import _aligned_perturbation, _batch_parts, _diagnostics, _part_terms, _sum_terms
+from .optim import _aligned_perturbation, _batch_parts, _diagnostics, _part_terms, _perturbed_gap, _sum_terms
 
 METRICS_HEADER = "step,hter,auc,tpr95,train_loss,surrogate_gap"
 
@@ -357,16 +357,20 @@ def _evaluate(cfg: ExperimentConfig, spec, params, test: Batch, train_all: Batch
     return EvalReport(step, float(hter), float(auc), float(tpr95), float(train_loss), float(gap))
 
 
-def _checked_step(spec, params: ParamVector, minibatch: Batch, opt: OptimizerConfig, t: int, k: int):
+def _checked_step(spec, params: ParamVector, minibatch: Batch, opt: OptimizerConfig, t: int, k: int, record: bool):
     """take_step, with its failures and a non-finite step loss raised as a
-    RuntimeError that names step t, so a diverged run stops at once."""
+    RuntimeError that names step t, so a diverged run stops at once.
+
+    Returns (params, the step's StepDiagnostics), or with record=False
+    (params, None): the step then skips building its record."""
     try:
-        params, diag = take_step(spec, params, minibatch, opt, t, n_domains=k)
+        params, out = take_step(spec, params, minibatch, opt, t, n_domains=k, record=record)
     except Exception as exc:
         raise RuntimeError(f"optimizer step {t} failed: {exc}") from exc
-    if not math.isfinite(diag.loss_erm):
-        raise RuntimeError(f"optimizer step {t} failed: the step loss is {diag.loss_erm!r}")
-    return params, diag
+    loss = out.loss_erm if record else out
+    if not math.isfinite(loss):
+        raise RuntimeError(f"optimizer step {t} failed: the step loss is {loss!r}")
+    return params, (out if record else None)
 
 
 def run_training(cfg: ExperimentConfig, seed: int, held_out=None) -> RunRecord:
@@ -400,8 +404,9 @@ def _train_on_split(cfg: ExperimentConfig, seed: int, held: int, split) -> RunRe
     diags = []
     for t in range(1, cfg.steps + 1):
         minibatch = datagen.sample_minibatch(source, cfg.per_domain_batch, batch_prng)
-        params, diag = _checked_step(spec, params, minibatch, opt, t, k)
-        if t % cfg.diagnostics_every == 0:
+        keep = t % cfg.diagnostics_every == 0
+        params, diag = _checked_step(spec, params, minibatch, opt, t, k, keep)
+        if keep:
             diags.append(diag)
         if t % cfg.eval_every == 0:
             evals.append(_evaluate(cfg, spec, params, test, train_all, t))
@@ -624,10 +629,7 @@ def fullset_step_diagnostics(spec, params: ParamVector, source, opt: OptimizerCo
     terms = _part_terms(spec, theta, parts)
     loss, g = _sum_terms(terms)
     adv_losses, adv_grads = _aligned_perturbation(spec, theta, parts, terms, g, rho_t, gamma_t, opt.zero_grad_eps)
-    gap = 0.0
-    for loss_adv in adv_losses:
-        gap += loss_adv - loss
-    return _diagnostics(t, terms, loss, g, adv_grads, gap / len(terms))
+    return _diagnostics(t, terms, loss, g, adv_grads, _perturbed_gap(adv_losses, loss) / len(terms.ids))
 
 
 def run_convergence(cfg: ExperimentConfig, window: int = 40, trace_every: int = 5, write: bool = True):
@@ -657,7 +659,7 @@ def run_convergence(cfg: ExperimentConfig, window: int = 40, trace_every: int = 
     records = []
     for t in range(1, cfg.steps + 1):
         minibatch = datagen.sample_minibatch(source, cfg.per_domain_batch, batch_prng)
-        params, _ = _checked_step(spec, params, minibatch, opt, t, k)
+        params, _ = _checked_step(spec, params, minibatch, opt, t, k, False)
         if t % trace_every == 0:
             records.append(fullset_step_diagnostics(spec, params, source, opt, t))
         if t % cfg.eval_every == 0:

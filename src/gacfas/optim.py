@@ -30,12 +30,23 @@ ascending-id order, so stacking changes no output bit. A batch without the
 balanced layout, parts given as a list of single-domain batches (the
 full-domain parts of the diagnostics), and the duck-typed models all take
 one call per pair instead.
+
+Step records: every step function returns (new params, StepDiagnostics).
+With record=False it skips the record's norms and cosines and returns the
+step's loss_erm, a float, in the record's place. The training loop asks for
+a record only on the steps it keeps (every diagnostics_every-th), the
+convergence run never does, and a direct call builds it by default.
+
+Sums over domain parts keep the loops' order and start values: losses add as
+Python floats from 0.0 (numpy would sum a row of 8 or more pairwise), and
+gradients add in one np.add.reduce over the parts axis (see _grad_sum).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -110,6 +121,10 @@ class AscendingVector:
 @dataclass(frozen=True)
 class StepDiagnostics:
     """Per-step record, populated from quantities the step already computed.
+
+    A step builds it only when asked (record=True, the default; the training
+    loop asks on the steps it keeps), and it holds plain floats and ints,
+    never a gradient array.
 
     Per-domain entries follow ascending domain-id order (see domain_ids).
     Modes without per-domain perturbed gradients fill the per-domain slots
@@ -244,30 +259,58 @@ def _pair_losses_grads(model, points: np.ndarray, parts: _Parts, grid: bool = Fa
     return losses, grads
 
 
-def _terms(parts: _Parts, losses: np.ndarray, grads: np.ndarray):
-    """(domain_id, mean loss, mean gradient) per part, in part order."""
-    return list(zip(parts.ids, losses.tolist(), grads))
+class _Terms(NamedTuple):
+    """Mean losses and gradients of one parameter point against each domain
+    part, in part order: losses a list of floats, grads a (k, P) array."""
+
+    ids: tuple[int, ...]
+    losses: list
+    grads: np.ndarray
 
 
-def _part_terms(model, theta: np.ndarray, parts: _Parts):
+def _part_terms(model, theta: np.ndarray, parts: _Parts) -> _Terms:
     """Terms of one parameter vector against every domain part."""
-    return _terms(parts, *_pair_losses_grads(model, theta, parts))
+    losses, grads = _pair_losses_grads(model, theta, parts)
+    return _Terms(parts.ids, losses.tolist(), grads)
 
 
-def _domain_terms(model, theta: np.ndarray, batch: Batch):
-    """(domain_id, mean loss, mean gradient) per domain, ascending id order."""
+def _domain_terms(model, theta: np.ndarray, batch: Batch) -> _Terms:
+    """Terms per domain, ascending id order."""
     return _part_terms(model, theta, _domain_parts(model, batch))
 
 
-def _sum_terms(terms):
+def _loss_sum(losses) -> float:
+    """0.0 + losses[0] + losses[1] + ..., added in order as Python floats."""
+    total = 0.0
+    for loss in losses:
+        total += loss
+    return total
+
+
+def _grad_sum(grads: np.ndarray) -> np.ndarray:
+    """grads[..., 0, :] + grads[..., 1, :] + ... over the parts axis (-2), in
+    one call, bit for bit the loop that copies the first part's gradient and
+    adds the others to it in part order.
+
+    Without an initial value numpy starts the sum from +0.0, which turns a
+    -0.0 first term into +0.0; -0.0 + x is x for every x, so it is the
+    start that copies. Along an axis that is not the innermost one numpy
+    adds whole rows in index order, with the loop's elementwise add, NaN
+    signs included. Every MlpSpec has P >= 2 parameters, so the parts axis
+    is never the innermost one; along the innermost axis numpy sums
+    pairwise from 8 terms on."""
+    return np.add.reduce(grads, axis=-2, initial=-0.0)
+
+
+def _deviation_sum(adv_grads: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """Sum over domains of adv_grads[i] - g, from zeros and in domain order,
+    in one call (in order for the reasons _grad_sum gives)."""
+    return np.add.reduce(adv_grads - g, axis=0, initial=0.0)
+
+
+def _sum_terms(terms: _Terms):
     """Sum per-domain losses and gradients in ascending domain-id order."""
-    total_loss = 0.0
-    total_grad = terms[0][2].copy()
-    total_loss += terms[0][1]
-    for _, loss, grad in terms[1:]:
-        total_loss += loss
-        total_grad += grad
-    return total_loss, total_grad
+    return _loss_sum(terms.losses), _grad_sum(terms.grads)
 
 
 def batch_loss_and_grad(model, theta: np.ndarray, batch: Batch):
@@ -287,17 +330,16 @@ def batch_loss(model, theta: np.ndarray, batch: Batch) -> float:
     return _parts_loss(model, theta, _domain_parts(model, batch))
 
 
-def _check_domains(terms, n_domains):
-    if n_domains is not None and len(terms) != n_domains:
-        present = [dom for dom, _, _ in terms]
-        raise ValueError(f"batch covers domains {present}, expected {n_domains} domains")
+def _check_domains(terms: _Terms, n_domains):
+    if n_domains is not None and len(terms.ids) != n_domains:
+        raise ValueError(f"batch covers domains {list(terms.ids)}, expected {n_domains} domains")
 
 
-def _cos(a: np.ndarray, b: np.ndarray) -> float:
-    denom = l2_norm(a) * l2_norm(b)
+def _cos(dot_ab: float, norm_a: float, norm_b: float) -> float:
+    denom = norm_a * norm_b
     if denom == 0.0:
         return 0.0
-    cos = dot(a, b) / denom
+    cos = dot_ab / denom
     if math.isnan(cos):
         return math.nan
     return min(1.0, max(-1.0, cos))
@@ -311,29 +353,49 @@ def _plain_terms(model, theta: np.ndarray, batch: Batch, n_domains):
     return (parts, terms, *_sum_terms(terms))
 
 
-def _diagnostics(t: int, terms, loss: float, g: np.ndarray, adv_grads, gap: float) -> StepDiagnostics:
+def _diagnostics(t: int, terms: _Terms, loss: float, g: np.ndarray, adv_grads, gap: float) -> StepDiagnostics:
     """The step record: adv_grads[i] is domain i's perturbed (or, for erm,
     plain) gradient; gap is already NaN when tracking is off."""
+    g_norm = l2_norm(g)
+    adv_norms = tuple(l2_norm(gp) for gp in adv_grads)
     return StepDiagnostics(
         step_index=t,
-        domain_ids=tuple(dom for dom, _, _ in terms),
+        domain_ids=terms.ids,
         loss_erm=loss,
-        per_domain_loss=tuple(l for _, l, _ in terms),
-        grad_norm=l2_norm(g),
-        alignment_cos=tuple(_cos(gp, g) for gp in adv_grads),
-        adv_grad_norms=tuple(l2_norm(gp) for gp in adv_grads),
+        per_domain_loss=tuple(terms.losses),
+        grad_norm=g_norm,
+        alignment_cos=tuple(_cos(dot(gp, g), norm, g_norm) for gp, norm in zip(adv_grads, adv_norms)),
+        adv_grad_norms=adv_norms,
         surrogate_gap=gap,
     )
 
 
-def _ascent_points(terms, base: np.ndarray, rho_t: float, zero_grad_eps: float) -> np.ndarray:
-    """Row i: base + eps_i, with eps_i from domain i's plain gradient."""
-    return np.stack(
-        [axpy(1.0, ascending_vector(grad, rho_t, zero_grad_eps).eps, base) for _, _, grad in terms]
-    )
+def _step_result(record: bool, params: ParamVector, new_theta: np.ndarray, t, terms, loss, g, adv_grads, gap):
+    """(new params, the step record), or with record=False (new params,
+    loss_erm): the record's norms and cosines are skipped."""
+    out = _diagnostics(t, terms, loss, g, adv_grads, gap) if record else loss
+    return params.with_theta(new_theta), out
 
 
-def erm_step(model, params: ParamVector, batch: Batch, cfg: OptimizerConfig, t: int, n_domains=None):
+def _ascent_points(grads: np.ndarray, base: np.ndarray, rho_t: float, zero_grad_eps: float) -> np.ndarray:
+    """Row i: base + eps_i, eps_i = rho_t * grads[i] / ||grads[i]||, or zero
+    when that norm is at most zero_grad_eps, written into one (k, P) array.
+
+    The arithmetic is ascending_vector's eps followed by axpy(1.0, eps, base),
+    so each row has the bits those calls give."""
+    points = np.empty(grads.shape, dtype=np.float64)
+    for point, grad in zip(points, grads):
+        norm = l2_norm(grad)
+        if norm > zero_grad_eps:
+            np.multiply(grad, rho_t / norm, out=point)
+            point += base
+        else:
+            np.add(0.0, base, out=point)
+    return points
+
+
+def erm_step(model, params: ParamVector, batch: Batch, cfg: OptimizerConfig, t: int, n_domains=None,
+             record: bool = True):
     """theta <- theta - eta_t (grad L(theta;B) + grad R)."""
     eta_t = schedule_value(cfg.schedule, cfg.eta0, t)
     theta = params.theta
@@ -341,10 +403,11 @@ def erm_step(model, params: ParamVector, batch: Batch, cfg: OptimizerConfig, t: 
     r = regularizer_grad(params, cfg.weight_decay)
     new_theta = axpy(-eta_t, g + r, theta)
     gap = 0.0 if cfg.track_surrogate_gap else math.nan
-    return params.with_theta(new_theta), _diagnostics(t, terms, loss, g, [grad for _, _, grad in terms], gap)
+    return _step_result(record, params, new_theta, t, terms, loss, g, terms.grads, gap)
 
 
-def sam_whole_step(model, params: ParamVector, batch: Batch, cfg: OptimizerConfig, t: int, n_domains=None):
+def sam_whole_step(model, params: ParamVector, batch: Batch, cfg: OptimizerConfig, t: int, n_domains=None,
+                   record: bool = True):
     """Ascend along the whole-batch gradient, descend with the gradient taken
     at the ascended point."""
     eta_t = schedule_value(cfg.schedule, cfg.eta0, t)
@@ -357,50 +420,51 @@ def sam_whole_step(model, params: ParamVector, batch: Batch, cfg: OptimizerConfi
     r = regularizer_grad(params, cfg.weight_decay)
     new_theta = axpy(-eta_t, g_p + r, theta)
     gap = (loss_p - loss) if cfg.track_surrogate_gap else math.nan
-    return params.with_theta(new_theta), _diagnostics(t, terms, loss, g, [g_p] * len(terms), gap)
+    return _step_result(record, params, new_theta, t, terms, loss, g, [g_p] * len(terms.ids), gap)
 
 
-def sam_domain_step(model, params: ParamVector, batch: Batch, cfg: OptimizerConfig, t: int, n_domains=None):
+def sam_domain_step(model, params: ParamVector, batch: Batch, cfg: OptimizerConfig, t: int, n_domains=None,
+                    record: bool = True):
     """Per-domain ascent, per-domain descent gradient on the domain's own
     sub-batch only, averaged over domains."""
     eta_t = schedule_value(cfg.schedule, cfg.eta0, t)
     rho_t = schedule_value(cfg.schedule, cfg.rho, t)
     theta = params.theta
     parts, terms, loss, g = _plain_terms(model, theta, batch, n_domains)
-    k = len(terms)
+    k = len(terms.ids)
 
-    losses_p, gp_list = _pair_losses_grads(model, _ascent_points(terms, theta, rho_t, cfg.zero_grad_eps), parts)
-    gap = 0.0
-    for loss_p, (_, dom_loss, _) in zip(losses_p.tolist(), terms):
-        gap += loss_p - dom_loss
-    acc = gp_list[0].copy()
-    for gp in gp_list[1:]:
-        acc += gp
-    mean_gp = acc * (1.0 / k)
+    losses_p, gps = _pair_losses_grads(model, _ascent_points(terms.grads, theta, rho_t, cfg.zero_grad_eps), parts)
+    mean_gp = _grad_sum(gps) * (1.0 / k)
     r = regularizer_grad(params, cfg.weight_decay)
     new_theta = axpy(-eta_t, mean_gp + r, theta)
-    gap = (gap / k) if cfg.track_surrogate_gap else math.nan
-    return params.with_theta(new_theta), _diagnostics(t, terms, loss, g, gp_list, gap)
+    gaps = [loss_p - dom_loss for loss_p, dom_loss in zip(losses_p.tolist(), terms.losses)]
+    gap = (_loss_sum(gaps) / k) if cfg.track_surrogate_gap else math.nan
+    return _step_result(record, params, new_theta, t, terms, loss, g, gps, gap)
 
 
-def _aligned_perturbation(model, theta: np.ndarray, parts: _Parts, terms, g, rho_t, gamma_t, zero_grad_eps,
+def _aligned_perturbation(model, theta: np.ndarray, parts: _Parts, terms: _Terms, g, rho_t, gamma_t, zero_grad_eps,
                          domain_scope: bool = False):
     """Per domain i, the loss and gradient at theta + eps_i - gamma_t * g,
     with eps_i from domain i's plain gradient in terms: over the whole batch
     (summed over parts in ascending id order), or with domain_scope over
-    part i alone, rescaled by k. Returns the lists (losses, gradients)."""
-    k = len(terms)
-    points = _ascent_points(terms, axpy(-gamma_t, g, theta), rho_t, zero_grad_eps)
+    part i alone, rescaled by k. Returns (a list of k losses, a (k, P)
+    array of gradients)."""
+    k = len(terms.ids)
+    points = _ascent_points(terms.grads, axpy(-gamma_t, g, theta), rho_t, zero_grad_eps)
     losses, grads = _pair_losses_grads(model, points, parts, grid=not domain_scope)
     if domain_scope:
         # Rescale the single-domain estimate to whole-batch (sum) units so
         # k=1 and fully symmetric domains reproduce the unscoped step.
-        return [loss * float(k) for loss in losses.tolist()], [gp * float(k) for gp in grads]
-    sums = [_sum_terms(_terms(parts, losses[i], grads[i])) for i in range(k)]
-    return [loss for loss, _ in sums], [gp for _, gp in sums]
+        return [loss * float(k) for loss in losses.tolist()], grads * float(k)
+    return [_loss_sum(row) for row in losses.tolist()], _grad_sum(grads)
 
 
-def _aligned_perturb_step(model, params, batch, cfg, t, n_domains, domain_scope: bool):
+def _perturbed_gap(adv_losses, loss: float) -> float:
+    """Sum over domains of (perturbed loss - loss), in domain order."""
+    return _loss_sum([loss_adv - loss for loss_adv in adv_losses])
+
+
+def _aligned_perturb_step(model, params, batch, cfg, t, n_domains, domain_scope: bool, record: bool):
     """Shared body of gac_fas_step and reg_domain_perturb_step.
 
     For each domain i: ascend by eps_i from that domain's gradient, offset by
@@ -413,27 +477,23 @@ def _aligned_perturb_step(model, params, batch, cfg, t, n_domains, domain_scope:
     gamma_t = schedule_value(cfg.schedule, cfg.gamma, t)
     theta = params.theta
     parts, terms, loss, g = _plain_terms(model, theta, batch, n_domains)
-    k = len(terms)
+    k = len(terms.ids)
     r = regularizer_grad(params, cfg.weight_decay)
 
-    adv_losses, gp_list = _aligned_perturbation(
+    adv_losses, adv_grads = _aligned_perturbation(
         model, theta, parts, terms, g, rho_t, gamma_t, cfg.zero_grad_eps, domain_scope
     )
-    deviations = numerics.zeros(theta.shape[0])
-    gap = 0.0
-    for loss_adv, gp in zip(adv_losses, gp_list):
-        # Accumulating deviations from g keeps the terms small (they cluster
-        # around g for small rho/gamma) and makes the rho=0, gamma=0 collapse
-        # back to the doubled ERM gradient exact in floating point.
-        deviations += gp - g
-        gap += loss_adv - loss
-    mean_gp = axpy(1.0 / k, deviations, g)
+    # Accumulating deviations from g keeps the terms small (they cluster
+    # around g for small rho/gamma) and makes the rho=0, gamma=0 collapse
+    # back to the doubled ERM gradient exact in floating point.
+    mean_gp = axpy(1.0 / k, _deviation_sum(adv_grads, g), g)
     new_theta = axpy(-eta_t, (g + mean_gp) + r, theta)
-    gap = (gap / k) if cfg.track_surrogate_gap else math.nan
-    return params.with_theta(new_theta), _diagnostics(t, terms, loss, g, gp_list, gap)
+    gap = (_perturbed_gap(adv_losses, loss) / k) if cfg.track_surrogate_gap else math.nan
+    return _step_result(record, params, new_theta, t, terms, loss, g, adv_grads, gap)
 
 
-def gac_fas_step(model, params: ParamVector, batch: Batch, cfg: OptimizerConfig, t: int, n_domains=None):
+def gac_fas_step(model, params: ParamVector, batch: Batch, cfg: OptimizerConfig, t: int, n_domains=None,
+                 record: bool = True):
     """One aligned-perturbation step:
 
       g_i = grad L(theta; B_i); g = sum_i g_i; r = grad R(theta)
@@ -441,13 +501,14 @@ def gac_fas_step(model, params: ParamVector, batch: Batch, cfg: OptimizerConfig,
       gp_i = grad L(theta + eps_i - gamma_t * g; B)  (whole batch)
       theta <- theta - eta_t (g + (1/k) sum_i gp_i + r)
     """
-    return _aligned_perturb_step(model, params, batch, cfg, t, n_domains, domain_scope=False)
+    return _aligned_perturb_step(model, params, batch, cfg, t, n_domains, False, record)
 
 
-def reg_domain_perturb_step(model, params: ParamVector, batch: Batch, cfg: OptimizerConfig, t: int, n_domains=None):
+def reg_domain_perturb_step(model, params: ParamVector, batch: Batch, cfg: OptimizerConfig, t: int, n_domains=None,
+                            record: bool = True):
     """Ablation: the perturbed gradient for domain i is evaluated on B_i only
     (rescaled by k), not on the whole batch."""
-    return _aligned_perturb_step(model, params, batch, cfg, t, n_domains, domain_scope=True)
+    return _aligned_perturb_step(model, params, batch, cfg, t, n_domains, True, record)
 
 
 _STEP_FNS = {
@@ -459,6 +520,8 @@ _STEP_FNS = {
 }
 
 
-def take_step(model, params: ParamVector, batch: Batch, cfg: OptimizerConfig, t: int, n_domains=None):
-    """Dispatch one optimizer step on cfg.mode."""
-    return _STEP_FNS[cfg.mode](model, params, batch, cfg, t, n_domains=n_domains)
+def take_step(model, params: ParamVector, batch: Batch, cfg: OptimizerConfig, t: int, n_domains=None,
+              record: bool = True):
+    """Dispatch one optimizer step on cfg.mode: (new params, StepDiagnostics),
+    or with record=False (new params, the step's loss_erm as a float)."""
+    return _STEP_FNS[cfg.mode](model, params, batch, cfg, t, n_domains=n_domains, record=record)

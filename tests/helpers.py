@@ -254,3 +254,42 @@ def oracle_auc_rank_loop(scores, labels) -> float:
     n_neg = labels.shape[0] - n_pos
     rank_sum = float(ranks[labels == 1].sum())
     return (rank_sum - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
+
+
+def reference_sample_minibatch(source, per_domain: int, prng: Prng) -> Batch:
+    """The balanced sampler as it was before it gathered from the source
+    set's stacked rows: one Generator.choice per domain in domain order, a
+    fancy-index copy per domain and array, then concatenation. The sampler
+    must match it bit for bit, and leave the stream at the same draw."""
+    picks = [
+        (batch, prng.generator.choice(batch.n, size=per_domain, replace=False))
+        for _, batch in source.domains
+    ]
+    ids = [int(batch.domain_ids[0]) for _, batch in source.domains]
+    ascending = all(a < b for a, b in zip(ids, ids[1:]))
+    return Batch(
+        np.concatenate([batch.inputs[idx] for batch, idx in picks]),
+        np.concatenate([batch.labels[idx] for batch, idx in picks]),
+        np.concatenate([batch.domain_ids[idx] for batch, idx in picks]),
+        per_domain=per_domain if ascending else 0,
+    )
+
+
+def reference_sum_terms(losses, grads):
+    """The per-domain sums as the steps looped them before the single-call
+    reductions: the loss from 0.0, the gradient from a copy of the first."""
+    total_loss = 0.0
+    total_grad = grads[0].copy()
+    total_loss += losses[0]
+    for loss, grad in zip(losses[1:], grads[1:]):
+        total_loss += loss
+        total_grad += grad
+    return total_loss, total_grad
+
+
+def reference_deviation_sum(adv_grads, g):
+    """sum_i (adv_grads[i] - g) from zeros, one domain at a time."""
+    deviations = np.zeros(g.shape[0], dtype=np.float64)
+    for gp in adv_grads:
+        deviations += gp - g
+    return deviations

@@ -114,7 +114,7 @@ def test_c05_taylor_consistency():
         theta = params.theta
         terms = _domain_terms(spec, theta, batch)
         _, g = batch_loss_and_grad(spec, theta, batch)
-        asc = ascending_vector(terms[seed % 3][2], 0.1)
+        asc = ascending_vector(terms.grads[seed % 3], 0.1)
         _, gp = batch_loss_and_grad(spec, theta + asc.eps, batch)
         ip = float(np.dot(gp, g))
         phi0 = batch_loss(spec, theta + asc.eps, batch)

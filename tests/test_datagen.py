@@ -21,7 +21,7 @@ from gacfas.datagen import (
 )
 from gacfas.numerics import Prng
 
-from helpers import arc_distance
+from helpers import arc_distance, reference_sample_minibatch
 
 
 def test_domain_spec_validation():
@@ -183,6 +183,43 @@ def test_sample_minibatch_no_replacement_within_draw():
         batch = sample_minibatch(source, 10, Prng(trial, 1))
         rows = [row.tobytes() for row in batch.inputs]
         assert len(set(rows)) == len(rows)
+
+
+def _bits(array: np.ndarray) -> bytes:
+    return array.dtype.str.encode() + repr(array.shape).encode() + array.tobytes()
+
+
+@pytest.mark.parametrize("order", ["ascending", "descending", "mixed"])
+@pytest.mark.parametrize("per_domain", [1, 3, 7])
+def test_sampler_matches_the_per_domain_fancy_index_reference(order, per_domain):
+    """Unequal domain sizes (7, 12, 30); 7 is the smallest domain, so one
+    case draws every row of it. Five draws in a row from one stream each
+    give the reference's batch bit for bit, and the stream ends where the
+    reference leaves it."""
+    specs = [DomainSpec(rotation=0.4 * i, noise_sigma=0.1, n_samples=n, seed=i) for i, n in enumerate((7, 12, 30))]
+    realized = build_source_set(specs).domains
+    positions = {"ascending": (0, 1, 2), "descending": (2, 1, 0), "mixed": (1, 2, 0)}[order]
+    source = SourceSet(tuple(realized[i] for i in positions), 3)
+    ours, theirs = Prng(11, 1), Prng(11, 1)
+    for _ in range(5):
+        got = sample_minibatch(source, per_domain, ours)
+        want = reference_sample_minibatch(source, per_domain, theirs)
+        assert _bits(got.inputs) == _bits(want.inputs)
+        assert _bits(got.labels) == _bits(want.labels)
+        assert _bits(got.domain_ids) == _bits(want.domain_ids)
+        assert got.per_domain == want.per_domain == (per_domain if order == "ascending" else 0)
+    assert ours.generator.integers(0, 2**62) == theirs.generator.integers(0, 2**62)
+
+
+def test_source_set_holds_one_read_only_stack_of_its_rows():
+    source = build_source_set([DomainSpec(n_samples=5, seed=i) for i in range(2)])
+    rows = source.concatenated()
+    assert source.concatenated() is rows
+    assert rows.domain_ids.tolist() == [0] * 5 + [1] * 5
+    with pytest.raises(ValueError):
+        rows.inputs[0, 0] = 1.0
+    for (_, batch), start in zip(source.domains, (0, 5)):
+        assert batch.inputs.base is rows.inputs and np.array_equal(batch.inputs, rows.inputs[start : start + 5])
 
 
 def test_sampler_frequencies_within_three_sigma_of_uniform():

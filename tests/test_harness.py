@@ -1,17 +1,20 @@
 """Experiment harness: strict config parsing, deterministic training runs,
 output files, leave-one-out and sweep drivers, and the CLI."""
 
+import ast
+import importlib
 import json
 import math
 import os
 import re
+import struct
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from gacfas import cli, harness
-from gacfas.datagen import DomainSpec, leave_one_out
+from gacfas.datagen import DomainSpec, leave_one_out, sample_minibatch
 from gacfas.harness import (
     ConfigKeyError,
     ConfigNotFoundError,
@@ -42,7 +45,7 @@ from gacfas.harness import (
 )
 from gacfas.model import MlpSpec, ParamVector, init_params, layout_for
 from gacfas.numerics import Prng
-from gacfas.optim import OptimizerConfig, Schedule
+from gacfas.optim import MODES, OptimizerConfig, Schedule, StepDiagnostics, take_step
 
 
 def tiny_config(output_dir: str = "out", **overrides) -> ExperimentConfig:
@@ -211,6 +214,49 @@ def test_run_training_structure_and_determinism():
 
     rec3 = run_training(cfg, seed=1)
     assert not np.array_equal(rec1.final_params.theta, rec3.final_params.theta)
+
+
+def _same_record(a: StepDiagnostics, b: StepDiagnostics) -> bool:
+    """Field by field; floats by their bits, NaN compared as NaN."""
+    def same(u, v):
+        if isinstance(u, float) and isinstance(v, float):
+            return (math.isnan(u) and math.isnan(v)) or struct.pack("<d", u) == struct.pack("<d", v)
+        return type(u) is type(v) and u == v
+
+    for name in StepDiagnostics.__dataclass_fields__:
+        x, y = getattr(a, name), getattr(b, name)
+        xs, ys = (x, y) if isinstance(x, tuple) else ((x,), (y,))
+        if len(xs) != len(ys) or not all(same(u, v) for u, v in zip(xs, ys)):
+            return False
+    return True
+
+
+@pytest.mark.parametrize("track_gap", [True, False])
+@pytest.mark.parametrize("mode", MODES)
+def test_kept_records_equal_eager_records_and_hold_no_arrays(mode, track_gap):
+    """run_training builds a record only on the steps it keeps. Replaying
+    the run with a record built on every step gives the same parameters and,
+    on the kept steps, the same records (surrogate_gap is NaN without gap
+    tracking)."""
+    opt = OptimizerConfig(mode=mode, eta0=0.1, track_surrogate_gap=track_gap)
+    cfg = tiny_config("unused", optimizer=opt, diagnostics_every=3)
+    record = run_training(cfg, seed=4)
+    source, _ = leave_one_out(list(cfg.domains), cfg.held_out)
+    params = init_params(cfg.model, Prng(4, 0))
+    prng = Prng(4, 1)
+    eager = []
+    for t in range(1, cfg.steps + 1):
+        params, diag = take_step(cfg.model, params, sample_minibatch(source, cfg.per_domain_batch, prng), opt, t)
+        if t % cfg.diagnostics_every == 0:
+            eager.append(diag)
+    assert record.final_params.theta.tobytes() == params.theta.tobytes()
+    assert [d.step_index for d in record.diagnostics] == [3, 6, 9]
+    assert all(_same_record(kept, built) for kept, built in zip(record.diagnostics, eager))
+    assert math.isnan(record.diagnostics[0].surrogate_gap) != track_gap
+    for diag in record.diagnostics:
+        for name in StepDiagnostics.__dataclass_fields__:
+            value = getattr(diag, name)
+            assert not any(isinstance(v, np.ndarray) for v in (value if isinstance(value, tuple) else (value,)))
 
 
 def test_run_training_held_out_override_and_all_rejected():
@@ -489,6 +535,47 @@ def test_run_convergence_forces_theorem1_and_writes_outputs(tmp_path):
         run_convergence(cfg, trace_every=0)
 
 
+# ---------------------------------------------------- benchmark hooks ----
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+def test_every_function_the_benchmark_traces_still_resolves():
+    """perfbench/tracer.py wraps each (module, function) in its TRACED list
+    wherever a gacfas module binds it; a renamed or removed one would drop
+    that layer from the traced run without an error."""
+    tree = ast.parse((PERFBENCH / "tracer.py").read_text(encoding="utf-8"))
+    traced = next(
+        ast.literal_eval(node.value)
+        for node in tree.body
+        if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "TRACED" for t in node.targets)
+    )
+    assert traced
+    for module, function, _ in traced:
+        assert callable(getattr(importlib.import_module(f"gacfas.{module}"), function)), (module, function)
+
+
+@pytest.mark.parametrize("run", ["training", "convergence"])
+def test_a_take_step_bound_into_harness_runs_every_step(monkeypatch, run):
+    """perfbench/child.py times set-up by assigning its own function to
+    harness.take_step, so both loops must call the step through that name."""
+    assert "harness.take_step = " in (PERFBENCH / "child.py").read_text(encoding="utf-8")
+    steps = []
+    real = harness.take_step
+
+    def spy(*args, **kwargs):
+        steps.append(args[4])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(harness, "take_step", spy)
+    cfg = tiny_config("unused", steps=20, eval_every=10)
+    if run == "training":
+        run_training(cfg, seed=0)
+    else:
+        run_convergence(cfg, window=2, trace_every=5, write=False)
+    assert steps == list(range(1, cfg.steps + 1))
+
+
 # --------------------------------------------------------------- defaults ----
 
 
@@ -528,6 +615,25 @@ def test_cli_train_writes_outputs_and_prints(tmp_path, capsys):
     assert "auc=" in captured.out
     assert (out_dir / "metrics.csv").exists()
     assert (out_dir / "params.bin").exists()
+
+
+def test_cli_train_refuses_to_overwrite_another_seed(tmp_path, capsys):
+    out_dir = tmp_path / "run"
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(tiny_config_json(str(out_dir)))
+    assert cli.main(["train", "--config", str(cfg_path), "--seed", "0"]) == 0
+    first = {name: (out_dir / name).read_bytes() for name in ("manifest.json", "metrics.csv", "params.bin")}
+    capsys.readouterr()
+    assert cli.main(["train", "--config", str(cfg_path), "--seed", "1"]) == 1
+    err = capsys.readouterr().err
+    assert "records seed 0" in err and "--seed 1" in err
+    assert {name: (out_dir / name).read_bytes() for name in first} == first
+    # The same seed overwrites, with the same bytes.
+    assert cli.main(["train", "--config", str(cfg_path), "--seed", "0"]) == 0
+    assert {name: (out_dir / name).read_bytes() for name in first} == first
+    (out_dir / "manifest.json").write_text("{truncated")
+    assert cli.main(["train", "--config", str(cfg_path), "--seed", "0"]) == 1
+    assert "not a readable run manifest" in capsys.readouterr().err
 
 
 def test_cli_train_error_paths(tmp_path, capsys):

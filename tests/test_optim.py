@@ -3,15 +3,23 @@ functions, their hand-computed scalar oracles, and exact reduction
 identities."""
 
 import math
+import struct
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from gacfas import model as model_mod
 from gacfas.model import Batch
 from gacfas.numerics import Prng, axpy, gaussian, l2_norm
 from gacfas.optim import (
     MODES,
+    StepDiagnostics,
+    _ascent_points,
+    _deviation_sum,
+    _grad_sum,
+    _loss_sum,
     OptimizerConfig,
     Schedule,
     ascending_vector,
@@ -33,6 +41,8 @@ from helpers import (
     k_domain_batch,
     mirror_batch,
     random_instance,
+    reference_deviation_sum,
+    reference_sum_terms,
     scalar_params,
 )
 
@@ -396,7 +406,7 @@ def test_taylor_first_order_error_shrinks_quadratically():
         terms = _domain_terms(spec, theta, batch)
         _, g = batch_loss_and_grad(spec, theta, batch)
         i = seed % 3
-        asc = ascending_vector(terms[i][2], 0.1)
+        asc = ascending_vector(terms.grads[i], 0.1)
 
         def phi(gamma):
             return batch_loss(spec, theta + asc.eps - gamma * g, batch)
@@ -540,3 +550,110 @@ def test_alignment_cos_is_nan_when_the_gradients_are(mode):
     theta[0] = math.nan
     _, diag = take_step(spec, model_mod.ParamVector(theta, params.layout), balanced(batch, 5), cfg(mode), t=1)
     assert all(math.isnan(c) for c in diag.alignment_cos)
+
+
+# ----------------------------------------------------------- step records ----
+
+
+def same_float(a: float, b: float) -> bool:
+    """Equal bits, or both NaN."""
+    if math.isnan(a) and math.isnan(b):
+        return True
+    return struct.pack("<d", a) == struct.pack("<d", b)
+
+
+def assert_records_equal(a: StepDiagnostics, b: StepDiagnostics):
+    """Field by field; floats by their bits, NaN compared as NaN."""
+    for name in StepDiagnostics.__dataclass_fields__:
+        x, y = getattr(a, name), getattr(b, name)
+        xs, ys = (x, y) if isinstance(x, tuple) else ((x,), (y,))
+        assert len(xs) == len(ys), name
+        for u, v in zip(xs, ys):
+            assert type(u) is type(v), name
+            assert same_float(u, v) if isinstance(u, float) else u == v, name
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_a_step_without_its_record_gives_the_same_theta_and_loss(mode):
+    """record=False skips the record only: theta has the same bits and the
+    step loss is the record's loss_erm, on looped and stacked parts, for a
+    duck-typed model, and for NaN parameters."""
+    c = cfg(mode, rho=0.1, gamma=0.01, weight_decay=1e-3)
+    cases = []
+    for seed in range(6):
+        spec, params, batch = random_instance(2000 + seed, sizes=(2, 6, 5, 2), k=(seed % 3) + 1, per_domain=5)
+        cases += [(spec, params, batch), (spec, params, balanced(batch, 5))]
+    theta = cases[0][1].theta.copy()
+    theta[3] = math.nan
+    cases.append((cases[0][0], model_mod.ParamVector(theta, cases[0][1].layout), cases[1][2]))
+    cases.append((ScalarQuadratic(), scalar_params(0.7), k_domain_batch(3)))
+    for model, params, batch in cases:
+        with_record, diag = take_step(model, params, batch, c, t=2)
+        without, loss = take_step(model, params, batch, c, t=2, record=False)
+        assert isinstance(diag, StepDiagnostics)
+        assert type(loss) is float and same_float(loss, diag.loss_erm)
+        assert with_record.theta.tobytes() == without.theta.tobytes()
+
+
+def test_records_hold_python_numbers_only():
+    spec, params, batch = random_instance(31, k=3)
+    for mode in MODES:
+        _, diag = take_step(spec, params, balanced(batch, 5), cfg(mode), t=1)
+        for name in StepDiagnostics.__dataclass_fields__:
+            value = getattr(diag, name)
+            assert all(type(v) in (int, float) for v in (value if isinstance(value, tuple) else (value,))), name
+
+
+# ----------------------------------------------------- single-call sums ----
+
+SPECIAL_FLOATS = st.sampled_from([0.0, -0.0, math.nan, math.inf, -math.inf])
+SUM_ENTRIES = st.one_of(st.floats(allow_nan=False, allow_infinity=False), SPECIAL_FLOATS, SPECIAL_FLOATS)
+
+
+@st.composite
+def grid_sums(draw):
+    """A gac_fas grid of k points x k parts: losses (k, k), gradients
+    (k, k, P), and a plain gradient g (P,), with P >= 2 as for every MlpSpec.
+    k runs past 8, where numpy would sum the innermost axis pairwise."""
+    k = draw(st.integers(1, 9))
+    p = draw(st.integers(2, 4))
+    values = draw(st.lists(SUM_ENTRIES, min_size=k * k * (p + 1) + p, max_size=k * k * (p + 1) + p))
+    flat = np.array(values, dtype=np.float64)
+    return flat[: k * k].reshape(k, k), flat[k * k : k * k * (p + 1)].reshape(k, k, p), flat[k * k * (p + 1) :]
+
+
+def bits(a) -> bytes:
+    return np.asarray(a, dtype=np.float64).tobytes()
+
+
+@settings(max_examples=300, deadline=None)
+@given(grid_sums())
+# All -0.0: the gradient sums stay -0.0 and the deviations from +0.0 become
+# +0.0, so a start value of the wrong sign shows in either sum.
+@example((np.full((3, 3), -0.0), np.full((3, 3, 2), -0.0), np.zeros(2)))
+@example((np.full((1, 1), -0.0), np.full((1, 1, 2), -0.0), np.zeros(2)))
+def test_single_call_grid_and_deviation_sums_equal_the_loops_bitwise(case):
+    losses, grads, g = case
+    with np.errstate(all="ignore"):  # inf - inf and overflow are part of the draw
+        sums = [reference_sum_terms(losses[i].tolist(), grads[i]) for i in range(losses.shape[0])]
+        assert bits([_loss_sum(row) for row in losses.tolist()]) == bits([loss for loss, _ in sums])
+        adv_grads = _grad_sum(grads)
+        assert bits(adv_grads) == bits(np.stack([grad for _, grad in sums]))
+        assert bits(_grad_sum(grads[0])) == bits(reference_sum_terms(losses[0].tolist(), grads[0])[1])
+        assert bits(_deviation_sum(adv_grads, g)) == bits(reference_deviation_sum(adv_grads, g))
+
+
+def test_ascent_points_match_ascending_vector_then_axpy_bitwise():
+    """Rows with a zero, a tiny, a NaN and ordinary gradients, against a
+    base with signed zeros: each row is axpy(1.0, ascending_vector(...).eps,
+    base), bit for bit, including the zero-gradient row's +0.0 + -0.0."""
+    rng = np.random.default_rng(5)
+    base = rng.standard_normal(7)
+    base[[1, 4]] = -0.0
+    grads = rng.standard_normal((5, 7))
+    grads[1] = 0.0
+    grads[2] *= 1e-14
+    grads[3, 2] = math.nan
+    for rho in (0.0, 0.05, 0.3):
+        want = np.stack([axpy(1.0, ascending_vector(grad, rho, 1e-12).eps, base) for grad in grads])
+        assert _ascent_points(grads, base, rho, 1e-12).tobytes() == want.tobytes()
