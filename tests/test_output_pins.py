@@ -1,10 +1,21 @@
-"""Output pins: sha256 of the files a run writes, for every step mode.
+"""Output pins: sha256 of the files the harness and the CLI write.
 
-Speed work on the model, the optimizers, the metrics or the harness must
-change how values are computed, never the values. These digests hold the
-byte-exact metrics.csv and diagnostics.csv of a small run in each of the
-five modes (plus a relu run), and the full-set stream of a short
-convergence run, so any change to an output bit fails here.
+Speed and design work on the model, the optimizers, the metrics or the
+harness must change how values are computed, never the values or their
+text. These digests hold the byte-exact:
+
+- metrics.csv and diagnostics.csv of a small run in each of the five modes
+  (plus a relu run), and the manifest.json of the gac_fas run;
+- metrics, diagnostics and convergence tables of a short convergence run,
+  and the files a written convergence run leaves: convergence.csv and
+  convergence_run/manifest.json, metrics.csv, diagnostics.csv, params.bin;
+- loo_runs.csv, loo_summary.csv and loo_summary.json of a two-seed
+  leave-one-out rotation;
+- sweep.csv of a two-seed 2 x 2 gamma x rho sweep;
+- landscape.csv of a 1-D and a 2-D `gacfas landscape` slice.
+
+Manifests echo output_dir, so the runs that write under it do so from a
+relative output_dir inside the test's own directory.
 
 The digests are those of one numpy build (see the determinism contract in
 gacfas.numerics). A change that deliberately alters the floating-point
@@ -16,13 +27,16 @@ from pathlib import Path
 
 import pytest
 
-from gacfas import diagnostics
+from gacfas import cli, diagnostics
 from gacfas.datagen import DomainSpec
 from gacfas.harness import (
     ExperimentConfig,
+    config_to_json,
     diagnostics_csv,
     metrics_csv,
     run_convergence,
+    run_leave_one_out,
+    run_sweep,
     run_training,
     write_outputs,
 )
@@ -52,6 +66,10 @@ def pin_config(mode: str, activation: str = "tanh", **overrides) -> ExperimentCo
 
 def _sha(text: str) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+def _digests(root, names) -> dict:
+    return {name: hashlib.sha256((Path(root) / name).read_bytes()).hexdigest() for name in names}
 
 
 RUN_PINS = {
@@ -107,3 +125,69 @@ def test_convergence_stream_matches_pinned_digests():
         _sha(diagnostics.convergence_csv(trace)),
     )
     assert got == CONVERGENCE_PINS
+
+
+TRAIN_MANIFEST_PIN = "c979d459daa5fb79068bbc8cc737f2ee75679b3641794e62f2bbfad0bf956893"
+
+
+def test_train_manifest_matches_pinned_digest(tmp_path):
+    paths = write_outputs(run_training(pin_config("gac_fas"), seed=3), str(tmp_path))
+    assert _digests(tmp_path, ["manifest.json"]) == {"manifest.json": TRAIN_MANIFEST_PIN}
+    assert Path(paths["manifest"]) == tmp_path / "manifest.json"
+
+
+CONVERGENCE_FILE_PINS = {
+    "convergence.csv": "3eac06438e8b339adbf9572819073990d77ba8c7e3b91195013e58dc59110708",
+    "convergence_run/manifest.json": "6b3048ebf03bd007fac3d61ecaaac455e8023febce3ce82e5e47b5329a9c8f5a",
+    "convergence_run/metrics.csv": "f61ba4b823a41129f4d5e783eb374083a7d3dc961ab03ec1db0addae015c5d5b",
+    "convergence_run/diagnostics.csv": "dc8294b39ef1906db4ba000183f8487a5f0cb24f820e67b1b334ef530b1a762c",
+    "convergence_run/params.bin": "e33b9f95a6b3184a2f0594fd8d4991917db1082424043dc6f006b4c490388717",
+}
+
+
+def test_written_convergence_run_matches_pinned_digests(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    cfg = pin_config("gac_fas", steps=60, eval_every=30, eval_window=1, output_dir="conv")
+    run_convergence(cfg, window=3, trace_every=2)
+    assert _digests("conv", CONVERGENCE_FILE_PINS) == CONVERGENCE_FILE_PINS
+
+
+LOO_PINS = {
+    "loo_runs.csv": "aac3ff1232d4c9f5abf15ed26cc8c3fdaec144d52a0fe637b59fd5d08f466ea5",
+    "loo_summary.csv": "aa57352643a9350a1e0e7dfcb68f8a1ab3a012761fef890a6cf3f10dee88cdfa",
+    "loo_summary.json": "0a0a0aca9a0d204d549b9553bb608fd11f940ebdf66b3fe59f9bcbfee7b80608",
+}
+
+
+def test_leave_one_out_tables_match_pinned_digests(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    run_leave_one_out(pin_config("gac_fas", held_out="all", seeds=(0, 1), output_dir="loo"))
+    assert _digests("loo", LOO_PINS) == LOO_PINS
+
+
+SWEEP_PIN = "02c51568ed4dd81f6ca6a36c7837e379ce1bd13ae4c06a1c2eb04ac5e48b0792"
+
+
+def test_sweep_table_matches_pinned_digest(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    run_sweep(pin_config("gac_fas", seeds=(0, 1), output_dir="sweep"), [0.0, 0.002], [0.05, 0.1])
+    assert _digests("sweep", ["sweep.csv"]) == {"sweep.csv": SWEEP_PIN}
+
+
+LANDSCAPE_PINS = {
+    1: "2952027a4cde11237669ec441766e2660265e8216f2dbdc4713350d0cc30d94b",
+    2: "8d11ae311ca3380a47c6bd9e6d581c28229f1cad11ddeb700d2f0b442d0c4de2",
+}
+
+
+def test_landscape_tables_match_pinned_digests(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    cfg = pin_config("gac_fas", output_dir="land")
+    Path("cfg.json").write_text(config_to_json(cfg), encoding="utf-8")
+    write_outputs(run_training(cfg, seed=0), "ckpt")
+    got = {}
+    for dims in (1, 2):
+        argv = ["landscape", "--config", "cfg.json", "--checkpoint", "ckpt/params.bin", "--dims", str(dims), "--steps", "5"]
+        assert cli.main(argv) == 0
+        got[dims] = _digests("land", ["landscape.csv"])["landscape.csv"]
+    assert got == LANDSCAPE_PINS
