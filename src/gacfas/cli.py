@@ -121,7 +121,7 @@ def _cmd_landscape(args) -> int:
         cfg.model, params, batch, args.dims, args.radius, args.steps, Prng(cfg.seeds[0], 2)
     )
     out = os.path.join(cfg.output_dir, "landscape.csv")
-    harness._atomic_write(out, diagnostics.landscape_csv(grid))
+    harness._atomic_write(out, harness.landscape_csv(grid))
     print(f"center loss {grid.center_loss:.6f}; wrote {out}")
     return 0
 

@@ -14,7 +14,6 @@ order.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, field
 
@@ -215,40 +214,3 @@ def sample_minibatch(source: SourceSet, per_domain: int, prng: Prng) -> Batch:
 def _ascending(ids) -> bool:
     return all(a < b for a, b in zip(ids, ids[1:]))
 
-
-CSV_HEADER = ["x0", "x1", "label", "domain_id"]
-
-
-def dump_csv(batch: Batch, path) -> None:
-    """Write `x0,x1,label,domain_id` rows with 17-significant-digit floats
-    (round-trip exact)."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(CSV_HEADER)
-        for i in range(batch.n):
-            writer.writerow(
-                [
-                    f"{batch.inputs[i, 0]:.17g}",
-                    f"{batch.inputs[i, 1]:.17g}",
-                    int(batch.labels[i]),
-                    int(batch.domain_ids[i]),
-                ]
-            )
-
-
-def load_csv(path) -> Batch:
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != CSV_HEADER:
-            raise ValueError(f"bad dataset header {header}, expected {CSV_HEADER}")
-        inputs, labels, ids = [], [], []
-        for row in reader:
-            if len(row) != 4:
-                raise ValueError(f"bad dataset row {row}")
-            inputs.append((float(row[0]), float(row[1])))
-            labels.append(int(row[2]))
-            ids.append(int(row[3]))
-    if not inputs:
-        raise ValueError("dataset file contains no samples")
-    return Batch(np.array(inputs), np.array(labels), np.array(ids))

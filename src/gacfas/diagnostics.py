@@ -218,24 +218,3 @@ def convergence_trace(diag_stream, window: int) -> ConvergenceTrace:
         exceed_frac_adv=_exceed(adv_means),
     )
 
-
-def landscape_csv(grid: LandscapeGrid) -> str:
-    """CSV text with columns s[,u],loss; floats in shortest round-trip form."""
-    lines = []
-    if grid.offsets.ndim == 1:
-        lines.append("s,loss")
-        for s, loss in zip(grid.offsets, grid.losses):
-            lines.append(f"{float(s)!r},{float(loss)!r}")
-    else:
-        lines.append("s,u,loss")
-        for (s, u), loss in zip(grid.offsets, grid.losses):
-            lines.append(f"{float(s)!r},{float(u)!r},{float(loss)!r}")
-    return "\n".join(lines) + "\n"
-
-
-def convergence_csv(trace: ConvergenceTrace) -> str:
-    """CSV text with columns t,grad_sq_mean,adv_grad_sq_mean,bound."""
-    lines = ["t,grad_sq_mean,adv_grad_sq_mean,bound"]
-    for t, g, a in zip(trace.t, trace.grad_sq, trace.adv_grad_sq):
-        lines.append(f"{t},{g!r},{a!r},{trace.bound(t)!r}")
-    return "\n".join(lines) + "\n"

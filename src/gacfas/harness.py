@@ -384,11 +384,13 @@ def run_training(cfg: ExperimentConfig, seed: int, held_out=None) -> RunRecord:
     return _train_on_split(cfg, seed, held, datagen.leave_one_out(list(cfg.domains), held))
 
 
-def _train_on_split(cfg: ExperimentConfig, seed: int, held: int, split) -> RunRecord:
+def _train_on_split(cfg: ExperimentConfig, seed: int, held: int, split, fullset_every: int = 0) -> RunRecord:
     """run_training on an already realized (source, test) split of held.
 
     The realization depends only on the domain specs and held, so every
-    seed of a rotation can share one."""
+    seed of a rotation can share one. The run keeps a record every
+    diagnostics_every steps: the step's own, or with fullset_every > 0 one
+    from fullset_step_diagnostics every fullset_every steps."""
     source, test = split
     train_indices = [i for i in range(len(cfg.domains)) if i != held]
     speh = steps_per_epoch(cfg, train_indices)
@@ -400,14 +402,15 @@ def _train_on_split(cfg: ExperimentConfig, seed: int, held: int, split) -> RunRe
     train_all = source.concatenated()
     k = source.k
 
+    every = fullset_every or cfg.diagnostics_every
     evals = []
     diags = []
     for t in range(1, cfg.steps + 1):
         minibatch = datagen.sample_minibatch(source, cfg.per_domain_batch, batch_prng)
-        keep = t % cfg.diagnostics_every == 0
-        params, diag = _checked_step(spec, params, minibatch, opt, t, k, keep)
+        keep = t % every == 0
+        params, diag = _checked_step(spec, params, minibatch, opt, t, k, keep and not fullset_every)
         if keep:
-            diags.append(diag)
+            diags.append(fullset_step_diagnostics(spec, params, source, opt, t) if fullset_every else diag)
         if t % cfg.eval_every == 0:
             evals.append(_evaluate(cfg, spec, params, test, train_all, t))
 
@@ -421,33 +424,58 @@ def _train_on_split(cfg: ExperimentConfig, seed: int, held: int, split) -> RunRe
         "start_step": 1,
         "end_step": cfg.steps,
         "steps_per_epoch": speh,
-        "diagnostics_every": cfg.diagnostics_every,
+        "diagnostics_every": every,
         "param_layout": [
             {"name": b.name, "offset": b.offset, "shape": list(b.shape)} for b in layout_for(spec)
         ],
         "params_bin_format": "uint64 little-endian count, then count float64 little-endian values",
     }
+    if fullset_every:
+        manifest["diagnostics_scope"] = "full-training-set"
     return RunRecord(manifest, tuple(evals), tuple(diags), params)
 
 
-def metrics_csv(record: RunRecord) -> str:
-    lines = [METRICS_HEADER]
-    for ev in record.evals:
-        lines.append(
-            f"{ev.step},{ev.hter!r},{ev.auc!r},{ev.tpr95!r},{ev.train_loss!r},{ev.surrogate_gap!r}"
-        )
+def _csv(header, rows) -> str:
+    """CSV text: the header, then one line per row. Ints print as digits;
+    floats, numpy scalars included, as repr(float(v)), the shortest text
+    that reads back to the same float."""
+    lines = [",".join(header)]
+    for row in rows:
+        lines.append(",".join(str(v) if isinstance(v, (int, np.integer)) else repr(float(v)) for v in row))
     return "\n".join(lines) + "\n"
+
+
+def _dict_csv(columns, rows) -> str:
+    return _csv(columns, ([row[c] for c in columns] for row in rows))
+
+
+def metrics_csv(record: RunRecord) -> str:
+    return _csv(METRICS_HEADER.split(","), (dataclasses.astuple(ev) for ev in record.evals))
 
 
 def diagnostics_csv(record: RunRecord) -> str:
-    k = len(record.manifest["train_domains"])
-    cos_cols = ",".join(f"align_cos_{i}" for i in range(k))
-    lines = [f"t,loss_erm,grad_norm,surrogate_gap,{cos_cols},adv_grad_sq_mean"]
-    for d in record.diagnostics:
-        cos = ",".join(repr(c) for c in d.alignment_cos)
-        adv_sq = sum(v**2 for v in d.adv_grad_norms) / len(d.adv_grad_norms)
-        lines.append(f"{d.step_index},{d.loss_erm!r},{d.grad_norm!r},{d.surrogate_gap!r},{cos},{adv_sq!r}")
-    return "\n".join(lines) + "\n"
+    cos_cols = [f"align_cos_{i}" for i in range(len(record.manifest["train_domains"]))]
+    return _csv(
+        ["t", "loss_erm", "grad_norm", "surrogate_gap", *cos_cols, "adv_grad_sq_mean"],
+        (
+            [d.step_index, d.loss_erm, d.grad_norm, d.surrogate_gap, *d.alignment_cos,
+             sum(v**2 for v in d.adv_grad_norms) / len(d.adv_grad_norms)]
+            for d in record.diagnostics
+        ),
+    )
+
+
+def landscape_csv(grid: diagnostics.LandscapeGrid) -> str:
+    """CSV text with columns s[,u],loss."""
+    if grid.offsets.ndim == 1:
+        return _csv(["s", "loss"], zip(grid.offsets, grid.losses))
+    return _csv(["s", "u", "loss"], ((s, u, loss) for (s, u), loss in zip(grid.offsets, grid.losses)))
+
+
+def convergence_csv(trace: diagnostics.ConvergenceTrace) -> str:
+    """CSV text with columns t,grad_sq_mean,adv_grad_sq_mean,bound."""
+    rows = ((t, g, a, trace.bound(t)) for t, g, a in zip(trace.t, trace.grad_sq, trace.adv_grad_sq))
+    return _csv(["t", "grad_sq_mean", "adv_grad_sq_mean", "bound"], rows)
 
 
 def params_bin(params: ParamVector) -> bytes:
@@ -520,51 +548,41 @@ def window_means(record: RunRecord, eval_window: int) -> dict:
     }
 
 
-def _mean_std(values) -> tuple[float, float]:
-    n = len(values)
-    mean = sum(values) / n
-    if n < 2:
-        return mean, 0.0
-    var = sum((v - mean) ** 2 for v in values) / (n - 1)
-    return mean, math.sqrt(var)
+SEED_STATS_COLUMNS = ["n_seeds", "hter_mean", "hter_std", "auc_mean", "auc_std", "tpr95_mean", "tpr95_std"]
+
+
+def _seed_stats(windows) -> dict:
+    """n_seeds, and the mean and sample std (0.0 for one seed) of hter, auc
+    and tpr95 over the seeds' window_means."""
+    n = len(windows)
+    stats = {"n_seeds": n}
+    for key in ("hter", "auc", "tpr95"):
+        values = [w[key] for w in windows]
+        mean = sum(values) / n
+        stats[f"{key}_mean"] = mean
+        stats[f"{key}_std"] = math.sqrt(sum((v - mean) ** 2 for v in values) / (n - 1)) if n > 1 else 0.0
+    return stats
 
 
 def run_leave_one_out(cfg: ExperimentConfig, write: bool = True):
     """Rotate the held-out domain over every domain, train every seed, and
     aggregate last-window metrics per rotation. Returns (summary, run_rows)."""
     run_rows = []
+    summary = []
     for held in range(len(cfg.domains)):
         split = datagen.leave_one_out(list(cfg.domains), held)
+        windows = []
         for seed in cfg.seeds:
             record = _train_on_split(cfg, seed, held, split)
             if write:
                 write_outputs(record, os.path.join(cfg.output_dir, f"held{held}_seed{seed}"))
-            wm = window_means(record, cfg.eval_window)
-            run_rows.append({"held_out": held, "seed": seed, **wm})
-    summary = []
-    for held in range(len(cfg.domains)):
-        rows = [r for r in run_rows if r["held_out"] == held]
-        entry = {"held_out": held, "n_seeds": len(rows)}
-        for key in ("hter", "auc", "tpr95"):
-            mean, std = _mean_std([r[key] for r in rows])
-            entry[f"{key}_mean"] = mean
-            entry[f"{key}_std"] = std
-        summary.append(entry)
+            windows.append(window_means(record, cfg.eval_window))
+            run_rows.append({"held_out": held, "seed": seed, **windows[-1]})
+        summary.append({"held_out": held, **_seed_stats(windows)})
     if write:
-        run_lines = ["held_out,seed,hter,auc,tpr95,train_loss,surrogate_gap"]
-        for r in run_rows:
-            run_lines.append(
-                f"{r['held_out']},{r['seed']},{r['hter']!r},{r['auc']!r},{r['tpr95']!r},"
-                f"{r['train_loss']!r},{r['surrogate_gap']!r}"
-            )
-        _atomic_write(os.path.join(cfg.output_dir, "loo_runs.csv"), "\n".join(run_lines) + "\n")
-        sum_lines = ["held_out,n_seeds,hter_mean,hter_std,auc_mean,auc_std,tpr95_mean,tpr95_std"]
-        for s in summary:
-            sum_lines.append(
-                f"{s['held_out']},{s['n_seeds']},{s['hter_mean']!r},{s['hter_std']!r},"
-                f"{s['auc_mean']!r},{s['auc_std']!r},{s['tpr95_mean']!r},{s['tpr95_std']!r}"
-            )
-        _atomic_write(os.path.join(cfg.output_dir, "loo_summary.csv"), "\n".join(sum_lines) + "\n")
+        run_cols = ["held_out", "seed", "hter", "auc", "tpr95", "train_loss", "surrogate_gap"]
+        _atomic_write(os.path.join(cfg.output_dir, "loo_runs.csv"), _dict_csv(run_cols, run_rows))
+        _atomic_write(os.path.join(cfg.output_dir, "loo_summary.csv"), _dict_csv(["held_out", *SEED_STATS_COLUMNS], summary))
         _atomic_write(
             os.path.join(cfg.output_dir, "loo_summary.json"),
             json.dumps({"summary": summary, "runs": run_rows}, sort_keys=True, indent=2) + "\n",
@@ -575,8 +593,8 @@ def run_leave_one_out(cfg: ExperimentConfig, write: bool = True):
 def run_sweep(cfg: ExperimentConfig, gammas, rhos, write: bool = True):
     """gamma x rho sensitivity grid on the configured held-out split; each
     cell aggregates last-window metrics over cfg.seeds."""
-    gammas = list(gammas)
-    rhos = list(rhos)
+    gammas = [float(g) for g in gammas]
+    rhos = [float(r) for r in rhos]
     if not gammas or not rhos:
         raise ConfigValueError("sweep grids must be nonempty")
     if not isinstance(cfg.held_out, int) or isinstance(cfg.held_out, bool):
@@ -585,7 +603,7 @@ def run_sweep(cfg: ExperimentConfig, gammas, rhos, write: bool = True):
     cells = []
     for gamma in gammas:
         for rho in rhos:
-            opt = dataclasses.replace(cfg.optimizer, gamma=float(gamma), rho=float(rho))
+            opt = dataclasses.replace(cfg.optimizer, gamma=gamma, rho=rho)
             sub = dataclasses.replace(cfg, optimizer=opt)
             per_seed = []
             for seed in cfg.seeds:
@@ -596,20 +614,9 @@ def run_sweep(cfg: ExperimentConfig, gammas, rhos, write: bool = True):
                         os.path.join(cfg.output_dir, f"sweep_g{gamma!r}_r{rho!r}", f"seed{seed}"),
                     )
                 per_seed.append(window_means(record, cfg.eval_window))
-            cell = {"gamma": float(gamma), "rho": float(rho), "n_seeds": len(per_seed)}
-            for key in ("hter", "auc", "tpr95"):
-                mean, std = _mean_std([w[key] for w in per_seed])
-                cell[f"{key}_mean"] = mean
-                cell[f"{key}_std"] = std
-            cells.append(cell)
+            cells.append({"gamma": gamma, "rho": rho, **_seed_stats(per_seed)})
     if write:
-        lines = ["gamma,rho,n_seeds,hter_mean,hter_std,auc_mean,auc_std,tpr95_mean,tpr95_std"]
-        for c in cells:
-            lines.append(
-                f"{c['gamma']!r},{c['rho']!r},{c['n_seeds']},{c['hter_mean']!r},{c['hter_std']!r},"
-                f"{c['auc_mean']!r},{c['auc_std']!r},{c['tpr95_mean']!r},{c['tpr95_std']!r}"
-            )
-        _atomic_write(os.path.join(cfg.output_dir, "sweep.csv"), "\n".join(lines) + "\n")
+        _atomic_write(os.path.join(cfg.output_dir, "sweep.csv"), _dict_csv(["gamma", "rho", *SEED_STATS_COLUMNS], cells))
     return cells
 
 
@@ -640,52 +647,21 @@ def run_convergence(cfg: ExperimentConfig, window: int = 40, trace_every: int = 
     stream."""
     if trace_every < 1:
         raise ConfigValueError(f"trace_every must be >= 1, got {trace_every}")
+    n_records = cfg.steps // trace_every
+    if not 1 <= window <= n_records:
+        raise ConfigValueError(
+            f"window={window} must be in [1, {n_records}] (the number of full-set records, steps // trace_every)"
+        )
     sched = dataclasses.replace(cfg.optimizer.schedule, kind="theorem1")
     opt_base = dataclasses.replace(cfg.optimizer, schedule=sched)
     cfg = dataclasses.replace(cfg, optimizer=opt_base)
     held = cfg.held_out if isinstance(cfg.held_out, int) and not isinstance(cfg.held_out, bool) else 0
-    seed = cfg.seeds[0]
-    source, test = datagen.leave_one_out(list(cfg.domains), held)
-    train_indices = [i for i in range(len(cfg.domains)) if i != held]
-    speh = steps_per_epoch(cfg, train_indices)
-    opt = _resolved_optimizer(cfg, speh)
-    spec = cfg.model
-    params = model_mod.init_params(spec, Prng(seed, 0))
-    batch_prng = Prng(seed, 1)
-    train_all = source.concatenated()
-    k = source.k
-
-    evals = []
-    records = []
-    for t in range(1, cfg.steps + 1):
-        minibatch = datagen.sample_minibatch(source, cfg.per_domain_batch, batch_prng)
-        params, _ = _checked_step(spec, params, minibatch, opt, t, k, False)
-        if t % trace_every == 0:
-            records.append(fullset_step_diagnostics(spec, params, source, opt, t))
-        if t % cfg.eval_every == 0:
-            evals.append(_evaluate(cfg, spec, params, test, train_all, t))
-    trace = diagnostics.convergence_trace(records, window)
-    manifest = {
-        "config": config_to_dict(cfg),
-        "config_sha256": config_digest(cfg),
-        "seed": seed,
-        "held_out": held,
-        "train_domains": train_indices,
-        "mode": cfg.optimizer.mode,
-        "start_step": 1,
-        "end_step": cfg.steps,
-        "steps_per_epoch": speh,
-        "diagnostics_every": trace_every,
-        "diagnostics_scope": "full-training-set",
-        "param_layout": [
-            {"name": b.name, "offset": b.offset, "shape": list(b.shape)} for b in layout_for(spec)
-        ],
-        "params_bin_format": "uint64 little-endian count, then count float64 little-endian values",
-    }
-    record = RunRecord(manifest, tuple(evals), tuple(records), params)
+    split = datagen.leave_one_out(list(cfg.domains), held)
+    record = _train_on_split(cfg, cfg.seeds[0], held, split, fullset_every=trace_every)
+    trace = diagnostics.convergence_trace(record.diagnostics, window)
     if write:
         write_outputs(record, os.path.join(cfg.output_dir, "convergence_run"))
-        _atomic_write(os.path.join(cfg.output_dir, "convergence.csv"), diagnostics.convergence_csv(trace))
+        _atomic_write(os.path.join(cfg.output_dir, "convergence.csv"), convergence_csv(trace))
     return record, trace
 
 

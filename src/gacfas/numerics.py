@@ -18,7 +18,7 @@ import math
 
 import numpy as np
 
-__all__ = ["Prng", "as_vec64", "axpy", "dot", "gaussian", "l2_norm", "split", "zeros"]
+__all__ = ["Prng", "as_vec64", "axpy", "dot", "gaussian", "l2_norm", "zeros"]
 
 
 def as_vec64(data) -> np.ndarray:
@@ -87,11 +87,6 @@ class Prng:
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"Prng(seed={self.seed}, stream_id={self.stream_id})"
-
-
-def split(seed: int, stream_id: int) -> Prng:
-    """Independent, reproducible stream for (seed, stream_id)."""
-    return Prng(seed, stream_id)
 
 
 def gaussian(prng: Prng, n: int) -> np.ndarray:

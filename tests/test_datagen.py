@@ -1,5 +1,5 @@
 """Synthetic domain generation: two-moons geometry, rigid shifts, source
-sets, the leave-one-out split, the balanced sampler, and CSV round-trips."""
+sets, the leave-one-out split, and the balanced sampler."""
 
 import math
 
@@ -7,15 +7,12 @@ import numpy as np
 import pytest
 
 from gacfas.datagen import (
-    CSV_HEADER,
     TEST_SEED_OFFSET,
     DomainSpec,
     SourceSet,
     build_source_set,
-    dump_csv,
     gen_two_moons,
     leave_one_out,
-    load_csv,
     sample_minibatch,
     shift_domain,
 )
@@ -240,25 +237,3 @@ def test_sampler_frequencies_within_three_sigma_of_uniform():
     sigma = math.sqrt(draws * p * (1 - p))
     assert np.max(np.abs(counts - expected)) <= 3 * sigma
 
-
-def test_csv_round_trip_is_exact(tmp_path):
-    batch = gen_two_moons(37, 0.123, Prng(9, 0))
-    path = tmp_path / "domain.csv"
-    dump_csv(batch, path)
-    text = path.read_text().splitlines()
-    assert text[0] == ",".join(CSV_HEADER)
-    back = load_csv(path)
-    assert np.array_equal(back.inputs, batch.inputs)
-    assert np.array_equal(back.labels, batch.labels)
-    assert np.array_equal(back.domain_ids, batch.domain_ids)
-
-
-def test_load_csv_rejects_bad_header_and_empty(tmp_path):
-    bad = tmp_path / "bad.csv"
-    bad.write_text("a,b,c,d\n1,2,3,4\n")
-    with pytest.raises(ValueError):
-        load_csv(bad)
-    empty = tmp_path / "empty.csv"
-    empty.write_text("x0,x1,label,domain_id\n")
-    with pytest.raises(ValueError):
-        load_csv(empty)

@@ -11,13 +11,12 @@ from gacfas.diagnostics import (
     ConvergenceTrace,
     LandscapeGrid,
     alignment_inner_products,
-    convergence_csv,
     convergence_trace,
-    landscape_csv,
     landscape_slice,
     perturbed_loss,
     surrogate_gap,
 )
+from gacfas.harness import convergence_csv, landscape_csv
 from gacfas.model import MlpSpec, init_params
 from gacfas.numerics import Prng
 from gacfas.optim import StepDiagnostics, batch_loss, batch_loss_and_grad

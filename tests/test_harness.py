@@ -299,6 +299,26 @@ def test_diverged_run_stops_at_the_first_non_finite_step_loss(monkeypatch, comma
     assert steps == [1, 2, 3]
 
 
+@pytest.mark.parametrize("window", [0, 3])
+def test_run_convergence_checks_the_window_before_the_first_step(monkeypatch, window):
+    steps = []
+    monkeypatch.setattr(harness, "take_step", lambda *args, **kwargs: steps.append(args[4]))
+    # 10 steps traced every 5 give 2 full-set records.
+    with pytest.raises(ConfigValueError, match=rf"window={window} must be in \[1, 2\] \(the number of full-set records"):
+        run_convergence(tiny_config(), window=window, trace_every=5, write=False)
+    assert steps == []
+
+
+def test_cli_convergence_refuses_a_window_longer_than_the_records(tmp_path, monkeypatch, capsys):
+    steps = []
+    monkeypatch.setattr(harness, "take_step", lambda *args, **kwargs: steps.append(args[4]))
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(tiny_config_json(str(tmp_path / "conv"), steps=40))
+    assert cli.main(["convergence", "--config", str(cfg_path), "--window", "100"]) == 1
+    assert "window=100 must be in [1, 8]" in capsys.readouterr().err
+    assert steps == [] and not (tmp_path / "conv").exists()
+
+
 def test_run_convergence_names_the_failing_step(monkeypatch):
     def failing(*args, **kwargs):
         raise ValueError("boom")
@@ -490,6 +510,21 @@ def test_run_sweep_grid(tmp_path):
         run_sweep(cfg, gammas=[], rhos=[0.1])
     with pytest.raises(ConfigValueError):
         run_sweep(tiny_config(held_out="all"), gammas=[0.0], rhos=[0.1])
+
+
+def test_sweep_cell_directories_match_the_csv_rows(tmp_path):
+    # A numpy gamma grid and an int rho name their cell by the same float
+    # the CSV row shows.
+    cells = run_sweep(tiny_config(output_dir=str(tmp_path)), np.array([0.0]), [1])
+    assert [(type(c["gamma"]), c["gamma"], type(c["rho"]), c["rho"]) for c in cells] == [(float, 0.0, float, 1.0)]
+    assert sorted(p.name for p in tmp_path.iterdir() if p.is_dir()) == ["sweep_g0.0_r1.0"]
+    assert (tmp_path / "sweep.csv").read_text().splitlines()[1].startswith("0.0,1.0,1,")
+
+
+def test_csv_writer_prints_ints_as_digits_and_floats_as_repr():
+    row = [3, np.int64(4), 0.1, np.float64(1 / 3), math.nan, np.float32(0.5)]
+    assert harness._csv(["a", "b", "c", "d", "e", "f"], [row]) == "a,b,c,d,e,f\n3,4,0.1,0.3333333333333333,nan,0.5\n"
+    assert harness._csv(["a"], []) == "a\n"
 
 
 def test_fullset_diagnostics_rho_gamma_zero_matches_plain_gradient():

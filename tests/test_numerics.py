@@ -1,10 +1,12 @@
 """Vector-kernel and seeded-randomness contracts."""
 
+import importlib
+
 import numpy as np
 import pytest
 
 from gacfas import numerics
-from gacfas.numerics import Prng, as_vec64, axpy, dot, gaussian, l2_norm, split, zeros
+from gacfas.numerics import Prng, as_vec64, axpy, dot, gaussian, l2_norm, zeros
 
 from helpers import kahan_dot
 
@@ -96,7 +98,7 @@ def test_gaussian_empty_and_negative():
 
 def test_distinct_stream_ids_diverge():
     for seed in (0, 1, 42, 2024):
-        prefixes = [tuple(gaussian(split(seed, sid), 100)) for sid in range(4)]
+        prefixes = [tuple(gaussian(Prng(seed, sid), 100)) for sid in range(4)]
         assert len(set(prefixes)) == 4
 
 
@@ -122,3 +124,17 @@ def test_kernels_do_not_mutate_inputs():
     l2_norm(x)
     axpy(2.5, x, y)
     assert np.array_equal(x, x0) and np.array_equal(y, y0)
+
+
+@pytest.mark.parametrize("module_name", ["gacfas", "gacfas.numerics"])
+def test_every_exported_name_resolves(module_name):
+    """A name left in __all__ after its definition is deleted breaks
+    `from module import *` and nothing else."""
+    module = importlib.import_module(module_name)
+    missing = []
+    for name in module.__all__:
+        try:
+            getattr(module, name)
+        except AttributeError:
+            missing.append(name)
+    assert missing == []

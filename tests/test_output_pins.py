@@ -27,11 +27,12 @@ from pathlib import Path
 
 import pytest
 
-from gacfas import cli, diagnostics
+from gacfas import cli
 from gacfas.datagen import DomainSpec
 from gacfas.harness import (
     ExperimentConfig,
     config_to_json,
+    convergence_csv,
     diagnostics_csv,
     metrics_csv,
     run_convergence,
@@ -122,7 +123,7 @@ def test_convergence_stream_matches_pinned_digests():
     got = (
         _sha(metrics_csv(record)),
         _sha(diagnostics_csv(record)),
-        _sha(diagnostics.convergence_csv(trace)),
+        _sha(convergence_csv(trace)),
     )
     assert got == CONVERGENCE_PINS
 
