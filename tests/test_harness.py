@@ -166,6 +166,95 @@ def test_parse_type_strictness():
         parse_config(tiny_config_json("out", optimizer={"schedule": "linear"}))
 
 
+def _set_key(raw: dict, path: str, value) -> dict:
+    """raw with the key at path ("optimizer.eta0", "domains[0].seed") set to value."""
+    *parents, last = path.replace("[", ".[").split(".")
+    node = raw
+    for part in parents:
+        node = node.setdefault(part, {}) if not part.startswith("[") else node[int(part[1:-1])]
+    node[last] = value
+    return raw
+
+
+# Every JSON key of the config, with a value of the wrong type for it.
+WRONG_TYPED = [
+    ("model", "x"),
+    ("model.layer_sizes", "x"),
+    ("model.activation", 5),
+    ("domains", "x"),
+    ("domains[0].rotation", "x"),
+    ("domains[0].translation", "x"),
+    ("domains[0].noise_sigma", "x"),
+    ("domains[0].n_samples", 24.0),
+    ("domains[0].seed", "x"),
+    ("held_out", 1.5),
+    ("optimizer", []),
+    ("optimizer.mode", 5),
+    ("optimizer.eta0", "x"),
+    ("optimizer.rho", "x"),
+    ("optimizer.gamma", True),
+    ("optimizer.weight_decay", "x"),
+    ("optimizer.schedule", 5),
+    ("optimizer.step_period_epochs", 40.0),
+    ("optimizer.step_factor", "x"),
+    ("optimizer.zero_grad_eps", "x"),
+    ("optimizer.track_surrogate_gap", 1),
+    ("steps", "x"),
+    ("per_domain_batch", 8.0),
+    ("eval_every", "x"),
+    ("eval_window", "x"),
+    ("diagnostics_every", "x"),
+    ("seeds", "x"),
+    ("output_dir", 5),
+]
+
+
+@pytest.mark.parametrize("path,value", WRONG_TYPED, ids=[path for path, _ in WRONG_TYPED])
+def test_parse_names_the_path_of_a_wrong_typed_value(path, value):
+    raw = _set_key(json.loads(tiny_config_json("out")), path, value)
+    # Top-level keys are named config.<key>, except the model and optimizer
+    # objects, which name themselves as their keys do.
+    named = path if "." in path or "[" in path or path in ("model", "optimizer") else f"config.{path}"
+    with pytest.raises(ConfigValueError) as info:
+        parse_config(json.dumps(raw))
+    assert str(info.value).startswith(f"{named}: ")
+
+
+def test_parse_leaves_every_optional_key_to_its_dataclass_default():
+    raw = {
+        "model": {"layer_sizes": [2, 4, 2]},
+        "domains": [{}, {}],
+        "held_out": 0,
+        "steps": 1000,
+        "per_domain_batch": 8,
+        "seeds": [0],
+        "output_dir": "out",
+    }
+    expected = ExperimentConfig(
+        model=MlpSpec((2, 4, 2)),
+        domains=(DomainSpec(), DomainSpec()),
+        held_out=0,
+        optimizer=OptimizerConfig(),
+        steps=1000,
+        per_domain_batch=8,
+        seeds=(0,),
+        output_dir="out",
+    )
+    assert parse_config(json.dumps(raw)) == expected
+    for key in ("model", "domains", "held_out", "steps", "per_domain_batch", "seeds", "output_dir"):
+        short = {k: v for k, v in raw.items() if k != key}
+        with pytest.raises(ConfigValueError, match=f"config: missing required key '{key}'"):
+            parse_config(json.dumps(short))
+    with pytest.raises(ConfigValueError, match="model: missing required key 'layer_sizes'"):
+        parse_config(json.dumps({**raw, "model": {"activation": "tanh"}}))
+
+
+def test_parse_refuses_a_schedule_field_that_is_not_a_json_key():
+    text = tiny_config_json("out", optimizer={"mode": "erm", "schedule": "step", "period_steps": 3})
+    with pytest.raises(ConfigKeyError, match="optimizer: unknown key 'period_steps'"):
+        parse_config(text)
+
+
 def test_config_invariants():
     with pytest.raises(ConfigValueError):
         tiny_config(domains=(DomainSpec(n_samples=24),))  # fewer than 2 domains
