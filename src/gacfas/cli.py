@@ -28,20 +28,11 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigValueError(message)
 
 
-def _require_index(cfg, command: str) -> int:
-    held = cfg.held_out
-    if not isinstance(held, int) or isinstance(held, bool):
-        raise ConfigValueError(f"{command} requires an integer held_out domain in the config, got {held!r}")
-    return held
-
-
 def _parse_grid(text: str, name: str):
     try:
         values = [float(v) for v in text.split(",") if v.strip() != ""]
     except ValueError as exc:
         raise ConfigValueError(f"--{name}: expected comma-separated numbers, got {text!r}") from exc
-    if not values:
-        raise ConfigValueError(f"--{name}: grid is empty")
     return values
 
 
@@ -67,7 +58,9 @@ def _refuse_other_seed(output_dir: str, seed: int) -> None:
 
 def _cmd_train(args) -> int:
     cfg = harness.load_config(args.config)
-    _require_index(cfg, "train")
+    harness._require_index(cfg.held_out, "train")
+    if args.seed < 0:
+        raise ConfigValueError(f"--seed: expected a non-negative integer, got {args.seed}")
     _refuse_other_seed(cfg.output_dir, args.seed)
     record = harness.run_training(cfg, args.seed)
     paths = harness.write_outputs(record, cfg.output_dir)
@@ -111,7 +104,7 @@ def _cmd_sweep(args) -> int:
 
 def _cmd_landscape(args) -> int:
     cfg = harness.load_config(args.config)
-    held = _require_index(cfg, "landscape")
+    held = harness._require_index(cfg.held_out, "landscape")
     if not os.path.exists(args.checkpoint):
         raise ConfigNotFoundError(f"checkpoint not found: {args.checkpoint}")
     params = harness.read_params_bin(args.checkpoint, cfg.model)

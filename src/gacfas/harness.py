@@ -22,6 +22,8 @@ import os
 import struct
 import tempfile
 from dataclasses import dataclass
+from operator import attrgetter
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -29,10 +31,11 @@ from . import datagen, diagnostics, evalmetrics, model as model_mod
 from .datagen import DomainSpec
 from .model import Batch, MlpSpec, ParamVector, layout_for
 from .numerics import Prng
-from .optim import MODES, SCHEDULE_KINDS, OptimizerConfig, Schedule, StepDiagnostics, batch_loss, schedule_value, take_step
+from .optim import OptimizerConfig, StepDiagnostics, batch_loss, schedule_value, take_step
 from .optim import _aligned_perturbation, _batch_parts, _diagnostics, _part_terms, _perturbed_gap, _sum_terms
 
 METRICS_HEADER = "step,hter,auc,tpr95,train_loss,surrogate_gap"
+_WINDOW_KEYS = METRICS_HEADER.split(",")[1:]  # window_means' keys, in this order
 
 
 class ConfigError(Exception):
@@ -60,11 +63,11 @@ class ExperimentConfig:
     model: MlpSpec
     domains: tuple[DomainSpec, ...]
     held_out: int | str
-    optimizer: OptimizerConfig
     steps: int
     per_domain_batch: int
     seeds: tuple[int, ...]
     output_dir: str
+    optimizer: OptimizerConfig = dataclasses.field(default_factory=OptimizerConfig)
     eval_every: int = 100
     eval_window: int = 10
     diagnostics_every: int = 10
@@ -127,113 +130,148 @@ class RunRecord:
     final_params: ParamVector
 
 
-def _expect(mapping: dict, key: str, context: str):
-    if key not in mapping:
-        raise ConfigValueError(f"{context}: missing required key {key!r}")
-    return mapping[key]
+def _is_int(value) -> bool:
+    """An int that is not a bool: the only held_out that names one domain,
+    and the only value an integer config key takes."""
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
-def _as_int(value, context: str) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ConfigValueError(f"{context}: expected an integer, got {value!r}")
-    return value
+def _require_index(held, command: str) -> int:
+    if not _is_int(held):
+        raise ConfigValueError(f"{command} requires an integer held_out domain, got {held!r}")
+    return held
+
+
+def _is_finite(value) -> bool:
+    try:
+        return isinstance(value, (int, float)) and not isinstance(value, bool) and math.isfinite(value)
+    except OverflowError:  # an int too large for a float
+        return False
+
+
+def _reader(accepts, expected: str):
+    """The reader of a JSON value that accepts(value) must hold for; it
+    returns the value, or raises naming the value's key path."""
+
+    def read(value, context: str):
+        if not accepts(value):
+            raise ConfigValueError(f"{context}: expected {expected}, got {value!r}")
+        return value
+
+    return read
+
+
+_as_int = _reader(_is_int, "an integer")
+_as_seed = _reader(lambda v: _is_int(v) and v >= 0, "a non-negative integer")
+_as_bool = _reader(lambda v: isinstance(v, bool), "true/false")
+_as_str = _reader(lambda v: isinstance(v, str), "a string")
+_as_held_out = _reader(lambda v: isinstance(v, str) or _is_int(v), 'an index or "all"')
+_nonempty_list = _reader(lambda v: isinstance(v, list) and len(v) > 0, "a nonempty list")
+_pair = _reader(lambda v: isinstance(v, list) and len(v) == 2, "two numbers")
+_finite = _reader(_is_finite, "a finite number")
+_object = _reader(lambda v: isinstance(v, dict), "an object")
 
 
 def _as_float(value, context: str) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigValueError(f"{context}: expected a finite number, got {value!r}")
-    try:
-        number = float(value)
-    except OverflowError:
-        number = math.inf
-    if not math.isfinite(number):
-        raise ConfigValueError(f"{context}: expected a finite number, got {value!r}")
-    return number
+    return float(_finite(value, context))
 
 
-def _as_bool(value, context: str) -> bool:
-    if not isinstance(value, bool):
-        raise ConfigValueError(f"{context}: expected true/false, got {value!r}")
-    return value
+def _list_of(read):
+    """The reader of a nonempty list whose items read names by the list's key."""
+    return lambda value, context: tuple(read(v, context) for v in _nonempty_list(value, context))
 
 
-def _as_str(value, context: str) -> str:
-    if not isinstance(value, str):
-        raise ConfigValueError(f"{context}: expected a string, got {value!r}")
-    return value
+def _as_pair(value, context: str) -> tuple:
+    return tuple(_as_float(v, context) for v in _pair(value, context))
 
 
-def _check_keys(mapping: dict, allowed, context: str):
-    if not isinstance(mapping, dict):
-        raise ConfigValueError(f"{context}: expected an object, got {mapping!r}")
-    for key in mapping:
-        if key not in allowed:
-            raise ConfigKeyError(f"{context}: unknown key {key!r} (allowed: {sorted(allowed)})")
+class _Key(NamedTuple):
+    """One row of a section table: a JSON key, the reader that checks its
+    value, and the dataclass field it sets when that is not the key itself.
+    A dotted field ("schedule.kind") sets a field of the dataclass that the
+    first field holds."""
+
+    name: str
+    read: Callable
+    field: str = ""
 
 
-def _parse_model(obj) -> MlpSpec:
-    _check_keys(obj, {"layer_sizes", "activation"}, "model")
-    sizes = _expect(obj, "layer_sizes", "model")
-    if not isinstance(sizes, list) or not sizes:
-        raise ConfigValueError(f"model.layer_sizes: expected a nonempty list, got {sizes!r}")
-    sizes = tuple(_as_int(s, "model.layer_sizes") for s in sizes)
-    activation = _as_str(obj.get("activation", "relu"), "model.activation")
-    try:
-        return MlpSpec(sizes, activation)
-    except ValueError as exc:
-        raise ConfigValueError(f"model: {exc}") from exc
+def _section(cls):
+    """The reader of a JSON object into cls, by cls's table in _TABLES. A key
+    left out takes the dataclass default; a field without one is required."""
+
+    def read(obj, context: str):
+        ctx = context.removeprefix("config.")  # sections name their keys from themselves: model.activation
+        keys = _TABLES[cls]
+        allowed = [key.name for key in keys]
+        unknown = [k for k in _object(obj, ctx) if k not in allowed]
+        if unknown:
+            raise ConfigKeyError(f"{ctx}: unknown key {unknown[0]!r} (allowed: {sorted(allowed)})")
+        fields = {f.name: f for f in dataclasses.fields(cls)}
+        values, nested = {}, {}
+        for key in keys:
+            name, _, sub = (key.field or key.name).partition(".")
+            if key.name in obj:
+                value = key.read(obj[key.name], f"{ctx}.{key.name}")
+                if sub:
+                    nested.setdefault(name, {})[sub] = value
+                else:
+                    values[name] = value
+            elif fields[name].default is fields[name].default_factory is dataclasses.MISSING:
+                raise ConfigValueError(f"{ctx}: missing required key {key.name!r}")
+        try:
+            for name, sub_values in nested.items():
+                values[name] = fields[name].default_factory(**sub_values)
+            return cls(**values)
+        except ValueError as exc:
+            raise ConfigValueError(f"{ctx}: {exc}") from exc
+
+    return read
 
 
-def _parse_domain(obj, idx: int) -> DomainSpec:
-    ctx = f"domains[{idx}]"
-    _check_keys(obj, {"rotation", "translation", "noise_sigma", "n_samples", "seed"}, ctx)
-    translation = obj.get("translation", (0.0, 0.0))
-    if not isinstance(translation, (list, tuple)) or len(translation) != 2:
-        raise ConfigValueError(f"{ctx}.translation: expected two numbers, got {translation!r}")
-    try:
-        return DomainSpec(
-            rotation=_as_float(obj.get("rotation", 0.0), f"{ctx}.rotation"),
-            translation=tuple(_as_float(v, f"{ctx}.translation") for v in translation),
-            noise_sigma=_as_float(obj.get("noise_sigma", 0.0), f"{ctx}.noise_sigma"),
-            n_samples=_as_int(obj.get("n_samples", 2000), f"{ctx}.n_samples"),
-            seed=_as_int(obj.get("seed", 0), f"{ctx}.seed"),
-        )
-    except ValueError as exc:
-        raise ConfigValueError(f"{ctx}: {exc}") from exc
+def _as_domains(value, context: str) -> tuple:
+    return tuple(_section(DomainSpec)(d, f"{context}[{i}]") for i, d in enumerate(_nonempty_list(value, context)))
 
 
-def _parse_optimizer(obj) -> OptimizerConfig:
-    allowed = {
-        "mode", "eta0", "rho", "gamma", "weight_decay", "schedule",
-        "step_period_epochs", "step_factor", "zero_grad_eps", "track_surrogate_gap",
-    }
-    _check_keys(obj, allowed, "optimizer")
-    kind = _as_str(obj.get("schedule", "constant"), "optimizer.schedule")
-    if kind not in SCHEDULE_KINDS:
-        raise ConfigValueError(f"optimizer.schedule: must be one of {SCHEDULE_KINDS}, got {kind!r}")
-    mode = _as_str(obj.get("mode", "gac_fas"), "optimizer.mode")
-    if mode not in MODES:
-        raise ConfigValueError(f"optimizer.mode: must be one of {MODES}, got {mode!r}")
-    try:
-        schedule = Schedule(
-            kind=kind,
-            period_epochs=_as_int(obj.get("step_period_epochs", 40), "optimizer.step_period_epochs"),
-            factor=_as_float(obj.get("step_factor", 0.1), "optimizer.step_factor"),
-        )
-        return OptimizerConfig(
-            mode=mode,
-            eta0=_as_float(obj.get("eta0", 0.005), "optimizer.eta0"),
-            rho=_as_float(obj.get("rho", 0.1), "optimizer.rho"),
-            gamma=_as_float(obj.get("gamma", 0.0002), "optimizer.gamma"),
-            weight_decay=_as_float(obj.get("weight_decay", 1e-4), "optimizer.weight_decay"),
-            schedule=schedule,
-            zero_grad_eps=_as_float(obj.get("zero_grad_eps", 1e-12), "optimizer.zero_grad_eps"),
-            track_surrogate_gap=_as_bool(obj.get("track_surrogate_gap", True), "optimizer.track_surrogate_gap"),
-        )
-    except ConfigError:
-        raise
-    except ValueError as exc:
-        raise ConfigValueError(f"optimizer: {exc}") from exc
+# One table per config section: every JSON key of the format, once. Parsing,
+# the unknown- and missing-key checks and config_to_dict all follow them, and
+# every default lives in its dataclass.
+_TABLES = {
+    ExperimentConfig: (
+        _Key("model", _section(MlpSpec)),
+        _Key("domains", _as_domains),
+        _Key("held_out", _as_held_out),
+        _Key("optimizer", _section(OptimizerConfig)),
+        _Key("steps", _as_int),
+        _Key("per_domain_batch", _as_int),
+        _Key("eval_every", _as_int),
+        _Key("eval_window", _as_int),
+        _Key("seeds", _list_of(_as_seed)),
+        _Key("output_dir", _as_str),
+        _Key("diagnostics_every", _as_int),
+    ),
+    MlpSpec: (_Key("layer_sizes", _list_of(_as_int)), _Key("activation", _as_str)),
+    DomainSpec: (
+        _Key("rotation", _as_float),
+        _Key("translation", _as_pair),
+        _Key("noise_sigma", _as_float),
+        _Key("n_samples", _as_int),
+        _Key("seed", _as_seed),
+    ),
+    # The schedule's keys sit flat in the optimizer object.
+    OptimizerConfig: (
+        _Key("mode", _as_str),
+        _Key("eta0", _as_float),
+        _Key("rho", _as_float),
+        _Key("gamma", _as_float),
+        _Key("weight_decay", _as_float),
+        _Key("schedule", _as_str, "schedule.kind"),
+        _Key("step_period_epochs", _as_int, "schedule.period_epochs"),
+        _Key("step_factor", _as_float, "schedule.factor"),
+        _Key("zero_grad_eps", _as_float),
+        _Key("track_surrogate_gap", _as_bool),
+    ),
+}
 
 
 def parse_config(text: str, origin: str = "<string>") -> ExperimentConfig:
@@ -241,33 +279,7 @@ def parse_config(text: str, origin: str = "<string>") -> ExperimentConfig:
         raw = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ConfigParseError(f"{origin}:{exc.lineno}:{exc.colno}: {exc.msg}") from exc
-    allowed = {
-        "model", "domains", "held_out", "optimizer", "steps", "per_domain_batch",
-        "eval_every", "eval_window", "seeds", "output_dir", "diagnostics_every",
-    }
-    _check_keys(raw, allowed, "config")
-    domains_raw = _expect(raw, "domains", "config")
-    if not isinstance(domains_raw, list) or not domains_raw:
-        raise ConfigValueError(f"config.domains: expected a nonempty list, got {domains_raw!r}")
-    held_out = _expect(raw, "held_out", "config")
-    if not (isinstance(held_out, str) or (isinstance(held_out, int) and not isinstance(held_out, bool))):
-        raise ConfigValueError(f"config.held_out: expected an index or \"all\", got {held_out!r}")
-    seeds_raw = _expect(raw, "seeds", "config")
-    if not isinstance(seeds_raw, list) or not seeds_raw:
-        raise ConfigValueError(f"config.seeds: expected a nonempty list, got {seeds_raw!r}")
-    return ExperimentConfig(
-        model=_parse_model(_expect(raw, "model", "config")),
-        domains=tuple(_parse_domain(d, i) for i, d in enumerate(domains_raw)),
-        held_out=held_out,
-        optimizer=_parse_optimizer(raw.get("optimizer", {})),
-        steps=_as_int(_expect(raw, "steps", "config"), "config.steps"),
-        per_domain_batch=_as_int(_expect(raw, "per_domain_batch", "config"), "config.per_domain_batch"),
-        seeds=tuple(_as_int(s, "config.seeds") for s in seeds_raw),
-        output_dir=_as_str(_expect(raw, "output_dir", "config"), "config.output_dir"),
-        eval_every=_as_int(raw.get("eval_every", 100), "config.eval_every"),
-        eval_window=_as_int(raw.get("eval_window", 10), "config.eval_window"),
-        diagnostics_every=_as_int(raw.get("diagnostics_every", 10), "config.diagnostics_every"),
-    )
+    return _section(ExperimentConfig)(raw, "config")
 
 
 def load_config(path: str) -> ExperimentConfig:
@@ -277,40 +289,14 @@ def load_config(path: str) -> ExperimentConfig:
         return parse_config(fh.read(), origin=path)
 
 
-def config_to_dict(cfg: ExperimentConfig) -> dict:
-    return {
-        "model": {"layer_sizes": list(cfg.model.layer_sizes), "activation": cfg.model.activation},
-        "domains": [
-            {
-                "rotation": d.rotation,
-                "translation": list(d.translation),
-                "noise_sigma": d.noise_sigma,
-                "n_samples": d.n_samples,
-                "seed": d.seed,
-            }
-            for d in cfg.domains
-        ],
-        "held_out": cfg.held_out,
-        "optimizer": {
-            "mode": cfg.optimizer.mode,
-            "eta0": cfg.optimizer.eta0,
-            "rho": cfg.optimizer.rho,
-            "gamma": cfg.optimizer.gamma,
-            "weight_decay": cfg.optimizer.weight_decay,
-            "schedule": cfg.optimizer.schedule.kind,
-            "step_period_epochs": cfg.optimizer.schedule.period_epochs,
-            "step_factor": cfg.optimizer.schedule.factor,
-            "zero_grad_eps": cfg.optimizer.zero_grad_eps,
-            "track_surrogate_gap": cfg.optimizer.track_surrogate_gap,
-        },
-        "steps": cfg.steps,
-        "per_domain_batch": cfg.per_domain_batch,
-        "eval_every": cfg.eval_every,
-        "eval_window": cfg.eval_window,
-        "seeds": list(cfg.seeds),
-        "output_dir": cfg.output_dir,
-        "diagnostics_every": cfg.diagnostics_every,
-    }
+def config_to_dict(value) -> dict:
+    """The config as plain JSON data, by the section tables: a section is a
+    dict of its keys, and a tuple is a list."""
+    if type(value) in _TABLES:
+        return {key.name: config_to_dict(attrgetter(key.field or key.name)(value)) for key in _TABLES[type(value)]}
+    if isinstance(value, tuple):
+        return [config_to_dict(v) for v in value]
+    return value
 
 
 def config_to_json(cfg: ExperimentConfig) -> str:
@@ -378,9 +364,7 @@ def run_training(cfg: ExperimentConfig, seed: int, held_out=None) -> RunRecord:
 
     held_out overrides cfg.held_out; the effective value must be a single
     domain index."""
-    held = cfg.held_out if held_out is None else held_out
-    if not isinstance(held, int) or isinstance(held, bool):
-        raise ConfigValueError("run_training needs an integer held_out domain (got \"all\"; use run_leave_one_out)")
+    held = _require_index(cfg.held_out if held_out is None else held_out, "run_training")
     return _train_on_split(cfg, seed, held, datagen.leave_one_out(list(cfg.domains), held))
 
 
@@ -538,14 +522,7 @@ def window_means(record: RunRecord, eval_window: int) -> dict:
     if eval_window < 1 or eval_window > len(record.evals):
         raise ValueError(f"eval_window={eval_window} out of range for {len(record.evals)} evaluations")
     tail = record.evals[len(record.evals) - eval_window :]
-    n = float(eval_window)
-    return {
-        "hter": sum(e.hter for e in tail) / n,
-        "auc": sum(e.auc for e in tail) / n,
-        "tpr95": sum(e.tpr95 for e in tail) / n,
-        "train_loss": sum(e.train_loss for e in tail) / n,
-        "surrogate_gap": sum(e.surrogate_gap for e in tail) / n,
-    }
+    return {key: sum(getattr(e, key) for e in tail) / float(eval_window) for key in _WINDOW_KEYS}
 
 
 SEED_STATS_COLUMNS = ["n_seeds", "hter_mean", "hter_std", "auc_mean", "auc_std", "tpr95_mean", "tpr95_std"]
@@ -580,7 +557,7 @@ def run_leave_one_out(cfg: ExperimentConfig, write: bool = True):
             run_rows.append({"held_out": held, "seed": seed, **windows[-1]})
         summary.append({"held_out": held, **_seed_stats(windows)})
     if write:
-        run_cols = ["held_out", "seed", "hter", "auc", "tpr95", "train_loss", "surrogate_gap"]
+        run_cols = ["held_out", "seed", *_WINDOW_KEYS]
         _atomic_write(os.path.join(cfg.output_dir, "loo_runs.csv"), _dict_csv(run_cols, run_rows))
         _atomic_write(os.path.join(cfg.output_dir, "loo_summary.csv"), _dict_csv(["held_out", *SEED_STATS_COLUMNS], summary))
         _atomic_write(
@@ -593,21 +570,27 @@ def run_leave_one_out(cfg: ExperimentConfig, write: bool = True):
 def run_sweep(cfg: ExperimentConfig, gammas, rhos, write: bool = True):
     """gamma x rho sensitivity grid on the configured held-out split; each
     cell aggregates last-window metrics over cfg.seeds."""
-    gammas = [float(g) for g in gammas]
-    rhos = [float(r) for r in rhos]
-    if not gammas or not rhos:
-        raise ConfigValueError("sweep grids must be nonempty")
-    if not isinstance(cfg.held_out, int) or isinstance(cfg.held_out, bool):
-        raise ConfigValueError("sweep requires an integer held_out domain")
-    split = datagen.leave_one_out(list(cfg.domains), cfg.held_out)
+    held = _require_index(cfg.held_out, "sweep")
+    grids = {"gamma": [float(g) for g in gammas], "rho": [float(r) for r in rhos]}
+    # Every value is checked before the first step; the grids are named as
+    # the sweep command's flags.
+    for name, grid in grids.items():
+        if not grid:
+            raise ConfigValueError(f"--{name}s: grid is empty")
+        for value in grid:
+            try:
+                dataclasses.replace(cfg.optimizer, **{name: value})
+            except ValueError as exc:
+                raise ConfigValueError(f"--{name}s: {exc}") from exc
+    split = datagen.leave_one_out(list(cfg.domains), held)
     cells = []
-    for gamma in gammas:
-        for rho in rhos:
+    for gamma in grids["gamma"]:
+        for rho in grids["rho"]:
             opt = dataclasses.replace(cfg.optimizer, gamma=gamma, rho=rho)
             sub = dataclasses.replace(cfg, optimizer=opt)
             per_seed = []
             for seed in cfg.seeds:
-                record = _train_on_split(sub, seed, cfg.held_out, split)
+                record = _train_on_split(sub, seed, held, split)
                 if write:
                     write_outputs(
                         record,
@@ -655,7 +638,7 @@ def run_convergence(cfg: ExperimentConfig, window: int = 40, trace_every: int = 
     sched = dataclasses.replace(cfg.optimizer.schedule, kind="theorem1")
     opt_base = dataclasses.replace(cfg.optimizer, schedule=sched)
     cfg = dataclasses.replace(cfg, optimizer=opt_base)
-    held = cfg.held_out if isinstance(cfg.held_out, int) and not isinstance(cfg.held_out, bool) else 0
+    held = cfg.held_out if _is_int(cfg.held_out) else 0
     split = datagen.leave_one_out(list(cfg.domains), held)
     record = _train_on_split(cfg, cfg.seeds[0], held, split, fullset_every=trace_every)
     trace = diagnostics.convergence_trace(record.diagnostics, window)
@@ -665,24 +648,13 @@ def run_convergence(cfg: ExperimentConfig, window: int = 40, trace_every: int = 
     return record, trace
 
 
-DEFAULT_ROTATIONS_DEG = (0.0, 20.0, 40.0, 60.0)
-DEFAULT_NOISE_SIGMA = 0.15
-DEFAULT_DOMAIN_SAMPLES = 2000
-
-
 def default_domains() -> tuple[DomainSpec, ...]:
     """The default synthetic task's domains: four two-moons copies at
-    rotations 0/20/40/60 degrees, noise 0.15, 2000 samples each, one seed
-    per domain."""
+    rotations 0/20/40/60 degrees, noise 0.15, DomainSpec's default 2000
+    samples each, one seed per domain."""
     return tuple(
-        DomainSpec(
-            rotation=math.radians(deg),
-            translation=(0.0, 0.0),
-            noise_sigma=DEFAULT_NOISE_SIGMA,
-            n_samples=DEFAULT_DOMAIN_SAMPLES,
-            seed=i,
-        )
-        for i, deg in enumerate(DEFAULT_ROTATIONS_DEG)
+        DomainSpec(rotation=math.radians(deg), noise_sigma=0.15, seed=i)
+        for i, deg in enumerate((0.0, 20.0, 40.0, 60.0))
     )
 
 
@@ -691,27 +663,22 @@ def default_experiment(mode: str = "gac_fas", **overrides) -> ExperimentConfig:
     MLP, and paper-transferable optimizer defaults, leave-one-out over all
     four domains. Holding one domain out leaves three training sources.
     Keyword overrides replace top-level ExperimentConfig fields; optimizer
-    overrides nest under "optimizer"."""
+    overrides nest under "optimizer". Every other value is the dataclass
+    default."""
     opt_overrides = overrides.pop("optimizer", {})
     if isinstance(opt_overrides, dict):
-        optimizer = OptimizerConfig(**{"mode": mode, **opt_overrides})
-    else:
-        optimizer = opt_overrides
+        opt_overrides = OptimizerConfig(**{"mode": mode, **opt_overrides})
     base = dict(
         model=MlpSpec((2, 16, 16, 2), "tanh"),
         domains=default_domains(),
         held_out="all",
-        optimizer=optimizer,
+        optimizer=opt_overrides,
         steps=1000,
         per_domain_batch=32,
         seeds=(0,),
         output_dir="runs",
-        eval_every=100,
-        eval_window=10,
-        diagnostics_every=10,
     )
-    base.update(overrides)
-    return ExperimentConfig(**base)
+    return ExperimentConfig(**{**base, **overrides})
 
 
 def finite_difference_suite(n_models: int = 10, tol: float = 1e-5, h: float = 1e-6, seed: int = 2024):

@@ -98,16 +98,10 @@ class OptimizerConfig:
     def __post_init__(self):
         if self.mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
-        if self.eta0 < 0:
-            raise ValueError(f"eta0 must be >= 0, got {self.eta0}")
-        if self.rho < 0:
-            raise ValueError(f"rho must be >= 0, got {self.rho}")
-        if self.gamma < 0:
-            raise ValueError(f"gamma must be >= 0, got {self.gamma}")
-        if self.weight_decay < 0:
-            raise ValueError(f"weight_decay must be >= 0, got {self.weight_decay}")
-        if self.zero_grad_eps < 0:
-            raise ValueError(f"zero_grad_eps must be >= 0, got {self.zero_grad_eps}")
+        for name in ("eta0", "rho", "gamma", "weight_decay", "zero_grad_eps"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value >= 0):
+                raise ValueError(f"{name} must be finite and >= 0, got {value}")
 
 
 @dataclass(frozen=True)

@@ -24,6 +24,7 @@ from gacfas.harness import (
     ExperimentConfig,
     RunRecord,
     config_digest,
+    config_to_dict,
     config_to_json,
     default_domains,
     default_experiment,
@@ -209,6 +210,19 @@ WRONG_TYPED = [
 ]
 
 
+def test_wrong_typed_cases_cover_every_config_key():
+    def paths(node, prefix=""):
+        if isinstance(node, dict):
+            for key, value in node.items():
+                path = f"{prefix}.{key}" if prefix else key
+                yield path
+                yield from paths(value, path)
+        elif isinstance(node, list) and node and isinstance(node[0], dict):
+            yield from paths(node[0], f"{prefix}[0]")
+
+    assert sorted(paths(config_to_dict(tiny_config()))) == sorted(path for path, _ in WRONG_TYPED)
+
+
 @pytest.mark.parametrize("path,value", WRONG_TYPED, ids=[path for path, _ in WRONG_TYPED])
 def test_parse_names_the_path_of_a_wrong_typed_value(path, value):
     raw = _set_key(json.loads(tiny_config_json("out")), path, value)
@@ -247,6 +261,34 @@ def test_parse_leaves_every_optional_key_to_its_dataclass_default():
             parse_config(json.dumps(short))
     with pytest.raises(ConfigValueError, match="model: missing required key 'layer_sizes'"):
         parse_config(json.dumps({**raw, "model": {"activation": "tanh"}}))
+
+
+@pytest.mark.parametrize(
+    "named,tweak",
+    [
+        ("config.seeds", {"seeds": [-3]}),
+        ("domains[1].seed", {"domains": [{"n_samples": 24, "seed": 0}, {"n_samples": 24, "seed": -5}]}),
+    ],
+)
+def test_negative_seeds_are_refused_by_key_before_any_domain_is_realized(tmp_path, monkeypatch, capsys, named, tweak):
+    text = tiny_config_json(str(tmp_path / "out"), **tweak)
+    with pytest.raises(ConfigValueError, match=re.escape(named) + ": expected a non-negative integer"):
+        parse_config(text)
+    realized = []
+    monkeypatch.setattr(harness.datagen, "leave_one_out", lambda *args: realized.append(args))
+    assert _cli_train_exit(tmp_path, text) == 1
+    assert named in capsys.readouterr().err
+    assert realized == [] and not (tmp_path / "out").exists()
+
+
+def test_cli_train_refuses_a_negative_seed_before_any_domain_is_realized(tmp_path, monkeypatch, capsys):
+    realized = []
+    monkeypatch.setattr(harness.datagen, "leave_one_out", lambda *args: realized.append(args))
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(tiny_config_json(str(tmp_path / "out")))
+    assert cli.main(["train", "--config", str(cfg_path), "--seed", "-1"]) == 1
+    assert "--seed: expected a non-negative integer, got -1" in capsys.readouterr().err
+    assert realized == [] and not (tmp_path / "out").exists()
 
 
 def test_parse_refuses_a_schedule_field_that_is_not_a_json_key():
@@ -599,6 +641,29 @@ def test_run_sweep_grid(tmp_path):
         run_sweep(cfg, gammas=[], rhos=[0.1])
     with pytest.raises(ConfigValueError):
         run_sweep(tiny_config(held_out="all"), gammas=[0.0], rhos=[0.1])
+
+
+@pytest.mark.parametrize(
+    "flag,grid,named",
+    [
+        ("--gammas", "nan", "gamma must be finite and >= 0, got nan"),
+        ("--rhos", "inf", "rho must be finite and >= 0, got inf"),
+        ("--gammas", "0.0,-1", "gamma must be finite and >= 0, got -1.0"),
+    ],
+)
+def test_cli_sweep_refuses_a_bad_grid_value_before_the_first_step(tmp_path, monkeypatch, capsys, flag, grid, named):
+    steps = []
+    monkeypatch.setattr(harness, "take_step", lambda *args, **kwargs: steps.append(args[4]))
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(tiny_config_json(str(tmp_path / "sweep")))
+    assert cli.main(["sweep", "--config", str(cfg_path), flag, grid]) == 1
+    assert f"{flag}: {named}" in capsys.readouterr().err
+    assert steps == [] and not (tmp_path / "sweep").exists()
+    values = [float(v) for v in grid.split(",")]
+    gammas, rhos = (values, [0.1]) if flag == "--gammas" else ([0.0], values)
+    with pytest.raises(ConfigValueError, match=f"{flag}: {named}"):
+        run_sweep(tiny_config(output_dir=str(tmp_path / "api")), gammas, rhos)
+    assert steps == [] and not (tmp_path / "api").exists()
 
 
 def test_sweep_cell_directories_match_the_csv_rows(tmp_path):

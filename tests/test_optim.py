@@ -85,6 +85,14 @@ def test_config_defaults_and_validation():
         Schedule(kind="step", period_epochs=0)
 
 
+@pytest.mark.parametrize("name", ["eta0", "rho", "gamma", "weight_decay", "zero_grad_eps"])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_config_refuses_non_finite_values_by_name(name, value):
+    # NaN passes a plain "< 0" check.
+    with pytest.raises(ValueError, match=f"{name} must be finite and >= 0, got {value}"):
+        OptimizerConfig(**{name: value})
+
+
 # ------------------------------------------------------- ascending vector ----
 
 
