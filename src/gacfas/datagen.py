@@ -38,6 +38,8 @@ class DomainSpec:
     seed: int = 0
 
     def __post_init__(self):
+        if self.seed < 0:
+            raise ValueError(f"seed must be a non-negative integer, got {self.seed}")
         object.__setattr__(self, "translation", tuple(float(v) for v in self.translation))
         if len(self.translation) != 2:
             raise ValueError(f"translation must be a 2-vector, got {self.translation}")
@@ -68,9 +70,8 @@ class SourceSet:
         if self.k != len(self.domains) or self.k < 1:
             raise ValueError(f"k={self.k} does not match {len(self.domains)} realized domains")
         for _, batch in self.domains:
-            ids = np.unique(batch.domain_ids)
-            if ids.shape[0] != 1:
-                raise ValueError(f"realized domain batch mixes domain ids {ids}")
+            if batch.domain_ids.min() != batch.domain_ids.max():
+                raise ValueError(f"realized domain batch mixes domain ids {sorted(set(batch.domain_ids.tolist()))}")
         batches = [batch for _, batch in self.domains]
         rows = Batch(
             np.concatenate([b.inputs for b in batches]),

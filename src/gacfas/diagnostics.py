@@ -15,9 +15,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import numerics
+from .datagen import SourceSet
 from .model import Batch, ParamVector
 from .numerics import Prng, axpy, dot, l2_norm
-from .optim import _batch_parts, _domain_parts, _part_terms, _parts_loss, _sum_terms, ascending_vector, batch_loss
+from .optim import _domain_parts, _part_terms, _parts_loss, _source_parts, _sum_terms, ascending_vector, batch_loss
 
 
 @dataclass(frozen=True)
@@ -71,12 +72,13 @@ class ConvergenceTrace:
         return self.fitted_C * math.log(t + 1.0) / math.sqrt(t)
 
 
-def _loss_and_perturbed_loss(model, theta: np.ndarray, batch: Batch, rho: float):
+def _loss_and_perturbed_loss(model, theta: np.ndarray, batch, rho: float):
     """L(theta) and L(theta + eps), eps = ascending_vector(grad L(theta; B), rho),
-    with the batch split into its domain parts once for both."""
+    with the batch split into its domain parts once for both. A SourceSet
+    gives its domains' row views, the parts of its concatenated batch."""
     if rho < 0:
         raise ValueError(f"rho must be >= 0, got {rho}")
-    parts = _domain_parts(model, batch)
+    parts = _source_parts(batch) if isinstance(batch, SourceSet) else _domain_parts(model, batch)
     loss, g = _sum_terms(_part_terms(model, theta, parts))
     asc = ascending_vector(g, rho)
     return loss, _parts_loss(model, axpy(1.0, asc.eps, theta), parts)
@@ -87,8 +89,9 @@ def perturbed_loss(model, params: ParamVector, batch: Batch, rho: float) -> floa
     return _loss_and_perturbed_loss(model, params.theta, batch, rho)[1]
 
 
-def surrogate_gap(model, params: ParamVector, batch: Batch, rho: float, return_loss: bool = False):
-    """h(theta) = L(theta + eps) - L(theta), the whole-batch sharpness gap.
+def surrogate_gap(model, params: ParamVector, batch, rho: float, return_loss: bool = False):
+    """h(theta) = L(theta + eps) - L(theta), the whole-batch sharpness gap,
+    on a Batch or on the whole of a SourceSet.
 
     With return_loss, returns (gap, L(theta)): the loss the gap is measured
     from, the same value batch_loss gives."""
@@ -99,8 +102,8 @@ def surrogate_gap(model, params: ParamVector, batch: Batch, rho: float, return_l
 
 def alignment_inner_products(model, params: ParamVector, source, i: int, rho: float, gamma: float) -> np.ndarray:
     """M[m][n] = <grad L(theta_adv_i; S_m), grad L(theta; S_n)> over full
-    domain batches, with theta_adv_i = theta + eps_i - gamma * g and
-    g = sum_m grad L(theta; S_m).
+    domain batches in ascending id order, with theta_adv_i = theta + eps_i -
+    gamma * g and g = sum_m grad L(theta; S_m).
 
     Summing M over both indices gives the inner product of the whole-set
     perturbed gradient with the whole-set plain gradient (the decomposition
@@ -109,7 +112,7 @@ def alignment_inner_products(model, params: ParamVector, source, i: int, rho: fl
     if not 0 <= i < k:
         raise ValueError(f"domain index {i} out of range for k={k}")
     theta = params.theta
-    parts = _batch_parts(batch for _, batch in source.domains)
+    parts = _source_parts(source)
     plain = _part_terms(model, theta, parts)
     _, g = _sum_terms(plain)
     asc = ascending_vector(plain.grads[i], rho)

@@ -31,8 +31,8 @@ from . import datagen, diagnostics, evalmetrics, model as model_mod
 from .datagen import DomainSpec
 from .model import Batch, MlpSpec, ParamVector, layout_for
 from .numerics import Prng
-from .optim import OptimizerConfig, StepDiagnostics, batch_loss, schedule_value, take_step
-from .optim import _aligned_perturbation, _batch_parts, _diagnostics, _part_terms, _perturbed_gap, _sum_terms
+from .optim import OptimizerConfig, StepDiagnostics, schedule_value, take_step
+from .optim import _aligned_perturbation, _diagnostics, _part_terms, _parts_loss, _perturbed_gap, _source_parts, _sum_terms
 
 METRICS_HEADER = "step,hter,auc,tpr95,train_loss,surrogate_gap"
 _WINDOW_KEYS = METRICS_HEADER.split(",")[1:]  # window_means' keys, in this order
@@ -327,7 +327,8 @@ def _score(spec: MlpSpec, params: ParamVector, inputs: np.ndarray) -> np.ndarray
     return logits[:, 1] - logits[:, 0]
 
 
-def _evaluate(cfg: ExperimentConfig, spec, params, test: Batch, train_all: Batch, step: int) -> EvalReport:
+def _evaluate(cfg: ExperimentConfig, spec, params, test: Batch, source, step: int) -> EvalReport:
+    """Metrics on the held-out test batch; training loss and gap on the source set's domains."""
     try:
         scored = evalmetrics.ScoredSet(_score(spec, params, test.inputs), test.labels)
     except ValueError as exc:  # non-finite scores: the parameters diverged
@@ -337,9 +338,9 @@ def _evaluate(cfg: ExperimentConfig, spec, params, test: Batch, train_all: Batch
     tpr95 = evalmetrics.tpr_at_fpr(scored, 0.05)
     if cfg.optimizer.track_surrogate_gap:
         # The gap is measured from the training loss at theta; reuse it.
-        gap, train_loss = diagnostics.surrogate_gap(spec, params, train_all, cfg.optimizer.rho, return_loss=True)
+        gap, train_loss = diagnostics.surrogate_gap(spec, params, source, cfg.optimizer.rho, return_loss=True)
     else:
-        gap, train_loss = math.nan, batch_loss(spec, params.theta, train_all)
+        gap, train_loss = math.nan, _parts_loss(spec, params.theta, _source_parts(source))
     return EvalReport(step, float(hter), float(auc), float(tpr95), float(train_loss), float(gap))
 
 
@@ -383,7 +384,6 @@ def _train_on_split(cfg: ExperimentConfig, seed: int, held: int, split, fullset_
 
     params = model_mod.init_params(spec, Prng(seed, 0))
     batch_prng = Prng(seed, 1)
-    train_all = source.concatenated()
     k = source.k
 
     every = fullset_every or cfg.diagnostics_every
@@ -396,7 +396,7 @@ def _train_on_split(cfg: ExperimentConfig, seed: int, held: int, split, fullset_
         if keep:
             diags.append(fullset_step_diagnostics(spec, params, source, opt, t) if fullset_every else diag)
         if t % cfg.eval_every == 0:
-            evals.append(_evaluate(cfg, spec, params, test, train_all, t))
+            evals.append(_evaluate(cfg, spec, params, test, source, t))
 
     manifest = {
         "config": config_to_dict(cfg),
@@ -582,6 +582,9 @@ def run_sweep(cfg: ExperimentConfig, gammas, rhos, write: bool = True):
                 dataclasses.replace(cfg.optimizer, **{name: value})
             except ValueError as exc:
                 raise ConfigValueError(f"--{name}s: {exc}") from exc
+        repeated = sorted({value for value in grid if grid.count(value) > 1})
+        if repeated:
+            raise ConfigValueError(f"--{name}s: values must be distinct, got {grid} (repeated: {repeated})")
     split = datagen.leave_one_out(list(cfg.domains), held)
     cells = []
     for gamma in grids["gamma"]:
@@ -612,10 +615,7 @@ def fullset_step_diagnostics(spec, params: ParamVector, source, opt: OptimizerCo
     rho_t = schedule_value(opt.schedule, opt.rho, t)
     gamma_t = schedule_value(opt.schedule, opt.gamma, t)
     theta = params.theta
-    # The realized domain batches are exactly the per-domain rows of
-    # source.concatenated(); taking them in ascending id order skips
-    # re-stacking the whole source set on every call.
-    parts = _batch_parts(sorted((batch for _, batch in source.domains), key=lambda b: int(b.domain_ids[0])))
+    parts = _source_parts(source)
     terms = _part_terms(spec, theta, parts)
     loss, g = _sum_terms(terms)
     adv_losses, adv_grads = _aligned_perturbation(spec, theta, parts, terms, g, rho_t, gamma_t, opt.zero_grad_eps)

@@ -40,14 +40,18 @@ in-place bias add, activation and derivative), so it allocates only what it
 returns. Losses, gradients and forward's logits are always fresh arrays and
 never alias the buffer. The buffer holds what the largest single call
 needed, whatever the number of shapes seen. The next call on the same spec
-overwrites it, so the kernel assumes single-threaded use.
+overwrites it, so the kernel assumes single-threaded use. What a call needs
+that depends only on the operands' shapes (the broadcast leading shape, the
+scratch shapes, the label rows' flat starts) is built once per call shape
+and kept in a bounded cache (_plan_for); it holds no view of the buffer.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -145,7 +149,7 @@ class ParamVector:
             raise ValueError(f"layout covers {covered} entries, theta has {self.theta.shape[0]}")
 
     def with_theta(self, theta: np.ndarray) -> "ParamVector":
-        return replace(self, theta=theta)
+        return ParamVector(theta, self.layout)
 
     @staticmethod
     def from_flat(theta) -> "ParamVector":
@@ -243,8 +247,8 @@ def _check_inputs(spec: MlpSpec, inputs) -> np.ndarray:
 
 def _check_labeled(spec: MlpSpec, theta_shape, inputs, labels):
     """Validated float64 inputs (..., n, d) and int64 labels (..., n), and
-    the leading shape of the (theta, sub-batch) pairs, which theta (..., P),
-    inputs and labels broadcast to."""
+    the call's _Plan, whose lead is the shape of the (theta, sub-batch)
+    pairs, which theta (..., P), inputs and labels broadcast to."""
     inputs = _check_inputs(spec, inputs)
     labels = np.asarray(labels, dtype=np.int64)
     n = inputs.shape[-2]
@@ -254,16 +258,41 @@ def _check_labeled(spec: MlpSpec, theta_shape, inputs, labels):
         raise ValueError(f"labels must be (..., {n}) to match the inputs, got shape {labels.shape}")
     if labels.max() >= spec.n_classes:
         raise ValueError(f"label {labels.max()} out of range for {spec.n_classes} classes")
-    lead = np.broadcast_shapes(theta_shape[:-1], inputs.shape[:-2], labels.shape[:-1])
+    plan = _plan_for(spec, theta_shape[:-1], inputs.shape[:-2], labels.shape[:-1], n)
     # Labels may carry leading axes the inputs lack; give the inputs every
     # pair's axes (a read-only view) so the logits cover every pair.
     if labels.shape[:-1] not in ((), inputs.shape[:-2]):
-        inputs = np.broadcast_to(inputs, lead + inputs.shape[-2:])
-    return inputs, labels, lead
+        inputs = np.broadcast_to(inputs, plan.lead + inputs.shape[-2:])
+    return inputs, labels, plan
+
+
+class _Plan(NamedTuple):
+    """What a call needs that depends only on the spec and the operands'
+    shapes: the pairs' leading shape, each hidden layer's scratch shape and
+    size, and the flat index of every logits row's first entry (read-only)."""
+
+    lead: tuple[int, ...]
+    shapes: tuple[tuple[int, ...], ...]
+    sizes: tuple[int, ...]
+    total: int
+    row_starts: np.ndarray
+
+
+@functools.lru_cache(maxsize=128)
+def _plan_for(spec: MlpSpec, theta_lead, inputs_lead, labels_lead, n: int) -> _Plan:
+    """The _Plan of theta (*theta_lead, P) against inputs (*inputs_lead, n, d)
+    and labels (*labels_lead, n), built once per call shape."""
+    lead = np.broadcast_shapes(theta_lead, inputs_lead, labels_lead)
+    shapes = tuple(lead + (n, width) for width in spec.layer_sizes[1:-1])
+    sizes = tuple(math.prod(shape) for shape in shapes)
+    row_starts = np.arange(0, math.prod(lead) * n * spec.n_classes, spec.n_classes).reshape(lead + (n,))
+    row_starts.flags.writeable = False
+    return _Plan(lead, shapes, sizes, sum(sizes), row_starts)
 
 
 class _Scratch:
-    """Grow-only byte storage for one spec's per-call temporaries.
+    """A spec's layer table and the grow-only byte storage for its per-call
+    temporaries.
 
     A call takes all its arrays, C-contiguous and back to back, from the
     front of one buffer, so the buffer only ever grows to what the largest
@@ -271,35 +300,38 @@ class _Scratch:
     view of the buffer."""
 
     def __init__(self, spec: MlpSpec):
-        self.widths = spec.layer_sizes[1:-1]
+        layout = layout_for(spec)
+        # Per layer: the slice of theta its weights fill, their matrix
+        # shape, and the slice its bias fills.
+        self.layers = tuple(
+            (slice(w.offset, w.offset + w.size), w.shape, slice(b.offset, b.offset + b.size))
+            for w, b in zip(layout[::2], layout[1::2])
+        )
         self.relu = spec.activation == "relu"
         self.buffer = np.empty(0, dtype=np.uint8)
         self.floats = self.buffer.view(np.float64)
 
-    def arrays(self, lead: tuple[int, ...], n: int, backward: bool):
-        """(outs, deltas, masks) for n-row sub-batches of the pairs' leading
-        shape: per hidden layer, float64 arrays of shape lead + (n, width)
-        for its output and, with backward, for the delta at its output, plus
-        bool masks for a relu spec. Their contents are left over from
-        earlier calls."""
-        shapes = [lead + (n, width) for width in self.widths]
-        sizes = [math.prod(shape) for shape in shapes]
-        total = sum(sizes)
+    def arrays(self, plan: _Plan, backward: bool):
+        """(outs, deltas, masks) for the call of plan: per hidden layer,
+        float64 arrays of its scratch shape for its output and, with
+        backward, for the delta at its output, plus bool masks for a relu
+        spec. Their contents are left over from earlier calls."""
+        total = plan.total
         n_floats = 2 * total if backward else total
         n_masks = total if backward and self.relu else 0
         if 8 * n_floats + n_masks > self.buffer.size:
             self.buffer = np.empty(8 * n_floats + n_masks, dtype=np.uint8)
             self.floats = self.buffer[: self.buffer.size // 8 * 8].view(np.float64)
-        outs = _cut(self.floats, 0, shapes, sizes)
-        deltas = _cut(self.floats, total, shapes, sizes) if backward else []
-        masks = _cut(self.buffer[8 * n_floats :].view(np.bool_), 0, shapes, sizes) if n_masks else []
+        outs = _cut(self.floats, 0, plan)
+        deltas = _cut(self.floats, total, plan) if backward else []
+        masks = _cut(self.buffer[8 * n_floats :].view(np.bool_), 0, plan) if n_masks else []
         return outs, deltas, masks
 
 
-def _cut(flat: np.ndarray, start: int, shapes, sizes) -> list[np.ndarray]:
-    """Consecutive views of flat from start on, one per shape."""
+def _cut(flat: np.ndarray, start: int, plan: _Plan) -> list[np.ndarray]:
+    """Consecutive views of flat from start on, one per scratch shape."""
     views = []
-    for shape, size in zip(shapes, sizes):
+    for shape, size in zip(plan.shapes, plan.sizes):
         views.append(flat[start : start + size].reshape(shape))
         start += size
     return views
@@ -311,36 +343,44 @@ def _scratch_for(spec: MlpSpec) -> _Scratch:
     return _Scratch(spec)
 
 
-def _forward_cached(spec: MlpSpec, theta: np.ndarray, inputs: np.ndarray, outs):
-    """Logits (..., n, C) and the input of every layer, [inputs, *outs];
-    theta (..., P) and inputs (..., n, d) broadcast.
+def _weights(theta: np.ndarray, layer) -> np.ndarray:
+    """The layer's weight matrices in theta (..., P), shape (...) + its shape."""
+    span, shape, _ = layer
+    return theta[..., span].reshape(theta.shape[:-1] + shape)
+
+
+def _forward_cached(scratch: _Scratch, theta: np.ndarray, inputs: np.ndarray, outs):
+    """Logits (..., n, C), the input of every layer, [inputs, *outs], and
+    every layer's weight matrix; theta (..., P) and inputs (..., n, d)
+    broadcast.
 
     outs holds one array per hidden layer (see _Scratch.arrays); that
     layer's product, bias add and activation all run in it. The logits are a
     fresh array."""
-    layout = layout_for(spec)
+    layers = scratch.layers
+    weights = [_weights(theta, layer) for layer in layers]
     h = inputs
     hiddens = [h]
-    for i, z in enumerate(outs):
-        np.matmul(h, layout[2 * i].view(theta), out=z)
-        z += layout[2 * i + 1].view(theta)[..., None, :]
-        if spec.activation == "relu":
+    for (_, _, bias), w, z in zip(layers, weights, outs):
+        np.matmul(h, w, out=z)
+        z += theta[..., None, bias]
+        if scratch.relu:
             h = np.maximum(z, 0.0, out=z)
         else:
             h = np.tanh(z, out=z)
         hiddens.append(h)
-    last = len(outs)
-    logits = h @ layout[2 * last].view(theta)
-    logits += layout[2 * last + 1].view(theta)[..., None, :]
-    return logits, hiddens
+    logits = h @ weights[-1]
+    logits += theta[..., None, layers[-1][2]]
+    return logits, hiddens, weights
 
 
 def forward(spec: MlpSpec, params: ParamVector, inputs) -> np.ndarray:
     """Row i of the result holds the C logits for sample i."""
     inputs = _check_inputs(spec, inputs)
-    lead = np.broadcast_shapes(params.theta.shape[:-1], inputs.shape[:-2])
-    outs, _, _ = _scratch_for(spec).arrays(lead, inputs.shape[-2], False)
-    logits, _ = _forward_cached(spec, params.theta, inputs, outs)
+    scratch = _scratch_for(spec)
+    plan = _plan_for(spec, params.theta.shape[:-1], inputs.shape[:-2], (), inputs.shape[-2])
+    outs, _, _ = scratch.arrays(plan, False)
+    logits, _, _ = _forward_cached(scratch, params.theta, inputs, outs)
     return logits
 
 
@@ -367,13 +407,6 @@ def _shift_and_sum(logits: np.ndarray):
     return exps, total
 
 
-def _label_picks(logits: np.ndarray, labels: np.ndarray) -> np.ndarray:
-    """Flat indices into logits (..., n, C) of each row's label entry;
-    labels (..., n) broadcast to the rows of logits."""
-    row_starts = np.arange(0, logits.size, logits.shape[-1]).reshape(logits.shape[:-1])
-    return (row_starts + labels).reshape(-1)
-
-
 def _mean_cross_entropy(shifted, total, picks):
     """Minus the mean over the rows of each label's log-probability, the
     shifted label logit - log(total); one loss per pair (a numpy scalar for
@@ -391,46 +424,47 @@ def _as_loss(loss):
 def mean_loss(spec: MlpSpec, theta: np.ndarray, inputs, labels):
     """Mean softmax cross-entropy over the given samples, per broadcast
     (theta, sub-batch) pair."""
-    inputs, labels, lead = _check_labeled(spec, theta.shape, inputs, labels)
-    outs, _, _ = _scratch_for(spec).arrays(lead, inputs.shape[-2], False)
-    logits, _ = _forward_cached(spec, theta, inputs, outs)
+    inputs, labels, plan = _check_labeled(spec, theta.shape, inputs, labels)
+    scratch = _scratch_for(spec)
+    outs, _, _ = scratch.arrays(plan, False)
+    logits, _, _ = _forward_cached(scratch, theta, inputs, outs)
     _, total = _shift_and_sum(logits)
-    return _as_loss(_mean_cross_entropy(logits, total, _label_picks(logits, labels)))
+    return _as_loss(_mean_cross_entropy(logits, total, (plan.row_starts + labels).reshape(-1)))
 
 
 def mean_loss_and_grad(spec: MlpSpec, theta: np.ndarray, inputs, labels):
     """Mean cross-entropy and its exact gradient w.r.t. every theta entry,
     per broadcast (theta, sub-batch) pair: losses of the leading shape and
     gradients of that shape + (P,)."""
-    inputs, labels, lead = _check_labeled(spec, theta.shape, inputs, labels)
-    layout = layout_for(spec)
-    relu = spec.activation == "relu"
+    inputs, labels, plan = _check_labeled(spec, theta.shape, inputs, labels)
+    scratch = _scratch_for(spec)
     n = inputs.shape[-2]
-    outs, deltas, masks = _scratch_for(spec).arrays(lead, n, True)
-    logits, hiddens = _forward_cached(spec, theta, inputs, outs)
+    outs, deltas, masks = scratch.arrays(plan, True)
+    logits, hiddens, weights = _forward_cached(scratch, theta, inputs, outs)
     delta, total = _shift_and_sum(logits)
-    picks = _label_picks(logits, labels)
+    # Flat index of each row's label entry in logits (and in delta).
+    picks = (plan.row_starts + labels).reshape(-1)
     loss = _mean_cross_entropy(logits, total, picks)
     # d(loss)/d(logits) = (softmax - onehot(label)) / n, built in the exps.
     delta /= total[..., None]
     delta.reshape(-1)[picks] -= 1.0
     delta /= n
 
-    grad = np.empty(lead + (theta.shape[-1],), dtype=np.float64)
+    grad = np.empty(plan.lead + (theta.shape[-1],), dtype=np.float64)
     for i in range(len(outs), -1, -1):
-        w_block, b_block = layout[2 * i], layout[2 * i + 1]
-        np.matmul(hiddens[i].swapaxes(-1, -2), delta, out=w_block.view(grad))
+        layer = scratch.layers[i]
+        np.matmul(hiddens[i].swapaxes(-1, -2), delta, out=_weights(grad, layer))
         # Row sums with delta.sum(axis=-2)'s bits: einsum adds the rows in
         # the same order from width 2 on (see the reduction rule above).
+        bias_grad = grad[..., layer[2]]
         if delta.shape[-1] == 1:
-            bias_grad = delta.sum(axis=-2)
+            bias_grad[...] = delta.sum(axis=-2)
         else:
-            bias_grad = np.einsum("...ij->...j", delta)
-        grad[..., b_block.offset : b_block.offset + b_block.size] = bias_grad
+            np.einsum("...ij->...j", delta, out=bias_grad)
         if i > 0:
             out = deltas[i - 1]
-            np.matmul(delta, w_block.view(theta).swapaxes(-1, -2), out=out)
-            if relu:
+            np.matmul(delta, weights[i].swapaxes(-1, -2), out=out)
+            if scratch.relu:
                 # hiddens[i] = max(z, 0) is > 0 exactly where z is (for NaN
                 # neither is), so this zeroes the entries where z > 0 fails.
                 dead = masks[i - 1]

@@ -75,6 +75,9 @@ class Prng:
     def __init__(self, seed: int, stream_id: int = 0):
         self.seed = int(seed)
         self.stream_id = int(stream_id)
+        for name, value in (("seed", self.seed), ("stream_id", self.stream_id)):
+            if value < 0:
+                raise ValueError(f"Prng {name} must be a non-negative integer, got {value}")
         ss = np.random.SeedSequence(entropy=self.seed, spawn_key=(self.stream_id,))
         self.generator = np.random.Generator(np.random.PCG64(ss))
 

@@ -222,9 +222,11 @@ def _domain_parts(model, batch: Batch) -> _Parts:
     )
 
 
-def _batch_parts(batches) -> _Parts:
-    """Parts from single-domain batches, kept in the given order."""
-    batches = list(batches)
+def _source_parts(source) -> _Parts:
+    """A source set's domain batches as parts in ascending domain-id order:
+    the parts _domain_parts splits source.concatenated() into, taken as the
+    set's own row views instead of searched-out copies."""
+    batches = sorted((batch for _, batch in source.domains), key=lambda b: int(b.domain_ids[0]))
     return _Parts(
         tuple(int(b.domain_ids[0]) for b in batches), [b.inputs for b in batches], [b.labels for b in batches]
     )

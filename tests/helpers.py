@@ -236,8 +236,8 @@ def oracle_auc_pairs(pos, neg) -> float:
 def oracle_auc_rank_loop(scores, labels) -> float:
     """Average-rank AUC with ties walked one element at a time: every run
     of equal sorted scores at positions i..j gets rank 0.5 * (i + j) + 1.
-    Same arithmetic as the library's vectorised ranks, so results must be
-    equal, not just close."""
+    Every rank sum and the library's pair counts are exact, so results must
+    be equal, not just close."""
     scores = np.asarray(scores, dtype=np.float64)
     labels = np.asarray(labels)
     order = np.argsort(scores, kind="mergesort")
@@ -254,6 +254,59 @@ def oracle_auc_rank_loop(scores, labels) -> float:
     n_neg = labels.shape[0] - n_pos
     rank_sum = float(ranks[labels == 1].sum())
     return (rank_sum - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
+
+
+def _reference_classes(scores, labels):
+    scores = np.ascontiguousarray(scores, dtype=np.float64)
+    labels = np.ascontiguousarray(labels, dtype=np.int64)
+    pos, neg = scores[labels == 1], scores[labels == 0]
+    if pos.shape[0] == 0 or neg.shape[0] == 0:
+        raise ValueError("threshold metrics need at least one positive and one negative")
+    return scores, labels, pos, neg
+
+
+def reference_roc_auc(scores, labels) -> float:
+    """roc_auc as it was before ScoredSet sorted once: a stable argsort per
+    call and the vectorised average-rank formula, frozen as the reference
+    for the library's pair counts."""
+    scores, labels, pos, neg = _reference_classes(scores, labels)
+    order = np.argsort(scores, kind="mergesort")
+    sorted_scores = scores[order]
+    n = sorted_scores.shape[0]
+    new_run = np.empty(n, dtype=bool)
+    new_run[0] = True
+    np.not_equal(sorted_scores[1:], sorted_scores[:-1], out=new_run[1:])
+    starts = np.flatnonzero(new_run)
+    ends = np.append(starts[1:] - 1, n - 1)
+    run_of = np.cumsum(new_run) - 1
+    ranks = np.empty(n, dtype=np.float64)
+    ranks[order] = 0.5 * (starts + ends)[run_of] + 1.0
+    rank_sum = float(ranks[labels == 1].sum())
+    n_pos, n_neg = pos.shape[0], neg.shape[0]
+    return (rank_sum - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
+
+
+def reference_sweep(scores, labels):
+    """evalmetrics._sweep as it was before ScoredSet sorted once: thresholds
+    from np.unique and one sort per class on every call. Returns (taus,
+    positives >= tau, negatives >= tau, n_pos, n_neg)."""
+    scores, labels, pos, neg = _reference_classes(scores, labels)
+    uniq = np.unique(scores)
+    taus = np.concatenate(([-math.inf], 0.5 * (uniq[:-1] + uniq[1:]), [math.inf]))
+    pos_at_or_above = pos.shape[0] - np.searchsorted(np.sort(pos), taus, side="left")
+    neg_at_or_above = neg.shape[0] - np.searchsorted(np.sort(neg), taus, side="left")
+    return taus, pos_at_or_above, neg_at_or_above, pos.shape[0], neg.shape[0]
+
+
+def reference_hter_tpr(scores, labels, fpr_cap: float = 0.05):
+    """(hter, tau, tpr) read off reference_sweep as hter_at_eer and
+    tpr_at_fpr read their sweep."""
+    taus, pos_hits, neg_hits, n_pos, n_neg = reference_sweep(scores, labels)
+    far = neg_hits / n_neg
+    frr = (n_pos - pos_hits) / n_pos
+    best = int(np.argmin(np.abs(far - frr)))
+    tpr = float(np.max(pos_hits[neg_hits / n_neg <= fpr_cap] / n_pos))
+    return float((far[best] + frr[best]) / 2.0), taus[best], tpr
 
 
 def reference_sample_minibatch(source, per_domain: int, prng: Prng) -> Batch:

@@ -30,6 +30,13 @@ def test_domain_spec_validation():
         DomainSpec(translation=(1.0, 2.0, 3.0))
 
 
+def test_domain_spec_refuses_a_negative_seed_by_name():
+    # Built in code, past the config reader's check: numpy's own refusal
+    # would name neither the seed nor the domain.
+    with pytest.raises(ValueError, match="seed must be a non-negative integer, got -5"):
+        DomainSpec(seed=-5)
+
+
 def test_two_moons_noiseless_class0_on_unit_circle():
     batch = gen_two_moons(400, 0.0, Prng(0, 0))
     class0 = batch.inputs[batch.labels == 0]

@@ -14,6 +14,9 @@ from helpers import (
     oracle_far_frr,
     oracle_hter_at_eer,
     oracle_tpr_at_fpr,
+    reference_hter_tpr,
+    reference_roc_auc,
+    reference_sweep,
 )
 
 
@@ -217,3 +220,78 @@ def test_tpr_rejects_bad_cap():
         tpr_at_fpr(scored([1.0], [0.0]), -0.1)
     with pytest.raises(ValueError):
         tpr_at_fpr(scored([1.0], [0.0]), 1.5)
+
+
+def _hard_scores(rng) -> np.ndarray:
+    """Scores that stress the one-sort metrics: quantized values (ties),
+    signed zeros, and runs of adjacent doubles, some of whose midpoints
+    round onto one of the pair (the midpoint of 1.0 and the next double up
+    is 1.0 itself)."""
+    n = int(rng.integers(2, 300))
+    kind = rng.integers(0, 4, size=n)
+    scores = rng.standard_normal(n)
+    scores[kind == 0] = np.round(scores[kind == 0], 1)
+    scores[kind == 1] = rng.choice([0.0, -0.0], size=int(np.count_nonzero(kind == 1)))
+    near = np.flatnonzero(kind == 2)
+    base = rng.choice([1.0, -1.0, 0.5, 3.0, 1e-300], size=near.shape[0])
+    step = np.where(rng.random(near.shape[0]) < 0.5, np.inf, -np.inf)
+    scores[near] = np.where(rng.random(near.shape[0]) < 0.5, base, np.nextafter(base, step))
+    return scores
+
+
+def _random_hard_set(seed: int) -> tuple[np.ndarray, np.ndarray]:
+    rng = np.random.default_rng(9000 + seed)
+    scores = _hard_scores(rng)
+    labels = (rng.random(scores.shape[0]) < rng.uniform(0.1, 0.9)).astype(np.int64)
+    labels[0], labels[-1] = 0, 1
+    return scores, labels
+
+
+def _bits(x) -> bytes:
+    return np.float64(x).tobytes()
+
+
+def test_adjacent_doubles_can_have_a_midpoint_equal_to_one_of_them():
+    # The case the sweep's counts guard: counting run by run would put the
+    # midpoint above 1.0, but it is 1.0, so 1.0 itself scores >= tau.
+    up = np.nextafter(1.0, 2.0)
+    assert 0.5 * (1.0 + up) == 1.0
+    s = scored([up, 1.0], [1.0, 0.5])
+    taus, pos_hits, neg_hits, _, _ = s._sweep
+    assert taus.tolist() == [-math.inf, 0.75, 1.0, math.inf]
+    assert pos_hits.tolist() == [2, 2, 2, 0] and neg_hits.tolist() == [2, 1, 1, 0]
+    assert hter_at_eer(s) == oracle_hter_at_eer([up, 1.0], [1.0, 0.5])
+
+
+def test_one_sort_metrics_are_bit_equal_to_the_per_call_sorts():
+    rounded_onto_a_score = 0
+    for seed in range(300):
+        scores, labels = _random_hard_set(seed)
+        s = ScoredSet(scores, labels)
+        taus, pos_hits, neg_hits, n_pos, n_neg = s._sweep
+        rounded_onto_a_score += int(np.isin(taus[1:-1], scores).any())
+        want = reference_sweep(scores, labels)
+        assert [_bits(t) for t in taus] == [_bits(t) for t in want[0]]
+        assert np.array_equal(pos_hits, want[1]) and np.array_equal(neg_hits, want[2])
+        assert (n_pos, n_neg) == want[3:]
+        auc = roc_auc(s)
+        assert type(auc) is float and _bits(auc) == _bits(reference_roc_auc(scores, labels))
+        hter, tau = hter_at_eer(s)
+        want_hter, want_tau, want_tpr = reference_hter_tpr(scores, labels)
+        assert _bits(hter) == _bits(want_hter) and _bits(tau) == _bits(want_tau)
+        assert _bits(tpr_at_fpr(s, 0.05)) == _bits(want_tpr)
+    assert rounded_onto_a_score > 0
+
+
+def test_one_sort_metrics_match_the_reference_on_evaluation_sized_sets():
+    for seed in range(20):
+        rng = np.random.default_rng(700 + seed)
+        scores = rng.standard_normal(2000) * rng.uniform(0.1, 10.0)
+        labels = (rng.random(2000) < 0.5).astype(np.int64)
+        s = ScoredSet(scores, labels)
+        hter, tau = hter_at_eer(s)
+        want_hter, want_tau, want_tpr = reference_hter_tpr(scores, labels)
+        assert _bits(roc_auc(s)) == _bits(reference_roc_auc(scores, labels))
+        assert (_bits(hter), _bits(tau), _bits(tpr_at_fpr(s, 0.05))) == (
+            _bits(want_hter), _bits(want_tau), _bits(want_tpr)
+        )

@@ -8,13 +8,15 @@ import math
 import os
 import re
 import struct
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from gacfas import cli, harness
-from gacfas.datagen import DomainSpec, leave_one_out, sample_minibatch
+from gacfas import cli, diagnostics, harness
+from gacfas.datagen import DomainSpec, build_source_set, leave_one_out, sample_minibatch
 from gacfas.harness import (
     ConfigKeyError,
     ConfigNotFoundError,
@@ -472,7 +474,69 @@ def test_evaluate_refuses_nan_parameters_with_the_step():
     params = init_params(cfg.model, Prng(0, 0))
     nan_params = params.with_theta(np.full_like(params.theta, math.nan))
     with pytest.raises(RuntimeError, match="evaluation at step 7 failed: scores must be finite"):
-        harness._evaluate(cfg, cfg.model, nan_params, test, source.concatenated(), 7)
+        harness._evaluate(cfg, cfg.model, nan_params, test, source, 7)
+
+
+@pytest.mark.parametrize("track", [True, False])
+@pytest.mark.parametrize("held", [0, 2])
+def test_evaluate_takes_the_loss_and_gap_of_the_concatenated_source_set(track, held):
+    """_evaluate reads the source set's domain views; its training loss and
+    gap are bit for bit those of the concatenated batch."""
+    opt = OptimizerConfig(mode="gac_fas", eta0=0.1, rho=0.3, track_surrogate_gap=track)
+    cfg = tiny_config(optimizer=opt)
+    source, test = leave_one_out(list(cfg.domains), held)
+    rng = np.random.default_rng(held)
+    for seed in range(4):
+        params = init_params(cfg.model, Prng(seed, 0))
+        params = params.with_theta(params.theta + rng.standard_normal(params.theta.shape))
+        report = harness._evaluate(cfg, cfg.model, params, test, source, 5)
+        gap, loss = diagnostics.surrogate_gap(cfg.model, params, source.concatenated(), 0.3, return_loss=True)
+        assert report.train_loss == loss
+        if track:
+            assert report.surrogate_gap == gap
+        else:
+            assert math.isnan(report.surrogate_gap)
+
+
+def test_surrogate_gap_of_a_source_set_takes_its_domains_in_ascending_id_order():
+    specs = [DomainSpec(rotation=0.4 * i, noise_sigma=0.1, n_samples=30 + 7 * i, seed=i) for i in range(3)]
+    source = build_source_set(specs, indices=(5, 1, 3))
+    spec = MlpSpec((2, 6, 2), "tanh")
+    params = init_params(spec, Prng(4, 0))
+    assert diagnostics.surrogate_gap(spec, params, source, 0.2, return_loss=True) == diagnostics.surrogate_gap(
+        spec, params, source.concatenated(), 0.2, return_loss=True
+    )
+
+
+def test_run_training_refuses_a_negative_seed_by_name():
+    with pytest.raises(ValueError, match="Prng seed must be a non-negative integer, got -1"):
+        run_training(tiny_config(), -1)
+
+
+_NO_MASKED_ARRAYS = """
+import sys
+from gacfas import cli
+config = sys.argv[1]
+assert cli.main(["train", "--config", config, "--seed", "0"]) == 0
+assert cli.main(["loo", "--config", config]) == 0
+assert cli.main(["convergence", "--config", config, "--window", "1", "--trace-every", "5"]) == 0
+print("numpy.ma" in sys.modules)
+"""
+
+
+def test_train_loo_and_convergence_never_import_numpy_ma(tmp_path):
+    """numpy.ma costs 15-20 ms to import, and np.unique imports it; no run
+    command needs either."""
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(tiny_config_json(str(tmp_path / "out")))
+    src = str(Path(harness.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    done = subprocess.run(
+        [sys.executable, "-c", _NO_MASKED_ARRAYS, str(cfg_path)],
+        capture_output=True, text=True, env=env, timeout=300,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == "False"
 
 
 def test_run_training_manifest_contents():
@@ -662,6 +726,30 @@ def test_cli_sweep_refuses_a_bad_grid_value_before_the_first_step(tmp_path, monk
     values = [float(v) for v in grid.split(",")]
     gammas, rhos = (values, [0.1]) if flag == "--gammas" else ([0.0], values)
     with pytest.raises(ConfigValueError, match=f"{flag}: {named}"):
+        run_sweep(tiny_config(output_dir=str(tmp_path / "api")), gammas, rhos)
+    assert steps == [] and not (tmp_path / "api").exists()
+
+
+@pytest.mark.parametrize(
+    "flag,grid,repeated",
+    [
+        ("--gammas", "0.0,0,0.0", "[0.0]"),
+        ("--rhos", "0.1,0.2,0.1,0.2", "[0.1, 0.2]"),
+        ("--gammas", "0.0,-0.0", "[0.0]"),
+    ],
+)
+def test_cli_sweep_refuses_repeated_grid_values_before_the_first_step(tmp_path, monkeypatch, capsys, flag, grid, repeated):
+    steps = []
+    monkeypatch.setattr(harness, "take_step", lambda *args, **kwargs: steps.append(args[4]))
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(tiny_config_json(str(tmp_path / "sweep")))
+    assert cli.main(["sweep", "--config", str(cfg_path), flag, grid]) == 1
+    err = capsys.readouterr().err
+    assert f"{flag}: values must be distinct" in err and f"(repeated: {repeated})" in err
+    assert steps == [] and not (tmp_path / "sweep").exists()
+    values = [float(v) for v in grid.split(",")]
+    gammas, rhos = (values, [0.1]) if flag == "--gammas" else ([0.0], values)
+    with pytest.raises(ConfigValueError, match=f"{flag}: values must be distinct"):
         run_sweep(tiny_config(output_dir=str(tmp_path / "api")), gammas, rhos)
     assert steps == [] and not (tmp_path / "api").exists()
 

@@ -19,6 +19,7 @@ from gacfas.model import (
     loss_and_grad,
     mean_loss,
     mean_loss_and_grad,
+    _plan_for,
     _scratch_for,
 )
 from gacfas.numerics import Prng
@@ -328,6 +329,27 @@ def test_retained_scratch_is_bounded_by_the_largest_call():
     # Exactly the largest call's arrays (3 x 3 pairs of 700 rows), after
     # hundreds of smaller call shapes.
     assert _scratch_for(spec).buffer.nbytes == largest
+
+
+def test_call_plans_are_cached_read_only_and_hold_no_scratch():
+    """The per-shape plan is built once and holds only values that no call
+    can change: shapes, and row starts that are read-only and not views of
+    the scratch buffer (which the next call overwrites)."""
+    spec = MlpSpec((2, 5, 3, 2), "relu")
+    rng = np.random.default_rng(3)
+    for layout in ("plain", "pairs", "grid"):
+        theta, inputs, labels = _kernel_case(rng, spec, 11, layout)
+        with np.errstate(invalid="ignore"):
+            mean_loss_and_grad(spec, theta, inputs, labels)
+        plan = _plan_for(spec, theta.shape[:-1], inputs.shape[:-2], labels.shape[:-1], 11)
+        assert plan is _plan_for(spec, theta.shape[:-1], inputs.shape[:-2], labels.shape[:-1], 11)
+        lead = np.broadcast_shapes(theta.shape[:-1], inputs.shape[:-2])
+        assert plan.lead == lead and plan.shapes == (lead + (11, 5), lead + (11, 3))
+        arrays = [v for v in plan if isinstance(v, np.ndarray)]
+        assert arrays == [plan.row_starts]
+        assert not plan.row_starts.flags.writeable
+        assert not np.shares_memory(plan.row_starts, _scratch_for(spec).buffer)
+        assert np.array_equal(plan.row_starts.reshape(-1), np.arange(0, 2 * plan.row_starts.size, 2))
 
 
 def _independent_fd(spec, params, batch, h):

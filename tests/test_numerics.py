@@ -96,6 +96,13 @@ def test_gaussian_empty_and_negative():
         gaussian(Prng(0, 0), -1)
 
 
+def test_prng_refuses_a_negative_seed_or_stream_id_by_name():
+    with pytest.raises(ValueError, match="Prng seed must be a non-negative integer, got -3"):
+        Prng(-3)
+    with pytest.raises(ValueError, match="Prng stream_id must be a non-negative integer, got -1"):
+        Prng(0, 0).split(-1)
+
+
 def test_distinct_stream_ids_diverge():
     for seed in (0, 1, 42, 2024):
         prefixes = [tuple(gaussian(Prng(seed, sid), 100)) for sid in range(4)]
