@@ -43,8 +43,14 @@ class DomainSpec:
         object.__setattr__(self, "translation", tuple(float(v) for v in self.translation))
         if len(self.translation) != 2:
             raise ValueError(f"translation must be a 2-vector, got {self.translation}")
-        if self.noise_sigma < 0:
-            raise ValueError(f"noise_sigma must be >= 0, got {self.noise_sigma}")
+        # A NaN passes every comparison below and would train on a domain
+        # that is not the one specified; an infinity fails far from here.
+        if not math.isfinite(self.rotation):
+            raise ValueError(f"rotation must be finite, got {self.rotation}")
+        if not all(math.isfinite(v) for v in self.translation):
+            raise ValueError(f"translation must be finite, got {self.translation}")
+        if not (math.isfinite(self.noise_sigma) and self.noise_sigma >= 0):
+            raise ValueError(f"noise_sigma must be finite and >= 0, got {self.noise_sigma}")
         if self.n_samples < 2:
             raise ValueError(f"n_samples must be >= 2 (one per class), got {self.n_samples}")
 

@@ -19,7 +19,10 @@ import hashlib
 import json
 import math
 import os
+import pickle
+import signal
 import struct
+import sys
 import tempfile
 from dataclasses import dataclass
 from operator import attrgetter
@@ -541,28 +544,132 @@ def _seed_stats(windows) -> dict:
     return stats
 
 
+class _Run(NamedTuple):
+    """One training run of a leave-one-out rotation or a sweep: its config,
+    seed and held-out index, and the directory its files go to (None when
+    nothing is written)."""
+
+    cfg: ExperimentConfig
+    seed: int
+    held: int
+    output_dir: str | None
+
+
+def _train_block(runs) -> list[dict]:
+    """Train runs in order, writing each run's files; return their window
+    means. A split is realized once per held-out index: runs come grouped by
+    it, so only the current one is kept."""
+    windows = []
+    held, split = None, None
+    for run in runs:
+        if run.held != held:
+            held, split = run.held, datagen.leave_one_out(list(run.cfg.domains), run.held)
+        record = _train_on_split(run.cfg, run.seed, run.held, split)
+        if run.output_dir is not None:
+            write_outputs(record, run.output_dir)
+        windows.append(window_means(record, run.cfg.eval_window))
+    return windows
+
+
+def _process_count(n_runs: int) -> int:
+    """How many processes train n_runs runs: one per CPU the calling process
+    may run on, at most one per run, and 1 where the platform cannot fork."""
+    if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")):
+        return 1
+    return min(len(os.sched_getaffinity(0)), n_runs)
+
+
+def _train_runs(runs) -> list[dict]:
+    """The window means of runs, in order, as one serial loop over them gives.
+
+    The list is cut into contiguous blocks of near-equal size, one per
+    process (_process_count). The calling process trains the first block and
+    one forked process trains each other one, writing its runs' files and
+    sending back only its window means. Each block stops at its first
+    failing run, and the failure with the lowest run index is raised, with
+    the serial loop's type and message. Every forked process is killed and
+    reaped before this returns or raises."""
+    n = _process_count(len(runs))
+    blocks = [runs[i * len(runs) // n : (i + 1) * len(runs) // n] for i in range(n)]
+    sys.stdout.flush()
+    sys.stderr.flush()
+    children = []  # (pid, the read end of its pipe, its block)
+    try:
+        for block in blocks[1:]:
+            read_fd, write_fd = os.pipe()
+            try:
+                pid = os.fork()
+            except OSError:
+                os.close(read_fd)
+                os.close(write_fd)
+                raise
+            if pid == 0:
+                _train_child(block, write_fd)
+            os.close(write_fd)
+            children.append((pid, os.fdopen(read_fd, "rb"), block))
+        windows = _train_block(blocks[0])
+        for _, results, block in children:
+            try:
+                block_windows, failure = pickle.load(results)
+            except Exception:  # no result (killed by a signal, or a failure that did not pickle) or none that loads
+                first = block[0]
+                raise RuntimeError(
+                    f"the process training the runs from held_out {first.held} seed {first.seed} exited without a result"
+                ) from None
+            if failure is not None:
+                raise failure
+            windows += block_windows
+        return windows
+    finally:
+        for pid, results, _ in children:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+            results.close()
+
+
+def _train_child(block, write_fd: int) -> None:
+    """The body of a forked process: train block, send (window means, None)
+    or (None, the failure) through write_fd, and exit. It never returns into
+    the caller's stack."""
+    code = 1
+    try:
+        try:
+            result = (_train_block(block), None)
+        except Exception as exc:
+            result = (None, exc)
+        payload = pickle.dumps(result)  # before the first byte is sent: a failure to pickle sends none
+        with os.fdopen(write_fd, "wb") as fh:
+            fh.write(payload)
+        code = 0
+    finally:
+        os._exit(code)
+
+
 def run_leave_one_out(cfg: ExperimentConfig, write: bool = True):
     """Rotate the held-out domain over every domain, train every seed, and
     aggregate last-window metrics per rotation. Returns (summary, run_rows)."""
-    run_rows = []
-    summary = []
-    for held in range(len(cfg.domains)):
-        split = datagen.leave_one_out(list(cfg.domains), held)
-        windows = []
-        for seed in cfg.seeds:
-            record = _train_on_split(cfg, seed, held, split)
-            if write:
-                write_outputs(record, os.path.join(cfg.output_dir, f"held{held}_seed{seed}"))
-            windows.append(window_means(record, cfg.eval_window))
-            run_rows.append({"held_out": held, "seed": seed, **windows[-1]})
-        summary.append({"held_out": held, **_seed_stats(windows)})
+    runs = [
+        _Run(cfg, seed, held, os.path.join(cfg.output_dir, f"held{held}_seed{seed}") if write else None)
+        for held in range(len(cfg.domains))
+        for seed in cfg.seeds
+    ]
+    windows = _train_runs(runs)
+    run_rows = [{"held_out": run.held, "seed": run.seed, **w} for run, w in zip(runs, windows)]
+    n = len(cfg.seeds)
+    summary = [{"held_out": held, **_seed_stats(windows[held * n : (held + 1) * n])} for held in range(len(cfg.domains))]
     if write:
         run_cols = ["held_out", "seed", *_WINDOW_KEYS]
         _atomic_write(os.path.join(cfg.output_dir, "loo_runs.csv"), _dict_csv(run_cols, run_rows))
         _atomic_write(os.path.join(cfg.output_dir, "loo_summary.csv"), _dict_csv(["held_out", *SEED_STATS_COLUMNS], summary))
+        # JSON has no NaN: a value that is not finite, such as surrogate_gap
+        # when it is not tracked, is written as null.
+        payload = {
+            name: [{key: value if math.isfinite(value) else None for key, value in row.items()} for row in rows]
+            for name, rows in (("summary", summary), ("runs", run_rows))
+        }
         _atomic_write(
             os.path.join(cfg.output_dir, "loo_summary.json"),
-            json.dumps({"summary": summary, "runs": run_rows}, sort_keys=True, indent=2) + "\n",
+            json.dumps(payload, sort_keys=True, indent=2, allow_nan=False) + "\n",
         )
     return summary, run_rows
 
@@ -585,25 +692,20 @@ def run_sweep(cfg: ExperimentConfig, gammas, rhos, write: bool = True):
         repeated = sorted({value for value in grid if grid.count(value) > 1})
         if repeated:
             raise ConfigValueError(f"--{name}s: values must be distinct, got {grid} (repeated: {repeated})")
-    split = datagen.leave_one_out(list(cfg.domains), held)
-    cells = []
-    for gamma in grids["gamma"]:
-        for rho in grids["rho"]:
-            opt = dataclasses.replace(cfg.optimizer, gamma=gamma, rho=rho)
-            sub = dataclasses.replace(cfg, optimizer=opt)
-            per_seed = []
-            for seed in cfg.seeds:
-                record = _train_on_split(sub, seed, held, split)
-                if write:
-                    write_outputs(
-                        record,
-                        os.path.join(cfg.output_dir, f"sweep_g{gamma!r}_r{rho!r}", f"seed{seed}"),
-                    )
-                per_seed.append(window_means(record, cfg.eval_window))
-            cells.append({"gamma": gamma, "rho": rho, **_seed_stats(per_seed)})
+    cells = [(gamma, rho) for gamma in grids["gamma"] for rho in grids["rho"]]
+    runs = []
+    for gamma, rho in cells:
+        sub = dataclasses.replace(cfg, optimizer=dataclasses.replace(cfg.optimizer, gamma=gamma, rho=rho))
+        cell_dir = os.path.join(cfg.output_dir, f"sweep_g{gamma!r}_r{rho!r}")
+        runs += [_Run(sub, seed, held, os.path.join(cell_dir, f"seed{seed}") if write else None) for seed in cfg.seeds]
+    windows = _train_runs(runs)
+    n = len(cfg.seeds)
+    rows = [
+        {"gamma": gamma, "rho": rho, **_seed_stats(windows[i * n : (i + 1) * n])} for i, (gamma, rho) in enumerate(cells)
+    ]
     if write:
-        _atomic_write(os.path.join(cfg.output_dir, "sweep.csv"), _dict_csv(["gamma", "rho", *SEED_STATS_COLUMNS], cells))
-    return cells
+        _atomic_write(os.path.join(cfg.output_dir, "sweep.csv"), _dict_csv(["gamma", "rho", *SEED_STATS_COLUMNS], rows))
+    return rows
 
 
 def fullset_step_diagnostics(spec, params: ParamVector, source, opt: OptimizerConfig, t: int) -> StepDiagnostics:

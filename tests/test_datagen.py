@@ -37,6 +37,25 @@ def test_domain_spec_refuses_a_negative_seed_by_name():
         DomainSpec(seed=-5)
 
 
+@pytest.mark.parametrize(
+    "fields,named",
+    [
+        ({"noise_sigma": math.nan}, "noise_sigma must be finite and >= 0, got nan"),
+        ({"noise_sigma": math.inf}, "noise_sigma must be finite and >= 0, got inf"),
+        ({"noise_sigma": -0.1}, "noise_sigma must be finite and >= 0, got -0.1"),
+        ({"rotation": math.inf}, "rotation must be finite, got inf"),
+        ({"rotation": -math.nan}, "rotation must be finite, got nan"),
+        ({"translation": (math.nan, 0)}, r"translation must be finite, got \(nan, 0.0\)"),
+        ({"translation": (0.0, -math.inf)}, r"translation must be finite, got \(0.0, -inf\)"),
+    ],
+)
+def test_domain_spec_refuses_a_non_finite_shift_or_noise_by_name(fields, named):
+    # Built in code, past the config reader's check: a NaN noise_sigma used to
+    # train on a noise-free domain, and the others failed without a name.
+    with pytest.raises(ValueError, match=named):
+        DomainSpec(**fields)
+
+
 def test_two_moons_noiseless_class0_on_unit_circle():
     batch = gen_two_moons(400, 0.0, Prng(0, 0))
     class0 = batch.inputs[batch.labels == 0]

@@ -7,6 +7,7 @@ import json
 import math
 import os
 import re
+import signal
 import struct
 import subprocess
 import sys
@@ -662,24 +663,172 @@ def test_run_leave_one_out_covers_all_rotations(tmp_path):
     assert len(payload["runs"]) == 6
 
 
-def test_run_leave_one_out_realizes_each_split_once(monkeypatch):
+def _set_cpus(monkeypatch, n: int) -> None:
+    """Make the affinity mask that the drivers read hold n CPUs."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
+
+
+def test_run_leave_one_out_realizes_each_split_once(monkeypatch, tmp_path):
+    # The runs are trained in up to `cpus` processes, so the spy appends to a
+    # file, which every forked process shares, not to a list in this one.
     from gacfas import datagen
 
-    held_calls = []
     real = datagen.leave_one_out
-
-    def counting(specs, held):
-        held_calls.append(held)
-        return real(specs, held)
-
-    monkeypatch.setattr(datagen, "leave_one_out", counting)
     cfg = tiny_config(seeds=(0, 1))
-    _, rows = run_leave_one_out(cfg, write=False)
-    assert held_calls == [0, 1, 2]
+    for cpus in (1, 2, 3):
+        log = tmp_path / f"realized{cpus}.txt"
+
+        def counting(specs, held):
+            with open(log, "a", encoding="utf-8") as fh:
+                fh.write(f"{os.getpid()} {held}\n")
+            return real(specs, held)
+
+        monkeypatch.setattr(datagen, "leave_one_out", counting)
+        _set_cpus(monkeypatch, cpus)
+        _, rows = run_leave_one_out(cfg, write=False)
+        calls = [tuple(int(v) for v in line.split()) for line in log.read_text().splitlines()]
+        assert len(calls) == len(set(calls))  # no process realizes a split twice
+        assert {held for _, held in calls} == {0, 1, 2}
+        assert len({pid for pid, _ in calls}) == cpus
     monkeypatch.setattr(datagen, "leave_one_out", real)
     for row in rows:
         alone = window_means(run_training(cfg, row["seed"], held_out=row["held_out"]), cfg.eval_window)
         assert {key: row[key] for key in alone} == alone
+
+
+def _tree(root: Path) -> dict:
+    return {p.relative_to(root).as_posix(): p.read_bytes() for p in sorted(root.rglob("*")) if p.is_file()}
+
+
+@pytest.mark.parametrize("cpus", [None, 3])  # None: the real affinity mask
+def test_cli_loo_and_sweep_write_the_same_files_on_one_cpu_and_on_several(tmp_path, monkeypatch, capsys, cpus):
+    out = tmp_path / "out"
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(tiny_config_json(str(out), seeds=[0, 1]))
+    real = os.sched_getaffinity(0)
+    outputs = []
+    for mask in ({0}, real if cpus is None else set(range(cpus))):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: mask)
+        assert cli.main(["loo", "--config", str(cfg_path)]) == 0
+        assert cli.main(["sweep", "--config", str(cfg_path), "--gammas", "0.0,0.01", "--rhos", "0.1,0.2"]) == 0
+        outputs.append((_tree(out), capsys.readouterr()))
+        out.rename(tmp_path / f"cpus{len(mask)}_{len(outputs)}")
+    (serial, serial_io), (parallel, parallel_io) = outputs
+    assert len(serial) == (6 + 8) * 4 + 3 + 1  # 6 loo and 8 sweep runs of 4 files, the loo tables, sweep.csv
+    assert sorted(parallel) == sorted(serial)
+    assert [name for name in serial if parallel[name] != serial[name]] == []
+    assert parallel_io == serial_io
+
+
+def test_process_count_is_the_affinity_mask_capped_at_the_run_count(monkeypatch):
+    def no_fork():
+        raise AssertionError("counting processes must start none")
+
+    monkeypatch.setattr(os, "fork", no_fork)
+    cfg = tiny_config(seeds=(0, 1))
+    n_runs = len(cfg.domains) * len(cfg.seeds)
+    _set_cpus(monkeypatch, 64)
+    assert (n_runs, harness._process_count(n_runs)) == (6, 6)
+    _set_cpus(monkeypatch, 4)
+    assert harness._process_count(n_runs) == 4
+    _set_cpus(monkeypatch, 1)
+    assert harness._process_count(n_runs) == 1
+    _set_cpus(monkeypatch, 64)
+    monkeypatch.delattr(os, "fork")  # a platform without fork trains in the calling process
+    assert harness._process_count(n_runs) == 1
+
+
+def test_a_diverging_loo_fails_alike_on_one_cpu_and_on_two(tmp_path, monkeypatch, capsys):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(tiny_config_json(str(tmp_path / "loo"), seeds=[0, 1], optimizer={"mode": "gac_fas", "eta0": 1e200}))
+    cfg = load_config(str(cfg_path))
+    outcomes = []
+    for cpus in (1, 2):
+        _set_cpus(monkeypatch, cpus)
+        with pytest.raises(Exception) as info:
+            run_leave_one_out(cfg)
+        code = cli.main(["loo", "--config", str(cfg_path)])
+        outcomes.append((type(info.value), str(info.value), code, capsys.readouterr().err))
+    assert outcomes[0] == outcomes[1]
+    kind, message, code, err = outcomes[0]
+    assert (kind, code) == (RuntimeError, 2) and message.startswith("optimizer step ")
+    assert err == f"runtime error: {message}\n"
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.parametrize("kind,code", [(RuntimeError, 2), (ConfigValueError, 1)])
+def test_the_failing_run_with_the_lowest_index_is_raised_from_any_process(tmp_path, monkeypatch, capsys, kind, code):
+    real = harness._train_on_split
+
+    def failing(cfg, seed, held, split, *args):
+        if held >= 1:  # with 3 processes, the second and third blocks fail
+            raise kind(f"run held {held} seed {seed} failed")
+        return real(cfg, seed, held, split, *args)
+
+    monkeypatch.setattr(harness, "_train_on_split", failing)
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(tiny_config_json(str(tmp_path / "loo"), seeds=[0, 1]))
+    errors = []
+    for cpus in (1, 3):
+        _set_cpus(monkeypatch, cpus)
+        with pytest.raises(kind, match=r"^run held 1 seed 0 failed$"):
+            run_leave_one_out(load_config(str(cfg_path)), write=False)
+        assert cli.main(["loo", "--config", str(cfg_path)]) == code
+        errors.append(capsys.readouterr().err)
+    assert errors[0] == errors[1] and errors[0].endswith("run held 1 seed 0 failed\n")
+
+
+@pytest.mark.parametrize("how", ["signal", "unpicklable"])
+def test_a_process_that_exits_without_a_result_names_its_first_run(monkeypatch, how):
+    parent = os.getpid()
+    real = harness._train_on_split
+
+    class Unpicklable(Exception):  # a local class: pickle cannot name it
+        pass
+
+    def dying(cfg, seed, held, split, *args):
+        if held == 2 and os.getpid() != parent:
+            if how == "signal":
+                os.kill(os.getpid(), signal.SIGKILL)
+            raise Unpicklable("cannot be sent back")
+        return real(cfg, seed, held, split, *args)
+
+    monkeypatch.setattr(harness, "_train_on_split", dying)
+    _set_cpus(monkeypatch, 3)
+    with pytest.raises(RuntimeError, match="^the process training the runs from held_out 2 seed 0 exited without a result$"):
+        run_leave_one_out(tiny_config(seeds=(0, 1)), write=False)
+
+
+@pytest.mark.parametrize("kind", [RuntimeError, KeyboardInterrupt])
+def test_a_failure_in_the_calling_process_kills_and_reaps_every_other_process(monkeypatch, kind):
+    parent = os.getpid()
+    real = harness._train_on_split
+
+    def failing_here(cfg, seed, held, split, *args):
+        if os.getpid() == parent:
+            raise kind("stopped")
+        return real(cfg, seed, held, split, *args)
+
+    monkeypatch.setattr(harness, "_train_on_split", failing_here)
+    _set_cpus(monkeypatch, 3)
+    with pytest.raises(kind, match="stopped"):
+        run_leave_one_out(tiny_config(seeds=(0, 1)), write=False)
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_loo_summary_json_is_strict_json_when_the_gap_is_not_tracked(tmp_path):
+    def refuse(name):
+        raise ValueError(f"{name} is not JSON")
+
+    opt = OptimizerConfig(mode="gac_fas", eta0=0.1, track_surrogate_gap=False)
+    run_leave_one_out(tiny_config(output_dir=str(tmp_path), optimizer=opt))
+    payload = json.loads((tmp_path / "loo_summary.json").read_text(), parse_constant=refuse)
+    assert [run["surrogate_gap"] for run in payload["runs"]] == [None, None, None]
+    assert all(math.isfinite(run["train_loss"]) for run in payload["runs"])
+    runs_csv = (tmp_path / "loo_runs.csv").read_text().splitlines()
+    assert runs_csv[0].endswith(",surrogate_gap") and all(line.endswith(",nan") for line in runs_csv[1:])
 
 
 def test_eval_train_loss_is_the_batch_loss_with_and_without_gap_tracking():
