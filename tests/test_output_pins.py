@@ -5,10 +5,13 @@ harness must change how values are computed, never the values or their
 text. These digests hold the byte-exact:
 
 - metrics.csv and diagnostics.csv of a small run in each of the five modes
-  (plus a relu run), and the manifest.json of the gac_fas run;
+  (plus a relu run), of the same runs with the surrogate gap untracked and
+  of the same runs on a "step" schedule, and the manifest.json of the
+  gac_fas run;
 - metrics, diagnostics and convergence tables of a short convergence run,
   and the files a written convergence run leaves: convergence.csv and
-  convergence_run/manifest.json, metrics.csv, diagnostics.csv, params.bin;
+  convergence_run/manifest.json, metrics.csv, diagnostics.csv, params.bin,
+  with the gap tracked and untracked;
 - loo_runs.csv, loo_summary.csv and loo_summary.json of a two-seed
   leave-one-out rotation;
 - sweep.csv of a two-seed 2 x 2 gamma x rho sweep;
@@ -42,17 +45,18 @@ from gacfas.harness import (
     write_outputs,
 )
 from gacfas.model import MlpSpec
-from gacfas.optim import OptimizerConfig
+from gacfas.optim import MODES, OptimizerConfig, Schedule
 
 
-def pin_config(mode: str, activation: str = "tanh", **overrides) -> ExperimentConfig:
+def pin_config(mode: str, activation: str = "tanh", opt=None, **overrides) -> ExperimentConfig:
+    """The pinned runs' config; opt holds extra OptimizerConfig fields."""
     base = dict(
         model=MlpSpec((2, 6, 5, 2), activation),
         domains=tuple(
             DomainSpec(rotation=0.35 * i, noise_sigma=0.15, n_samples=60, seed=i) for i in range(4)
         ),
         held_out=3,
-        optimizer=OptimizerConfig(mode=mode, eta0=0.2, rho=0.1, gamma=0.002),
+        optimizer=OptimizerConfig(mode=mode, eta0=0.2, rho=0.1, gamma=0.002, **(opt or {})),
         steps=40,
         per_domain_batch=12,
         seeds=(0,),
@@ -107,14 +111,75 @@ CONVERGENCE_PINS = (
 )
 
 
+def _run_digests(cfg: ExperimentConfig, out_dir) -> tuple:
+    paths = write_outputs(run_training(cfg, seed=3), str(out_dir))
+    return tuple(hashlib.sha256(Path(paths[name]).read_bytes()).hexdigest() for name in ("metrics", "diagnostics"))
+
+
 @pytest.mark.parametrize("mode,activation", sorted(RUN_PINS))
 def test_run_outputs_match_pinned_digests(tmp_path, mode, activation):
-    record = run_training(pin_config(mode, activation), seed=3)
-    paths = write_outputs(record, str(tmp_path))
-    written = tuple(
-        hashlib.sha256(Path(paths[name]).read_bytes()).hexdigest() for name in ("metrics", "diagnostics")
-    )
-    assert written == RUN_PINS[(mode, activation)]
+    assert _run_digests(pin_config(mode, activation), tmp_path) == RUN_PINS[(mode, activation)]
+
+
+UNTRACKED_GAP_RUN_PINS = {
+    "erm": (
+        "995305a5aaa6b6925eafee3b86ae139cd9fc7237b3b014331b5e3fe1df807242",
+        "7f26c0883e819ab3eb93d52d71f8649185fed04226045d28a95f38b0dfd032a9",
+    ),
+    "sam_whole": (
+        "052f79f9d2087103b3cad72fb8e1406064df1feb3e2b5053094f19971203d526",
+        "043dfd070e0a194641c9a0301a9f547116f8aaa4ebd56d43633f681cce203c8b",
+    ),
+    "sam_domain": (
+        "6b1cfd46a1416df69ec9248b9b9b1de0b7cb17123890f514869511d0aa5d07e9",
+        "e95d43a38fac94bebd808430b84d73ad8f0211f70c3619067d3ea05229cc3fcf",
+    ),
+    "gac_fas": (
+        "ddc8f22af538e9604a37c0390b23af5d511fc6d675887f5958e836b4f154ce67",
+        "3f01b227d8a2497b5bac60d63f1b79c4e451a95f1786dd2564958616476a2645",
+    ),
+    "reg_domain_perturb": (
+        "e70d4bca7241ae244ae8a58b2da900024050ab39ef066d08cae3d795cda350b3",
+        "45dfd1f6f6aa3f217942eefc3a0188e3f8cea96d66c91e9fa2e176fdbc133146",
+    ),
+}
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_untracked_gap_run_outputs_match_pinned_digests(tmp_path, mode):
+    cfg = pin_config(mode, opt={"track_surrogate_gap": False})
+    assert _run_digests(cfg, tmp_path) == UNTRACKED_GAP_RUN_PINS[mode]
+
+
+STEP_SCHEDULE_RUN_PINS = {
+    "erm": (
+        "e155c3ce22f2ee26a9b50fa2d2197ddbc4c5cc37f65af880fbdcf8d8cb5a8e3e",
+        "0256c12ea901c95f23740c5fd299b2bf4bb07fb786f8a48637b758bdc7dc1a3a",
+    ),
+    "sam_whole": (
+        "7308563b9dfb88251b10348d236943e31d69e59b82caa7dbdf5edd222c6cb5dd",
+        "f090d2d98eabbd6d63806168f968cc22a3a5644e63d80184ccdf8702da7bbc55",
+    ),
+    "sam_domain": (
+        "3dfe206f99c373d70cd3191771e1d954579d91f00d8ea49476e1bca0d8c49af9",
+        "f47f753053f56d6043d1d99327101098b060cddf21e85eddadb959c947863ea9",
+    ),
+    "gac_fas": (
+        "4fdc650e472f3bae93688933ca6838b1bc520846d62c69e3cee84951c379eb77",
+        "a5fca61301ba4eeead25523ce37af09ce438447bbbdd848baa70c6fdbdf4e626",
+    ),
+    "reg_domain_perturb": (
+        "d3088e29c4ba2e606064cb671ab6db1df3a9ae2800c1901e41a315bfbc873107",
+        "7b9d9e3e5ba38d43a59d8e5f34c37fa2542c36b775db7e9989820cbc3a1af3c6",
+    ),
+}
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_step_schedule_run_outputs_match_pinned_digests(tmp_path, mode):
+    # 5 steps per epoch: eta, rho and gamma halve every 10 of the 40 steps.
+    cfg = pin_config(mode, opt={"schedule": Schedule("step", period_epochs=2, factor=0.5)})
+    assert _run_digests(cfg, tmp_path) == STEP_SCHEDULE_RUN_PINS[mode]
 
 
 def test_convergence_stream_matches_pinned_digests():
@@ -151,6 +216,25 @@ def test_written_convergence_run_matches_pinned_digests(tmp_path, monkeypatch):
     cfg = pin_config("gac_fas", steps=60, eval_every=30, eval_window=1, output_dir="conv")
     run_convergence(cfg, window=3, trace_every=2)
     assert _digests("conv", CONVERGENCE_FILE_PINS) == CONVERGENCE_FILE_PINS
+
+
+# The metrics' gap column reads nan and the manifest echoes the flag; the
+# full-set diagnostics still carry the tracked gap, so diagnostics.csv,
+# convergence.csv and params.bin keep the tracked run's digests.
+UNTRACKED_GAP_CONVERGENCE_FILE_PINS = {
+    **CONVERGENCE_FILE_PINS,
+    "convergence_run/manifest.json": "d73c111947355ccaac4d0abc44de69e836d948cd1479cfd46d91e90fe83da450",
+    "convergence_run/metrics.csv": "d96f7287d89e375b8f3a3942e6f6838a8687f8295a4a33df5a2ffbe2bb552237",
+}
+
+
+def test_written_convergence_run_with_the_gap_untracked_matches_pinned_digests(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    cfg = pin_config(
+        "gac_fas", opt={"track_surrogate_gap": False}, steps=60, eval_every=30, eval_window=1, output_dir="conv"
+    )
+    run_convergence(cfg, window=3, trace_every=2)
+    assert _digests("conv", UNTRACKED_GAP_CONVERGENCE_FILE_PINS) == UNTRACKED_GAP_CONVERGENCE_FILE_PINS
 
 
 LOO_PINS = {
