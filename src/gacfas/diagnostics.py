@@ -9,16 +9,16 @@ MLP model).
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import numerics
-from .datagen import SourceSet
 from .model import Batch, ParamVector
-from .numerics import Prng, axpy, dot, l2_norm
-from .optim import _domain_parts, _part_terms, _parts_loss, _source_parts, _sum_terms, ascending_vector, batch_loss
+from .numerics import Prng, _is_int, axpy, dot, l2_norm
+from .optim import _check_nonneg, _domain_parts, _part_terms, _parts_loss, _sum_terms, ascending_vector, batch_loss
 
 
 @dataclass(frozen=True)
@@ -74,14 +74,11 @@ class ConvergenceTrace:
 
 def _loss_and_perturbed_loss(model, theta: np.ndarray, batch, rho: float):
     """L(theta) and L(theta + eps), eps = ascending_vector(grad L(theta; B), rho),
-    with the batch split into its domain parts once for both. A SourceSet
-    gives its domains' row views, the parts of its concatenated batch."""
-    if rho < 0:
-        raise ValueError(f"rho must be >= 0, got {rho}")
-    parts = _source_parts(batch) if isinstance(batch, SourceSet) else _domain_parts(model, batch)
+    with the batch (or SourceSet) split into its domain parts once for both."""
+    _check_nonneg("rho", rho)
+    parts = _domain_parts(model, batch)
     loss, g = _sum_terms(_part_terms(model, theta, parts))
-    asc = ascending_vector(g, rho)
-    return loss, _parts_loss(model, axpy(1.0, asc.eps, theta), parts)
+    return loss, _parts_loss(model, ascending_vector(g, rho).eps + theta, parts)
 
 
 def perturbed_loss(model, params: ParamVector, batch: Batch, rho: float) -> float:
@@ -109,14 +106,17 @@ def alignment_inner_products(model, params: ParamVector, source, i: int, rho: fl
     perturbed gradient with the whole-set plain gradient (the decomposition
     the alignment reward maximizes domain-by-domain)."""
     k = source.k
+    if not _is_int(i):
+        raise ValueError(f"domain index must be an int, got {i!r}")
     if not 0 <= i < k:
         raise ValueError(f"domain index {i} out of range for k={k}")
+    _check_nonneg("rho", rho)
+    _check_nonneg("gamma", gamma)
     theta = params.theta
-    parts = _source_parts(source)
+    parts = _domain_parts(model, source)
     plain = _part_terms(model, theta, parts)
     _, g = _sum_terms(plain)
-    asc = ascending_vector(plain.grads[i], rho)
-    theta_adv = axpy(1.0, asc.eps, axpy(-gamma, g, theta))
+    theta_adv = ascending_vector(plain.grads[i], rho).eps + axpy(-gamma, g, theta)
     perturbed = _part_terms(model, theta_adv, parts)
     out = np.empty((k, k), dtype=np.float64)
     for m in range(k):
@@ -154,25 +154,15 @@ def landscape_slice(model, params: ParamVector, batch: Batch, dims: int, radius:
     c = steps // 2
     h = radius / c
     coords = np.array([(j - c) * h for j in range(steps)], dtype=np.float64)
-    theta = params.theta
-    if dims == 1:
-        offsets = coords
-        losses = np.empty(steps, dtype=np.float64)
-        for j, s in enumerate(coords):
-            losses[j] = batch_loss(model, axpy(float(s), directions[0], theta), batch)
-        center_index = c
-    else:
-        offsets = np.empty((steps * steps, 2), dtype=np.float64)
-        losses = np.empty(steps * steps, dtype=np.float64)
-        idx = 0
-        for s in coords:
-            base = axpy(float(s), directions[0], theta)
-            for u in coords:
-                offsets[idx] = (s, u)
-                losses[idx] = batch_loss(model, axpy(float(u), directions[1], base), batch)
-                idx += 1
-        center_index = c * steps + c
-    return LandscapeGrid(offsets, losses, directions, float(losses[center_index]))
+    grid = list(itertools.product(coords.tolist(), repeat=dims))
+    losses = np.empty(len(grid), dtype=np.float64)
+    for j, offset in enumerate(grid):
+        point = params.theta
+        for x, d in zip(offset, directions):
+            point = axpy(x, d, point)
+        losses[j] = batch_loss(model, point, batch)
+    offsets = coords if dims == 1 else np.array(grid, dtype=np.float64)
+    return LandscapeGrid(offsets, losses, directions, float(losses[len(grid) // 2]))
 
 
 def convergence_trace(diag_stream, window: int) -> ConvergenceTrace:

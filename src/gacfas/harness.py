@@ -33,9 +33,8 @@ import numpy as np
 from . import datagen, diagnostics, evalmetrics, model as model_mod
 from .datagen import DomainSpec
 from .model import Batch, MlpSpec, ParamVector, layout_for
-from .numerics import Prng
-from .optim import OptimizerConfig, StepDiagnostics, schedule_value, take_step
-from .optim import _aligned_perturbation, _diagnostics, _part_terms, _parts_loss, _perturbed_gap, _source_parts, _sum_terms
+from .numerics import Prng, _is_int
+from .optim import OptimizerConfig, StepDiagnostics, batch_loss, gac_fas_step, take_step
 
 METRICS_HEADER = "step,hter,auc,tpr95,train_loss,surrogate_gap"
 _WINDOW_KEYS = METRICS_HEADER.split(",")[1:]  # window_means' keys, in this order
@@ -131,12 +130,6 @@ class RunRecord:
     evals: tuple[EvalReport, ...]
     diagnostics: tuple[StepDiagnostics, ...]
     final_params: ParamVector
-
-
-def _is_int(value) -> bool:
-    """An int that is not a bool: the only held_out that names one domain,
-    and the only value an integer config key takes."""
-    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def _require_index(held, command: str) -> int:
@@ -343,7 +336,7 @@ def _evaluate(cfg: ExperimentConfig, spec, params, test: Batch, source, step: in
         # The gap is measured from the training loss at theta; reuse it.
         gap, train_loss = diagnostics.surrogate_gap(spec, params, source, cfg.optimizer.rho, return_loss=True)
     else:
-        gap, train_loss = math.nan, _parts_loss(spec, params.theta, _source_parts(source))
+        gap, train_loss = math.nan, batch_loss(spec, params.theta, source)
     return EvalReport(step, float(hter), float(auc), float(tpr95), float(train_loss), float(gap))
 
 
@@ -713,15 +706,10 @@ def fullset_step_diagnostics(spec, params: ParamVector, source, opt: OptimizerCo
     minibatch: the decay-rate statement concerns the empirical objective's
     gradient at the iterates, which minibatch gradients hide behind a
     sampling-noise floor. adv_grad_norms[i] is the norm of the whole-set
-    gradient at domain i's ascending point theta + eps_i - gamma_t * g."""
-    rho_t = schedule_value(opt.schedule, opt.rho, t)
-    gamma_t = schedule_value(opt.schedule, opt.gamma, t)
-    theta = params.theta
-    parts = _source_parts(source)
-    terms = _part_terms(spec, theta, parts)
-    loss, g = _sum_terms(terms)
-    adv_losses, adv_grads = _aligned_perturbation(spec, theta, parts, terms, g, rho_t, gamma_t, opt.zero_grad_eps)
-    return _diagnostics(t, terms, loss, g, adv_grads, _perturbed_gap(adv_losses, loss) / len(terms.ids))
+    gradient at domain i's ascending point theta + eps_i - gamma_t * g: the
+    record of a gac_fas step on the whole set, gap tracked, in any mode. It
+    calls gac_fas_step, not take_step, so no training step is counted."""
+    return gac_fas_step(spec, params, source, dataclasses.replace(opt, track_surrogate_gap=True), t)[1]
 
 
 def run_convergence(cfg: ExperimentConfig, window: int = 40, trace_every: int = 5, write: bool = True):

@@ -29,6 +29,12 @@ def as_vec64(data) -> np.ndarray:
     return vec
 
 
+def _is_int(value) -> bool:
+    """An int that is not a bool: the only held_out that names one domain,
+    the only value an integer config key takes, and the only domain index."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def zeros(n: int) -> np.ndarray:
     if n < 0:
         raise ValueError(f"vector length must be >= 0, got {n}")
@@ -69,7 +75,7 @@ class Prng:
     (seed, stream_id) always reproduces the identical draw sequence within
     one build of numpy; cross-version bit-equality is not promised and not
     needed. A Prng is single-owner mutable state: never share one instance
-    across threads, derive per-worker streams with split() instead.
+    across threads; give each worker its own (seed, stream_id) instead.
     """
 
     def __init__(self, seed: int, stream_id: int = 0):
@@ -80,13 +86,6 @@ class Prng:
                 raise ValueError(f"Prng {name} must be a non-negative integer, got {value}")
         ss = np.random.SeedSequence(entropy=self.seed, spawn_key=(self.stream_id,))
         self.generator = np.random.Generator(np.random.PCG64(ss))
-
-    def split(self, stream_id: int) -> "Prng":
-        """Derive an independent stream keyed by (seed, stream_id) only.
-
-        The child does not depend on how much this stream has already drawn.
-        """
-        return Prng(self.seed, stream_id)
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"Prng(seed={self.seed}, stream_id={self.stream_id})"

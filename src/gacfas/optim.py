@@ -2,11 +2,19 @@
 gradient-aligned cross-domain variant (gac_fas), and its domain-scoped
 perturbation ablation (reg_domain_perturb).
 
+One body, per-mode directions: _step takes the schedule values, the domain
+parts and their plain terms, updates theta - eta_t (d + grad R) and builds
+the record. Each mode supplies only its direction: d, its per-domain
+perturbed gradients and its surrogate gap (_erm, _sam_whole, _sam_domain,
+and _aligned for gac_fas and reg_domain_perturb). _eps_rows is the one
+ascent helper; an ascending point is eps_i + base.
+
 Loss convention: the whole-batch loss L(theta; B) is the SUM of per-domain
 batch-mean losses, and its gradient is the matching sum of per-domain mean
 gradients. All reductions over domains run in ascending domain-id order so
 results are bit-identical regardless of how the per-domain evaluations are
-scheduled.
+scheduled. The parts come from a Batch or from a SourceSet (the full-set
+diagnostics), the latter as the set's own row views.
 
 The ascending vector eps_i = rho * g_i / ||g_i|| and the gamma * g offset are
 held constant when the gradient at the perturbed point is taken (first-order
@@ -27,9 +35,8 @@ against every part as a (k, 1, P) x (k, n, d) grid (gac_fas), or as one
 point against all parts (sam_whole). The kernel gives every pair the bits a
 separate 2-D call would, and the reductions over domains keep the
 ascending-id order, so stacking changes no output bit. A batch without the
-balanced layout, parts given as a list of single-domain batches (the
-full-domain parts of the diagnostics), and the duck-typed models all take
-one call per pair instead.
+balanced layout, the parts of a SourceSet, and the duck-typed models all
+take one call per pair instead.
 
 Step records: every step function returns (new params, StepDiagnostics).
 With record=False it skips the record's norms and cosines and returns the
@@ -52,6 +59,7 @@ import numpy as np
 
 from . import model as model_mod
 from . import numerics
+from .datagen import SourceSet
 from .model import Batch, ParamVector, domain_slices
 from .numerics import axpy, dot, l2_norm
 
@@ -99,9 +107,7 @@ class OptimizerConfig:
         if self.mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
         for name in ("eta0", "rho", "gamma", "weight_decay", "zero_grad_eps"):
-            value = getattr(self, name)
-            if not (math.isfinite(value) and value >= 0):
-                raise ValueError(f"{name} must be finite and >= 0, got {value}")
+            _check_nonneg(name, getattr(self, name))
 
 
 @dataclass(frozen=True)
@@ -137,18 +143,32 @@ class StepDiagnostics:
     surrogate_gap: float
 
 
+def _check_nonneg(name: str, value) -> None:
+    """Refuse a NaN, an infinity or a negative value by name."""
+    if not (math.isfinite(value) and value >= 0):
+        raise ValueError(f"{name} must be finite and >= 0, got {value}")
+
+
+def _eps_rows(grads: np.ndarray, rho: float, zero_grad_eps: float) -> np.ndarray:
+    """Row i: rho * grads[i] / ||grads[i]||, or zero when that norm is NaN
+    or at most zero_grad_eps, in one fresh (k, P) array.
+
+    This is the only ascent arithmetic: an ascending point is eps + base,
+    which has the bits of axpy(1.0, eps, base)."""
+    eps = np.zeros(grads.shape, dtype=np.float64)
+    for row, grad in zip(eps, grads):
+        norm = l2_norm(grad)
+        if norm > zero_grad_eps:
+            np.multiply(grad, rho / norm, out=row)
+    return eps
+
+
 def ascending_vector(grad: np.ndarray, rho: float, zero_grad_eps: float = 1e-12) -> AscendingVector:
     """eps = rho * grad / ||grad|| when ||grad|| > zero_grad_eps, else zero.
 
     The guard prevents division blow-up at exact minima."""
-    if rho < 0:
-        raise ValueError(f"rho must be >= 0, got {rho}")
-    norm = l2_norm(grad)
-    if norm > zero_grad_eps:
-        eps = grad * (rho / norm)
-    else:
-        eps = numerics.zeros(grad.shape[0])
-    return AscendingVector(eps)
+    _check_nonneg("rho", rho)
+    return AscendingVector(_eps_rows(grad[None, :], rho, zero_grad_eps)[0])
 
 
 def regularizer_grad(params: ParamVector, weight_decay: float) -> np.ndarray:
@@ -200,12 +220,19 @@ class _Parts:
         return isinstance(self.inputs, np.ndarray)
 
 
-def _domain_parts(model, batch: Batch) -> _Parts:
-    """Split a batch into its domain parts, once per step.
+def _domain_parts(model, batch) -> _Parts:
+    """Split a Batch or a SourceSet into its domain parts, once per step.
 
     A balanced-sampler batch (batch.per_domain set) of an MlpSpec model is
-    reshaped into stacked views with no id search. Other batches and the
-    duck-typed models take per-domain copies through domain_slices."""
+    reshaped into stacked views with no id search. A SourceSet gives its
+    domains' own row views in ascending id order: the parts its
+    concatenated() batch would split into. Other batches and the duck-typed
+    models take per-domain copies through domain_slices."""
+    if isinstance(batch, SourceSet):
+        batches = sorted((b for _, b in batch.domains), key=lambda b: int(b.domain_ids[0]))
+        return _Parts(
+            tuple(int(b.domain_ids[0]) for b in batches), [b.inputs for b in batches], [b.labels for b in batches]
+        )
     if batch.per_domain and isinstance(model, model_mod.MlpSpec):
         m = batch.per_domain
         k = batch.n // m
@@ -219,16 +246,6 @@ def _domain_parts(model, batch: Batch) -> _Parts:
         tuple(dom for dom, _ in slices),
         [batch.inputs[idx] for _, idx in slices],
         [batch.labels[idx] for _, idx in slices],
-    )
-
-
-def _source_parts(source) -> _Parts:
-    """A source set's domain batches as parts in ascending domain-id order:
-    the parts _domain_parts splits source.concatenated() into, taken as the
-    set's own row views instead of searched-out copies."""
-    batches = sorted((batch for _, batch in source.domains), key=lambda b: int(b.domain_ids[0]))
-    return _Parts(
-        tuple(int(b.domain_ids[0]) for b in batches), [b.inputs for b in batches], [b.labels for b in batches]
     )
 
 
@@ -326,11 +343,6 @@ def batch_loss(model, theta: np.ndarray, batch: Batch) -> float:
     return _parts_loss(model, theta, _domain_parts(model, batch))
 
 
-def _check_domains(terms: _Terms, n_domains):
-    if n_domains is not None and len(terms.ids) != n_domains:
-        raise ValueError(f"batch covers domains {list(terms.ids)}, expected {n_domains} domains")
-
-
 def _cos(dot_ab: float, norm_a: float, norm_b: float) -> float:
     denom = norm_a * norm_b
     if denom == 0.0:
@@ -339,14 +351,6 @@ def _cos(dot_ab: float, norm_a: float, norm_b: float) -> float:
     if math.isnan(cos):
         return math.nan
     return min(1.0, max(-1.0, cos))
-
-
-def _plain_terms(model, theta: np.ndarray, batch: Batch, n_domains):
-    """Parts, plain per-domain terms, and their sums (loss, g) at theta."""
-    parts = _domain_parts(model, batch)
-    terms = _part_terms(model, theta, parts)
-    _check_domains(terms, n_domains)
-    return (parts, terms, *_sum_terms(terms))
 
 
 def _diagnostics(t: int, terms: _Terms, loss: float, g: np.ndarray, adv_grads, gap: float) -> StepDiagnostics:
@@ -366,126 +370,96 @@ def _diagnostics(t: int, terms: _Terms, loss: float, g: np.ndarray, adv_grads, g
     )
 
 
-def _step_result(record: bool, params: ParamVector, new_theta: np.ndarray, t, terms, loss, g, adv_grads, gap):
-    """(new params, the step record), or with record=False (new params,
-    loss_erm): the record's norms and cosines are skipped."""
+def _step(direction, model, params: ParamVector, batch, cfg: OptimizerConfig, t: int, n_domains, record: bool):
+    """theta <- theta - eta_t (d + grad R), with (d, per-domain perturbed
+    gradients, gap) from direction. The schedule values come first, so a bad
+    t or an unresolved period fails before any model call. Returns (new
+    params, the record), or with record=False (new params, loss_erm)."""
+    eta_t, rho_t, gamma_t = (schedule_value(cfg.schedule, base, t) for base in (cfg.eta0, cfg.rho, cfg.gamma))
+    theta = params.theta
+    parts = _domain_parts(model, batch)
+    terms = _part_terms(model, theta, parts)
+    if n_domains is not None and len(terms.ids) != n_domains:
+        raise ValueError(f"batch covers domains {list(terms.ids)}, expected {n_domains} domains")
+    loss, g = _sum_terms(terms)
+    d, adv_grads, gap = direction(model, theta, parts, terms, loss, g, rho_t, gamma_t, cfg.zero_grad_eps)
+    new_theta = axpy(-eta_t, d + regularizer_grad(params, cfg.weight_decay), theta)
+    if not cfg.track_surrogate_gap:
+        gap = math.nan
     out = _diagnostics(t, terms, loss, g, adv_grads, gap) if record else loss
     return params.with_theta(new_theta), out
 
 
-def _ascent_points(grads: np.ndarray, base: np.ndarray, rho_t: float, zero_grad_eps: float) -> np.ndarray:
-    """Row i: base + eps_i, eps_i = rho_t * grads[i] / ||grads[i]||, or zero
-    when that norm is at most zero_grad_eps, written into one (k, P) array.
+def _erm(model, theta, parts, terms, loss, g, rho_t, gamma_t, zero_grad_eps):
+    """d = g; the record's per-domain slots hold the plain gradients."""
+    return g, terms.grads, 0.0
 
-    The arithmetic is ascending_vector's eps followed by axpy(1.0, eps, base),
-    so each row has the bits those calls give."""
-    points = np.empty(grads.shape, dtype=np.float64)
-    for point, grad in zip(points, grads):
-        norm = l2_norm(grad)
-        if norm > zero_grad_eps:
-            np.multiply(grad, rho_t / norm, out=point)
-            point += base
+
+def _sam_whole(model, theta, parts, terms, loss, g, rho_t, gamma_t, zero_grad_eps):
+    """d = the whole-batch gradient at theta + eps(g), replicated across the
+    record's per-domain slots."""
+    loss_p, g_p = _sum_terms(_part_terms(model, ascending_vector(g, rho_t, zero_grad_eps).eps + theta, parts))
+    return g_p, [g_p] * len(terms.ids), loss_p - loss
+
+
+def _sam_domain(model, theta, parts, terms, loss, g, rho_t, gamma_t, zero_grad_eps):
+    """d = the mean over domains of domain i's gradient at theta + eps_i, on
+    its own part."""
+    k = len(terms.ids)
+    losses_p, gps = _pair_losses_grads(model, _eps_rows(terms.grads, rho_t, zero_grad_eps) + theta, parts)
+    gaps = [loss_p - dom_loss for loss_p, dom_loss in zip(losses_p.tolist(), terms.losses)]
+    return _grad_sum(gps) * (1.0 / k), gps, _loss_sum(gaps) / k
+
+
+def _aligned(domain_scope: bool):
+    """The direction of gac_fas (domain_scope=False) and reg_domain_perturb.
+
+    For each domain i: ascend by eps_i from that domain's gradient, offset by
+    -gamma_t * g, and take the perturbed gradient over the whole batch
+    (summed over parts in ascending id order), or with domain_scope over
+    part i alone, rescaled by k. d = g + mean_i perturbed_grad_i."""
+
+    def direction(model, theta, parts, terms, loss, g, rho_t, gamma_t, zero_grad_eps):
+        k = len(terms.ids)
+        points = _eps_rows(terms.grads, rho_t, zero_grad_eps) + axpy(-gamma_t, g, theta)
+        losses, grads = _pair_losses_grads(model, points, parts, grid=not domain_scope)
+        if domain_scope:
+            # Rescale the single-domain estimate to whole-batch (sum) units so
+            # k=1 and fully symmetric domains reproduce the unscoped step.
+            adv_losses, adv_grads = [loss_i * float(k) for loss_i in losses.tolist()], grads * float(k)
         else:
-            np.add(0.0, base, out=point)
-    return points
+            adv_losses, adv_grads = [_loss_sum(row) for row in losses.tolist()], _grad_sum(grads)
+        # Accumulating deviations from g keeps the terms small (they cluster
+        # around g for small rho/gamma) and makes the rho=0, gamma=0 collapse
+        # back to the doubled ERM gradient exact in floating point.
+        mean_gp = axpy(1.0 / k, _deviation_sum(adv_grads, g), g)
+        gap = _loss_sum([loss_adv - loss for loss_adv in adv_losses]) / k
+        return g + mean_gp, adv_grads, gap
+
+    return direction
+
+
+_gac_fas, _reg_domain_perturb = _aligned(False), _aligned(True)
 
 
 def erm_step(model, params: ParamVector, batch: Batch, cfg: OptimizerConfig, t: int, n_domains=None,
              record: bool = True):
     """theta <- theta - eta_t (grad L(theta;B) + grad R)."""
-    eta_t = schedule_value(cfg.schedule, cfg.eta0, t)
-    theta = params.theta
-    _, terms, loss, g = _plain_terms(model, theta, batch, n_domains)
-    r = regularizer_grad(params, cfg.weight_decay)
-    new_theta = axpy(-eta_t, g + r, theta)
-    gap = 0.0 if cfg.track_surrogate_gap else math.nan
-    return _step_result(record, params, new_theta, t, terms, loss, g, terms.grads, gap)
+    return _step(_erm, model, params, batch, cfg, t, n_domains, record)
 
 
 def sam_whole_step(model, params: ParamVector, batch: Batch, cfg: OptimizerConfig, t: int, n_domains=None,
                    record: bool = True):
     """Ascend along the whole-batch gradient, descend with the gradient taken
     at the ascended point."""
-    eta_t = schedule_value(cfg.schedule, cfg.eta0, t)
-    rho_t = schedule_value(cfg.schedule, cfg.rho, t)
-    theta = params.theta
-    parts, terms, loss, g = _plain_terms(model, theta, batch, n_domains)
-    asc = ascending_vector(g, rho_t, cfg.zero_grad_eps)
-    theta_p = axpy(1.0, asc.eps, theta)
-    loss_p, g_p = _sum_terms(_part_terms(model, theta_p, parts))
-    r = regularizer_grad(params, cfg.weight_decay)
-    new_theta = axpy(-eta_t, g_p + r, theta)
-    gap = (loss_p - loss) if cfg.track_surrogate_gap else math.nan
-    return _step_result(record, params, new_theta, t, terms, loss, g, [g_p] * len(terms.ids), gap)
+    return _step(_sam_whole, model, params, batch, cfg, t, n_domains, record)
 
 
 def sam_domain_step(model, params: ParamVector, batch: Batch, cfg: OptimizerConfig, t: int, n_domains=None,
                     record: bool = True):
     """Per-domain ascent, per-domain descent gradient on the domain's own
     sub-batch only, averaged over domains."""
-    eta_t = schedule_value(cfg.schedule, cfg.eta0, t)
-    rho_t = schedule_value(cfg.schedule, cfg.rho, t)
-    theta = params.theta
-    parts, terms, loss, g = _plain_terms(model, theta, batch, n_domains)
-    k = len(terms.ids)
-
-    losses_p, gps = _pair_losses_grads(model, _ascent_points(terms.grads, theta, rho_t, cfg.zero_grad_eps), parts)
-    mean_gp = _grad_sum(gps) * (1.0 / k)
-    r = regularizer_grad(params, cfg.weight_decay)
-    new_theta = axpy(-eta_t, mean_gp + r, theta)
-    gaps = [loss_p - dom_loss for loss_p, dom_loss in zip(losses_p.tolist(), terms.losses)]
-    gap = (_loss_sum(gaps) / k) if cfg.track_surrogate_gap else math.nan
-    return _step_result(record, params, new_theta, t, terms, loss, g, gps, gap)
-
-
-def _aligned_perturbation(model, theta: np.ndarray, parts: _Parts, terms: _Terms, g, rho_t, gamma_t, zero_grad_eps,
-                         domain_scope: bool = False):
-    """Per domain i, the loss and gradient at theta + eps_i - gamma_t * g,
-    with eps_i from domain i's plain gradient in terms: over the whole batch
-    (summed over parts in ascending id order), or with domain_scope over
-    part i alone, rescaled by k. Returns (a list of k losses, a (k, P)
-    array of gradients)."""
-    k = len(terms.ids)
-    points = _ascent_points(terms.grads, axpy(-gamma_t, g, theta), rho_t, zero_grad_eps)
-    losses, grads = _pair_losses_grads(model, points, parts, grid=not domain_scope)
-    if domain_scope:
-        # Rescale the single-domain estimate to whole-batch (sum) units so
-        # k=1 and fully symmetric domains reproduce the unscoped step.
-        return [loss * float(k) for loss in losses.tolist()], grads * float(k)
-    return [_loss_sum(row) for row in losses.tolist()], _grad_sum(grads)
-
-
-def _perturbed_gap(adv_losses, loss: float) -> float:
-    """Sum over domains of (perturbed loss - loss), in domain order."""
-    return _loss_sum([loss_adv - loss for loss_adv in adv_losses])
-
-
-def _aligned_perturb_step(model, params, batch, cfg, t, n_domains, domain_scope: bool, record: bool):
-    """Shared body of gac_fas_step and reg_domain_perturb_step.
-
-    For each domain i: ascend by eps_i from that domain's gradient, offset by
-    -gamma_t * g, and take the perturbed gradient over the whole batch
-    (domain_scope=False) or over B_i rescaled by k (domain_scope=True).
-    Update: theta - eta_t (g + mean_i perturbed_grad_i + r).
-    """
-    eta_t = schedule_value(cfg.schedule, cfg.eta0, t)
-    rho_t = schedule_value(cfg.schedule, cfg.rho, t)
-    gamma_t = schedule_value(cfg.schedule, cfg.gamma, t)
-    theta = params.theta
-    parts, terms, loss, g = _plain_terms(model, theta, batch, n_domains)
-    k = len(terms.ids)
-    r = regularizer_grad(params, cfg.weight_decay)
-
-    adv_losses, adv_grads = _aligned_perturbation(
-        model, theta, parts, terms, g, rho_t, gamma_t, cfg.zero_grad_eps, domain_scope
-    )
-    # Accumulating deviations from g keeps the terms small (they cluster
-    # around g for small rho/gamma) and makes the rho=0, gamma=0 collapse
-    # back to the doubled ERM gradient exact in floating point.
-    mean_gp = axpy(1.0 / k, _deviation_sum(adv_grads, g), g)
-    new_theta = axpy(-eta_t, (g + mean_gp) + r, theta)
-    gap = (_perturbed_gap(adv_losses, loss) / k) if cfg.track_surrogate_gap else math.nan
-    return _step_result(record, params, new_theta, t, terms, loss, g, adv_grads, gap)
+    return _step(_sam_domain, model, params, batch, cfg, t, n_domains, record)
 
 
 def gac_fas_step(model, params: ParamVector, batch: Batch, cfg: OptimizerConfig, t: int, n_domains=None,
@@ -497,14 +471,14 @@ def gac_fas_step(model, params: ParamVector, batch: Batch, cfg: OptimizerConfig,
       gp_i = grad L(theta + eps_i - gamma_t * g; B)  (whole batch)
       theta <- theta - eta_t (g + (1/k) sum_i gp_i + r)
     """
-    return _aligned_perturb_step(model, params, batch, cfg, t, n_domains, False, record)
+    return _step(_gac_fas, model, params, batch, cfg, t, n_domains, record)
 
 
 def reg_domain_perturb_step(model, params: ParamVector, batch: Batch, cfg: OptimizerConfig, t: int, n_domains=None,
                             record: bool = True):
     """Ablation: the perturbed gradient for domain i is evaluated on B_i only
     (rescaled by k), not on the whole batch."""
-    return _aligned_perturb_step(model, params, batch, cfg, t, n_domains, True, record)
+    return _step(_reg_domain_perturb, model, params, batch, cfg, t, n_domains, record)
 
 
 _STEP_FNS = {

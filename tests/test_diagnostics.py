@@ -2,6 +2,7 @@
 convergence traces."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -65,6 +66,23 @@ def test_surrogate_gap_zero_for_every_theta_at_rho_zero():
         assert surrogate_gap(spec, params, batch, 0.0) == 0.0
     with pytest.raises(ValueError):
         surrogate_gap(ScalarQuadratic(), scalar_params(1.0), k_domain_batch(1), -0.1)
+
+
+BAD_RHOS = [math.nan, math.inf, -math.inf, -0.1]
+
+
+@pytest.mark.parametrize("rho", BAD_RHOS)
+def test_surrogate_gap_refuses_a_non_finite_or_negative_rho_by_name(rho):
+    spec, params, batch = random_instance(0)
+    with pytest.raises(ValueError, match=f"^rho must be finite and >= 0, got {rho}$"):
+        surrogate_gap(spec, params, batch, rho)
+
+
+@pytest.mark.parametrize("rho", BAD_RHOS)
+def test_perturbed_loss_refuses_a_non_finite_or_negative_rho_by_name(rho):
+    spec, params, batch = random_instance(0)
+    with pytest.raises(ValueError, match=f"^rho must be finite and >= 0, got {rho}$"):
+        perturbed_loss(spec, params, batch, rho)
 
 
 # ------------------------------------------------- alignment inner products ----
@@ -133,6 +151,26 @@ def test_alignment_tensor_rejects_bad_domain_index():
     params = init_params(spec, Prng(0, 0))
     with pytest.raises(ValueError):
         alignment_inner_products(spec, params, source, i=3, rho=0.1, gamma=0.0)
+
+
+@pytest.mark.parametrize(
+    "args,message",
+    [
+        (dict(i=0, rho=0.1, gamma=-1.0), "gamma must be finite and >= 0, got -1.0"),
+        (dict(i=0, rho=0.1, gamma=math.nan), "gamma must be finite and >= 0, got nan"),
+        (dict(i=0, rho=0.1, gamma=math.inf), "gamma must be finite and >= 0, got inf"),
+        (dict(i=0, rho=math.nan, gamma=0.0), "rho must be finite and >= 0, got nan"),
+        (dict(i=0, rho=-0.1, gamma=0.0), "rho must be finite and >= 0, got -0.1"),
+        (dict(i=True, rho=0.1, gamma=0.0), "domain index must be an int, got True"),
+        (dict(i=1.0, rho=0.1, gamma=0.0), "domain index must be an int, got 1.0"),
+    ],
+)
+def test_alignment_tensor_refuses_bad_arguments_by_name(args, message):
+    source = _three_domain_source(2)
+    spec = MlpSpec((2, 6, 2), "tanh")
+    params = init_params(spec, Prng(0, 0))
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        alignment_inner_products(spec, params, source, **args)
 
 
 # --------------------------------------------------------- landscape slice ----

@@ -2,6 +2,7 @@
 output files, leave-one-out and sweep drivers, and the CLI."""
 
 import ast
+import dataclasses
 import importlib
 import json
 import math
@@ -49,7 +50,7 @@ from gacfas.harness import (
 )
 from gacfas.model import MlpSpec, ParamVector, init_params, layout_for
 from gacfas.numerics import Prng
-from gacfas.optim import MODES, OptimizerConfig, Schedule, StepDiagnostics, take_step
+from gacfas.optim import MODES, OptimizerConfig, Schedule, StepDiagnostics, gac_fas_step, take_step
 
 
 def tiny_config(output_dir: str = "out", **overrides) -> ExperimentConfig:
@@ -945,6 +946,52 @@ def test_fullset_diagnostics_report_nan_alignment_for_nan_gradients():
     theta[0] = math.nan
     diag = fullset_step_diagnostics(cfg.model, ParamVector(theta, params.layout), source, cfg.optimizer, t=1)
     assert all(math.isnan(c) for c in diag.alignment_cos)
+
+
+def _fullset_case(seed: int):
+    from gacfas import datagen
+
+    cfg = tiny_config(optimizer=OptimizerConfig(mode="gac_fas", eta0=0.1, rho=0.2, gamma=0.01))
+    source, _ = datagen.leave_one_out(list(cfg.domains), 2)
+    return cfg, source, init_params(cfg.model, Prng(seed, 0))
+
+
+def test_gac_fas_step_on_a_source_set_is_the_fullset_record():
+    """fullset_step_diagnostics is the record of a gac_fas step on the whole
+    source set, record for record along a run's iterates."""
+    cfg, source, params = _fullset_case(0)
+    opt = dataclasses.replace(cfg.optimizer, schedule=Schedule("theorem1"))
+    for t in range(1, 6):
+        params, step_diag = gac_fas_step(cfg.model, params, source, opt, t)
+        full = fullset_step_diagnostics(cfg.model, params, source, opt, t + 1)
+        assert repr(gac_fas_step(cfg.model, params, source, opt, t + 1)[1]) == repr(full)
+        assert step_diag.domain_ids == full.domain_ids == (0, 1)
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_fullset_diagnostics_carry_the_tracked_gap_whether_or_not_the_run_tracks_it(mode):
+    cfg, source, params = _fullset_case(1)
+    opt = OptimizerConfig(mode=mode, eta0=0.1, rho=0.2, gamma=0.01)
+    tracked = fullset_step_diagnostics(cfg.model, params, source, opt, t=3)
+    untracked = fullset_step_diagnostics(
+        cfg.model, params, source, dataclasses.replace(opt, track_surrogate_gap=False), t=3
+    )
+    assert repr(untracked) == repr(tracked)
+    assert math.isfinite(tracked.surrogate_gap) and tracked.surrogate_gap != 0.0
+
+
+def test_harness_imports_no_private_name_from_optim():
+    """The harness reaches the optimizer through its public step functions
+    only, so the step body has one home."""
+    tree = ast.parse(Path(harness.__file__).read_text(encoding="utf-8"))
+    private = [
+        alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.module == "optim" and node.level == 1
+        for alias in node.names
+        if alias.name.startswith("_")
+    ]
+    assert private == []
 
 
 def test_run_convergence_forces_theorem1_and_writes_outputs(tmp_path):

@@ -100,21 +100,13 @@ def test_prng_refuses_a_negative_seed_or_stream_id_by_name():
     with pytest.raises(ValueError, match="Prng seed must be a non-negative integer, got -3"):
         Prng(-3)
     with pytest.raises(ValueError, match="Prng stream_id must be a non-negative integer, got -1"):
-        Prng(0, 0).split(-1)
+        Prng(0, -1)
 
 
 def test_distinct_stream_ids_diverge():
     for seed in (0, 1, 42, 2024):
         prefixes = [tuple(gaussian(Prng(seed, sid), 100)) for sid in range(4)]
         assert len(set(prefixes)) == 4
-
-
-def test_prng_split_independent_of_parent_position():
-    parent = Prng(7, 0)
-    gaussian(parent, 100)  # advance the parent
-    a = gaussian(parent.split(3), 10)
-    b = gaussian(Prng(7, 3), 10)
-    assert np.array_equal(a, b)
 
 
 def test_gaussian_moments_over_one_million_draws():

@@ -16,8 +16,8 @@ from gacfas.numerics import Prng, axpy, gaussian, l2_norm
 from gacfas.optim import (
     MODES,
     StepDiagnostics,
-    _ascent_points,
     _deviation_sum,
+    _eps_rows,
     _grad_sum,
     _loss_sum,
     OptimizerConfig,
@@ -123,6 +123,12 @@ def test_ascending_vector_norm_equals_rho():
 def test_ascending_vector_rejects_negative_rho():
     with pytest.raises(ValueError):
         ascending_vector(np.ones(2), -0.1)
+
+
+@pytest.mark.parametrize("rho", [math.nan, math.inf, -math.inf, -0.1])
+def test_ascending_vector_refuses_a_non_finite_or_negative_rho_by_name(rho):
+    with pytest.raises(ValueError, match=f"^rho must be finite and >= 0, got {rho}$"):
+        ascending_vector(np.ones(3), rho)
 
 
 # ------------------------------------------------------------ regularizer ----
@@ -653,8 +659,11 @@ def test_single_call_grid_and_deviation_sums_equal_the_loops_bitwise(case):
 
 def test_ascent_points_match_ascending_vector_then_axpy_bitwise():
     """Rows with a zero, a tiny, a NaN and ordinary gradients, against a
-    base with signed zeros: each row is axpy(1.0, ascending_vector(...).eps,
-    base), bit for bit, including the zero-gradient row's +0.0 + -0.0."""
+    base with signed zeros: each ascending point eps + base, with eps from
+    the one ascent helper, is axpy(1.0, eps, base) for the eps written out
+    here (rho * g / ||g||, or zeros at or under the guard), bit for bit,
+    including the zero-gradient row's +0.0 + -0.0; ascending_vector is the
+    helper's one-row case."""
     rng = np.random.default_rng(5)
     base = rng.standard_normal(7)
     base[[1, 4]] = -0.0
@@ -663,5 +672,8 @@ def test_ascent_points_match_ascending_vector_then_axpy_bitwise():
     grads[2] *= 1e-14
     grads[3, 2] = math.nan
     for rho in (0.0, 0.05, 0.3):
-        want = np.stack([axpy(1.0, ascending_vector(grad, rho, 1e-12).eps, base) for grad in grads])
-        assert _ascent_points(grads, base, rho, 1e-12).tobytes() == want.tobytes()
+        eps = [grad * (rho / l2_norm(grad)) if l2_norm(grad) > 1e-12 else np.zeros(7) for grad in grads]
+        want = np.stack([axpy(1.0, e, base) for e in eps])
+        assert (_eps_rows(grads, rho, 1e-12) + base).tobytes() == want.tobytes()
+        for grad, e in zip(grads, eps):
+            assert ascending_vector(grad, rho, 1e-12).eps.tobytes() == e.tobytes()
