@@ -144,12 +144,12 @@ def landscape_slice(model, params: ParamVector, batch: Batch, dims: int, radius:
     """Loss on the grid theta + s*d1 (+ u*d2) with block-normalized gaussian
     directions. steps must be odd so 0 is a grid point; spacing puts the
     offsets at exact multiples of radius/((steps-1)/2)."""
-    if dims not in (1, 2):
-        raise ValueError(f"dims must be 1 or 2, got {dims}")
+    if not (_is_int(dims) and dims in (1, 2)):
+        raise ValueError(f"dims must be 1 or 2, got {dims!r}")
     if not (math.isfinite(radius) and radius > 0):
         raise ValueError(f"radius must be finite and > 0, got {radius}")
-    if steps < 3 or steps % 2 == 0:
-        raise ValueError(f"steps must be odd and >= 3 so the center is a grid point, got {steps}")
+    if not _is_int(steps) or steps < 3 or steps % 2 == 0:
+        raise ValueError(f"steps must be an odd int >= 3 so the center is a grid point, got {steps!r}")
     directions = tuple(_block_normalized_direction(params, prng) for _ in range(dims))
     c = steps // 2
     h = radius / c

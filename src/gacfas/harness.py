@@ -14,6 +14,7 @@ writes are atomic (temp file + rename).
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import hashlib
 import json
@@ -26,7 +27,7 @@ import sys
 import tempfile
 from dataclasses import dataclass
 from operator import attrgetter
-from typing import Callable, NamedTuple
+from typing import BinaryIO, Callable, NamedTuple
 
 import numpy as np
 
@@ -371,7 +372,8 @@ def _train_on_split(cfg: ExperimentConfig, seed: int, held: int, split, fullset_
     The realization depends only on the domain specs and held, so every
     seed of a rotation can share one. The run keeps a record every
     diagnostics_every steps: the step's own, or with fullset_every > 0 one
-    from fullset_step_diagnostics every fullset_every steps."""
+    from fullset_step_diagnostics every fullset_every steps, computed as
+    _fullset_records says."""
     source, test = split
     train_indices = [i for i in range(len(cfg.domains)) if i != held]
     speh = steps_per_epoch(cfg, train_indices)
@@ -385,14 +387,16 @@ def _train_on_split(cfg: ExperimentConfig, seed: int, held: int, split, fullset_
     every = fullset_every or cfg.diagnostics_every
     evals = []
     diags = []
-    for t in range(1, cfg.steps + 1):
-        minibatch = datagen.sample_minibatch(source, cfg.per_domain_batch, batch_prng)
-        keep = t % every == 0
-        params, diag = _checked_step(spec, params, minibatch, opt, t, k, keep and not fullset_every)
-        if keep:
-            diags.append(fullset_step_diagnostics(spec, params, source, opt, t) if fullset_every else diag)
-        if t % cfg.eval_every == 0:
-            evals.append(_evaluate(cfg, spec, params, test, source, t))
+    fullset_steps = range(every, cfg.steps + 1, every) if fullset_every else range(0)
+    with _fullset_records(spec, source, opt, fullset_steps, diags) as fullset:
+        for t in range(1, cfg.steps + 1):
+            minibatch = datagen.sample_minibatch(source, cfg.per_domain_batch, batch_prng)
+            keep = t % every == 0
+            params, diag = _checked_step(spec, params, minibatch, opt, t, k, keep and not fullset_every)
+            if keep:
+                diags.append(fullset(t, params) if fullset_every else diag)
+            if t % cfg.eval_every == 0:
+                evals.append(_evaluate(cfg, spec, params, test, source, t))
 
     manifest = {
         "config": config_to_dict(cfg),
@@ -413,6 +417,72 @@ def _train_on_split(cfg: ExperimentConfig, seed: int, held: int, split, fullset_
     if fullset_every:
         manifest["diagnostics_scope"] = "full-training-set"
     return RunRecord(manifest, tuple(evals), tuple(diags), params)
+
+
+@contextlib.contextmanager
+def _fullset_records(spec, source, opt: OptimizerConfig, steps, diags: list):
+    """Yield fullset(t, params), called once for each step t of steps, in
+    order, after that step. On the way out, diags holds the full-set records
+    of those steps (fullset_step_diagnostics), in step order, as one serial
+    loop gives them.
+
+    With n processes (_process_count, capped so that each has a record),
+    the records come in 2n - 1 shares: record i belongs to share
+    i % (2n - 1). The caller, which also trains, computes share 0 between
+    its steps. Forked worker w (_forked) computes shares 2w + 1 and 2w + 2
+    from the (t, theta) that fullset sends it, and fullset returns None for
+    those records until they come back. The failure of the earliest record is
+    raised, ahead of any later failure of the caller's own. One process
+    forks nothing."""
+
+    def record(t, params):
+        return fullset_step_diagnostics(spec, params, source, opt, t)
+
+    n = _process_count((len(steps) + 2) // 2)
+    if n == 1:
+        yield record
+        return
+    owners = [(i % (2 * n - 1) - 1) // 2 for i in range(len(steps))]  # worker w, or -1 for the caller
+    sent = iter(owners)
+    layout = layout_for(spec)
+
+    def work(inbox):
+        records, failure = [], None
+        while True:
+            try:
+                t, theta = pickle.load(inbox)
+            except EOFError:  # the caller has sent every record
+                return records, failure
+            if failure is None:  # after a failure, read on: the caller must never wait on a full pipe
+                try:
+                    records.append(record(t, ParamVector(theta, layout)))
+                except Exception as exc:
+                    failure = (t, exc)
+
+    def fullset(t, params):
+        w = next(sent)
+        if w < 0:
+            return record(t, params)
+        children[w].send(pickle.dumps((t, params.theta)))
+        return None
+
+    works = [(f"computing the full-set records from step {steps[2 * w + 1]}", work) for w in range(n - 1)]
+    with _forked(works) as children:
+        try:
+            yield fullset
+            failure = None
+        except Exception as exc:  # a failure of a record sent before it comes first in the serial loop
+            failure = exc
+        for child in children:
+            child.inbox.close()
+        outcomes = [child.result() for child in children]
+        failures = [f for _, f in outcomes if f is not None]
+        if failures:
+            raise min(failures, key=lambda f: f[0])[1]
+        if failure is not None:
+            raise failure
+        received = [iter(records) for records, _ in outcomes]
+        diags[:] = [d if w < 0 else next(received[w]) for d, w in zip(diags, owners)]
 
 
 def _csv(header, rows) -> str:
@@ -577,61 +647,106 @@ def _train_runs(runs) -> list[dict]:
 
     The list is cut into contiguous blocks of near-equal size, one per
     process (_process_count). The calling process trains the first block and
-    one forked process trains each other one, writing its runs' files and
-    sending back only its window means. Each block stops at its first
-    failing run, and the failure with the lowest run index is raised, with
-    the serial loop's type and message. Every forked process is killed and
-    reaped before this returns or raises."""
+    one forked process (_forked) trains each other one, writing its runs'
+    files and sending back only its window means. Each block stops at its
+    first failing run, and the failure with the lowest run index is raised,
+    with the serial loop's type and message."""
     n = _process_count(len(runs))
     blocks = [runs[i * len(runs) // n : (i + 1) * len(runs) // n] for i in range(n)]
+    works = [
+        (f"training the runs from held_out {b[0].held} seed {b[0].seed}", lambda inbox, b=b: _train_block(b))
+        for b in blocks[1:]
+    ]
+    with _forked(works) as children:
+        windows = _train_block(blocks[0])
+        for child in children:
+            windows += child.result()
+        return windows
+
+
+class _Child(NamedTuple):
+    """A process that _forked started: its pid, the write end of the pipe it
+    reads, the read end of the pipe its result comes back on, and what it
+    was started to do."""
+
+    pid: int
+    inbox: BinaryIO
+    results: BinaryIO
+    doing: str
+
+    def send(self, payload: bytes) -> None:
+        """Write payload to the child's pipe. A child that has gone is left
+        to result(), which names it."""
+        view = memoryview(payload)
+        try:
+            while view:
+                view = view[self.inbox.write(view) :]
+        except BrokenPipeError:
+            pass
+
+    def result(self):
+        """The child's return value, or its failure raised. Call it after
+        closing the inbox: the child ends when its work returns."""
+        try:
+            value, failure = pickle.load(self.results)
+        except Exception:  # no result (killed by a signal, or a failure that did not pickle) or none that loads
+            raise RuntimeError(f"the process {self.doing} exited without a result") from None
+        if failure is not None:
+            raise failure
+        return value
+
+
+@contextlib.contextmanager
+def _forked(works):
+    """Fork one process per (doing, work) pair of works and yield their
+    _Child handles, in order. A child runs work(inbox), inbox being a binary
+    file of what the caller sends it, sends back (the return value, None) or
+    (None, the failure), and exits: it never returns into the caller's
+    stack. Every child is killed and reaped before the block is left, by a
+    return, a failure or KeyboardInterrupt."""
     sys.stdout.flush()
     sys.stderr.flush()
-    children = []  # (pid, the read end of its pipe, its block)
+    children = []
     try:
-        for block in blocks[1:]:
-            read_fd, write_fd = os.pipe()
+        for doing, work in works:
+            fds = os.pipe() + os.pipe()  # the child's inbox (read, write), then its results (read, write)
             try:
                 pid = os.fork()
             except OSError:
-                os.close(read_fd)
-                os.close(write_fd)
+                for fd in fds:
+                    os.close(fd)
                 raise
             if pid == 0:
-                _train_child(block, write_fd)
-            os.close(write_fd)
-            children.append((pid, os.fdopen(read_fd, "rb"), block))
-        windows = _train_block(blocks[0])
-        for _, results, block in children:
-            try:
-                block_windows, failure = pickle.load(results)
-            except Exception:  # no result (killed by a signal, or a failure that did not pickle) or none that loads
-                first = block[0]
-                raise RuntimeError(
-                    f"the process training the runs from held_out {first.held} seed {first.seed} exited without a result"
-                ) from None
-            if failure is not None:
-                raise failure
-            windows += block_windows
-        return windows
+                for child in children:  # an earlier child sees the end of its inbox only when no process holds it open
+                    child.inbox.close()
+                    child.results.close()
+                os.close(fds[1])
+                os.close(fds[2])
+                _child_main(work, fds[0], fds[3])
+            os.close(fds[0])
+            os.close(fds[3])
+            children.append(_Child(pid, open(fds[1], "wb", buffering=0), open(fds[2], "rb"), doing))
+        yield children
     finally:
-        for pid, results, _ in children:
-            os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
-            results.close()
+        for child in children:
+            os.kill(child.pid, signal.SIGKILL)
+            os.waitpid(child.pid, 0)
+            child.inbox.close()
+            child.results.close()
 
 
-def _train_child(block, write_fd: int) -> None:
-    """The body of a forked process: train block, send (window means, None)
-    or (None, the failure) through write_fd, and exit. It never returns into
-    the caller's stack."""
+def _child_main(work, inbox_fd: int, results_fd: int) -> None:
+    """The body of a forked process: run work on its inbox, send (the return
+    value, None) or (None, the failure) through results_fd, and exit."""
     code = 1
     try:
         try:
-            result = (_train_block(block), None)
+            with open(inbox_fd, "rb") as inbox:
+                result = (work(inbox), None)
         except Exception as exc:
             result = (None, exc)
         payload = pickle.dumps(result)  # before the first byte is sent: a failure to pickle sends none
-        with os.fdopen(write_fd, "wb") as fh:
+        with open(results_fd, "wb") as fh:
             fh.write(payload)
         code = 0
     finally:
@@ -717,7 +832,17 @@ def run_convergence(cfg: ExperimentConfig, window: int = 40, trace_every: int = 
     trace_every steps records full-training-set gradient diagnostics, from
     which the convergence trace and its fitted C log(t+1)/sqrt(t) curve are
     built. Returns (record, trace); record.diagnostics is the full-set
-    stream."""
+    stream.
+
+    The full-set records are computed on every CPU in the affinity mask
+    (_fullset_records): the calling process trains and computes a third of
+    them on 2 CPUs, and a forked worker computes the rest from the (t, theta)
+    the caller sends it. Each record depends only on its step's parameters,
+    so every output is byte-identical to a one-CPU run. Both arguments are
+    checked before the first step and before any fork."""
+    for name, value in (("window", window), ("trace_every", trace_every)):
+        if not _is_int(value):
+            raise ConfigValueError(f"{name} must be an int, got {value!r}")
     if trace_every < 1:
         raise ConfigValueError(f"trace_every must be >= 1, got {trace_every}")
     n_records = cfg.steps // trace_every

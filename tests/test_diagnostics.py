@@ -208,6 +208,21 @@ def test_landscape_validation():
         landscape_slice(spec, params, batch, dims=1, radius=1.0, steps=1, prng=Prng(0, 2))
 
 
+@pytest.mark.parametrize(
+    "args,message",
+    [
+        (dict(dims=True, steps=5), "dims must be 1 or 2, got True"),
+        (dict(dims=1.0, steps=5), "dims must be 1 or 2, got 1.0"),
+        (dict(dims=1, steps=5.0), "steps must be an odd int >= 3 so the center is a grid point, got 5.0"),
+        (dict(dims=1, steps=True), "steps must be an odd int >= 3 so the center is a grid point, got True"),
+    ],
+)
+def test_landscape_slice_refuses_dims_or_steps_that_are_not_ints_by_name(args, message):
+    spec, params, batch = random_instance(4)
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        landscape_slice(spec, params, batch, radius=1.0, prng=Prng(0, 2), **args)
+
+
 def test_landscape_deterministic_given_seed():
     spec, params, batch = random_instance(5)
     a = landscape_slice(spec, params, batch, dims=1, radius=1.0, steps=9, prng=Prng(7, 2))

@@ -819,6 +819,160 @@ def test_a_failure_in_the_calling_process_kills_and_reaps_every_other_process(mo
         os.waitpid(-1, os.WNOHANG)
 
 
+def _counted_forks(monkeypatch) -> list:
+    """A list that gets one entry per os.fork call."""
+    forks = []
+    real = os.fork
+
+    def fork():
+        forks.append(os.getpid())
+        return real()
+
+    monkeypatch.setattr(os, "fork", fork)
+    return forks
+
+
+def _refuse_forks(monkeypatch) -> None:
+    def no_fork():
+        raise AssertionError("os.fork was called")
+
+    monkeypatch.setattr(os, "fork", no_fork)
+
+
+def _convergence_config(**overrides) -> ExperimentConfig:
+    """60 steps traced every 5 give 12 full-set records: on up to 7 CPUs
+    every process computes some."""
+    return tiny_config(**{"steps": 60, "eval_every": 30, "eval_window": 1, **overrides})
+
+
+@pytest.mark.parametrize("cpus", [None, 3])  # None: the real affinity mask
+def test_cli_convergence_writes_the_same_files_on_one_cpu_and_on_several(tmp_path, monkeypatch, capsys, cpus):
+    out = tmp_path / "out"
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(tiny_config_json(str(out), steps=60, eval_every=30, eval_window=1))
+    masks = [{0}, os.sched_getaffinity(0) if cpus is None else set(range(cpus))]
+    forks = _counted_forks(monkeypatch)
+    outputs = []
+    for mask in masks:
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: mask)
+        forks.clear()
+        assert cli.main(["convergence", "--config", str(cfg_path), "--window", "4", "--trace-every", "5"]) == 0
+        outputs.append((_tree(out), capsys.readouterr(), len(forks)))
+        out.rename(tmp_path / f"cpus{len(mask)}_{len(outputs)}")
+    (serial, serial_io, serial_forks), (parallel, parallel_io, parallel_forks) = outputs
+    run_files = ["diagnostics.csv", "manifest.json", "metrics.csv", "params.bin"]
+    assert sorted(serial) == ["convergence.csv", *(f"convergence_run/{name}" for name in run_files)]
+    assert (serial_forks, parallel_forks) == (0, len(masks[1]) - 1)
+    assert sorted(parallel) == sorted(serial)
+    assert [name for name in serial if parallel[name] != serial[name]] == []
+    assert parallel_io == serial_io
+
+
+def test_a_diverging_convergence_run_fails_alike_on_one_cpu_and_on_two(tmp_path, monkeypatch, capsys):
+    # Traced every step, the caller sends step 2's parameters to the worker
+    # before step 3's loss is NaN.
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(tiny_config_json(str(tmp_path / "conv"), optimizer={"mode": "gac_fas", "eta0": 1e200}))
+    argv = ["convergence", "--config", str(cfg_path), "--window", "1", "--trace-every", "1"]
+    forks = _counted_forks(monkeypatch)
+    outcomes = []
+    for cpus in (1, 2):
+        _set_cpus(monkeypatch, cpus)
+        with np.errstate(all="ignore"):
+            with pytest.raises(Exception) as info:
+                run_convergence(load_config(str(cfg_path)), window=1, trace_every=1, write=False)
+            code = cli.main(argv)
+        outcomes.append((type(info.value), str(info.value), code, capsys.readouterr().err))
+    assert len(forks) == 2  # a worker for each of the two runs on 2 CPUs
+    message = "optimizer step 3 failed: the step loss is nan"
+    assert outcomes == [(RuntimeError, message, 2, f"runtime error: {message}\n")] * 2
+    assert not (tmp_path / "conv").exists()
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.parametrize("cpus", [1, 2, 3])
+def test_the_earliest_failing_full_set_record_is_raised_from_any_process(monkeypatch, cpus):
+    # Step 15's record is a worker's on 2 and 3 CPUs; the caller's own
+    # record of step 20 or 30 fails after it.
+    real = harness.fullset_step_diagnostics
+
+    def failing(spec, params, source, opt, t):
+        if t >= 15:
+            raise ValueError(f"the record of step {t} failed")
+        return real(spec, params, source, opt, t)
+
+    monkeypatch.setattr(harness, "fullset_step_diagnostics", failing)
+    _set_cpus(monkeypatch, cpus)
+    with pytest.raises(ValueError, match=r"^the record of step 15 failed$"):
+        run_convergence(_convergence_config(), window=4, trace_every=5, write=False)
+
+
+def test_a_full_set_worker_killed_by_a_signal_is_named(monkeypatch):
+    parent = os.getpid()
+    real = harness.fullset_step_diagnostics
+
+    def dying(*args):
+        if os.getpid() != parent:
+            os.kill(os.getpid(), signal.SIGKILL)
+        return real(*args)
+
+    monkeypatch.setattr(harness, "fullset_step_diagnostics", dying)
+    _set_cpus(monkeypatch, 2)
+    with pytest.raises(RuntimeError, match="^the process computing the full-set records from step 10 exited without a result$"):
+        run_convergence(_convergence_config(), window=4, trace_every=5, write=False)
+
+
+def test_an_interrupt_in_the_caller_kills_and_reaps_the_full_set_worker(monkeypatch):
+    parent = os.getpid()
+    real = harness.fullset_step_diagnostics
+
+    def interrupted(*args):
+        if os.getpid() == parent:
+            raise KeyboardInterrupt("stopped")
+        return real(*args)
+
+    monkeypatch.setattr(harness, "fullset_step_diagnostics", interrupted)
+    forks = _counted_forks(monkeypatch)
+    _set_cpus(monkeypatch, 2)
+    with pytest.raises(KeyboardInterrupt, match="stopped"):
+        run_convergence(_convergence_config(), window=4, trace_every=5, write=False)
+    assert len(forks) == 1
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_convergence_on_one_cpu_and_training_on_any_fork_nothing(monkeypatch):
+    _refuse_forks(monkeypatch)
+    cfg = _convergence_config()
+    _set_cpus(monkeypatch, 1)
+    record, _ = run_convergence(cfg, window=4, trace_every=5, write=False)
+    assert len(record.diagnostics) == 12
+    _set_cpus(monkeypatch, 3)
+    run_training(cfg, seed=0)
+
+
+@pytest.mark.parametrize(
+    "args,message",
+    [
+        (dict(window=4, trace_every=True), "trace_every must be an int, got True"),
+        (dict(window=4, trace_every=5.5), "trace_every must be an int, got 5.5"),
+        (dict(window=2.0, trace_every=5), "window must be an int, got 2.0"),
+        (dict(window=True, trace_every=5), "window must be an int, got True"),
+        (dict(window=4, trace_every=0), "trace_every must be >= 1, got 0"),
+        (dict(window=13, trace_every=5), "window=13 must be in [1, 12]"),
+    ],
+)
+def test_run_convergence_refuses_a_bad_window_or_trace_every_before_any_step_or_fork(monkeypatch, args, message):
+    steps = []
+    monkeypatch.setattr(harness, "take_step", lambda *a, **kw: steps.append(a[4]))
+    _refuse_forks(monkeypatch)
+    _set_cpus(monkeypatch, 3)
+    with pytest.raises(ConfigValueError, match=f"^{re.escape(message)}"):
+        run_convergence(_convergence_config(), write=False, **args)
+    assert steps == []
+
+
 def test_loo_summary_json_is_strict_json_when_the_gap_is_not_tracked(tmp_path):
     def refuse(name):
         raise ValueError(f"{name} is not JSON")
