@@ -685,8 +685,8 @@ class _Child(NamedTuple):
             pass
 
     def result(self):
-        """The child's return value, or its failure raised. Call it after
-        closing the inbox: the child ends when its work returns."""
+        """The child's return value, or its failure raised. A child that
+        reads its inbox to the end returns only once the inbox is closed."""
         try:
             value, failure = pickle.load(self.results)
         except Exception:  # no result (killed by a signal, or a failure that did not pickle) or none that loads

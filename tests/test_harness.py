@@ -862,7 +862,7 @@ def test_cli_convergence_writes_the_same_files_on_one_cpu_and_on_several(tmp_pat
     (serial, serial_io, serial_forks), (parallel, parallel_io, parallel_forks) = outputs
     run_files = ["diagnostics.csv", "manifest.json", "metrics.csv", "params.bin"]
     assert sorted(serial) == ["convergence.csv", *(f"convergence_run/{name}" for name in run_files)]
-    assert (serial_forks, parallel_forks) == (0, len(masks[1]) - 1)
+    assert (serial_forks, parallel_forks) == (0, min(len(masks[1]), 7) - 1)  # 12 records keep at most 7 processes busy
     assert sorted(parallel) == sorted(serial)
     assert [name for name in serial if parallel[name] != serial[name]] == []
     assert parallel_io == serial_io
