@@ -184,10 +184,7 @@ def main(argv=None) -> int:
     except (ConfigError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except OSError as exc:
-        print(f"runtime error: {exc}", file=sys.stderr)
-        return 2
-    except RuntimeError as exc:
+    except (OSError, RuntimeError) as exc:
         print(f"runtime error: {exc}", file=sys.stderr)
         return 2
 

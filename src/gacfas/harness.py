@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import contextlib
 import dataclasses
+import functools
 import hashlib
 import json
 import math
@@ -423,66 +424,26 @@ def _train_on_split(cfg: ExperimentConfig, seed: int, held: int, split, fullset_
 def _fullset_records(spec, source, opt: OptimizerConfig, steps, diags: list):
     """Yield fullset(t, params), called once for each step t of steps, in
     order, after that step. On the way out, diags holds the full-set records
-    of those steps (fullset_step_diagnostics), in step order, as one serial
-    loop gives them.
+    of those steps (fullset_step_diagnostics) in step order, as one serial
+    loop gives them. A failing record is raised as a RuntimeError naming its step.
 
-    With n processes (_process_count, capped so that each has a record),
-    the records come in 2n - 1 shares: record i belongs to share
-    i % (2n - 1). The caller, which also trains, computes share 0 between
-    its steps. Forked worker w (_forked) computes shares 2w + 1 and 2w + 2
-    from the (t, theta) that fullset sends it, and fullset returns None for
-    those records until they come back. The failure of the earliest record is
-    raised, ahead of any later failure of the caller's own. One process
-    forks nothing."""
-
-    def record(t, params):
-        return fullset_step_diagnostics(spec, params, source, opt, t)
-
-    n = _process_count((len(steps) + 2) // 2)
-    if n == 1:
-        yield record
-        return
-    owners = [(i % (2 * n - 1) - 1) // 2 for i in range(len(steps))]  # worker w, or -1 for the caller
-    sent = iter(owners)
+    On n processes (_process_count, capped so that each has a record), record
+    i belongs to share i % (2n - 1) (_spread): the caller, which also trains,
+    computes share 0 between its steps, and worker w shares 2w + 1 and 2w + 2."""
     layout = layout_for(spec)
 
-    def work(inbox):
-        records, failure = [], None
-        while True:
-            try:
-                t, theta = pickle.load(inbox)
-            except EOFError:  # the caller has sent every record
-                return records, failure
-            if failure is None:  # after a failure, read on: the caller must never wait on a full pipe
-                try:
-                    records.append(record(t, ParamVector(theta, layout)))
-                except Exception as exc:
-                    failure = (t, exc)
-
-    def fullset(t, params):
-        w = next(sent)
-        if w < 0:
-            return record(t, params)
-        children[w].send(pickle.dumps((t, params.theta)))
-        return None
-
-    works = [(f"computing the full-set records from step {steps[2 * w + 1]}", work) for w in range(n - 1)]
-    with _forked(works) as children:
+    def record(item):
+        t, theta = item
         try:
-            yield fullset
-            failure = None
-        except Exception as exc:  # a failure of a record sent before it comes first in the serial loop
-            failure = exc
-        for child in children:
-            child.inbox.close()
-        outcomes = [child.result() for child in children]
-        failures = [f for _, f in outcomes if f is not None]
-        if failures:
-            raise min(failures, key=lambda f: f[0])[1]
-        if failure is not None:
-            raise failure
-        received = [iter(records) for records, _ in outcomes]
-        diags[:] = [d if w < 0 else next(received[w]) for d, w in zip(diags, owners)]
+            return fullset_step_diagnostics(spec, ParamVector(theta, layout), source, opt, t)
+        except Exception as exc:
+            raise RuntimeError(f"full-set record at step {t} failed: {exc}") from exc
+
+    n = _process_count((len(steps) + 2) // 2)
+    owners = [(i % (2 * n - 1) - 1) // 2 for i in range(len(steps))]
+    with _spread(record, owners, lambda i: f"computing the full-set records from step {steps[i]}") as (submit, records):
+        yield lambda t, params: submit(steps.index(t), (t, params.theta))
+    diags[: len(steps)] = records  # with no step, diags keeps the steps' own records
 
 
 def _csv(header, rows) -> str:
@@ -561,9 +522,11 @@ def _atomic_write(path: str, data) -> None:
         with os.fdopen(fd, "wb") as fh:
             fh.write(data)
         os.replace(tmp, path)
-    except OSError as exc:
+    except BaseException as exc:  # an interrupt too: no temp file is left beside the target
         if os.path.exists(tmp):
             os.unlink(tmp)
+        if not isinstance(exc, OSError):
+            raise
         raise RuntimeError(f"failed writing {path}: {exc}") from exc
 
 
@@ -618,28 +581,13 @@ class _Run(NamedTuple):
     output_dir: str | None
 
 
-def _train_block(runs) -> list[dict]:
-    """Train runs in order, writing each run's files; return their window
-    means. A split is realized once per held-out index: runs come grouped by
-    it, so only the current one is kept."""
-    windows = []
-    held, split = None, None
-    for run in runs:
-        if run.held != held:
-            held, split = run.held, datagen.leave_one_out(list(run.cfg.domains), run.held)
-        record = _train_on_split(run.cfg, run.seed, run.held, split)
-        if run.output_dir is not None:
-            write_outputs(record, run.output_dir)
-        windows.append(window_means(record, run.cfg.eval_window))
-    return windows
-
-
-def _process_count(n_runs: int) -> int:
-    """How many processes train n_runs runs: one per CPU the calling process
-    may run on, at most one per run, and 1 where the platform cannot fork."""
+def _process_count(n_items: int) -> int:
+    """How many processes share n_items runs or records: one per CPU the
+    calling process may run on, at most one per item, and 1 where the
+    platform cannot fork."""
     if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")):
         return 1
-    return min(len(os.sched_getaffinity(0)), n_runs)
+    return min(len(os.sched_getaffinity(0)), n_items)
 
 
 def _train_runs(runs) -> list[dict]:
@@ -647,68 +595,126 @@ def _train_runs(runs) -> list[dict]:
 
     The list is cut into contiguous blocks of near-equal size, one per
     process (_process_count). The calling process trains the first block and
-    one forked process (_forked) trains each other one, writing its runs'
-    files and sending back only its window means. Each block stops at its
-    first failing run, and the failure with the lowest run index is raised,
-    with the serial loop's type and message."""
+    one forked worker (_spread) trains each other one, writing its runs'
+    files. Workers are sent their runs' indices, all before the caller starts
+    its block. A split is realized once per held-out index in each process."""
     n = _process_count(len(runs))
-    blocks = [runs[i * len(runs) // n : (i + 1) * len(runs) // n] for i in range(n)]
-    works = [
-        (f"training the runs from held_out {b[0].held} seed {b[0].seed}", lambda inbox, b=b: _train_block(b))
-        for b in blocks[1:]
-    ]
-    with _forked(works) as children:
-        windows = _train_block(blocks[0])
+    owners = [b - 1 for b in range(n) for _ in range(b * len(runs) // n, (b + 1) * len(runs) // n)]
+    realize = functools.lru_cache(maxsize=1)(lambda domains, held: datagen.leave_one_out(list(domains), held))
+
+    def train(i):
+        run = runs[i]
+        record = _train_on_split(run.cfg, run.seed, run.held, realize(run.cfg.domains, run.held))
+        if run.output_dir is not None:
+            write_outputs(record, run.output_dir)
+        return window_means(record, run.cfg.eval_window)
+
+    doing = lambda i: f"training the runs from held_out {runs[i].held} seed {runs[i].seed}"
+    with _spread(train, owners, doing) as (submit, windows):
+        for i in sorted(range(len(runs)), key=lambda i: owners[i] < 0):  # the workers' runs first
+            submit(i, i)
+    return windows
+
+
+@contextlib.contextmanager
+def _spread(fn, owners, doing):
+    """Yield (submit, results) to compute fn over the items 0 .. len(owners) - 1
+    on the processes owners names, as one serial loop over the items gives.
+    submit(i, arg) runs fn(arg) here and returns its value when owners[i] < 0;
+    otherwise it sends (i, arg) to forked worker owners[i] and returns None.
+    The caller submits each item once, its own in index order. On the way
+    out, results[i] holds every item's value.
+
+    A worker computes its items in the order sent and stops at its first
+    failure; one that exits without a result fails at its first item i as
+    "the process {doing(i)} exited without a result". The failure with the
+    lowest index is raised, ahead of a failure of the block's own, such as a
+    training step's. A failing item of the caller's is raised at once, and
+    the workers killed, when no lower index is a worker's. With no worker,
+    nothing is forked: that is the serial loop."""
+    results = [None] * len(owners)
+    failures = {}  # index: exception; the block's own failure takes len(owners), after every item
+    firsts = [owners.index(w) for w in range(max(owners, default=-1) + 1)]
+    unsent = [owners.count(w) for w in range(len(firsts))]
+
+    def submit(i, arg):
+        w = owners[i]
+        if w >= 0:
+            view = memoryview(pickle.dumps((i, arg)))
+            with contextlib.suppress(BrokenPipeError):  # a worker that has gone is found to have no result
+                while view:
+                    view = view[children[w].inbox.write(view) :]
+            unsent[w] -= 1
+            if not unsent[w]:  # its last item: the worker can finish and exit while the caller works on
+                children[w].inbox.close()
+            return None
+        try:
+            results[i] = fn(arg)
+        except Exception as exc:
+            failures[i] = exc
+            raise
+        return results[i]
+
+    def work(inbox):
+        done, failure = {}, None
+        while True:
+            try:
+                i, arg = pickle.load(inbox)
+            except EOFError:  # the caller has sent every item
+                return done, failure
+            if failure is None:  # after a failure, read on: the caller must never wait on a full pipe
+                try:
+                    done[i] = fn(arg)
+                except Exception as exc:
+                    failure = (i, exc, exc.__cause__)  # pickle drops the cause
+
+    with _forked(work, len(firsts)) as children:
+        try:
+            yield submit, results
+        except Exception as exc:
+            if not failures:
+                failures[len(owners)] = exc
+            elif max(owners[: min(failures)], default=-1) < 0:
+                raise  # no lower index is a worker's
         for child in children:
-            windows += child.result()
-        return windows
+            child.inbox.close()
+        for first, child in zip(firsts, children):
+            if min(failures, default=first) < first:
+                continue  # every item of this worker comes after a failure
+            try:
+                done, failure = pickle.load(child.results)
+            except Exception:  # no result: killed by a signal, or a failure that did not pickle
+                done, failure = {}, (first, RuntimeError(f"the process {doing(first)} exited without a result"), None)
+            for i, value in done.items():
+                results[i] = value
+            if failure is not None:
+                i, exc, exc.__cause__ = failure
+                failures[i] = exc
+        if failures:
+            raise failures[min(failures)]
 
 
 class _Child(NamedTuple):
     """A process that _forked started: its pid, the write end of the pipe it
-    reads, the read end of the pipe its result comes back on, and what it
-    was started to do."""
+    reads and the read end of the pipe its result comes back on."""
 
     pid: int
     inbox: BinaryIO
     results: BinaryIO
-    doing: str
-
-    def send(self, payload: bytes) -> None:
-        """Write payload to the child's pipe. A child that has gone is left
-        to result(), which names it."""
-        view = memoryview(payload)
-        try:
-            while view:
-                view = view[self.inbox.write(view) :]
-        except BrokenPipeError:
-            pass
-
-    def result(self):
-        """The child's return value, or its failure raised. A child that
-        reads its inbox to the end returns only once the inbox is closed."""
-        try:
-            value, failure = pickle.load(self.results)
-        except Exception:  # no result (killed by a signal, or a failure that did not pickle) or none that loads
-            raise RuntimeError(f"the process {self.doing} exited without a result") from None
-        if failure is not None:
-            raise failure
-        return value
 
 
 @contextlib.contextmanager
-def _forked(works):
-    """Fork one process per (doing, work) pair of works and yield their
-    _Child handles, in order. A child runs work(inbox), inbox being a binary
-    file of what the caller sends it, sends back (the return value, None) or
-    (None, the failure), and exits: it never returns into the caller's
-    stack. Every child is killed and reaped before the block is left, by a
-    return, a failure or KeyboardInterrupt."""
-    sys.stdout.flush()
-    sys.stderr.flush()
+def _forked(work, n: int):
+    """Fork n processes and yield their _Child handles, in order. Each runs
+    work(inbox), inbox being a binary file of what the caller sends it, sends
+    back its pickled return value, and exits: it never returns into the
+    caller's stack. Every child is killed and reaped before the block is
+    left, by a return, a failure or KeyboardInterrupt."""
     children = []
     try:
-        for doing, work in works:
+        for _ in range(n):
+            sys.stdout.flush()  # a child must not write out what the caller has buffered
+            sys.stderr.flush()
             fds = os.pipe() + os.pipe()  # the child's inbox (read, write), then its results (read, write)
             try:
                 pid = os.fork()
@@ -725,7 +731,7 @@ def _forked(works):
                 _child_main(work, fds[0], fds[3])
             os.close(fds[0])
             os.close(fds[3])
-            children.append(_Child(pid, open(fds[1], "wb", buffering=0), open(fds[2], "rb"), doing))
+            children.append(_Child(pid, open(fds[1], "wb", buffering=0), open(fds[2], "rb")))
         yield children
     finally:
         for child in children:
@@ -736,16 +742,12 @@ def _forked(works):
 
 
 def _child_main(work, inbox_fd: int, results_fd: int) -> None:
-    """The body of a forked process: run work on its inbox, send (the return
-    value, None) or (None, the failure) through results_fd, and exit."""
+    """The body of a forked process: run work on its inbox, send its pickled
+    return value through results_fd, and exit. A failure sends nothing."""
     code = 1
     try:
-        try:
-            with open(inbox_fd, "rb") as inbox:
-                result = (work(inbox), None)
-        except Exception as exc:
-            result = (None, exc)
-        payload = pickle.dumps(result)  # before the first byte is sent: a failure to pickle sends none
+        with open(inbox_fd, "rb") as inbox:
+            payload = pickle.dumps(work(inbox))  # before the first byte is sent: a failure to pickle sends none
         with open(results_fd, "wb") as fh:
             fh.write(payload)
         code = 0

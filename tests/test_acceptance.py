@@ -18,7 +18,7 @@ from gacfas.harness import (
     finite_difference_suite,
     run_convergence,
     run_leave_one_out,
-    run_training,
+    run_sweep,
 )
 from gacfas.model import MlpSpec, init_params, mean_loss_and_grad
 from gacfas.numerics import Prng, gaussian, l2_norm
@@ -199,7 +199,15 @@ def test_c07_convergence_theorem_schedule():
     )
 
 
-def _c8_run(seed: int, gamma: float) -> float:
+def _csv_rows(path) -> list[dict]:
+    """The rows of a CSV the harness wrote, as floats: its floats are repr,
+    so each reads back bit for bit."""
+    header, *lines = path.read_text().splitlines()
+    return [dict(zip(header.split(","), map(float, line.split(",")))) for line in lines]
+
+
+def test_c08_alignment_effect(tmp_path):
+    # One sweep trains the 20 runs on every CPU in the affinity mask.
     cfg = default_experiment(
         "gac_fas",
         steps=4000,
@@ -208,14 +216,17 @@ def _c8_run(seed: int, gamma: float) -> float:
         per_domain_batch=64,
         held_out=3,
         diagnostics_every=1,
-        optimizer={"eta0": 0.3, "gamma": gamma},
+        seeds=tuple(range(10)),
+        output_dir=str(tmp_path),
+        optimizer={"eta0": 0.3},
     )
-    rec = run_training(cfg, seed=seed)
-    return float(np.mean([np.mean(d.alignment_cos) for d in rec.diagnostics]))
+    run_sweep(cfg, [0.0002, 0.0], [0.1])
 
+    def mean_cos(gamma: float, seed: int) -> float:
+        rows = _csv_rows(tmp_path / f"sweep_g{gamma!r}_r0.1" / f"seed{seed}" / "diagnostics.csv")
+        return float(np.mean([np.mean([v for k, v in row.items() if k.startswith("align_cos_")]) for row in rows]))
 
-def test_c08_alignment_effect():
-    diffs = [_c8_run(seed, 0.0002) - _c8_run(seed, 0.0) for seed in range(10)]
+    diffs = [mean_cos(0.0002, seed) - mean_cos(0.0, seed) for seed in range(10)]
     mean_diff = float(np.mean(diffs))
     wins_gamma0 = sum(1 for d in diffs if d < 0)
     # One-sided sign test, n=10, alpha=0.05: gamma=0 is favored only at >= 9 wins.
@@ -227,22 +238,27 @@ def test_c08_alignment_effect():
     )
 
 
-def _c9_run(mode: str, seed: int) -> float:
+def _c9_gaps(mode: str, out) -> list[float]:
+    """The final-checkpoint surrogate gap of seeds 0-9, from a one-cell
+    sweep at the mode's default gamma and rho."""
     cfg = default_experiment(
         mode,
         steps=600,
         eval_every=600,
         eval_window=1,
         held_out=3,
+        seeds=tuple(range(10)),
+        output_dir=str(out),
         optimizer={"eta0": 0.1},
     )
-    rec = run_training(cfg, seed=seed)
-    return rec.evals[-1].surrogate_gap
+    gamma, rho = cfg.optimizer.gamma, cfg.optimizer.rho
+    run_sweep(cfg, [gamma], [rho])
+    return [_csv_rows(out / f"sweep_g{gamma!r}_r{rho!r}" / f"seed{s}" / "metrics.csv")[-1]["surrogate_gap"] for s in range(10)]
 
 
-def test_c09_sharpness_effect():
-    gac = [_c9_run("gac_fas", s) for s in range(10)]
-    erm = [_c9_run("erm", s) for s in range(10)]
+def test_c09_sharpness_effect(tmp_path):
+    gac = _c9_gaps("gac_fas", tmp_path / "gac_fas")
+    erm = _c9_gaps("erm", tmp_path / "erm")
     mean_gac, mean_erm = float(np.mean(gac)), float(np.mean(erm))
     worse = sum(1 for a, b in zip(gac, erm) if a > b)
     _report(

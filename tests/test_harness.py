@@ -646,6 +646,23 @@ def test_write_outputs_creates_all_files(tmp_path):
     assert np.array_equal(back.theta, rec.final_params.theta)
 
 
+@pytest.mark.parametrize("raised", [KeyboardInterrupt("stopped"), OSError("disk full")])
+def test_atomic_write_removes_its_temp_file_when_the_rename_fails(tmp_path, monkeypatch, raised):
+    def failing_replace(src, dst):
+        raise raised
+
+    monkeypatch.setattr(os, "replace", failing_replace)
+    target = tmp_path / "x.csv"
+    with pytest.raises((KeyboardInterrupt, RuntimeError)) as info:
+        harness._atomic_write(str(target), "a,b\n")
+    assert list(tmp_path.iterdir()) == []
+    if isinstance(raised, KeyboardInterrupt):
+        assert info.value is raised
+    else:
+        assert (type(info.value), str(info.value)) == (RuntimeError, f"failed writing {target}: disk full")
+        assert info.value.__cause__ is raised
+
+
 # ------------------------------------------------------------ experiments ----
 
 
@@ -891,6 +908,23 @@ def test_a_diverging_convergence_run_fails_alike_on_one_cpu_and_on_two(tmp_path,
         os.waitpid(-1, os.WNOHANG)
 
 
+def test_an_overflowing_full_set_record_names_its_step_on_one_cpu_and_on_two(tmp_path, monkeypatch, capsys):
+    # No np.errstate: under the suite's warning filter the overflow in the
+    # step-1 record (an update the record throws away) raises RuntimeWarning.
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(tiny_config_json(str(tmp_path / "conv"), optimizer={"mode": "gac_fas", "eta0": 1e200}))
+    forks = _counted_forks(monkeypatch)
+    outcomes = []
+    for cpus in (1, 2):
+        _set_cpus(monkeypatch, cpus)
+        code = cli.main(["convergence", "--config", str(cfg_path), "--window", "1", "--trace-every", "1"])
+        outcomes.append((code, capsys.readouterr().err))
+    assert len(forks) == 1
+    message = "full-set record at step 1 failed: overflow encountered in multiply"
+    assert outcomes == [(2, f"runtime error: {message}\n")] * 2
+    assert not (tmp_path / "conv").exists()
+
+
 @pytest.mark.parametrize("cpus", [1, 2, 3])
 def test_the_earliest_failing_full_set_record_is_raised_from_any_process(monkeypatch, cpus):
     # Step 15's record is a worker's on 2 and 3 CPUs; the caller's own
@@ -904,8 +938,10 @@ def test_the_earliest_failing_full_set_record_is_raised_from_any_process(monkeyp
 
     monkeypatch.setattr(harness, "fullset_step_diagnostics", failing)
     _set_cpus(monkeypatch, cpus)
-    with pytest.raises(ValueError, match=r"^the record of step 15 failed$"):
+    with pytest.raises(RuntimeError, match=r"^full-set record at step 15 failed: the record of step 15 failed$") as info:
         run_convergence(_convergence_config(), window=4, trace_every=5, write=False)
+    cause = info.value.__cause__
+    assert (type(cause), str(cause)) == (ValueError, "the record of step 15 failed")
 
 
 def test_a_full_set_worker_killed_by_a_signal_is_named(monkeypatch):
