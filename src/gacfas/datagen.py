@@ -8,8 +8,8 @@ domain-specific presentation.
 
 Balanced per-domain sampling is mandatory here. The step functions need
 every domain's gradient on every step, so minibatches always contain exactly
-`per_domain` rows from each domain, concatenated in ascending domain-index
-order.
+`per_domain` rows from each domain, concatenated in the source set's domain
+order, which build_source_set and leave_one_out make ascending.
 """
 
 from __future__ import annotations
@@ -61,8 +61,8 @@ class SourceSet:
 
     The set stacks its domains' rows once, on construction, and keeps each
     domain's batch as a read-only view of its block. It also keeps what the
-    sampler needs: where each domain's rows start, the smallest domain size,
-    and whether the domain ids ascend."""
+    sampler needs: where each domain's rows start and the smallest domain
+    size."""
 
     domains: tuple[tuple[DomainSpec, Batch], ...]
     k: int
@@ -70,7 +70,6 @@ class SourceSet:
     _starts: np.ndarray = field(init=False, repr=False, compare=False)
     _sizes: tuple[int, ...] = field(init=False, repr=False, compare=False)
     _smallest: int = field(init=False, repr=False, compare=False)
-    _ascending: bool = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.k != len(self.domains) or self.k < 1:
@@ -99,7 +98,6 @@ class SourceSet:
         object.__setattr__(self, "_starts", starts[:, None])
         object.__setattr__(self, "_sizes", sizes)
         object.__setattr__(self, "_smallest", min(sizes))
-        object.__setattr__(self, "_ascending", _ascending(self.domain_indices()))
 
     def domain_indices(self) -> tuple[int, ...]:
         return tuple(int(batch.domain_ids[0]) for _, batch in self.domains)
@@ -193,10 +191,7 @@ def leave_one_out(specs, held: int) -> tuple[SourceSet, Batch]:
 
 def sample_minibatch(source: SourceSet, per_domain: int, prng: Prng) -> Batch:
     """Exactly per_domain rows drawn without replacement from each domain,
-    concatenated in the source set's domain order (balanced sampler). When
-    that order is strictly ascending in domain id, as leave_one_out and
-    build_source_set make it, the batch records its layout as
-    Batch.per_domain so the optimizers take the domain parts as views.
+    concatenated in the source set's domain order (balanced sampler).
 
     Each domain's rows come from one Generator.choice call, in domain order.
     The draws, shifted by the row where each domain starts, index the
@@ -214,10 +209,5 @@ def sample_minibatch(source: SourceSet, per_domain: int, prng: Prng) -> Batch:
         rows.inputs.take(idx, axis=0),
         rows.labels.take(idx),
         rows.domain_ids.take(idx),
-        per_domain=per_domain if source._ascending else 0,
     )
-
-
-def _ascending(ids) -> bool:
-    return all(a < b for a, b in zip(ids, ids[1:]))
 

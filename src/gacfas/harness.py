@@ -36,7 +36,7 @@ from . import datagen, diagnostics, evalmetrics, model as model_mod
 from .datagen import DomainSpec
 from .model import Batch, MlpSpec, ParamVector, layout_for
 from .numerics import Prng, _is_int
-from .optim import OptimizerConfig, StepDiagnostics, batch_loss, gac_fas_step, take_step
+from .optim import OptimizerConfig, StepDiagnostics, batch_loss, gac_fas_record, take_step
 
 METRICS_HEADER = "step,hter,auc,tpr95,train_loss,surrogate_gap"
 _WINDOW_KEYS = METRICS_HEADER.split(",")[1:]  # window_means' keys, in this order
@@ -425,7 +425,8 @@ def _fullset_records(spec, source, opt: OptimizerConfig, steps, diags: list):
     """Yield fullset(t, params), called once for each step t of steps, in
     order, after that step. On the way out, diags holds the full-set records
     of those steps (fullset_step_diagnostics) in step order, as one serial
-    loop gives them. A failing record is raised as a RuntimeError naming its step.
+    loop gives them. A failing record, or one with a value that is not finite,
+    is raised as a RuntimeError naming its step.
 
     On n processes (_process_count, capped so that each has a record), record
     i belongs to share i % (2n - 1) (_spread): the caller, which also trains,
@@ -435,7 +436,13 @@ def _fullset_records(spec, source, opt: OptimizerConfig, steps, diags: list):
     def record(item):
         t, theta = item
         try:
-            return fullset_step_diagnostics(spec, ParamVector(theta, layout), source, opt, t)
+            diag = fullset_step_diagnostics(spec, ParamVector(theta, layout), source, opt, t)
+            # The values that diagnostics.csv and the convergence fit read.
+            names = ("loss_erm", "grad_norm", "surrogate_gap", "alignment_cos", "adv_grad_norms")
+            bad = [f"{name} {getattr(diag, name)}" for name in names if not np.isfinite(getattr(diag, name)).all()]
+            if bad:
+                raise ValueError("not finite: " + ", ".join(bad))
+            return diag
         except Exception as exc:
             raise RuntimeError(f"full-set record at step {t} failed: {exc}") from exc
 
@@ -572,13 +579,12 @@ def _seed_stats(windows) -> dict:
 
 class _Run(NamedTuple):
     """One training run of a leave-one-out rotation or a sweep: its config,
-    seed and held-out index, and the directory its files go to (None when
-    nothing is written)."""
+    seed and held-out index, and the directory its files go to."""
 
     cfg: ExperimentConfig
     seed: int
     held: int
-    output_dir: str | None
+    output_dir: str
 
 
 def _process_count(n_items: int) -> int:
@@ -605,8 +611,7 @@ def _train_runs(runs) -> list[dict]:
     def train(i):
         run = runs[i]
         record = _train_on_split(run.cfg, run.seed, run.held, realize(run.cfg.domains, run.held))
-        if run.output_dir is not None:
-            write_outputs(record, run.output_dir)
+        write_outputs(record, run.output_dir)
         return window_means(record, run.cfg.eval_window)
 
     doing = lambda i: f"training the runs from held_out {runs[i].held} seed {runs[i].seed}"
@@ -755,11 +760,11 @@ def _child_main(work, inbox_fd: int, results_fd: int) -> None:
         os._exit(code)
 
 
-def run_leave_one_out(cfg: ExperimentConfig, write: bool = True):
+def run_leave_one_out(cfg: ExperimentConfig):
     """Rotate the held-out domain over every domain, train every seed, and
     aggregate last-window metrics per rotation. Returns (summary, run_rows)."""
     runs = [
-        _Run(cfg, seed, held, os.path.join(cfg.output_dir, f"held{held}_seed{seed}") if write else None)
+        _Run(cfg, seed, held, os.path.join(cfg.output_dir, f"held{held}_seed{seed}"))
         for held in range(len(cfg.domains))
         for seed in cfg.seeds
     ]
@@ -767,24 +772,23 @@ def run_leave_one_out(cfg: ExperimentConfig, write: bool = True):
     run_rows = [{"held_out": run.held, "seed": run.seed, **w} for run, w in zip(runs, windows)]
     n = len(cfg.seeds)
     summary = [{"held_out": held, **_seed_stats(windows[held * n : (held + 1) * n])} for held in range(len(cfg.domains))]
-    if write:
-        run_cols = ["held_out", "seed", *_WINDOW_KEYS]
-        _atomic_write(os.path.join(cfg.output_dir, "loo_runs.csv"), _dict_csv(run_cols, run_rows))
-        _atomic_write(os.path.join(cfg.output_dir, "loo_summary.csv"), _dict_csv(["held_out", *SEED_STATS_COLUMNS], summary))
-        # JSON has no NaN: a value that is not finite, such as surrogate_gap
-        # when it is not tracked, is written as null.
-        payload = {
-            name: [{key: value if math.isfinite(value) else None for key, value in row.items()} for row in rows]
-            for name, rows in (("summary", summary), ("runs", run_rows))
-        }
-        _atomic_write(
-            os.path.join(cfg.output_dir, "loo_summary.json"),
-            json.dumps(payload, sort_keys=True, indent=2, allow_nan=False) + "\n",
-        )
+    run_cols = ["held_out", "seed", *_WINDOW_KEYS]
+    _atomic_write(os.path.join(cfg.output_dir, "loo_runs.csv"), _dict_csv(run_cols, run_rows))
+    _atomic_write(os.path.join(cfg.output_dir, "loo_summary.csv"), _dict_csv(["held_out", *SEED_STATS_COLUMNS], summary))
+    # JSON has no NaN: a value that is not finite, such as surrogate_gap
+    # when it is not tracked, is written as null.
+    payload = {
+        name: [{key: value if math.isfinite(value) else None for key, value in row.items()} for row in rows]
+        for name, rows in (("summary", summary), ("runs", run_rows))
+    }
+    _atomic_write(
+        os.path.join(cfg.output_dir, "loo_summary.json"),
+        json.dumps(payload, sort_keys=True, indent=2, allow_nan=False) + "\n",
+    )
     return summary, run_rows
 
 
-def run_sweep(cfg: ExperimentConfig, gammas, rhos, write: bool = True):
+def run_sweep(cfg: ExperimentConfig, gammas, rhos):
     """gamma x rho sensitivity grid on the configured held-out split; each
     cell aggregates last-window metrics over cfg.seeds."""
     held = _require_index(cfg.held_out, "sweep")
@@ -807,14 +811,13 @@ def run_sweep(cfg: ExperimentConfig, gammas, rhos, write: bool = True):
     for gamma, rho in cells:
         sub = dataclasses.replace(cfg, optimizer=dataclasses.replace(cfg.optimizer, gamma=gamma, rho=rho))
         cell_dir = os.path.join(cfg.output_dir, f"sweep_g{gamma!r}_r{rho!r}")
-        runs += [_Run(sub, seed, held, os.path.join(cell_dir, f"seed{seed}") if write else None) for seed in cfg.seeds]
+        runs += [_Run(sub, seed, held, os.path.join(cell_dir, f"seed{seed}")) for seed in cfg.seeds]
     windows = _train_runs(runs)
     n = len(cfg.seeds)
     rows = [
         {"gamma": gamma, "rho": rho, **_seed_stats(windows[i * n : (i + 1) * n])} for i, (gamma, rho) in enumerate(cells)
     ]
-    if write:
-        _atomic_write(os.path.join(cfg.output_dir, "sweep.csv"), _dict_csv(["gamma", "rho", *SEED_STATS_COLUMNS], rows))
+    _atomic_write(os.path.join(cfg.output_dir, "sweep.csv"), _dict_csv(["gamma", "rho", *SEED_STATS_COLUMNS], rows))
     return rows
 
 
@@ -824,12 +827,13 @@ def fullset_step_diagnostics(spec, params: ParamVector, source, opt: OptimizerCo
     gradient at the iterates, which minibatch gradients hide behind a
     sampling-noise floor. adv_grad_norms[i] is the norm of the whole-set
     gradient at domain i's ascending point theta + eps_i - gamma_t * g: the
-    record of a gac_fas step on the whole set, gap tracked, in any mode. It
-    calls gac_fas_step, not take_step, so no training step is counted."""
-    return gac_fas_step(spec, params, source, dataclasses.replace(opt, track_surrogate_gap=True), t)[1]
+    record of a gac_fas step on the whole set, gap tracked, in any mode,
+    computed without the step's update of theta. It calls gac_fas_record,
+    not take_step, so no training step is counted."""
+    return gac_fas_record(spec, params, source, dataclasses.replace(opt, track_surrogate_gap=True), t)
 
 
-def run_convergence(cfg: ExperimentConfig, window: int = 40, trace_every: int = 5, write: bool = True):
+def run_convergence(cfg: ExperimentConfig, window: int = 40, trace_every: int = 5):
     """Decay-rate run: forces theorem1 schedules, trains as usual, and every
     trace_every steps records full-training-set gradient diagnostics, from
     which the convergence trace and its fitted C log(t+1)/sqrt(t) curve are
@@ -859,9 +863,8 @@ def run_convergence(cfg: ExperimentConfig, window: int = 40, trace_every: int = 
     split = datagen.leave_one_out(list(cfg.domains), held)
     record = _train_on_split(cfg, cfg.seeds[0], held, split, fullset_every=trace_every)
     trace = diagnostics.convergence_trace(record.diagnostics, window)
-    if write:
-        write_outputs(record, os.path.join(cfg.output_dir, "convergence_run"))
-        _atomic_write(os.path.join(cfg.output_dir, "convergence.csv"), convergence_csv(trace))
+    write_outputs(record, os.path.join(cfg.output_dir, "convergence_run"))
+    _atomic_write(os.path.join(cfg.output_dir, "convergence.csv"), convergence_csv(trace))
     return record, trace
 
 

@@ -160,17 +160,11 @@ class ParamVector:
 
 @dataclass(frozen=True)
 class Batch:
-    """Inputs, class labels, and domain ids of equal length n >= 1.
-
-    per_domain > 0 records the balanced sampler's layout: the rows are
-    consecutive blocks of per_domain rows, one block per domain, in strictly
-    ascending domain-id order. The optimizers then take the domain parts as
-    views instead of searching the ids."""
+    """Inputs, class labels, and domain ids of equal length n >= 1."""
 
     inputs: np.ndarray
     labels: np.ndarray
     domain_ids: np.ndarray
-    per_domain: int = 0
 
     def __post_init__(self):
         inputs = np.ascontiguousarray(self.inputs, dtype=np.float64)
@@ -189,12 +183,6 @@ class Batch:
             raise ValueError("labels must be non-negative class indices")
         if domain_ids.min() < 0:
             raise ValueError("domain_ids must be non-negative")
-        if self.per_domain < 0:
-            raise ValueError(f"per_domain must be >= 0, got {self.per_domain}")
-        if self.per_domain and not _ascending_blocks(domain_ids, self.per_domain):
-            raise ValueError(
-                f"per_domain={self.per_domain} but the rows are not ascending blocks of that size per domain"
-            )
         object.__setattr__(self, "inputs", inputs)
         object.__setattr__(self, "labels", labels)
         object.__setattr__(self, "domain_ids", domain_ids)
@@ -205,16 +193,6 @@ class Batch:
 
     def take(self, idx: np.ndarray) -> "Batch":
         return Batch(self.inputs[idx], self.labels[idx], self.domain_ids[idx])
-
-
-def _ascending_blocks(domain_ids: np.ndarray, size: int) -> bool:
-    """Whether the ids form consecutive blocks of `size` equal ids, with
-    strictly ascending ids from block to block."""
-    if domain_ids.shape[0] % size:
-        return False
-    blocks = domain_ids.reshape(-1, size)
-    firsts = blocks[:, 0].tolist()
-    return bool((blocks == blocks[:, :1]).all()) and all(a < b for a, b in zip(firsts, firsts[1:]))
 
 
 def domain_slices(batch: Batch) -> list[tuple[int, np.ndarray]]:

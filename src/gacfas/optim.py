@@ -2,10 +2,11 @@
 gradient-aligned cross-domain variant (gac_fas), and its domain-scoped
 perturbation ablation (reg_domain_perturb).
 
-One body, per-mode directions: _step takes the schedule values, the domain
-parts and their plain terms, updates theta - eta_t (d + grad R) and builds
-the record. Each mode supplies only its direction: d, its per-domain
-perturbed gradients and its surrogate gap (_erm, _sam_whole, _sam_domain,
+One body, per-mode directions: _descent takes the schedule values, the
+domain parts and their plain terms, the mode's direction and the record, and
+_step updates theta - eta_t (d + grad R); gac_fas_record stops before the
+update. Each mode supplies only its direction: d, its per-domain perturbed
+gradients and its surrogate gap (_erm, _sam_whole, _sam_domain,
 and _aligned for gac_fas and reg_domain_perturb). _eps_rows is the one
 ascent helper; an ascending point is eps_i + base.
 
@@ -220,21 +221,34 @@ class _Parts:
         return isinstance(self.inputs, np.ndarray)
 
 
+def _block_size(ids: np.ndarray) -> int:
+    """m when the ids lie as the balanced sampler lays them out: consecutive
+    blocks of m rows, each holding one domain id, with strictly ascending
+    ids from block to block. Otherwise 0."""
+    m = int((ids == ids[0]).sum())  # in that layout, the rows of the first id are its block
+    if ids.shape[0] % m:
+        return 0
+    blocks = ids.reshape(-1, m)
+    firsts = blocks[:, 0].tolist()
+    return m if all(a < b for a, b in zip(firsts, firsts[1:])) and (blocks == blocks[:, :1]).all() else 0
+
+
 def _domain_parts(model, batch) -> _Parts:
     """Split a Batch or a SourceSet into its domain parts, once per step.
 
-    A balanced-sampler batch (batch.per_domain set) of an MlpSpec model is
-    reshaped into stacked views with no id search. A SourceSet gives its
-    domains' own row views in ascending id order: the parts its
-    concatenated() batch would split into. Other batches and the duck-typed
-    models take per-domain copies through domain_slices."""
+    A batch of an MlpSpec model laid out in ascending blocks of one size
+    (_block_size), as the balanced sampler draws it, is reshaped into
+    stacked views with no id search. A SourceSet gives its domains' own row
+    views in ascending id order: the parts its concatenated() batch would
+    split into. Other batches and the duck-typed models take per-domain
+    copies through domain_slices."""
     if isinstance(batch, SourceSet):
         batches = sorted((b for _, b in batch.domains), key=lambda b: int(b.domain_ids[0]))
         return _Parts(
             tuple(int(b.domain_ids[0]) for b in batches), [b.inputs for b in batches], [b.labels for b in batches]
         )
-    if batch.per_domain and isinstance(model, model_mod.MlpSpec):
-        m = batch.per_domain
+    m = isinstance(model, model_mod.MlpSpec) and _block_size(batch.domain_ids)
+    if m:
         k = batch.n // m
         return _Parts(
             tuple(batch.domain_ids[::m].tolist()),
@@ -370,24 +384,28 @@ def _diagnostics(t: int, terms: _Terms, loss: float, g: np.ndarray, adv_grads, g
     )
 
 
-def _step(direction, model, params: ParamVector, batch, cfg: OptimizerConfig, t: int, n_domains, record: bool):
-    """theta <- theta - eta_t (d + grad R), with (d, per-domain perturbed
-    gradients, gap) from direction. The schedule values come first, so a bad
-    t or an unresolved period fails before any model call. Returns (new
-    params, the record), or with record=False (new params, loss_erm)."""
+def _descent(direction, model, theta: np.ndarray, batch, cfg: OptimizerConfig, t: int, n_domains, record: bool):
+    """(eta_t, d, the record) for the step at theta, or with record=False
+    (eta_t, d, loss_erm), with (d, per-domain perturbed gradients, gap) from
+    direction. The schedule values come first, so a bad t or an unresolved
+    period fails before any model call."""
     eta_t, rho_t, gamma_t = (schedule_value(cfg.schedule, base, t) for base in (cfg.eta0, cfg.rho, cfg.gamma))
-    theta = params.theta
     parts = _domain_parts(model, batch)
     terms = _part_terms(model, theta, parts)
     if n_domains is not None and len(terms.ids) != n_domains:
         raise ValueError(f"batch covers domains {list(terms.ids)}, expected {n_domains} domains")
     loss, g = _sum_terms(terms)
     d, adv_grads, gap = direction(model, theta, parts, terms, loss, g, rho_t, gamma_t, cfg.zero_grad_eps)
-    new_theta = axpy(-eta_t, d + regularizer_grad(params, cfg.weight_decay), theta)
     if not cfg.track_surrogate_gap:
         gap = math.nan
-    out = _diagnostics(t, terms, loss, g, adv_grads, gap) if record else loss
-    return params.with_theta(new_theta), out
+    return eta_t, d, (_diagnostics(t, terms, loss, g, adv_grads, gap) if record else loss)
+
+
+def _step(direction, model, params: ParamVector, batch, cfg: OptimizerConfig, t: int, n_domains, record: bool):
+    """theta <- theta - eta_t (d + grad R), with eta_t and d from _descent:
+    (new params, the record), or with record=False (new params, loss_erm)."""
+    eta_t, d, out = _descent(direction, model, params.theta, batch, cfg, t, n_domains, record)
+    return params.with_theta(axpy(-eta_t, d + regularizer_grad(params, cfg.weight_decay), params.theta)), out
 
 
 def _erm(model, theta, parts, terms, loss, g, rho_t, gamma_t, zero_grad_eps):
@@ -472,6 +490,11 @@ def gac_fas_step(model, params: ParamVector, batch: Batch, cfg: OptimizerConfig,
       theta <- theta - eta_t (g + (1/k) sum_i gp_i + r)
     """
     return _step(_gac_fas, model, params, batch, cfg, t, n_domains, record)
+
+
+def gac_fas_record(model, params: ParamVector, batch, cfg: OptimizerConfig, t: int) -> StepDiagnostics:
+    """The record of gac_fas_step, without the step's update of theta."""
+    return _descent(_gac_fas, model, params.theta, batch, cfg, t, None, True)[2]
 
 
 def reg_domain_perturb_step(model, params: ParamVector, batch: Batch, cfg: OptimizerConfig, t: int, n_domains=None,

@@ -17,3 +17,30 @@ def no_child_process_left():
         return
     state = "still running" if pid == 0 else f"pid {pid}, exited unreaped with status {status}"
     pytest.fail(f"the test left a child process behind ({state})")
+
+
+def _open_pipes() -> set:
+    """The pipe:[inode] links of this process's open file descriptors."""
+    links = set()
+    for fd in os.listdir("/proc/self/fd"):
+        try:
+            link = os.readlink(f"/proc/self/fd/{fd}")
+        except OSError:  # closed since the listing, such as the listing's own fd
+            continue
+        if link.startswith("pipe:"):
+            links.add(link)
+    return links
+
+
+@pytest.fixture(autouse=True)
+def no_pipe_left_open():
+    """Fail a test that leaves a pipe open in the test process: the fork-map
+    opens two pipes per worker, and must close both ends it keeps."""
+    if not os.path.isdir("/proc/self/fd"):
+        yield
+        return
+    before = _open_pipes()
+    yield
+    left = sorted(_open_pipes() - before)
+    if left:
+        pytest.fail(f"the test left {len(left)} pipe end(s) open: {left}")

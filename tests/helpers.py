@@ -318,13 +318,10 @@ def reference_sample_minibatch(source, per_domain: int, prng: Prng) -> Batch:
         (batch, prng.generator.choice(batch.n, size=per_domain, replace=False))
         for _, batch in source.domains
     ]
-    ids = [int(batch.domain_ids[0]) for _, batch in source.domains]
-    ascending = all(a < b for a, b in zip(ids, ids[1:]))
     return Batch(
         np.concatenate([batch.inputs[idx] for batch, idx in picks]),
         np.concatenate([batch.labels[idx] for batch, idx in picks]),
         np.concatenate([batch.domain_ids[idx] for batch, idx in picks]),
-        per_domain=per_domain if ascending else 0,
     )
 
 

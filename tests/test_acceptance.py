@@ -164,7 +164,7 @@ def test_c06_alignment_decomposition():
     )
 
 
-def test_c07_convergence_theorem_schedule():
+def test_c07_convergence_theorem_schedule(tmp_path):
     start = time.time()
     cfg = default_experiment(
         "gac_fas",
@@ -172,8 +172,9 @@ def test_c07_convergence_theorem_schedule():
         eval_every=20_000,
         eval_window=1,
         optimizer={"eta0": 0.3, "rho": 0.1, "gamma": 0.0002},
+        output_dir=str(tmp_path),
     )
-    _, trace = run_convergence(cfg, window=40, trace_every=5, write=False)
+    _, trace = run_convergence(cfg, window=40, trace_every=5)
     elapsed = time.time() - start
 
     def decile_ratio(series):
@@ -269,7 +270,7 @@ def test_c09_sharpness_effect(tmp_path):
     )
 
 
-def test_c10_leave_one_out_benefit():
+def test_c10_leave_one_out_benefit(tmp_path):
     results = {}
     for mode in ("erm", "sam_domain", "gac_fas"):
         cfg = default_experiment(
@@ -279,8 +280,9 @@ def test_c10_leave_one_out_benefit():
             eval_window=10,
             seeds=tuple(range(10)),
             optimizer={"eta0": 0.1},
+            output_dir=str(tmp_path / mode),
         )
-        summary, rows = run_leave_one_out(cfg, write=False)
+        summary, rows = run_leave_one_out(cfg)
         results[mode] = (summary, rows)
         print(f"\n  {mode}: held-out rotation vs last-window metrics (10 seeds)")
         print("  held  auc(mean+/-std)      hter(mean+/-std)     tpr95(mean+/-std)")

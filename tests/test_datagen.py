@@ -17,6 +17,7 @@ from gacfas.datagen import (
     shift_domain,
 )
 from gacfas.numerics import Prng
+from gacfas.optim import _block_size
 
 from helpers import arc_distance, reference_sample_minibatch
 
@@ -230,7 +231,8 @@ def test_sampler_matches_the_per_domain_fancy_index_reference(order, per_domain)
         assert _bits(got.inputs) == _bits(want.inputs)
         assert _bits(got.labels) == _bits(want.labels)
         assert _bits(got.domain_ids) == _bits(want.domain_ids)
-        assert got.per_domain == want.per_domain == (per_domain if order == "ascending" else 0)
+        # The optimizers stack the parts of a batch laid out in ascending blocks.
+        assert _block_size(got.domain_ids) == (per_domain if order == "ascending" else 0)
     assert ours.generator.integers(0, 2**62) == theirs.generator.integers(0, 2**62)
 
 

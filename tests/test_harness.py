@@ -413,10 +413,10 @@ def test_run_training_diverged_scores_fail_with_step():
 
 
 @pytest.mark.parametrize("command", ["train", "convergence"])
-def test_diverged_run_stops_at_the_first_non_finite_step_loss(monkeypatch, command):
+def test_diverged_run_stops_at_the_first_non_finite_step_loss(tmp_path, monkeypatch, command):
     # Evaluating only after the last step, a diverged run used to compute
     # every step before it failed.
-    cfg = tiny_config(optimizer=OptimizerConfig(mode="gac_fas", eta0=1e200), eval_every=10, eval_window=1)
+    cfg = tiny_config(str(tmp_path / "out"), optimizer=OptimizerConfig(mode="gac_fas", eta0=1e200), eval_every=10, eval_window=1)
     steps = []
     real = harness.take_step
 
@@ -427,7 +427,7 @@ def test_diverged_run_stops_at_the_first_non_finite_step_loss(monkeypatch, comma
     monkeypatch.setattr(harness, "take_step", counted)
     run = {
         "train": lambda: run_training(cfg, seed=0),
-        "convergence": lambda: run_convergence(cfg, window=1, trace_every=5, write=False),
+        "convergence": lambda: run_convergence(cfg, window=1, trace_every=5),
     }[command]
     with np.errstate(all="ignore"), pytest.raises(RuntimeError, match="optimizer step 3 failed: the step loss is nan"):
         run()
@@ -435,12 +435,12 @@ def test_diverged_run_stops_at_the_first_non_finite_step_loss(monkeypatch, comma
 
 
 @pytest.mark.parametrize("window", [0, 3])
-def test_run_convergence_checks_the_window_before_the_first_step(monkeypatch, window):
+def test_run_convergence_checks_the_window_before_the_first_step(tmp_path, monkeypatch, window):
     steps = []
     monkeypatch.setattr(harness, "take_step", lambda *args, **kwargs: steps.append(args[4]))
     # 10 steps traced every 5 give 2 full-set records.
     with pytest.raises(ConfigValueError, match=rf"window={window} must be in \[1, 2\] \(the number of full-set records"):
-        run_convergence(tiny_config(), window=window, trace_every=5, write=False)
+        run_convergence(tiny_config(str(tmp_path / "out")), window=window, trace_every=5)
     assert steps == []
 
 
@@ -454,13 +454,13 @@ def test_cli_convergence_refuses_a_window_longer_than_the_records(tmp_path, monk
     assert steps == [] and not (tmp_path / "conv").exists()
 
 
-def test_run_convergence_names_the_failing_step(monkeypatch):
+def test_run_convergence_names_the_failing_step(tmp_path, monkeypatch):
     def failing(*args, **kwargs):
         raise ValueError("boom")
 
     monkeypatch.setattr(harness, "take_step", failing)
     with pytest.raises(RuntimeError, match="optimizer step 1 failed: boom"):
-        run_convergence(tiny_config(eval_window=1), window=1, write=False)
+        run_convergence(tiny_config(str(tmp_path / "out"), eval_window=1), window=1)
 
 
 def test_cli_exits_2_on_a_diverged_run(tmp_path, capsys):
@@ -692,7 +692,7 @@ def test_run_leave_one_out_realizes_each_split_once(monkeypatch, tmp_path):
     from gacfas import datagen
 
     real = datagen.leave_one_out
-    cfg = tiny_config(seeds=(0, 1))
+    cfg = tiny_config(str(tmp_path / "out"), seeds=(0, 1))
     for cpus in (1, 2, 3):
         log = tmp_path / f"realized{cpus}.txt"
 
@@ -703,7 +703,7 @@ def test_run_leave_one_out_realizes_each_split_once(monkeypatch, tmp_path):
 
         monkeypatch.setattr(datagen, "leave_one_out", counting)
         _set_cpus(monkeypatch, cpus)
-        _, rows = run_leave_one_out(cfg, write=False)
+        _, rows = run_leave_one_out(cfg)
         calls = [tuple(int(v) for v in line.split()) for line in log.read_text().splitlines()]
         assert len(calls) == len(set(calls))  # no process realizes a split twice
         assert {held for _, held in calls} == {0, 1, 2}
@@ -791,14 +791,14 @@ def test_the_failing_run_with_the_lowest_index_is_raised_from_any_process(tmp_pa
     for cpus in (1, 3):
         _set_cpus(monkeypatch, cpus)
         with pytest.raises(kind, match=r"^run held 1 seed 0 failed$"):
-            run_leave_one_out(load_config(str(cfg_path)), write=False)
+            run_leave_one_out(load_config(str(cfg_path)))
         assert cli.main(["loo", "--config", str(cfg_path)]) == code
         errors.append(capsys.readouterr().err)
     assert errors[0] == errors[1] and errors[0].endswith("run held 1 seed 0 failed\n")
 
 
 @pytest.mark.parametrize("how", ["signal", "unpicklable"])
-def test_a_process_that_exits_without_a_result_names_its_first_run(monkeypatch, how):
+def test_a_process_that_exits_without_a_result_names_its_first_run(tmp_path, monkeypatch, how):
     parent = os.getpid()
     real = harness._train_on_split
 
@@ -815,11 +815,11 @@ def test_a_process_that_exits_without_a_result_names_its_first_run(monkeypatch, 
     monkeypatch.setattr(harness, "_train_on_split", dying)
     _set_cpus(monkeypatch, 3)
     with pytest.raises(RuntimeError, match="^the process training the runs from held_out 2 seed 0 exited without a result$"):
-        run_leave_one_out(tiny_config(seeds=(0, 1)), write=False)
+        run_leave_one_out(tiny_config(str(tmp_path / "out"), seeds=(0, 1)))
 
 
 @pytest.mark.parametrize("kind", [RuntimeError, KeyboardInterrupt])
-def test_a_failure_in_the_calling_process_kills_and_reaps_every_other_process(monkeypatch, kind):
+def test_a_failure_in_the_calling_process_kills_and_reaps_every_other_process(tmp_path, monkeypatch, kind):
     parent = os.getpid()
     real = harness._train_on_split
 
@@ -831,7 +831,7 @@ def test_a_failure_in_the_calling_process_kills_and_reaps_every_other_process(mo
     monkeypatch.setattr(harness, "_train_on_split", failing_here)
     _set_cpus(monkeypatch, 3)
     with pytest.raises(kind, match="stopped"):
-        run_leave_one_out(tiny_config(seeds=(0, 1)), write=False)
+        run_leave_one_out(tiny_config(str(tmp_path / "out"), seeds=(0, 1)))
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
 
@@ -886,8 +886,8 @@ def test_cli_convergence_writes_the_same_files_on_one_cpu_and_on_several(tmp_pat
 
 
 def test_a_diverging_convergence_run_fails_alike_on_one_cpu_and_on_two(tmp_path, monkeypatch, capsys):
-    # Traced every step, the caller sends step 2's parameters to the worker
-    # before step 3's loss is NaN.
+    # Traced every step, the record of step 2 is NaN before step 3's loss
+    # is; on 2 CPUs that record is the worker's.
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(tiny_config_json(str(tmp_path / "conv"), optimizer={"mode": "gac_fas", "eta0": 1e200}))
     argv = ["convergence", "--config", str(cfg_path), "--window", "1", "--trace-every", "1"]
@@ -897,20 +897,24 @@ def test_a_diverging_convergence_run_fails_alike_on_one_cpu_and_on_two(tmp_path,
         _set_cpus(monkeypatch, cpus)
         with np.errstate(all="ignore"):
             with pytest.raises(Exception) as info:
-                run_convergence(load_config(str(cfg_path)), window=1, trace_every=1, write=False)
+                run_convergence(load_config(str(cfg_path)), window=1, trace_every=1)
             code = cli.main(argv)
         outcomes.append((type(info.value), str(info.value), code, capsys.readouterr().err))
     assert len(forks) == 2  # a worker for each of the two runs on 2 CPUs
-    message = "optimizer step 3 failed: the step loss is nan"
+    message = (
+        "full-set record at step 2 failed: not finite: loss_erm nan, grad_norm nan, surrogate_gap nan, "
+        "alignment_cos (nan, nan), adv_grad_norms (nan, nan)"
+    )
     assert outcomes == [(RuntimeError, message, 2, f"runtime error: {message}\n")] * 2
     assert not (tmp_path / "conv").exists()
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
 
 
-def test_an_overflowing_full_set_record_names_its_step_on_one_cpu_and_on_two(tmp_path, monkeypatch, capsys):
-    # No np.errstate: under the suite's warning filter the overflow in the
-    # step-1 record (an update the record throws away) raises RuntimeWarning.
+def test_an_overflowing_run_traced_every_step_fails_where_training_does(tmp_path, monkeypatch, capsys):
+    # No np.errstate: under the suite's warning filter an overflow raises
+    # RuntimeWarning. The step-1 record holds finite values; it computes no
+    # update of theta, so the run fails in the update of step 2, as train does.
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(tiny_config_json(str(tmp_path / "conv"), optimizer={"mode": "gac_fas", "eta0": 1e200}))
     forks = _counted_forks(monkeypatch)
@@ -920,13 +924,37 @@ def test_an_overflowing_full_set_record_names_its_step_on_one_cpu_and_on_two(tmp
         code = cli.main(["convergence", "--config", str(cfg_path), "--window", "1", "--trace-every", "1"])
         outcomes.append((code, capsys.readouterr().err))
     assert len(forks) == 1
-    message = "full-set record at step 1 failed: overflow encountered in multiply"
+    message = "optimizer step 2 failed: overflow encountered in multiply"
     assert outcomes == [(2, f"runtime error: {message}\n")] * 2
+    assert cli.main(["train", "--config", str(cfg_path), "--seed", "0"]) == 2
+    assert capsys.readouterr().err == f"runtime error: {message}\n"
+    assert not (tmp_path / "conv").exists()
+
+
+def test_a_full_set_record_that_is_not_finite_fails_on_one_cpu_and_on_two(tmp_path, monkeypatch, capsys):
+    # Step 10's record is the worker's on 2 CPUs.
+    real = harness.fullset_step_diagnostics
+
+    def nan_at_10(spec, params, source, opt, t):
+        diag = real(spec, params, source, opt, t)
+        return dataclasses.replace(diag, grad_norm=math.nan) if t == 10 else diag
+
+    monkeypatch.setattr(harness, "fullset_step_diagnostics", nan_at_10)
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(tiny_config_json(str(tmp_path / "conv"), steps=60, eval_every=30, eval_window=1))
+    outcomes = []
+    for cpus in (1, 2):
+        _set_cpus(monkeypatch, cpus)
+        code = cli.main(["convergence", "--config", str(cfg_path), "--window", "4", "--trace-every", "5"])
+        outcomes.append((code, capsys.readouterr()))
+    for code, io in outcomes:
+        assert code == 2 and io.out == ""
+        assert io.err == "runtime error: full-set record at step 10 failed: not finite: grad_norm nan\n"
     assert not (tmp_path / "conv").exists()
 
 
 @pytest.mark.parametrize("cpus", [1, 2, 3])
-def test_the_earliest_failing_full_set_record_is_raised_from_any_process(monkeypatch, cpus):
+def test_the_earliest_failing_full_set_record_is_raised_from_any_process(tmp_path, monkeypatch, cpus):
     # Step 15's record is a worker's on 2 and 3 CPUs; the caller's own
     # record of step 20 or 30 fails after it.
     real = harness.fullset_step_diagnostics
@@ -939,12 +967,12 @@ def test_the_earliest_failing_full_set_record_is_raised_from_any_process(monkeyp
     monkeypatch.setattr(harness, "fullset_step_diagnostics", failing)
     _set_cpus(monkeypatch, cpus)
     with pytest.raises(RuntimeError, match=r"^full-set record at step 15 failed: the record of step 15 failed$") as info:
-        run_convergence(_convergence_config(), window=4, trace_every=5, write=False)
+        run_convergence(_convergence_config(output_dir=str(tmp_path / "out")), window=4, trace_every=5)
     cause = info.value.__cause__
     assert (type(cause), str(cause)) == (ValueError, "the record of step 15 failed")
 
 
-def test_a_full_set_worker_killed_by_a_signal_is_named(monkeypatch):
+def test_a_full_set_worker_killed_by_a_signal_is_named(tmp_path, monkeypatch):
     parent = os.getpid()
     real = harness.fullset_step_diagnostics
 
@@ -956,10 +984,10 @@ def test_a_full_set_worker_killed_by_a_signal_is_named(monkeypatch):
     monkeypatch.setattr(harness, "fullset_step_diagnostics", dying)
     _set_cpus(monkeypatch, 2)
     with pytest.raises(RuntimeError, match="^the process computing the full-set records from step 10 exited without a result$"):
-        run_convergence(_convergence_config(), window=4, trace_every=5, write=False)
+        run_convergence(_convergence_config(output_dir=str(tmp_path / "out")), window=4, trace_every=5)
 
 
-def test_an_interrupt_in_the_caller_kills_and_reaps_the_full_set_worker(monkeypatch):
+def test_an_interrupt_in_the_caller_kills_and_reaps_the_full_set_worker(tmp_path, monkeypatch):
     parent = os.getpid()
     real = harness.fullset_step_diagnostics
 
@@ -972,17 +1000,17 @@ def test_an_interrupt_in_the_caller_kills_and_reaps_the_full_set_worker(monkeypa
     forks = _counted_forks(monkeypatch)
     _set_cpus(monkeypatch, 2)
     with pytest.raises(KeyboardInterrupt, match="stopped"):
-        run_convergence(_convergence_config(), window=4, trace_every=5, write=False)
+        run_convergence(_convergence_config(output_dir=str(tmp_path / "out")), window=4, trace_every=5)
     assert len(forks) == 1
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
 
 
-def test_convergence_on_one_cpu_and_training_on_any_fork_nothing(monkeypatch):
+def test_convergence_on_one_cpu_and_training_on_any_fork_nothing(tmp_path, monkeypatch):
     _refuse_forks(monkeypatch)
-    cfg = _convergence_config()
+    cfg = _convergence_config(output_dir=str(tmp_path / "out"))
     _set_cpus(monkeypatch, 1)
-    record, _ = run_convergence(cfg, window=4, trace_every=5, write=False)
+    record, _ = run_convergence(cfg, window=4, trace_every=5)
     assert len(record.diagnostics) == 12
     _set_cpus(monkeypatch, 3)
     run_training(cfg, seed=0)
@@ -999,13 +1027,13 @@ def test_convergence_on_one_cpu_and_training_on_any_fork_nothing(monkeypatch):
         (dict(window=13, trace_every=5), "window=13 must be in [1, 12]"),
     ],
 )
-def test_run_convergence_refuses_a_bad_window_or_trace_every_before_any_step_or_fork(monkeypatch, args, message):
+def test_run_convergence_refuses_a_bad_window_or_trace_every_before_any_step_or_fork(tmp_path, monkeypatch, args, message):
     steps = []
     monkeypatch.setattr(harness, "take_step", lambda *a, **kw: steps.append(a[4]))
     _refuse_forks(monkeypatch)
     _set_cpus(monkeypatch, 3)
     with pytest.raises(ConfigValueError, match=f"^{re.escape(message)}"):
-        run_convergence(_convergence_config(), write=False, **args)
+        run_convergence(_convergence_config(output_dir=str(tmp_path / "out")), **args)
     assert steps == []
 
 
@@ -1219,7 +1247,7 @@ def test_every_function_the_benchmark_traces_still_resolves():
 
 
 @pytest.mark.parametrize("run", ["training", "convergence"])
-def test_a_take_step_bound_into_harness_runs_every_step(monkeypatch, run):
+def test_a_take_step_bound_into_harness_runs_every_step(tmp_path, monkeypatch, run):
     """perfbench/child.py times set-up by assigning its own function to
     harness.take_step, so both loops must call the step through that name."""
     assert "harness.take_step = " in (PERFBENCH / "child.py").read_text(encoding="utf-8")
@@ -1231,11 +1259,11 @@ def test_a_take_step_bound_into_harness_runs_every_step(monkeypatch, run):
         return real(*args, **kwargs)
 
     monkeypatch.setattr(harness, "take_step", spy)
-    cfg = tiny_config("unused", steps=20, eval_every=10)
+    cfg = tiny_config(str(tmp_path / "out"), steps=20, eval_every=10)
     if run == "training":
         run_training(cfg, seed=0)
     else:
-        run_convergence(cfg, window=2, trace_every=5, write=False)
+        run_convergence(cfg, window=2, trace_every=5)
     assert steps == list(range(1, cfg.steps + 1))
 
 

@@ -73,23 +73,6 @@ def test_batch_validation():
         Batch(np.zeros((2, 2)), np.zeros(2, dtype=np.int64), np.array([0, -1]))
 
 
-def test_batch_per_domain_layout_is_checked():
-    ids = np.array([0, 0, 2, 2, 5, 5])
-    b = Batch(np.zeros((6, 2)), np.zeros(6, dtype=np.int64), ids, per_domain=2)
-    assert b.per_domain == 2
-    assert b.take(np.arange(3)).per_domain == 0
-    for bad_ids, per_domain in (
-        ([0, 0, 1, 1, 2, 2], 4),  # 6 rows are not blocks of 4
-        ([0, 1, 0, 1, 2, 2], 2),  # a block mixes domains
-        ([1, 1, 0, 0, 2, 2], 2),  # blocks out of order
-        ([0, 0, 0, 0, 1, 1], 2),  # one domain in two blocks
-    ):
-        with pytest.raises(ValueError, match="per_domain"):
-            Batch(np.zeros((6, 2)), np.zeros(6, dtype=np.int64), np.array(bad_ids), per_domain=per_domain)
-    with pytest.raises(ValueError, match="per_domain"):
-        Batch(np.zeros((6, 2)), np.zeros(6, dtype=np.int64), ids, per_domain=-2)
-
-
 def test_domain_slices_ascending_order():
     b = Batch(np.zeros((5, 2)), np.zeros(5, dtype=np.int64), np.array([2, 0, 2, 1, 0]))
     slices = domain_slices(b)

@@ -16,6 +16,7 @@ from gacfas.numerics import Prng, axpy, gaussian, l2_norm
 from gacfas.optim import (
     MODES,
     StepDiagnostics,
+    _block_size,
     _deviation_sum,
     _eps_rows,
     _grad_sum,
@@ -437,9 +438,11 @@ def test_taylor_first_order_error_shrinks_quadratically():
 # -------------------------------------------------------- stacked kernel ----
 
 
-def balanced(batch: Batch, per_domain: int) -> Batch:
-    """The same rows, marked with the balanced sampler's layout."""
-    return Batch(batch.inputs, batch.labels, batch.domain_ids, per_domain=per_domain)
+def reversed_blocks(batch: Batch, per_domain: int) -> Batch:
+    """The same rows with their blocks of per_domain rows in reverse order:
+    descending domain ids, which the stacked layout does not take."""
+    order = np.arange(batch.n).reshape(-1, per_domain)[::-1].reshape(-1)
+    return batch.take(order)
 
 
 def count_kernel_calls(monkeypatch) -> list:
@@ -468,10 +471,10 @@ class CountingQuadratic(ScalarQuadratic):
 def test_stacked_and_looped_steps_are_bitwise_equal(mode):
     c = cfg(mode, rho=0.1, gamma=0.01, weight_decay=1e-3)
     for seed in range(20):
-        k = (seed % 3) + 1
+        k = (seed % 3) + 1  # one domain is one block, stacked either way
         spec, params, batch = random_instance(1000 + seed, sizes=(2, 6, 5, 2), k=k, per_domain=6)
-        out_loop, diag_loop = take_step(spec, params, batch, c, t=3)
-        out_stacked, diag_stacked = take_step(spec, params, balanced(batch, 6), c, t=3)
+        out_loop, diag_loop = take_step(spec, params, reversed_blocks(batch, 6), c, t=3)
+        out_stacked, diag_stacked = take_step(spec, params, batch, c, t=3)
         assert np.array_equal(out_loop.theta, out_stacked.theta)
         assert diag_loop == diag_stacked
 
@@ -479,7 +482,6 @@ def test_stacked_and_looped_steps_are_bitwise_equal(mode):
 def test_gac_reduction_identity_is_bit_exact_on_stacked_batches():
     for seed in range(50):
         spec, params, batch = random_instance(700 + seed, k=(seed % 3) + 1, per_domain=4)
-        batch = balanced(batch, 4)
         eta = 0.01 + 0.001 * (seed % 7)
         out_gac, _ = gac_fas_step(spec, params, batch, cfg("gac_fas", eta0=eta, rho=0.0, gamma=0.0), t=1)
         out_erm, _ = erm_step(spec, params, batch, cfg("erm", eta0=2.0 * eta), t=1)
@@ -492,13 +494,58 @@ def test_gac_reduction_identity_is_bit_exact_on_stacked_batches():
 def test_balanced_mlp_step_makes_stacked_kernel_calls(monkeypatch, mode, calls):
     spec, params, batch = random_instance(5, sizes=(2, 16, 16, 2), k=3, per_domain=32)
     shapes = count_kernel_calls(monkeypatch)
-    take_step(spec, params, balanced(batch, 32), cfg(mode), t=1, n_domains=3)
+    take_step(spec, params, batch, cfg(mode), t=1, n_domains=3)
     assert shapes == [(3, 32, 2)] * calls
 
 
+def test_a_sampler_batch_makes_the_stacked_kernel_calls(monkeypatch):
+    from gacfas import datagen
+
+    domains = [datagen.DomainSpec(rotation=0.3 * i, noise_sigma=0.1, n_samples=50, seed=i) for i in range(4)]
+    source, _ = datagen.leave_one_out(domains, 1)
+    spec, params, _ = random_instance(5, sizes=(2, 16, 16, 2))
+    shapes = count_kernel_calls(monkeypatch)
+    for t in (1, 2):
+        batch = datagen.sample_minibatch(source, 32, Prng(t, 1))
+        params, _ = gac_fas_step(spec, params, batch, cfg("gac_fas"), t=t, n_domains=3)
+    assert shapes == [(3, 32, 2)] * 4
+
+
+@pytest.mark.parametrize(
+    "ids,size",
+    [
+        ([0, 0, 2, 2, 5, 5], 2),
+        ([3, 3, 3], 3),
+        ([4], 1),
+        ([0, 1, 2], 1),
+        ([0, 0, 1, 1, 2], 0),  # 5 rows are not blocks of 2
+        ([0, 0, 0, 1, 1, 1, 1, 1], 0),  # blocks of unequal size
+        ([0, 1, 0, 1, 2, 2], 0),  # a block mixes domains
+        ([1, 1, 0, 0, 2, 2], 0),  # blocks out of order
+        ([2, 2, 1, 1, 0, 0], 0),  # descending ids
+        ([0, 0, 1, 1, 1, 1], 0),  # one domain in two blocks
+        ([0, 1, 1, 0], 0),  # the first domain's rows apart
+    ],
+)
+def test_block_size_finds_the_balanced_layout(ids, size):
+    assert _block_size(np.array(ids, dtype=np.int64)) == size
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_descending_domain_blocks_take_the_loop_with_equal_bits(monkeypatch, mode):
+    spec, params, batch = random_instance(7, sizes=(2, 6, 2), k=3, per_domain=4)
+    c = cfg(mode, rho=0.1, gamma=0.01, weight_decay=1e-3)
+    out_stacked, diag_stacked = take_step(spec, params, batch, c, t=2)
+    shapes = count_kernel_calls(monkeypatch)
+    out_loop, diag_loop = take_step(spec, params, reversed_blocks(batch, 4), c, t=2)
+    assert shapes and set(shapes) == {(4, 2)}
+    assert np.array_equal(out_loop.theta, out_stacked.theta) and diag_loop == diag_stacked
+
+
 def test_unequal_domain_batch_takes_the_loop_with_unchanged_results(monkeypatch):
-    """Domains of 3 and 5 rows: k + k^2 = 6 per-pair calls, and the step
-    equals a straight-line recomputation of the rule bit for bit."""
+    """Domains of 3 and 5 rows in ascending id order: k + k^2 = 6 per-pair
+    calls, and the step equals a straight-line recomputation of the rule
+    bit for bit."""
     spec, params, batch = random_instance(11, sizes=(2, 6, 2), k=1, per_domain=8)
     batch = Batch(batch.inputs, batch.labels, np.array([0, 0, 0, 1, 1, 1, 1, 1]))
     parts = [(batch.inputs[:3], batch.labels[:3]), (batch.inputs[3:], batch.labels[3:])]
@@ -526,15 +573,9 @@ def test_unequal_domain_batch_takes_the_loop_with_unchanged_results(monkeypatch)
 def test_oracle_models_take_the_loop_on_balanced_batches():
     model = CountingQuadratic()
     c = cfg("gac_fas", eta0=0.1, rho=0.1, gamma=0.05)
-    params, _ = gac_fas_step(model, scalar_params(1.0), balanced(k_domain_batch(2), 2), c, t=1)
+    params, _ = gac_fas_step(model, scalar_params(1.0), k_domain_batch(2), c, t=1)
     assert model.calls == 2 + 4
     assert abs(params.theta[0] - 0.6) <= 1e-12
-    mirror = mirror_batch()
-    for mode in ("sam_domain", "gac_fas"):
-        c = cfg(mode, eta0=0.1, rho=0.1)
-        out_loop, diag_loop = take_step(MirrorLinear(), scalar_params(0.5), mirror, c, t=1)
-        out_marked, diag_marked = take_step(MirrorLinear(), scalar_params(0.5), balanced(mirror, 2), c, t=1)
-        assert np.array_equal(out_loop.theta, out_marked.theta) and diag_loop == diag_marked
 
 
 def test_full_domain_parts_go_pair_by_pair(monkeypatch):
@@ -552,7 +593,7 @@ def test_full_domain_parts_go_pair_by_pair(monkeypatch):
     assert shapes == [(2000, 2)] * 12
     spec, params, batch = random_instance(13, sizes=(2, 16, 16, 2), k=3, per_domain=2000)
     shapes.clear()
-    gac_fas_step(spec, params, balanced(batch, 2000), cfg("gac_fas"), t=1, n_domains=3)
+    gac_fas_step(spec, params, batch, cfg("gac_fas"), t=1, n_domains=3)
     assert shapes == [(3, 2000, 2)] * 2
 
 
@@ -562,7 +603,7 @@ def test_alignment_cos_is_nan_when_the_gradients_are(mode):
     spec, params, batch = random_instance(17, k=2)
     theta = params.theta.copy()
     theta[0] = math.nan
-    _, diag = take_step(spec, model_mod.ParamVector(theta, params.layout), balanced(batch, 5), cfg(mode), t=1)
+    _, diag = take_step(spec, model_mod.ParamVector(theta, params.layout), batch, cfg(mode), t=1)
     assert all(math.isnan(c) for c in diag.alignment_cos)
 
 
@@ -596,7 +637,7 @@ def test_a_step_without_its_record_gives_the_same_theta_and_loss(mode):
     cases = []
     for seed in range(6):
         spec, params, batch = random_instance(2000 + seed, sizes=(2, 6, 5, 2), k=(seed % 3) + 1, per_domain=5)
-        cases += [(spec, params, batch), (spec, params, balanced(batch, 5))]
+        cases += [(spec, params, reversed_blocks(batch, 5)), (spec, params, batch)]
     theta = cases[0][1].theta.copy()
     theta[3] = math.nan
     cases.append((cases[0][0], model_mod.ParamVector(theta, cases[0][1].layout), cases[1][2]))
@@ -612,7 +653,7 @@ def test_a_step_without_its_record_gives_the_same_theta_and_loss(mode):
 def test_records_hold_python_numbers_only():
     spec, params, batch = random_instance(31, k=3)
     for mode in MODES:
-        _, diag = take_step(spec, params, balanced(batch, 5), cfg(mode), t=1)
+        _, diag = take_step(spec, params, batch, cfg(mode), t=1)
         for name in StepDiagnostics.__dataclass_fields__:
             value = getattr(diag, name)
             assert all(type(v) in (int, float) for v in (value if isinstance(value, tuple) else (value,))), name

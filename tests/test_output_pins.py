@@ -182,9 +182,9 @@ def test_step_schedule_run_outputs_match_pinned_digests(tmp_path, mode):
     assert _run_digests(cfg, tmp_path) == STEP_SCHEDULE_RUN_PINS[mode]
 
 
-def test_convergence_stream_matches_pinned_digests():
-    cfg = pin_config("gac_fas", steps=60, eval_every=30, eval_window=1)
-    record, trace = run_convergence(cfg, window=3, trace_every=2, write=False)
+def test_convergence_stream_matches_pinned_digests(tmp_path):
+    cfg = pin_config("gac_fas", steps=60, eval_every=30, eval_window=1, output_dir=str(tmp_path))
+    record, trace = run_convergence(cfg, window=3, trace_every=2)
     got = (
         _sha(metrics_csv(record)),
         _sha(diagnostics_csv(record)),
