@@ -17,7 +17,6 @@ from .diagnostics import (
     alignment_inner_products,
     convergence_trace,
     landscape_slice,
-    perturbed_loss,
     surrogate_gap,
 )
 from .evalmetrics import ScoredSet, hter_at_eer, roc_auc, tpr_at_fpr
@@ -37,7 +36,6 @@ from .model import Batch, MlpSpec, ParamVector
 from .numerics import Prng
 from .optim import (
     MODES,
-    AscendingVector,
     OptimizerConfig,
     Schedule,
     StepDiagnostics,
@@ -53,7 +51,6 @@ from .optim import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "AscendingVector",
     "Batch",
     "ConfigError",
     "ConvergenceTrace",
@@ -80,7 +77,6 @@ __all__ = [
     "hter_at_eer",
     "landscape_slice",
     "load_config",
-    "perturbed_loss",
     "reg_domain_perturb_step",
     "roc_auc",
     "run_leave_one_out",

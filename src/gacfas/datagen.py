@@ -57,7 +57,7 @@ class DomainSpec:
 
 @dataclass(frozen=True)
 class SourceSet:
-    """k realized domains; every batch carries its domain's index uniformly.
+    """Realized domains; every batch carries its domain's index uniformly.
 
     The set stacks its domains' rows once, on construction, and keeps each
     domain's batch as a read-only view of its block. It also keeps what the
@@ -65,15 +65,14 @@ class SourceSet:
     size."""
 
     domains: tuple[tuple[DomainSpec, Batch], ...]
-    k: int
     _rows: Batch = field(init=False, repr=False, compare=False)
     _starts: np.ndarray = field(init=False, repr=False, compare=False)
     _sizes: tuple[int, ...] = field(init=False, repr=False, compare=False)
     _smallest: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.k != len(self.domains) or self.k < 1:
-            raise ValueError(f"k={self.k} does not match {len(self.domains)} realized domains")
+        if not self.domains:
+            raise ValueError("a source set needs at least one realized domain")
         for _, batch in self.domains:
             if batch.domain_ids.min() != batch.domain_ids.max():
                 raise ValueError(f"realized domain batch mixes domain ids {sorted(set(batch.domain_ids.tolist()))}")
@@ -98,9 +97,6 @@ class SourceSet:
         object.__setattr__(self, "_starts", starts[:, None])
         object.__setattr__(self, "_sizes", sizes)
         object.__setattr__(self, "_smallest", min(sizes))
-
-    def domain_indices(self) -> tuple[int, ...]:
-        return tuple(int(batch.domain_ids[0]) for _, batch in self.domains)
 
     def concatenated(self) -> Batch:
         """All domains stacked into one batch, in the set's domain order (the
@@ -168,7 +164,7 @@ def build_source_set(specs, indices=None) -> SourceSet:
     realized = tuple(
         (spec, _realize(spec, idx)) for spec, idx in zip(specs, indices)
     )
-    return SourceSet(realized, len(realized))
+    return SourceSet(realized)
 
 
 def leave_one_out(specs, held: int) -> tuple[SourceSet, Batch]:
@@ -202,7 +198,7 @@ def sample_minibatch(source: SourceSet, per_domain: int, prng: Prng) -> Batch:
         raise ValueError(f"per_domain={per_domain} exceeds smallest domain size {source._smallest}")
     choice = prng.generator.choice
     idx = np.concatenate([choice(n, size=per_domain, replace=False) for n in source._sizes])
-    blocks = idx.reshape(source.k, per_domain)
+    blocks = idx.reshape(len(source.domains), per_domain)
     blocks += source._starts
     rows = source._rows
     return Batch(

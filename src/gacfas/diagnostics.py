@@ -72,29 +72,18 @@ class ConvergenceTrace:
         return self.fitted_C * math.log(t + 1.0) / math.sqrt(t)
 
 
-def _loss_and_perturbed_loss(model, theta: np.ndarray, batch, rho: float):
-    """L(theta) and L(theta + eps), eps = ascending_vector(grad L(theta; B), rho),
-    with the batch (or SourceSet) split into its domain parts once for both."""
+def surrogate_gap(model, params: ParamVector, batch, rho: float):
+    """(h(theta), L(theta)): the whole-batch sharpness gap h(theta) =
+    L(theta + eps) - L(theta), eps = ascending_vector(grad L(theta; B), rho),
+    on a Batch or on the whole of a SourceSet, and the loss it is measured
+    from, the same value batch_loss gives.
+
+    The batch is split into its domain parts once for both losses."""
     _check_nonneg("rho", rho)
     parts = _domain_parts(model, batch)
-    loss, g = _sum_terms(_part_terms(model, theta, parts))
-    return loss, _parts_loss(model, ascending_vector(g, rho).eps + theta, parts)
-
-
-def perturbed_loss(model, params: ParamVector, batch: Batch, rho: float) -> float:
-    """L evaluated at theta + ascending_vector(grad L(theta; B), rho)."""
-    return _loss_and_perturbed_loss(model, params.theta, batch, rho)[1]
-
-
-def surrogate_gap(model, params: ParamVector, batch, rho: float, return_loss: bool = False):
-    """h(theta) = L(theta + eps) - L(theta), the whole-batch sharpness gap,
-    on a Batch or on the whole of a SourceSet.
-
-    With return_loss, returns (gap, L(theta)): the loss the gap is measured
-    from, the same value batch_loss gives."""
-    loss, loss_p = _loss_and_perturbed_loss(model, params.theta, batch, rho)
-    gap = loss_p - loss
-    return (gap, loss) if return_loss else gap
+    loss, g = _sum_terms(_part_terms(model, params.theta, parts))
+    loss_p = _parts_loss(model, ascending_vector(g, rho) + params.theta, parts)
+    return loss_p - loss, loss
 
 
 def alignment_inner_products(model, params: ParamVector, source, i: int, rho: float, gamma: float) -> np.ndarray:
@@ -105,7 +94,7 @@ def alignment_inner_products(model, params: ParamVector, source, i: int, rho: fl
     Summing M over both indices gives the inner product of the whole-set
     perturbed gradient with the whole-set plain gradient (the decomposition
     the alignment reward maximizes domain-by-domain)."""
-    k = source.k
+    k = len(source.domains)
     if not _is_int(i):
         raise ValueError(f"domain index must be an int, got {i!r}")
     if not 0 <= i < k:
@@ -116,7 +105,7 @@ def alignment_inner_products(model, params: ParamVector, source, i: int, rho: fl
     parts = _domain_parts(model, source)
     plain = _part_terms(model, theta, parts)
     _, g = _sum_terms(plain)
-    theta_adv = ascending_vector(plain.grads[i], rho).eps + axpy(-gamma, g, theta)
+    theta_adv = ascending_vector(plain.grads[i], rho) + axpy(-gamma, g, theta)
     perturbed = _part_terms(model, theta_adv, parts)
     out = np.empty((k, k), dtype=np.float64)
     for m in range(k):
@@ -172,8 +161,8 @@ def convergence_trace(diag_stream, window: int) -> ConvergenceTrace:
     stream = list(diag_stream)
     if not stream:
         raise ValueError("diagnostics stream is empty")
-    if window < 1:
-        raise ValueError(f"window must be >= 1, got {window}")
+    if not _is_int(window) or window < 1:
+        raise ValueError(f"window must be an int >= 1, got {window!r}")
     n_windows = len(stream) // window
     if n_windows < 1:
         raise ValueError(f"stream of {len(stream)} records is shorter than one window of {window}")

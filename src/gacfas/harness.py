@@ -336,7 +336,7 @@ def _evaluate(cfg: ExperimentConfig, spec, params, test: Batch, source, step: in
     tpr95 = evalmetrics.tpr_at_fpr(scored, 0.05)
     if cfg.optimizer.track_surrogate_gap:
         # The gap is measured from the training loss at theta; reuse it.
-        gap, train_loss = diagnostics.surrogate_gap(spec, params, source, cfg.optimizer.rho, return_loss=True)
+        gap, train_loss = diagnostics.surrogate_gap(spec, params, source, cfg.optimizer.rho)
     else:
         gap, train_loss = math.nan, batch_loss(spec, params.theta, source)
     return EvalReport(step, float(hter), float(auc), float(tpr95), float(train_loss), float(gap))
@@ -383,7 +383,7 @@ def _train_on_split(cfg: ExperimentConfig, seed: int, held: int, split, fullset_
 
     params = model_mod.init_params(spec, Prng(seed, 0))
     batch_prng = Prng(seed, 1)
-    k = source.k
+    k = len(source.domains)
 
     every = fullset_every or cfg.diagnostics_every
     evals = []

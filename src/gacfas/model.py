@@ -191,9 +191,6 @@ class Batch:
     def n(self) -> int:
         return self.inputs.shape[0]
 
-    def take(self, idx: np.ndarray) -> "Batch":
-        return Batch(self.inputs[idx], self.labels[idx], self.domain_ids[idx])
-
 
 def domain_slices(batch: Batch) -> list[tuple[int, np.ndarray]]:
     """(domain_id, row indices) pairs in ascending domain-id order."""
@@ -469,8 +466,6 @@ def finite_diff_grad(spec: MlpSpec, params: ParamVector, batch: Batch, h: float)
     """Central-difference gradient (loss(theta + h e_j) - loss(theta - h e_j)) / 2h."""
     if h <= 0:
         raise ValueError(f"finite-difference step must be positive, got {h}")
-    if batch.n < 1:
-        raise ValueError("cannot difference an empty batch")
     theta = params.theta
     grad = numerics.zeros(theta.shape[0])
     for j in range(theta.shape[0]):

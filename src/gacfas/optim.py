@@ -112,14 +112,6 @@ class OptimizerConfig:
 
 
 @dataclass(frozen=True)
-class AscendingVector:
-    """Radius-rho perturbation in the gradient direction (zero if the
-    gradient is numerically zero)."""
-
-    eps: np.ndarray
-
-
-@dataclass(frozen=True)
 class StepDiagnostics:
     """Per-step record, populated from quantities the step already computed.
 
@@ -164,12 +156,12 @@ def _eps_rows(grads: np.ndarray, rho: float, zero_grad_eps: float) -> np.ndarray
     return eps
 
 
-def ascending_vector(grad: np.ndarray, rho: float, zero_grad_eps: float = 1e-12) -> AscendingVector:
+def ascending_vector(grad: np.ndarray, rho: float, zero_grad_eps: float = 1e-12) -> np.ndarray:
     """eps = rho * grad / ||grad|| when ||grad|| > zero_grad_eps, else zero.
 
     The guard prevents division blow-up at exact minima."""
     _check_nonneg("rho", rho)
-    return AscendingVector(_eps_rows(grad[None, :], rho, zero_grad_eps)[0])
+    return _eps_rows(grad[None, :], rho, zero_grad_eps)[0]
 
 
 def regularizer_grad(params: ParamVector, weight_decay: float) -> np.ndarray:
@@ -416,7 +408,7 @@ def _erm(model, theta, parts, terms, loss, g, rho_t, gamma_t, zero_grad_eps):
 def _sam_whole(model, theta, parts, terms, loss, g, rho_t, gamma_t, zero_grad_eps):
     """d = the whole-batch gradient at theta + eps(g), replicated across the
     record's per-domain slots."""
-    loss_p, g_p = _sum_terms(_part_terms(model, ascending_vector(g, rho_t, zero_grad_eps).eps + theta, parts))
+    loss_p, g_p = _sum_terms(_part_terms(model, ascending_vector(g, rho_t, zero_grad_eps) + theta, parts))
     return g_p, [g_p] * len(terms.ids), loss_p - loss
 
 

@@ -16,6 +16,7 @@ from gacfas.datagen import (
     sample_minibatch,
     shift_domain,
 )
+from gacfas.model import Batch
 from gacfas.numerics import Prng
 from gacfas.optim import _block_size
 
@@ -110,7 +111,7 @@ def test_shift_preserves_labels_and_sets_domain_ids():
 
 def test_build_source_set_single_and_seed_sensitivity():
     single = build_source_set([DomainSpec(n_samples=10, seed=0)])
-    assert single.k == 1
+    assert len(single.domains) == 1
     a = build_source_set([DomainSpec(n_samples=40, seed=0), DomainSpec(n_samples=40, seed=1)])
     assert not np.array_equal(a.domains[0][1].inputs, a.domains[1][1].inputs)
     b = build_source_set([DomainSpec(n_samples=40, seed=0), DomainSpec(n_samples=40, seed=1)])
@@ -143,22 +144,22 @@ def test_rotated_domains_have_rotated_class_means():
 
 def test_source_set_rejects_mixed_ids_and_bad_k():
     base = gen_two_moons(4, 0.0, Prng(0, 0))
-    mixed = base.take(np.arange(4))
-    object.__setattr__(mixed, "domain_ids", np.array([0, 0, 1, 1]))
-    with pytest.raises(ValueError):
-        SourceSet(((DomainSpec(n_samples=4), mixed),), 1)
-    with pytest.raises(ValueError):
-        SourceSet(((DomainSpec(n_samples=4), base),), 2)
+    mixed = Batch(base.inputs, base.labels, np.array([0, 0, 1, 1]))
+    with pytest.raises(ValueError, match="mixes domain ids"):
+        SourceSet(((DomainSpec(n_samples=4), mixed),))
+    # k is the number of domains, so the one k to refuse is 0.
+    with pytest.raises(ValueError, match="at least one realized domain"):
+        SourceSet(())
 
 
 def test_leave_one_out_partition_and_disjoint_samples():
     specs = [DomainSpec(rotation=0.1 * i, noise_sigma=0.05, n_samples=60, seed=i) for i in range(4)]
     train, test = leave_one_out(specs, held=3)
-    assert train.k == 3
-    assert train.domain_indices() == (0, 1, 2)
+    train_ids = tuple(int(b.domain_ids[0]) for _, b in train.domains)
+    assert train_ids == (0, 1, 2)
     assert np.all(test.domain_ids == 3)
     # train-domain ids and the held-out id are disjoint
-    assert 3 not in train.domain_indices()
+    assert 3 not in train_ids
     # exhaustive membership scan: no test row appears in any train domain
     train_rows = {row.tobytes() for _, b in train.domains for row in b.inputs}
     assert all(row.tobytes() not in train_rows for row in test.inputs)
@@ -223,7 +224,7 @@ def test_sampler_matches_the_per_domain_fancy_index_reference(order, per_domain)
     specs = [DomainSpec(rotation=0.4 * i, noise_sigma=0.1, n_samples=n, seed=i) for i, n in enumerate((7, 12, 30))]
     realized = build_source_set(specs).domains
     positions = {"ascending": (0, 1, 2), "descending": (2, 1, 0), "mixed": (1, 2, 0)}[order]
-    source = SourceSet(tuple(realized[i] for i in positions), 3)
+    source = SourceSet(tuple(realized[i] for i in positions))
     ours, theirs = Prng(11, 1), Prng(11, 1)
     for _ in range(5):
         got = sample_minibatch(source, per_domain, ours)

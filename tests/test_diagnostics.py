@@ -14,75 +14,68 @@ from gacfas.diagnostics import (
     alignment_inner_products,
     convergence_trace,
     landscape_slice,
-    perturbed_loss,
     surrogate_gap,
 )
 from gacfas.harness import convergence_csv, landscape_csv
 from gacfas.model import MlpSpec, init_params
 from gacfas.numerics import Prng
-from gacfas.optim import StepDiagnostics, batch_loss, batch_loss_and_grad
+from gacfas.optim import StepDiagnostics, ascending_vector, batch_loss, batch_loss_and_grad
 
 from helpers import ScalarQuadratic, VectorQuadratic, k_domain_batch, random_instance, scalar_params
 
 
 # --------------------------------------------------- perturbed loss / gap ----
+# surrogate_gap returns (gap, L(theta)); the perturbed loss L(theta + eps) is
+# their sum.
 
 
 def test_perturbed_loss_rho_zero_equals_loss():
     spec, params, batch = random_instance(0)
-    assert perturbed_loss(spec, params, batch, 0.0) == batch_loss(spec, params.theta, batch)
+    assert surrogate_gap(spec, params, batch, 0.0) == (0.0, batch_loss(spec, params.theta, batch))
 
 
 def test_perturbed_loss_scalar_quadratic():
-    val = perturbed_loss(ScalarQuadratic(), scalar_params(1.0), k_domain_batch(1), 0.1)
-    assert abs(val - 0.605) <= 1e-12
+    gap, loss = surrogate_gap(ScalarQuadratic(), scalar_params(1.0), k_domain_batch(1), 0.1)
+    assert loss == 0.5
+    assert abs(gap + loss - 0.605) <= 1e-12
 
 
 def test_perturbed_loss_dominates_loss_on_convex_quadratic():
     for rho in (0.0, 0.05, 0.1, 0.5):
-        val = perturbed_loss(ScalarQuadratic(), scalar_params(0.7), k_domain_batch(1), rho)
-        assert val >= 0.5 * 0.7**2 - 1e-15
+        gap, loss = surrogate_gap(ScalarQuadratic(), scalar_params(0.7), k_domain_batch(1), rho)
+        assert gap + loss >= 0.5 * 0.7**2 - 1e-15
 
 
 def test_surrogate_gap_examples_and_monotonicity():
-    assert surrogate_gap(ScalarQuadratic(), scalar_params(1.0), k_domain_batch(1), 0.0) == 0.0
-    gap = surrogate_gap(ScalarQuadratic(), scalar_params(1.0), k_domain_batch(1), 0.1)
+    assert surrogate_gap(ScalarQuadratic(), scalar_params(1.0), k_domain_batch(1), 0.0)[0] == 0.0
+    gap, _ = surrogate_gap(ScalarQuadratic(), scalar_params(1.0), k_domain_batch(1), 0.1)
     assert abs(gap - 0.105) <= 1e-12
-    gaps = [surrogate_gap(ScalarQuadratic(), scalar_params(1.0), k_domain_batch(1), r) for r in (0.0, 0.1, 0.2, 0.4)]
+    gaps = [surrogate_gap(ScalarQuadratic(), scalar_params(1.0), k_domain_batch(1), r)[0] for r in (0.0, 0.1, 0.2, 0.4)]
     assert all(a <= b + 1e-15 for a, b in zip(gaps, gaps[1:]))
 
 
-def test_surrogate_gap_return_loss_gives_the_batch_loss():
+def test_surrogate_gap_is_measured_from_the_batch_loss():
     for seed in range(5):
         spec, params, batch = random_instance(seed)
-        gap, loss = surrogate_gap(spec, params, batch, 0.1, return_loss=True)
-        assert gap == surrogate_gap(spec, params, batch, 0.1)
+        gap, loss = surrogate_gap(spec, params, batch, 0.1)
         assert loss == batch_loss(spec, params.theta, batch)
+        _, g = batch_loss_and_grad(spec, params.theta, batch)
+        assert gap == batch_loss(spec, ascending_vector(g, 0.1) + params.theta, batch) - loss
 
 
 def test_surrogate_gap_zero_for_every_theta_at_rho_zero():
     for seed in range(5):
         spec, params, batch = random_instance(seed)
-        assert surrogate_gap(spec, params, batch, 0.0) == 0.0
+        assert surrogate_gap(spec, params, batch, 0.0)[0] == 0.0
     with pytest.raises(ValueError):
         surrogate_gap(ScalarQuadratic(), scalar_params(1.0), k_domain_batch(1), -0.1)
 
 
-BAD_RHOS = [math.nan, math.inf, -math.inf, -0.1]
-
-
-@pytest.mark.parametrize("rho", BAD_RHOS)
+@pytest.mark.parametrize("rho", [math.nan, math.inf, -math.inf, -0.1])
 def test_surrogate_gap_refuses_a_non_finite_or_negative_rho_by_name(rho):
     spec, params, batch = random_instance(0)
     with pytest.raises(ValueError, match=f"^rho must be finite and >= 0, got {rho}$"):
         surrogate_gap(spec, params, batch, rho)
-
-
-@pytest.mark.parametrize("rho", BAD_RHOS)
-def test_perturbed_loss_refuses_a_non_finite_or_negative_rho_by_name(rho):
-    spec, params, batch = random_instance(0)
-    with pytest.raises(ValueError, match=f"^rho must be finite and >= 0, got {rho}$"):
-        perturbed_loss(spec, params, batch, rho)
 
 
 # ------------------------------------------------- alignment inner products ----
@@ -308,8 +301,9 @@ def test_convergence_trace_partial_window_dropped():
 def test_convergence_trace_validation():
     with pytest.raises(ValueError):
         convergence_trace([], window=10)
-    with pytest.raises(ValueError):
-        convergence_trace([_diag(1, 1.0, 1.0)], window=0)
+    for window in (0, True, 2.0):
+        with pytest.raises(ValueError, match=f"^window must be an int >= 1, got {window!r}$"):
+            convergence_trace([_diag(1, 1.0, 1.0)] * 4, window=window)
     with pytest.raises(ValueError):
         convergence_trace([_diag(1, 1.0, 1.0)], window=5)
     with pytest.raises(ValueError):

@@ -492,7 +492,7 @@ def test_evaluate_takes_the_loss_and_gap_of_the_concatenated_source_set(track, h
         params = init_params(cfg.model, Prng(seed, 0))
         params = params.with_theta(params.theta + rng.standard_normal(params.theta.shape))
         report = harness._evaluate(cfg, cfg.model, params, test, source, 5)
-        gap, loss = diagnostics.surrogate_gap(cfg.model, params, source.concatenated(), 0.3, return_loss=True)
+        gap, loss = diagnostics.surrogate_gap(cfg.model, params, source.concatenated(), 0.3)
         assert report.train_loss == loss
         if track:
             assert report.surrogate_gap == gap
@@ -505,8 +505,8 @@ def test_surrogate_gap_of_a_source_set_takes_its_domains_in_ascending_id_order()
     source = build_source_set(specs, indices=(5, 1, 3))
     spec = MlpSpec((2, 6, 2), "tanh")
     params = init_params(spec, Prng(4, 0))
-    assert diagnostics.surrogate_gap(spec, params, source, 0.2, return_loss=True) == diagnostics.surrogate_gap(
-        spec, params, source.concatenated(), 0.2, return_loss=True
+    assert diagnostics.surrogate_gap(spec, params, source, 0.2) == diagnostics.surrogate_gap(
+        spec, params, source.concatenated(), 0.2
     )
 
 

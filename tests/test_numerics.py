@@ -125,7 +125,7 @@ def test_kernels_do_not_mutate_inputs():
     assert np.array_equal(x, x0) and np.array_equal(y, y0)
 
 
-@pytest.mark.parametrize("module_name", ["gacfas", "gacfas.numerics"])
+@pytest.mark.parametrize("module_name", ["gacfas", "gacfas.evalmetrics", "gacfas.numerics"])
 def test_every_exported_name_resolves(module_name):
     """A name left in __all__ after its definition is deleted breaks
     `from module import *` and nothing else."""

@@ -98,17 +98,17 @@ def test_config_refuses_non_finite_values_by_name(name, value):
 
 
 def test_ascending_vector_direct_example():
-    asc = ascending_vector(np.array([3.0, 4.0]), 0.1)
-    assert np.max(np.abs(asc.eps - np.array([0.06, 0.08]))) <= 1e-15
+    eps = ascending_vector(np.array([3.0, 4.0]), 0.1)
+    assert np.max(np.abs(eps - np.array([0.06, 0.08]))) <= 1e-15
 
 
 def test_ascending_vector_zero_gradient_guard():
-    asc = ascending_vector(np.zeros(4), 0.3)
-    assert np.all(asc.eps == 0.0)
+    eps = ascending_vector(np.zeros(4), 0.3)
+    assert np.all(eps == 0.0)
     tiny = ascending_vector(np.full(4, 1e-14), 0.3)
-    assert np.all(tiny.eps == 0.0)  # norm 2e-14 is within the 1e-12 guard
+    assert np.all(tiny == 0.0)  # norm 2e-14 is within the 1e-12 guard
     just_above = ascending_vector(np.full(4, 1e-12), 0.3)
-    assert abs(l2_norm(just_above.eps) - 0.3) <= 1e-12  # norm 2e-12 exceeds the guard
+    assert abs(l2_norm(just_above) - 0.3) <= 1e-12  # norm 2e-12 exceeds the guard
 
 
 def test_ascending_vector_norm_equals_rho():
@@ -117,8 +117,8 @@ def test_ascending_vector_norm_equals_rho():
         dim = 1 + trial % 40
         g = gaussian(prng, dim)
         for rho in (0.005, 0.05, 0.1, 0.2, 0.4):
-            asc = ascending_vector(g, rho)
-            assert abs(l2_norm(asc.eps) - rho) <= 1e-12
+            eps = ascending_vector(g, rho)
+            assert abs(l2_norm(eps) - rho) <= 1e-12
 
 
 def test_ascending_vector_rejects_negative_rho():
@@ -421,12 +421,12 @@ def test_taylor_first_order_error_shrinks_quadratically():
         terms = _domain_terms(spec, theta, batch)
         _, g = batch_loss_and_grad(spec, theta, batch)
         i = seed % 3
-        asc = ascending_vector(terms.grads[i], 0.1)
+        eps = ascending_vector(terms.grads[i], 0.1)
 
         def phi(gamma):
-            return batch_loss(spec, theta + asc.eps - gamma * g, batch)
+            return batch_loss(spec, theta + eps - gamma * g, batch)
 
-        _, gp = batch_loss_and_grad(spec, theta + asc.eps, batch)
+        _, gp = batch_loss_and_grad(spec, theta + eps, batch)
         ip = float(np.dot(gp, g))
         phi0 = phi(0.0)
         errs = [abs(phi(gm) - (phi0 - gm * ip)) for gm in gammas]
@@ -442,7 +442,7 @@ def reversed_blocks(batch: Batch, per_domain: int) -> Batch:
     """The same rows with their blocks of per_domain rows in reverse order:
     descending domain ids, which the stacked layout does not take."""
     order = np.arange(batch.n).reshape(-1, per_domain)[::-1].reshape(-1)
-    return batch.take(order)
+    return Batch(batch.inputs[order], batch.labels[order], batch.domain_ids[order])
 
 
 def count_kernel_calls(monkeypatch) -> list:
@@ -565,7 +565,7 @@ def test_unequal_domain_batch_takes_the_loop_with_unchanged_results(monkeypatch)
     deviations = np.zeros_like(theta)
     for inputs, labels in parts:
         g_i = model_mod.mean_loss_and_grad(spec, theta, inputs, labels)[1]
-        deviations += whole_grad(axpy(1.0, ascending_vector(g_i, rho).eps, offset)) - g
+        deviations += whole_grad(axpy(1.0, ascending_vector(g_i, rho), offset)) - g
     want = axpy(-eta, (g + axpy(0.5, deviations, g)) + theta * wd, theta)
     assert np.array_equal(out.theta, want)
 
@@ -717,4 +717,4 @@ def test_ascent_points_match_ascending_vector_then_axpy_bitwise():
         want = np.stack([axpy(1.0, e, base) for e in eps])
         assert (_eps_rows(grads, rho, 1e-12) + base).tobytes() == want.tobytes()
         for grad, e in zip(grads, eps):
-            assert ascending_vector(grad, rho, 1e-12).eps.tobytes() == e.tobytes()
+            assert ascending_vector(grad, rho, 1e-12).tobytes() == e.tobytes()
