@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .model import Batch
-from .numerics import Prng
+from .numerics import Prng, _as_float, _as_tuple, _expect, _is_int
 
 # Added to a domain's seed when realizing its held-out test split, so train
 # and test draws come from disjoint streams.
@@ -38,9 +38,12 @@ class DomainSpec:
     seed: int = 0
 
     def __post_init__(self):
-        if self.seed < 0:
-            raise ValueError(f"seed must be a non-negative integer, got {self.seed}")
-        object.__setattr__(self, "translation", tuple(float(v) for v in self.translation))
+        for name in ("rotation", "noise_sigma"):
+            object.__setattr__(self, name, _as_float(getattr(self, name), name))
+        translation = tuple(_as_float(v, "translation") for v in _as_tuple(self.translation, "translation"))
+        object.__setattr__(self, "translation", translation)
+        _expect(_is_int(self.n_samples) and self.n_samples >= 2, "n_samples", "an integer >= 2", self.n_samples)
+        _expect(_is_int(self.seed) and self.seed >= 0, "seed", "a non-negative integer", self.seed)
         if len(self.translation) != 2:
             raise ValueError(f"translation must be a 2-vector, got {self.translation}")
         # A NaN passes every comparison below and would train on a domain
@@ -51,8 +54,6 @@ class DomainSpec:
             raise ValueError(f"translation must be finite, got {self.translation}")
         if not (math.isfinite(self.noise_sigma) and self.noise_sigma >= 0):
             raise ValueError(f"noise_sigma must be finite and >= 0, got {self.noise_sigma}")
-        if self.n_samples < 2:
-            raise ValueError(f"n_samples must be >= 2 (one per class), got {self.n_samples}")
 
 
 @dataclass(frozen=True)

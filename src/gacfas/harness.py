@@ -35,7 +35,7 @@ import numpy as np
 from . import datagen, diagnostics, evalmetrics, model as model_mod
 from .datagen import DomainSpec
 from .model import Batch, MlpSpec, ParamVector, layout_for
-from .numerics import Prng, _is_int
+from .numerics import Prng, _as_tuple, _expect, _is_int
 from .optim import OptimizerConfig, StepDiagnostics, batch_loss, gac_fas_record, take_step
 
 METRICS_HEADER = "step,hter,auc,tpr95,train_loss,surrogate_gap"
@@ -77,6 +77,19 @@ class ExperimentConfig:
     diagnostics_every: int = 10
 
     def __post_init__(self):
+        # A wrong type is a ValueError naming the field; a broken invariant, a ConfigValueError.
+        _expect(isinstance(self.model, MlpSpec), "model", "an MlpSpec", self.model)
+        object.__setattr__(self, "domains", _as_tuple(self.domains, "domains"))
+        for dom in self.domains:
+            _expect(isinstance(dom, DomainSpec), "domains", "a DomainSpec", dom)
+        _expect(isinstance(self.held_out, str) or _is_int(self.held_out), "held_out", 'an index or "all"', self.held_out)
+        _expect(isinstance(self.optimizer, OptimizerConfig), "optimizer", "an OptimizerConfig", self.optimizer)
+        for name in ("steps", "per_domain_batch", "eval_every", "eval_window", "diagnostics_every"):
+            _expect(_is_int(getattr(self, name)), name, "an integer", getattr(self, name))
+        object.__setattr__(self, "seeds", _as_tuple(self.seeds, "seeds"))
+        for seed in self.seeds:
+            _expect(_is_int(seed) and seed >= 0, "seeds", "a non-negative integer", seed)
+        _expect(isinstance(self.output_dir, str), "output_dir", "a string", self.output_dir)
         if len(self.domains) < 2:
             raise ConfigValueError("at least 2 domains are required (one may be held out)")
         if isinstance(self.held_out, str):
@@ -140,69 +153,29 @@ def _require_index(held, command: str) -> int:
     return held
 
 
-def _is_finite(value) -> bool:
-    try:
-        return isinstance(value, (int, float)) and not isinstance(value, bool) and math.isfinite(value)
-    except OverflowError:  # an int too large for a float
-        return False
-
-
-def _reader(accepts, expected: str):
-    """The reader of a JSON value that accepts(value) must hold for; it
-    returns the value, or raises naming the value's key path."""
-
-    def read(value, context: str):
-        if not accepts(value):
-            raise ConfigValueError(f"{context}: expected {expected}, got {value!r}")
-        return value
-
-    return read
-
-
-_as_int = _reader(_is_int, "an integer")
-_as_seed = _reader(lambda v: _is_int(v) and v >= 0, "a non-negative integer")
-_as_bool = _reader(lambda v: isinstance(v, bool), "true/false")
-_as_str = _reader(lambda v: isinstance(v, str), "a string")
-_as_held_out = _reader(lambda v: isinstance(v, str) or _is_int(v), 'an index or "all"')
-_nonempty_list = _reader(lambda v: isinstance(v, list) and len(v) > 0, "a nonempty list")
-_pair = _reader(lambda v: isinstance(v, list) and len(v) == 2, "two numbers")
-_finite = _reader(_is_finite, "a finite number")
-_object = _reader(lambda v: isinstance(v, dict), "an object")
-
-
-def _as_float(value, context: str) -> float:
-    return float(_finite(value, context))
-
-
-def _list_of(read):
-    """The reader of a nonempty list whose items read names by the list's key."""
-    return lambda value, context: tuple(read(v, context) for v in _nonempty_list(value, context))
-
-
-def _as_pair(value, context: str) -> tuple:
-    return tuple(_as_float(v, context) for v in _pair(value, context))
-
-
 class _Key(NamedTuple):
-    """One row of a section table: a JSON key, the reader that checks its
-    value, and the dataclass field it sets when that is not the key itself.
-    A dotted field ("schedule.kind") sets a field of the dataclass that the
-    first field holds."""
+    """One row of a section table: a JSON key, the dataclass field it sets
+    when that is not the key itself, and the reader of a nested section's
+    value; any other value goes to the dataclass as it is. A dotted field
+    ("schedule.kind") sets a field of the dataclass that the first field holds."""
 
     name: str
-    read: Callable
     field: str = ""
+    read: Callable | None = None
 
 
 def _section(cls):
     """The reader of a JSON object into cls, by cls's table in _TABLES. A key
-    left out takes the dataclass default; a field without one is required."""
+    left out takes the dataclass default; a field without one is required.
+    A dataclass's "<field> must be X, got V" is raised as "<key path>: expected X, got V"."""
 
     def read(obj, context: str):
         ctx = context.removeprefix("config.")  # sections name their keys from themselves: model.activation
+        if not isinstance(obj, dict):
+            raise ConfigValueError(f"{ctx}: expected an object, got {obj!r}")
         keys = _TABLES[cls]
         allowed = [key.name for key in keys]
-        unknown = [k for k in _object(obj, ctx) if k not in allowed]
+        unknown = [k for k in obj if k not in allowed]
         if unknown:
             raise ConfigKeyError(f"{ctx}: unknown key {unknown[0]!r} (allowed: {sorted(allowed)})")
         fields = {f.name: f for f in dataclasses.fields(cls)}
@@ -210,7 +183,7 @@ def _section(cls):
         for key in keys:
             name, _, sub = (key.field or key.name).partition(".")
             if key.name in obj:
-                value = key.read(obj[key.name], f"{ctx}.{key.name}")
+                value = key.read(obj[key.name], f"{ctx}.{key.name}") if key.read else obj[key.name]
                 if sub:
                     nested.setdefault(name, {})[sub] = value
                 else:
@@ -222,59 +195,56 @@ def _section(cls):
                 values[name] = fields[name].default_factory(**sub_values)
             return cls(**values)
         except ValueError as exc:
+            field, named, expected = str(exc).partition(" must be ")
+            paths = {(key.field or key.name).rpartition(".")[2]: key.name for key in keys}
+            if named and field in paths:
+                raise ConfigValueError(f"{ctx}.{paths[field]}: expected {expected}") from exc
             raise ConfigValueError(f"{ctx}: {exc}") from exc
 
     return read
 
 
-def _as_domains(value, context: str) -> tuple:
-    return tuple(_section(DomainSpec)(d, f"{context}[{i}]") for i, d in enumerate(_nonempty_list(value, context)))
+def _as_domains(value, path: str):
+    """A list's items read as DomainSpecs; any other value is left for ExperimentConfig to refuse."""
+    return [_section(DomainSpec)(d, f"{path}[{i}]") for i, d in enumerate(value)] if isinstance(value, list) else value
 
 
 # One table per config section: every JSON key of the format, once. Parsing,
 # the unknown- and missing-key checks and config_to_dict all follow them, and
-# every default lives in its dataclass.
+# every default and every check of a value lives in its dataclass.
 _TABLES = {
     ExperimentConfig: (
-        _Key("model", _section(MlpSpec)),
-        _Key("domains", _as_domains),
-        _Key("held_out", _as_held_out),
-        _Key("optimizer", _section(OptimizerConfig)),
-        _Key("steps", _as_int),
-        _Key("per_domain_batch", _as_int),
-        _Key("eval_every", _as_int),
-        _Key("eval_window", _as_int),
-        _Key("seeds", _list_of(_as_seed)),
-        _Key("output_dir", _as_str),
-        _Key("diagnostics_every", _as_int),
+        _Key("model", read=_section(MlpSpec)),
+        _Key("domains", read=_as_domains),
+        _Key("optimizer", read=_section(OptimizerConfig)),
+        *map(_Key, ("held_out", "steps", "per_domain_batch", "eval_every", "eval_window", "diagnostics_every")),
+        *map(_Key, ("seeds", "output_dir")),
     ),
-    MlpSpec: (_Key("layer_sizes", _list_of(_as_int)), _Key("activation", _as_str)),
-    DomainSpec: (
-        _Key("rotation", _as_float),
-        _Key("translation", _as_pair),
-        _Key("noise_sigma", _as_float),
-        _Key("n_samples", _as_int),
-        _Key("seed", _as_seed),
-    ),
+    MlpSpec: tuple(map(_Key, ("layer_sizes", "activation"))),
+    DomainSpec: tuple(map(_Key, ("rotation", "translation", "noise_sigma", "n_samples", "seed"))),
     # The schedule's keys sit flat in the optimizer object.
     OptimizerConfig: (
-        _Key("mode", _as_str),
-        _Key("eta0", _as_float),
-        _Key("rho", _as_float),
-        _Key("gamma", _as_float),
-        _Key("weight_decay", _as_float),
-        _Key("schedule", _as_str, "schedule.kind"),
-        _Key("step_period_epochs", _as_int, "schedule.period_epochs"),
-        _Key("step_factor", _as_float, "schedule.factor"),
-        _Key("zero_grad_eps", _as_float),
-        _Key("track_surrogate_gap", _as_bool),
+        *map(_Key, ("mode", "eta0", "rho", "gamma", "weight_decay", "zero_grad_eps", "track_surrogate_gap")),
+        _Key("schedule", "schedule.kind"),
+        _Key("step_period_epochs", "schedule.period_epochs"),
+        _Key("step_factor", "schedule.factor"),
     ),
 }
 
 
+def _json_number(text: str):
+    """A JSON number as a float when it is finite; NaN, Infinity and 1e999 as
+    a Decimal, which every config field refuses as not a finite number."""
+    value = float(text)
+    if math.isfinite(value):
+        return value
+    import decimal  # here, so that a valid config does not load it
+    return decimal.Decimal(text)
+
+
 def parse_config(text: str, origin: str = "<string>") -> ExperimentConfig:
     try:
-        raw = json.loads(text)
+        raw = json.loads(text, parse_float=_json_number, parse_constant=_json_number)
     except json.JSONDecodeError as exc:
         raise ConfigParseError(f"{origin}:{exc.lineno}:{exc.colno}: {exc.msg}") from exc
     return _section(ExperimentConfig)(raw, "config")
@@ -792,15 +762,15 @@ def run_sweep(cfg: ExperimentConfig, gammas, rhos):
     """gamma x rho sensitivity grid on the configured held-out split; each
     cell aggregates last-window metrics over cfg.seeds."""
     held = _require_index(cfg.held_out, "sweep")
-    grids = {"gamma": [float(g) for g in gammas], "rho": [float(r) for r in rhos]}
-    # Every value is checked before the first step; the grids are named as
-    # the sweep command's flags.
+    grids = {"gamma": list(gammas), "rho": list(rhos)}
+    # OptimizerConfig checks every value, and holds it as a float, before the
+    # first step; the grids are named as the sweep command's flags.
     for name, grid in grids.items():
         if not grid:
             raise ConfigValueError(f"--{name}s: grid is empty")
-        for value in grid:
+        for i, value in enumerate(grid):
             try:
-                dataclasses.replace(cfg.optimizer, **{name: value})
+                grid[i] = getattr(dataclasses.replace(cfg.optimizer, **{name: value}), name)
             except ValueError as exc:
                 raise ConfigValueError(f"--{name}s: {exc}") from exc
         repeated = sorted({value for value in grid if grid.count(value) > 1})
@@ -883,16 +853,14 @@ def default_experiment(mode: str = "gac_fas", **overrides) -> ExperimentConfig:
     MLP, and paper-transferable optimizer defaults, leave-one-out over all
     four domains. Holding one domain out leaves three training sources.
     Keyword overrides replace top-level ExperimentConfig fields; optimizer
-    overrides nest under "optimizer". Every other value is the dataclass
-    default."""
-    opt_overrides = overrides.pop("optimizer", {})
-    if isinstance(opt_overrides, dict):
-        opt_overrides = OptimizerConfig(**{"mode": mode, **opt_overrides})
+    overrides are a dict of OptimizerConfig fields under "optimizer", whose
+    mode is mode unless the dict sets one. Every other value is the
+    dataclass default."""
     base = dict(
         model=MlpSpec((2, 16, 16, 2), "tanh"),
         domains=default_domains(),
         held_out="all",
-        optimizer=opt_overrides,
+        optimizer=OptimizerConfig(**{"mode": mode, **overrides.pop("optimizer", {})}),
         steps=1000,
         per_domain_batch=32,
         seeds=(0,),

@@ -68,12 +68,12 @@ class MlpSpec:
     activation: str = "relu"
 
     def __post_init__(self):
-        sizes = tuple(int(n) for n in self.layer_sizes)
+        sizes = numerics._as_tuple(self.layer_sizes, "layer_sizes")
+        for n in sizes:
+            numerics._expect(numerics._is_int(n) and n >= 1, "layer_sizes", "a positive integer", n)
         object.__setattr__(self, "layer_sizes", sizes)
         if len(sizes) < 2:
             raise ValueError("layer_sizes needs at least input and output layers")
-        if any(n < 1 for n in sizes):
-            raise ValueError(f"layer sizes must be positive, got {sizes}")
         if sizes[-1] < 2:
             raise ValueError(f"output dim must be >= 2 classes, got {sizes[-1]}")
         if self.activation not in ACTIVATIONS:

@@ -31,8 +31,33 @@ def as_vec64(data) -> np.ndarray:
 
 def _is_int(value) -> bool:
     """An int that is not a bool: the only held_out that names one domain,
-    the only value an integer config key takes, and the only domain index."""
+    the only value an integer config field takes, and the only domain index."""
     return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _expect(ok: bool, name: str, expected: str, value) -> None:
+    """Refuse value unless ok, by a ValueError "<name> must be <expected>, got
+    <value>": how each config dataclass checks its fields' types. The config
+    reader names the field by its key path instead: "optimizer.eta0: expected ..."."""
+    if not ok:
+        raise ValueError(f"{name} must be {expected}, got {value!r}")
+
+
+def _as_float(value, name: str) -> float:
+    """A float field's value as a float: an int or a float, not a bool, nor an
+    int too large for a float. A NaN or infinity is left to the field's range check."""
+    try:
+        if isinstance(value, (int, float)) and not isinstance(value, bool):
+            return float(value)
+    except OverflowError:  # an int too large for a float
+        pass
+    raise ValueError(f"{name} must be a finite number, got {value!r}")
+
+
+def _as_tuple(value, name: str) -> tuple:
+    """A sequence field's value, a list or a tuple, as a tuple."""
+    _expect(isinstance(value, (list, tuple)), name, "a list", value)
+    return tuple(value)
 
 
 def zeros(n: int) -> np.ndarray:
@@ -79,11 +104,9 @@ class Prng:
     """
 
     def __init__(self, seed: int, stream_id: int = 0):
-        self.seed = int(seed)
-        self.stream_id = int(stream_id)
-        for name, value in (("seed", self.seed), ("stream_id", self.stream_id)):
-            if value < 0:
-                raise ValueError(f"Prng {name} must be a non-negative integer, got {value}")
+        for name, value in (("seed", seed), ("stream_id", stream_id)):
+            _expect(_is_int(value) and value >= 0, f"Prng {name}", "a non-negative integer", value)
+        self.seed, self.stream_id = seed, stream_id
         ss = np.random.SeedSequence(entropy=self.seed, spawn_key=(self.stream_id,))
         self.generator = np.random.Generator(np.random.PCG64(ss))
 

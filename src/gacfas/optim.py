@@ -85,7 +85,10 @@ class Schedule:
 
     def __post_init__(self):
         if self.kind not in SCHEDULE_KINDS:
-            raise ValueError(f"schedule kind must be one of {SCHEDULE_KINDS}, got {self.kind!r}")
+            raise ValueError(f"kind must be one of {SCHEDULE_KINDS}, got {self.kind!r}")
+        for name in ("period_epochs", "period_steps"):
+            numerics._expect(numerics._is_int(getattr(self, name)), name, "an integer", getattr(self, name))
+        object.__setattr__(self, "factor", numerics._as_float(self.factor, "factor"))
         if self.kind == "step":
             if self.period_epochs < 1:
                 raise ValueError(f"step period must be >= 1 epoch, got {self.period_epochs}")
@@ -108,7 +111,11 @@ class OptimizerConfig:
         if self.mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
         for name in ("eta0", "rho", "gamma", "weight_decay", "zero_grad_eps"):
+            object.__setattr__(self, name, numerics._as_float(getattr(self, name), name))
             _check_nonneg(name, getattr(self, name))
+        numerics._expect(isinstance(self.schedule, Schedule), "schedule", "a Schedule", self.schedule)
+        gap = self.track_surrogate_gap
+        numerics._expect(isinstance(gap, bool), "track_surrogate_gap", "true/false", gap)
 
 
 @dataclass(frozen=True)

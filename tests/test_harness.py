@@ -97,10 +97,12 @@ def tiny_config_json(output_dir: str, **tweaks) -> str:
 
 
 def test_parse_round_trips_canonical_json():
-    cfg = tiny_config()
-    again = parse_config(config_to_json(cfg))
-    assert again == cfg
-    assert config_digest(again) == config_digest(cfg)
+    # An int given in code for a float field is held as a float, so the echo
+    # reads back to the same digest.
+    for cfg in (tiny_config(), default_experiment(optimizer={"eta0": 1})):
+        again = parse_config(config_to_json(cfg))
+        assert again == cfg
+        assert config_digest(again) == config_digest(cfg)
 
 
 def test_parse_rejects_unknown_keys_by_name():
@@ -236,6 +238,69 @@ def test_parse_names_the_path_of_a_wrong_typed_value(path, value):
     with pytest.raises(ConfigValueError) as info:
         parse_config(json.dumps(raw))
     assert str(info.value).startswith(f"{named}: ")
+
+
+# The dataclass field that each JSON key sets: the schedule's keys set
+# Schedule's fields, and every other key the field of its own name.
+_SCHEDULE_FIELDS = {"schedule": "kind", "step_period_epochs": "period_epochs", "step_factor": "factor"}
+_SECTIONS = {"": ExperimentConfig, "model": MlpSpec, "domains[0]": DomainSpec, "optimizer": OptimizerConfig}
+
+
+def _field_of(path: str):
+    section, _, key = path.rpartition(".")
+    return (Schedule, _SCHEDULE_FIELDS[key]) if key in _SCHEDULE_FIELDS else (_SECTIONS[section], key)
+
+
+# Every field of the five config dataclasses, built in code with a value
+# that is not of its type: each WRONG_TYPED value, then the values that were
+# once accepted or failed far from their field.
+IN_CODE = [(*_field_of(path), value) for path, value in WRONG_TYPED] + [
+    (ExperimentConfig, "eval_window", True),
+    (ExperimentConfig, "eval_window", 2.0),
+    (ExperimentConfig, "diagnostics_every", 2.5),
+    (ExperimentConfig, "seeds", (0.5,)),
+    (ExperimentConfig, "steps", 20.0),
+    (DomainSpec, "seed", 1.5),
+    (DomainSpec, "seed", True),
+    (DomainSpec, "n_samples", 100.5),
+    (DomainSpec, "noise_sigma", True),
+    (MlpSpec, "layer_sizes", (2, 16.7, 2)),
+    (MlpSpec, "layer_sizes", (2, True, 2)),
+    (MlpSpec, "layer_sizes", "22"),
+    (OptimizerConfig, "eta0", True),
+    (OptimizerConfig, "eta0", 10**400),
+    (OptimizerConfig, "track_surrogate_gap", 1),
+    (OptimizerConfig, "schedule", "step"),
+    (Schedule, "period_epochs", 2.5),
+    (Schedule, "factor", True),
+    (Schedule, "period_steps", 2.5),
+]
+
+
+def test_in_code_cases_cover_every_config_field():
+    classes = (ExperimentConfig, MlpSpec, DomainSpec, OptimizerConfig, Schedule)
+    every = {(cls, f.name) for cls in classes for f in dataclasses.fields(cls)}
+    assert {(cls, name) for cls, name, _ in IN_CODE} == every
+
+
+@pytest.mark.parametrize(
+    "cls,name,value", IN_CODE, ids=[f"{cls.__name__}.{name}={value!r:.20}" for cls, name, value in IN_CODE]
+)
+def test_a_config_built_in_code_refuses_a_wrong_typed_field_by_name(cls, name, value):
+    base = {MlpSpec: {"layer_sizes": (2, 4, 2)}, Schedule: {"kind": "step"}}.get(cls, {})
+    with pytest.raises((ValueError, ConfigValueError)) as info:
+        if cls is ExperimentConfig:
+            dataclasses.replace(tiny_config(), **{name: value})
+        else:
+            cls(**{**base, name: value})
+    assert str(info.value).startswith(f"{name} must be ")
+
+
+def test_sequence_fields_built_as_lists_are_held_as_tuples():
+    cfg = tiny_config()
+    as_lists = dataclasses.replace(cfg, model=MlpSpec([2, 4, 2], "tanh"), domains=list(cfg.domains), seeds=[0])
+    assert as_lists == cfg and config_digest(as_lists) == config_digest(cfg)
+    assert DomainSpec(translation=[1, 2]).translation == (1.0, 2.0)
 
 
 def test_parse_leaves_every_optional_key_to_its_dataclass_default():
@@ -1122,6 +1187,20 @@ def test_cli_sweep_refuses_repeated_grid_values_before_the_first_step(tmp_path, 
     assert steps == [] and not (tmp_path / "api").exists()
 
 
+@pytest.mark.parametrize(
+    "gammas,rhos,named",
+    [
+        ([True], [0.1], "--gammas: gamma must be a finite number, got True"),
+        ([0.0], ["0.1"], "--rhos: rho must be a finite number, got '0.1'"),
+    ],
+)
+def test_sweep_refuses_a_grid_value_that_is_not_a_number_by_name(tmp_path, gammas, rhos, named):
+    # float() once ran gamma True as 1.0 and rho "0.1" as 0.1.
+    with pytest.raises(ConfigValueError, match=re.escape(named)):
+        run_sweep(tiny_config(output_dir=str(tmp_path)), gammas, rhos)
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_sweep_cell_directories_match_the_csv_rows(tmp_path):
     # A numpy gamma grid and an int rho name their cell by the same float
     # the CSV row shows.
@@ -1287,6 +1366,9 @@ def test_default_experiment_overrides():
     assert cfg.steps == 200
     assert cfg.held_out == "all"
     assert cfg.model.layer_sizes == (2, 16, 16, 2)
+    assert default_experiment("erm", optimizer={"mode": "sam_whole"}).optimizer.mode == "sam_whole"
+    with pytest.raises(TypeError):  # a dict, not an OptimizerConfig, which would bring a mode of its own
+        default_experiment("erm", optimizer=OptimizerConfig())
 
 
 def test_finite_difference_suite_smoke():

@@ -103,6 +103,16 @@ def test_prng_refuses_a_negative_seed_or_stream_id_by_name():
         Prng(0, -1)
 
 
+@pytest.mark.parametrize(
+    "args,named",
+    [((0.5,), "seed"), ((True,), "seed"), ((0, 1.0), "stream_id"), ((0, True), "stream_id")],
+)
+def test_prng_refuses_a_seed_or_stream_id_that_is_not_an_int_by_name(args, named):
+    # int() once ran Prng(0.5) as seed 0 and Prng(True) as seed 1.
+    with pytest.raises(ValueError, match=f"Prng {named} must be a non-negative integer, got {args[-1]}$"):
+        Prng(*args)
+
+
 def test_distinct_stream_ids_diverge():
     for seed in (0, 1, 42, 2024):
         prefixes = [tuple(gaussian(Prng(seed, sid), 100)) for sid in range(4)]
