@@ -3,11 +3,12 @@ generalization gradients are aligned to the empirical-risk gradient, plus a
 deterministic experiment harness for multi-domain synthetic classification.
 
 Modules: numerics (float64 vector kernels, seeded streams), model (minimal
-MLP with hand-written backprop), datagen (rotated two-moons domains),
-optim (the optimizer family), diagnostics (surrogate gap, alignment tensor,
-landscape slices, convergence traces), evalmetrics (HTER/AUC/TPR@FPR),
-harness (configs, training loops, leave-one-out, sweeps, CSV outputs),
-cli (the `gacfas` command).
+MLP with hand-written backprop), datagen (rotated two-moons domains), optim
+(the optimizer family: take_step is the one step entry, and cfg.mode selects
+its update rule), diagnostics (surrogate gap, alignment tensor, landscape
+slices, convergence traces), evalmetrics (HTER/AUC/TPR@FPR), harness
+(configs, training loops, leave-one-out, sweeps, CSV outputs), cli (the
+`gacfas` command).
 """
 
 from .datagen import DomainSpec, SourceSet
@@ -40,11 +41,6 @@ from .optim import (
     Schedule,
     StepDiagnostics,
     ascending_vector,
-    erm_step,
-    gac_fas_step,
-    reg_domain_perturb_step,
-    sam_domain_step,
-    sam_whole_step,
     take_step,
 )
 
@@ -72,18 +68,13 @@ __all__ = [
     "ascending_vector",
     "convergence_trace",
     "default_experiment",
-    "erm_step",
-    "gac_fas_step",
     "hter_at_eer",
     "landscape_slice",
     "load_config",
-    "reg_domain_perturb_step",
     "roc_auc",
     "run_leave_one_out",
     "run_sweep",
     "run_training",
-    "sam_domain_step",
-    "sam_whole_step",
     "surrogate_gap",
     "take_step",
     "tpr_at_fpr",

@@ -6,10 +6,12 @@ input distribution while leaving the task itself intact, which is the
 property the optimizers are supposed to exploit: same decision problem,
 domain-specific presentation.
 
-Balanced per-domain sampling is mandatory here. The step functions need
-every domain's gradient on every step, so minibatches always contain exactly
-`per_domain` rows from each domain, concatenated in the source set's domain
-order, which build_source_set and leave_one_out make ascending.
+Balanced per-domain sampling is mandatory here. A step needs every
+domain's gradient, so minibatches always contain exactly `per_domain` rows
+from each domain, concatenated in the source set's domain order, which
+build_source_set and leave_one_out make ascending. A source set's domains
+hold distinct ids, so a step's domain count k is the number of ids its batch
+holds.
 """
 
 from __future__ import annotations
@@ -77,6 +79,10 @@ class SourceSet:
         for _, batch in self.domains:
             if batch.domain_ids.min() != batch.domain_ids.max():
                 raise ValueError(f"realized domain batch mixes domain ids {sorted(set(batch.domain_ids.tolist()))}")
+        ids = [int(batch.domain_ids[0]) for _, batch in self.domains]
+        repeated = sorted({i for i in ids if ids.count(i) > 1})
+        if repeated:
+            raise ValueError(f"a source set's domains must hold distinct ids, got {ids} (repeated: {repeated})")
         batches = [batch for _, batch in self.domains]
         rows = Batch(
             np.concatenate([b.inputs for b in batches]),
@@ -149,9 +155,9 @@ def _realize(spec: DomainSpec, domain_index: int, seed_offset: int = 0) -> Batch
 def build_source_set(specs, indices=None) -> SourceSet:
     """Realize every domain with its own seed.
 
-    indices assigns each domain's id; by default domains are numbered by
-    position. leave_one_out passes original positions so id sets stay
-    disjoint from the held-out domain.
+    indices assigns each domain's id, an int; by default domains are
+    numbered by position. leave_one_out passes original positions so id sets
+    stay disjoint from the held-out domain.
     """
     specs = tuple(specs)
     if not specs:
@@ -159,7 +165,9 @@ def build_source_set(specs, indices=None) -> SourceSet:
     if indices is None:
         indices = tuple(range(len(specs)))
     else:
-        indices = tuple(int(i) for i in indices)
+        indices = tuple(indices)
+        for i in indices:
+            _expect(_is_int(i), "domain index", "an integer", i)
         if len(indices) != len(specs):
             raise ValueError("indices and specs must have equal length")
     realized = tuple(

@@ -97,6 +97,11 @@ class ExperimentConfig:
                 raise ConfigValueError(f"held_out must be a domain index or \"all\", got {self.held_out!r}")
         elif not 0 <= self.held_out < len(self.domains):
             raise ConfigValueError(f"held_out index {self.held_out} out of range for {len(self.domains)} domains")
+        if self.optimizer.schedule.period_steps != 0:
+            raise ConfigValueError(
+                f"optimizer.schedule.period_steps must be 0 (a run derives it from step_period_epochs), "
+                f"got {self.optimizer.schedule.period_steps}"
+            )
         if self.model.input_dim != 2 or self.model.n_classes != 2:
             raise ConfigValueError(
                 f"model must map 2 input features to 2 classes for the synthetic task, "
@@ -284,7 +289,7 @@ def steps_per_epoch(cfg: ExperimentConfig, train_indices) -> int:
 
 def _resolved_optimizer(cfg: ExperimentConfig, speh: int) -> OptimizerConfig:
     sched = cfg.optimizer.schedule
-    if sched.kind == "step" and sched.period_steps < 1:
+    if sched.kind == "step":
         sched = dataclasses.replace(sched, period_steps=sched.period_epochs * speh)
         return dataclasses.replace(cfg.optimizer, schedule=sched)
     return cfg.optimizer
@@ -312,14 +317,14 @@ def _evaluate(cfg: ExperimentConfig, spec, params, test: Batch, source, step: in
     return EvalReport(step, float(hter), float(auc), float(tpr95), float(train_loss), float(gap))
 
 
-def _checked_step(spec, params: ParamVector, minibatch: Batch, opt: OptimizerConfig, t: int, k: int, record: bool):
+def _checked_step(spec, params: ParamVector, minibatch: Batch, opt: OptimizerConfig, t: int, record: bool):
     """take_step, with its failures and a non-finite step loss raised as a
     RuntimeError that names step t, so a diverged run stops at once.
 
     Returns (params, the step's StepDiagnostics), or with record=False
     (params, None): the step then skips building its record."""
     try:
-        params, out = take_step(spec, params, minibatch, opt, t, n_domains=k, record=record)
+        params, out = take_step(spec, params, minibatch, opt, t, record=record)
     except Exception as exc:
         raise RuntimeError(f"optimizer step {t} failed: {exc}") from exc
     loss = out.loss_erm if record else out
@@ -353,7 +358,6 @@ def _train_on_split(cfg: ExperimentConfig, seed: int, held: int, split, fullset_
 
     params = model_mod.init_params(spec, Prng(seed, 0))
     batch_prng = Prng(seed, 1)
-    k = len(source.domains)
 
     every = fullset_every or cfg.diagnostics_every
     evals = []
@@ -363,7 +367,7 @@ def _train_on_split(cfg: ExperimentConfig, seed: int, held: int, split, fullset_
         for t in range(1, cfg.steps + 1):
             minibatch = datagen.sample_minibatch(source, cfg.per_domain_batch, batch_prng)
             keep = t % every == 0
-            params, diag = _checked_step(spec, params, minibatch, opt, t, k, keep and not fullset_every)
+            params, diag = _checked_step(spec, params, minibatch, opt, t, keep and not fullset_every)
             if keep:
                 diags.append(fullset(t, params) if fullset_every else diag)
             if t % cfg.eval_every == 0:

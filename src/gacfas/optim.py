@@ -2,13 +2,14 @@
 gradient-aligned cross-domain variant (gac_fas), and its domain-scoped
 perturbation ablation (reg_domain_perturb).
 
-One body, per-mode directions: _descent takes the schedule values, the
-domain parts and their plain terms, the mode's direction and the record, and
-_step updates theta - eta_t (d + grad R); gac_fas_record stops before the
-update. Each mode supplies only its direction: d, its per-domain perturbed
-gradients and its surrogate gap (_erm, _sam_whole, _sam_domain,
-and _aligned for gac_fas and reg_domain_perturb). _eps_rows is the one
-ascent helper; an ascending point is eps_i + base.
+One entry, per-mode directions: take_step is the one step function, and
+cfg.mode alone picks the rule, through _DIRECTIONS. _descent takes the
+schedule values, the domain parts and their plain terms, the mode's direction
+and the record, and take_step updates theta - eta_t (d + grad R);
+gac_fas_record stops before the update. Each mode supplies only its
+direction: d, its per-domain perturbed gradients and its surrogate gap (_erm,
+_sam_whole, _sam_domain, and _aligned for gac_fas and reg_domain_perturb).
+_eps_rows is the one ascent helper; an ascending point is eps_i + base.
 
 Loss convention: the whole-batch loss L(theta; B) is the SUM of per-domain
 batch-mean losses, and its gradient is the matching sum of per-domain mean
@@ -21,8 +22,8 @@ The ascending vector eps_i = rho * g_i / ||g_i|| and the gamma * g offset are
 held constant when the gradient at the perturbed point is taken (first-order
 practice; nothing differentiates through eps).
 
-Step functions are pure updates: they never modify the incoming ParamVector
-and return a fresh one. The model argument may be an MlpSpec or any object
+take_step is a pure update: it never modifies the incoming ParamVector and
+returns a fresh one. The model argument may be an MlpSpec or any object
 exposing loss(theta, inputs, labels) and loss_and_grad(theta, inputs, labels)
 returning per-sub-batch means; the scalar oracles in the test suite use the
 latter hook.
@@ -39,7 +40,7 @@ ascending-id order, so stacking changes no output bit. A batch without the
 balanced layout, the parts of a SourceSet, and the duck-typed models all
 take one call per pair instead.
 
-Step records: every step function returns (new params, StepDiagnostics).
+Step records: take_step returns (new params, StepDiagnostics).
 With record=False it skips the record's norms and cosines and returns the
 step's loss_erm, a float, in the record's place. The training loop asks for
 a record only on the steps it keeps (every diagnostics_every-th), the
@@ -383,7 +384,7 @@ def _diagnostics(t: int, terms: _Terms, loss: float, g: np.ndarray, adv_grads, g
     )
 
 
-def _descent(direction, model, theta: np.ndarray, batch, cfg: OptimizerConfig, t: int, n_domains, record: bool):
+def _descent(direction, model, theta: np.ndarray, batch, cfg: OptimizerConfig, t: int, record: bool):
     """(eta_t, d, the record) for the step at theta, or with record=False
     (eta_t, d, loss_erm), with (d, per-domain perturbed gradients, gap) from
     direction. The schedule values come first, so a bad t or an unresolved
@@ -391,20 +392,11 @@ def _descent(direction, model, theta: np.ndarray, batch, cfg: OptimizerConfig, t
     eta_t, rho_t, gamma_t = (schedule_value(cfg.schedule, base, t) for base in (cfg.eta0, cfg.rho, cfg.gamma))
     parts = _domain_parts(model, batch)
     terms = _part_terms(model, theta, parts)
-    if n_domains is not None and len(terms.ids) != n_domains:
-        raise ValueError(f"batch covers domains {list(terms.ids)}, expected {n_domains} domains")
     loss, g = _sum_terms(terms)
     d, adv_grads, gap = direction(model, theta, parts, terms, loss, g, rho_t, gamma_t, cfg.zero_grad_eps)
     if not cfg.track_surrogate_gap:
         gap = math.nan
     return eta_t, d, (_diagnostics(t, terms, loss, g, adv_grads, gap) if record else loss)
-
-
-def _step(direction, model, params: ParamVector, batch, cfg: OptimizerConfig, t: int, n_domains, record: bool):
-    """theta <- theta - eta_t (d + grad R), with eta_t and d from _descent:
-    (new params, the record), or with record=False (new params, loss_erm)."""
-    eta_t, d, out = _descent(direction, model, params.theta, batch, cfg, t, n_domains, record)
-    return params.with_theta(axpy(-eta_t, d + regularizer_grad(params, cfg.weight_decay), params.theta)), out
 
 
 def _erm(model, theta, parts, terms, loss, g, rho_t, gamma_t, zero_grad_eps):
@@ -431,10 +423,15 @@ def _sam_domain(model, theta, parts, terms, loss, g, rho_t, gamma_t, zero_grad_e
 def _aligned(domain_scope: bool):
     """The direction of gac_fas (domain_scope=False) and reg_domain_perturb.
 
-    For each domain i: ascend by eps_i from that domain's gradient, offset by
-    -gamma_t * g, and take the perturbed gradient over the whole batch
-    (summed over parts in ascending id order), or with domain_scope over
-    part i alone, rescaled by k. d = g + mean_i perturbed_grad_i."""
+    The gac_fas step:
+
+      g_i = grad L(theta; B_i); g = sum_i g_i; r = grad R(theta)
+      eps_i = rho_t * g_i / ||g_i||
+      gp_i = grad L(theta + eps_i - gamma_t * g; B)  (whole batch)
+      theta <- theta - eta_t (g + (1/k) sum_i gp_i + r)
+
+    The reg_domain_perturb ablation takes gp_i on B_i alone, rescaled by k;
+    on B, gp_i sums its parts in ascending id order."""
 
     def direction(model, theta, parts, terms, loss, g, rho_t, gamma_t, zero_grad_eps):
         k = len(terms.ids)
@@ -456,64 +453,25 @@ def _aligned(domain_scope: bool):
     return direction
 
 
-_gac_fas, _reg_domain_perturb = _aligned(False), _aligned(True)
-
-
-def erm_step(model, params: ParamVector, batch: Batch, cfg: OptimizerConfig, t: int, n_domains=None,
-             record: bool = True):
-    """theta <- theta - eta_t (grad L(theta;B) + grad R)."""
-    return _step(_erm, model, params, batch, cfg, t, n_domains, record)
-
-
-def sam_whole_step(model, params: ParamVector, batch: Batch, cfg: OptimizerConfig, t: int, n_domains=None,
-                   record: bool = True):
-    """Ascend along the whole-batch gradient, descend with the gradient taken
-    at the ascended point."""
-    return _step(_sam_whole, model, params, batch, cfg, t, n_domains, record)
-
-
-def sam_domain_step(model, params: ParamVector, batch: Batch, cfg: OptimizerConfig, t: int, n_domains=None,
-                    record: bool = True):
-    """Per-domain ascent, per-domain descent gradient on the domain's own
-    sub-batch only, averaged over domains."""
-    return _step(_sam_domain, model, params, batch, cfg, t, n_domains, record)
-
-
-def gac_fas_step(model, params: ParamVector, batch: Batch, cfg: OptimizerConfig, t: int, n_domains=None,
-                 record: bool = True):
-    """One aligned-perturbation step:
-
-      g_i = grad L(theta; B_i); g = sum_i g_i; r = grad R(theta)
-      eps_i = rho_t * g_i / ||g_i||
-      gp_i = grad L(theta + eps_i - gamma_t * g; B)  (whole batch)
-      theta <- theta - eta_t (g + (1/k) sum_i gp_i + r)
-    """
-    return _step(_gac_fas, model, params, batch, cfg, t, n_domains, record)
-
-
-def gac_fas_record(model, params: ParamVector, batch, cfg: OptimizerConfig, t: int) -> StepDiagnostics:
-    """The record of gac_fas_step, without the step's update of theta."""
-    return _descent(_gac_fas, model, params.theta, batch, cfg, t, None, True)[2]
-
-
-def reg_domain_perturb_step(model, params: ParamVector, batch: Batch, cfg: OptimizerConfig, t: int, n_domains=None,
-                            record: bool = True):
-    """Ablation: the perturbed gradient for domain i is evaluated on B_i only
-    (rescaled by k), not on the whole batch."""
-    return _step(_reg_domain_perturb, model, params, batch, cfg, t, n_domains, record)
-
-
-_STEP_FNS = {
-    "erm": erm_step,
-    "sam_whole": sam_whole_step,
-    "sam_domain": sam_domain_step,
-    "gac_fas": gac_fas_step,
-    "reg_domain_perturb": reg_domain_perturb_step,
+# Each mode's direction d, by the name cfg.mode gives.
+_DIRECTIONS = {
+    "erm": _erm,
+    "sam_whole": _sam_whole,
+    "sam_domain": _sam_domain,
+    "gac_fas": _aligned(False),
+    "reg_domain_perturb": _aligned(True),
 }
 
 
-def take_step(model, params: ParamVector, batch: Batch, cfg: OptimizerConfig, t: int, n_domains=None,
-              record: bool = True):
-    """Dispatch one optimizer step on cfg.mode: (new params, StepDiagnostics),
-    or with record=False (new params, the step's loss_erm as a float)."""
-    return _STEP_FNS[cfg.mode](model, params, batch, cfg, t, n_domains=n_domains, record=record)
+def take_step(model, params: ParamVector, batch: Batch, cfg: OptimizerConfig, t: int, record: bool = True):
+    """One step of the rule cfg.mode names, theta <- theta - eta_t (d + grad R):
+    (new params, StepDiagnostics), or with record=False (new params, the
+    step's loss_erm as a float). The batch's domains are the step's k."""
+    eta_t, d, out = _descent(_DIRECTIONS[cfg.mode], model, params.theta, batch, cfg, t, record)
+    return params.with_theta(axpy(-eta_t, d + regularizer_grad(params, cfg.weight_decay), params.theta)), out
+
+
+def gac_fas_record(model, params: ParamVector, batch, cfg: OptimizerConfig, t: int) -> StepDiagnostics:
+    """The record of a gac_fas step, whatever cfg.mode, without the step's
+    update of theta."""
+    return _descent(_DIRECTIONS["gac_fas"], model, params.theta, batch, cfg, t, True)[2]

@@ -152,6 +152,22 @@ def test_source_set_rejects_mixed_ids_and_bad_k():
         SourceSet(())
 
 
+@pytest.mark.parametrize("indices", [(0.5, 1.7), (True, 1), ("0", 1)])
+def test_build_source_set_refuses_a_domain_index_that_is_not_an_int_by_name(indices):
+    specs = [DomainSpec(n_samples=4, seed=0), DomainSpec(n_samples=4, seed=1)]
+    with pytest.raises(ValueError, match=f"domain index must be an integer, got {indices[0]!r}"):
+        build_source_set(specs, indices=indices)
+
+
+def test_source_set_refuses_two_domains_with_one_id():
+    specs = [DomainSpec(n_samples=4, seed=0), DomainSpec(n_samples=4, seed=1)]
+    with pytest.raises(ValueError, match=r"distinct ids, got \[1, 1\] \(repeated: \[1\]\)"):
+        build_source_set(specs, indices=(1, 1))
+    realized = build_source_set(specs + [DomainSpec(n_samples=4, seed=2)]).domains
+    with pytest.raises(ValueError, match=r"distinct ids, got \[0, 1, 2, 0\] \(repeated: \[0\]\)"):
+        SourceSet(realized + realized[:1])
+
+
 def test_leave_one_out_partition_and_disjoint_samples():
     specs = [DomainSpec(rotation=0.1 * i, noise_sigma=0.05, n_samples=60, seed=i) for i in range(4)]
     train, test = leave_one_out(specs, held=3)

@@ -50,7 +50,7 @@ from gacfas.harness import (
 )
 from gacfas.model import MlpSpec, ParamVector, init_params, layout_for
 from gacfas.numerics import Prng
-from gacfas.optim import MODES, OptimizerConfig, Schedule, StepDiagnostics, gac_fas_step, take_step
+from gacfas.optim import MODES, OptimizerConfig, Schedule, StepDiagnostics, take_step
 
 
 def tiny_config(output_dir: str = "out", **overrides) -> ExperimentConfig:
@@ -364,6 +364,16 @@ def test_parse_refuses_a_schedule_field_that_is_not_a_json_key():
     text = tiny_config_json("out", optimizer={"mode": "erm", "schedule": "step", "period_steps": 3})
     with pytest.raises(ConfigKeyError, match="optimizer: unknown key 'period_steps'"):
         parse_config(text)
+
+
+@pytest.mark.parametrize("kind", ["step", "constant"])
+def test_a_config_refuses_a_step_period_the_run_would_derive(kind):
+    """A run sets period_steps from step_period_epochs, and the config echo
+    does not hold it, so a config that sets it would train on a period its
+    manifest does not record."""
+    schedule = Schedule(kind=kind, period_epochs=40, period_steps=5)
+    with pytest.raises(ConfigValueError, match=r"optimizer\.schedule\.period_steps must be 0 .*got 5"):
+        default_experiment(held_out=3, steps=40, eval_every=20, eval_window=1, optimizer={"eta0": 0.1, "schedule": schedule})
 
 
 def test_config_invariants():
@@ -1259,9 +1269,9 @@ def test_gac_fas_step_on_a_source_set_is_the_fullset_record():
     cfg, source, params = _fullset_case(0)
     opt = dataclasses.replace(cfg.optimizer, schedule=Schedule("theorem1"))
     for t in range(1, 6):
-        params, step_diag = gac_fas_step(cfg.model, params, source, opt, t)
+        params, step_diag = take_step(cfg.model, params, source, opt, t)
         full = fullset_step_diagnostics(cfg.model, params, source, opt, t + 1)
-        assert repr(gac_fas_step(cfg.model, params, source, opt, t + 1)[1]) == repr(full)
+        assert repr(take_step(cfg.model, params, source, opt, t + 1)[1]) == repr(full)
         assert step_diag.domain_ids == full.domain_ids == (0, 1)
 
 
@@ -1278,8 +1288,8 @@ def test_fullset_diagnostics_carry_the_tracked_gap_whether_or_not_the_run_tracks
 
 
 def test_harness_imports_no_private_name_from_optim():
-    """The harness reaches the optimizer through its public step functions
-    only, so the step body has one home."""
+    """The harness reaches the optimizer through take_step and
+    gac_fas_record only, so the step body has one home."""
     tree = ast.parse(Path(harness.__file__).read_text(encoding="utf-8"))
     private = [
         alias.name

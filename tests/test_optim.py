@@ -18,6 +18,7 @@ from gacfas.optim import (
     StepDiagnostics,
     _block_size,
     _deviation_sum,
+    _domain_parts,
     _eps_rows,
     _grad_sum,
     _loss_sum,
@@ -26,12 +27,7 @@ from gacfas.optim import (
     ascending_vector,
     batch_loss,
     batch_loss_and_grad,
-    erm_step,
-    gac_fas_step,
-    reg_domain_perturb_step,
     regularizer_grad,
-    sam_domain_step,
-    sam_whole_step,
     schedule_value,
     take_step,
 )
@@ -173,11 +169,11 @@ def test_theorem1_schedule_coupling():
         assert abs(schedule_value(c.schedule, c.gamma, t) * math.sqrt(t) - c.gamma) <= 1e-12
 
 
-# -------------------------------------------------------------- erm_step ----
+# ------------------------------------------------------------------- erm ----
 
 
 def test_erm_scalar_quadratic_example():
-    params, diag = erm_step(ScalarQuadratic(), scalar_params(1.0), k_domain_batch(1), cfg("erm"), t=1)
+    params, diag = take_step(ScalarQuadratic(), scalar_params(1.0), k_domain_batch(1), cfg("erm"), t=1)
     assert abs(params.theta[0] - 0.9) <= 1e-15
     assert diag.loss_erm == 0.5 and diag.grad_norm == 1.0
 
@@ -185,7 +181,7 @@ def test_erm_scalar_quadratic_example():
 def test_erm_eta_zero_leaves_params_unchanged():
     c = cfg("erm", eta0=0.0, weight_decay=0.3)
     spec, params, batch = random_instance(0)
-    out, _ = erm_step(spec, params, batch, c, t=1)
+    out, _ = take_step(spec, params, batch, c, t=1)
     assert np.array_equal(out.theta, params.theta)
 
 
@@ -197,8 +193,8 @@ def test_erm_two_identical_domains_doubles_gradient():
         np.concatenate([np.zeros(6, dtype=np.int64), np.ones(6, dtype=np.int64)]),
     )
     c = cfg("erm", eta0=0.05)
-    out1, diag1 = erm_step(spec, params, batch1, c, t=1)
-    out2, diag2 = erm_step(spec, params, batch2, c, t=1)
+    out1, diag1 = take_step(spec, params, batch1, c, t=1)
+    out2, diag2 = take_step(spec, params, batch2, c, t=1)
     assert diag2.grad_norm == 2.0 * diag1.grad_norm  # doubling is exact
     delta1 = out1.theta - params.theta
     delta2 = out2.theta - params.theta
@@ -209,26 +205,26 @@ def test_erm_weight_decay_pulls_toward_zero():
     spec, params, batch = random_instance(2)
     c_plain = cfg("erm", eta0=0.1, weight_decay=0.0)
     c_decay = cfg("erm", eta0=0.1, weight_decay=1.0)
-    out_plain, _ = erm_step(spec, params, batch, c_plain, t=1)
-    out_decay, _ = erm_step(spec, params, batch, c_decay, t=1)
+    out_plain, _ = take_step(spec, params, batch, c_plain, t=1)
+    out_decay, _ = take_step(spec, params, batch, c_decay, t=1)
     shrink = out_plain.theta - 0.1 * params.theta
     assert np.allclose(out_decay.theta, shrink, rtol=1e-12, atol=1e-15)
 
 
-# -------------------------------------------------------- sam_whole_step ----
+# ------------------------------------------------------------- sam_whole ----
 
 
 def test_sam_whole_rho_zero_matches_erm_exactly():
     spec, params, batch = random_instance(3)
     c_sam = cfg("sam_whole", rho=0.0, weight_decay=1e-3)
     c_erm = cfg("erm", rho=0.0, weight_decay=1e-3)
-    out_sam, _ = sam_whole_step(spec, params, batch, c_sam, t=1)
-    out_erm, _ = erm_step(spec, params, batch, c_erm, t=1)
+    out_sam, _ = take_step(spec, params, batch, c_sam, t=1)
+    out_erm, _ = take_step(spec, params, batch, c_erm, t=1)
     assert np.array_equal(out_sam.theta, out_erm.theta)
 
 
 def test_sam_whole_scalar_quadratic_example():
-    params, diag = sam_whole_step(ScalarQuadratic(), scalar_params(1.0), k_domain_batch(1), cfg("sam_whole"), t=1)
+    params, diag = take_step(ScalarQuadratic(), scalar_params(1.0), k_domain_batch(1), cfg("sam_whole"), t=1)
     assert abs(params.theta[0] - 0.89) <= 1e-15
     assert diag.surrogate_gap >= 0.0
     assert abs(diag.surrogate_gap - (0.5 * 1.1**2 - 0.5)) <= 1e-15
@@ -236,17 +232,17 @@ def test_sam_whole_scalar_quadratic_example():
 
 def test_sam_whole_gap_nonnegative_on_convex_quadratic():
     for theta0 in (-2.0, 0.5, 3.0):
-        _, diag = sam_whole_step(ScalarQuadratic(), scalar_params(theta0), k_domain_batch(2), cfg("sam_whole", rho=0.2), t=1)
+        _, diag = take_step(ScalarQuadratic(), scalar_params(theta0), k_domain_batch(2), cfg("sam_whole", rho=0.2), t=1)
         assert diag.surrogate_gap >= 0.0
 
 
-# ------------------------------------------------------- sam_domain_step ----
+# ------------------------------------------------------------ sam_domain ----
 
 
 def test_sam_domain_single_domain_collapses_to_sam_whole():
     spec, params, batch = random_instance(4, k=1, per_domain=10)
-    out_d, diag_d = sam_domain_step(spec, params, batch, cfg("sam_domain"), t=1)
-    out_w, diag_w = sam_whole_step(spec, params, batch, cfg("sam_whole"), t=1)
+    out_d, diag_d = take_step(spec, params, batch, cfg("sam_domain"), t=1)
+    out_w, diag_w = take_step(spec, params, batch, cfg("sam_whole"), t=1)
     assert np.array_equal(out_d.theta, out_w.theta)
     assert diag_d.surrogate_gap == pytest.approx(diag_w.surrogate_gap, abs=1e-15)
 
@@ -254,7 +250,7 @@ def test_sam_domain_single_domain_collapses_to_sam_whole():
 def test_sam_domain_rho_zero_descends_mean_of_domain_gradients():
     spec, params, batch = random_instance(5, k=3)
     c = cfg("sam_domain", rho=0.0, eta0=0.2, weight_decay=0.01)
-    out, _ = sam_domain_step(spec, params, batch, c, t=1)
+    out, _ = take_step(spec, params, batch, c, t=1)
     from gacfas.model import domain_slices, mean_loss_and_grad
 
     grads = [mean_loss_and_grad(spec, params.theta, batch.inputs[idx], batch.labels[idx])[1]
@@ -268,19 +264,13 @@ def test_sam_domain_mirror_conflict_cancels_update():
     """Opposing per-domain gradients: each domain's perturbed gradient stays
     large, but their average vanishes, so the parameters never move."""
     params = scalar_params(1.0)
-    out, diag = sam_domain_step(MirrorLinear(), params, mirror_batch(), cfg("sam_domain", rho=0.3), t=1)
+    out, diag = take_step(MirrorLinear(), params, mirror_batch(), cfg("sam_domain", rho=0.3), t=1)
     assert out.theta[0] == 1.0
     assert diag.adv_grad_norms == (1.0, 1.0)
     assert diag.grad_norm == 0.0  # summed gradient cancels exactly
 
 
-def test_sam_domain_missing_domain_rejected():
-    spec, params, batch = random_instance(6, k=2)
-    with pytest.raises(ValueError):
-        sam_domain_step(spec, params, batch, cfg("sam_domain"), t=1, n_domains=3)
-
-
-# ----------------------------------------------------------- gac_fas_step ----
+# --------------------------------------------------------------- gac_fas ----
 
 
 def test_gac_scalar_oracle_two_identical_domains():
@@ -288,7 +278,7 @@ def test_gac_scalar_oracle_two_identical_domains():
     g_i=1, g=2, eps_i=0.1, theta_adv=1+0.1-0.05*2=1, gp_i=2, so the update
     is -0.1*(2 + (2+2)/2) = -0.4 and theta' = 0.6."""
     c = cfg("gac_fas", eta0=0.1, rho=0.1, gamma=0.05)
-    params, diag = gac_fas_step(ScalarQuadratic(), scalar_params(1.0), k_domain_batch(2), c, t=1)
+    params, diag = take_step(ScalarQuadratic(), scalar_params(1.0), k_domain_batch(2), c, t=1)
     assert abs(params.theta[0] - 0.6) <= 1e-12
     assert diag.alignment_cos == (1.0, 1.0)
     assert diag.adv_grad_norms == (2.0, 2.0)
@@ -300,8 +290,8 @@ def test_gac_reduction_identity_is_bit_exact():
     for seed in range(100):
         spec, params, batch = random_instance(700 + seed, k=(seed % 3) + 1, per_domain=4)
         eta = 0.01 + 0.001 * (seed % 7)
-        out_gac, _ = gac_fas_step(spec, params, batch, cfg("gac_fas", eta0=eta, rho=0.0, gamma=0.0), t=1)
-        out_erm, _ = erm_step(spec, params, batch, cfg("erm", eta0=2.0 * eta), t=1)
+        out_gac, _ = take_step(spec, params, batch, cfg("gac_fas", eta0=eta, rho=0.0, gamma=0.0), t=1)
+        out_erm, _ = take_step(spec, params, batch, cfg("erm", eta0=2.0 * eta), t=1)
         assert np.array_equal(out_gac.theta, out_erm.theta)
 
 
@@ -311,7 +301,7 @@ def test_gac_single_domain_matches_straight_line_reference():
     for seed in range(10):
         spec, params, batch = random_instance(800 + seed, k=1, per_domain=8)
         c = cfg("gac_fas", eta0=0.05, rho=0.1, gamma=0.0, weight_decay=1e-3)
-        out, _ = gac_fas_step(spec, params, batch, c, t=1)
+        out, _ = take_step(spec, params, batch, c, t=1)
         _, g = batch_loss_and_grad(spec, params.theta, batch)
         theta_adv = params.theta + g * (0.1 / np.linalg.norm(g))
         _, gp = batch_loss_and_grad(spec, theta_adv, batch)
@@ -321,33 +311,27 @@ def test_gac_single_domain_matches_straight_line_reference():
 
 def test_gac_gamma_offset_moves_ascending_point():
     spec, params, batch = random_instance(9, k=2)
-    out_zero, _ = gac_fas_step(spec, params, batch, cfg("gac_fas", gamma=0.0), t=1)
-    out_gamma, _ = gac_fas_step(spec, params, batch, cfg("gac_fas", gamma=0.05), t=1)
+    out_zero, _ = take_step(spec, params, batch, cfg("gac_fas", gamma=0.0), t=1)
+    out_gamma, _ = take_step(spec, params, batch, cfg("gac_fas", gamma=0.05), t=1)
     assert not np.array_equal(out_zero.theta, out_gamma.theta)
-
-
-def test_gac_missing_domain_rejected():
-    spec, params, batch = random_instance(10, k=2)
-    with pytest.raises(ValueError):
-        gac_fas_step(spec, params, batch, cfg(), t=1, n_domains=4)
 
 
 def test_gac_schedules_apply_to_eta_rho_gamma_together():
     c = cfg("gac_fas", eta0=0.1, rho=0.1, gamma=0.05, schedule=Schedule(kind="theorem1"))
-    params, _ = gac_fas_step(ScalarQuadratic(), scalar_params(1.0), k_domain_batch(2), c, t=4)
+    params, _ = take_step(ScalarQuadratic(), scalar_params(1.0), k_domain_batch(2), c, t=4)
     # hand recomputation at t=4: eta=rho=0.05, gamma=0.025
     # g=2, eps=0.05, theta_adv=1+0.05-0.05=1, gp=2, update=-0.05*4=-0.2
     assert abs(params.theta[0] - 0.8) <= 1e-12
 
 
-# ------------------------------------------------ reg_domain_perturb_step ----
+# ---------------------------------------------------- reg_domain_perturb ----
 
 
 def test_reg_single_domain_identical_to_gac():
     spec, params, batch = random_instance(11, k=1, per_domain=10)
     c_args = dict(eta0=0.05, rho=0.1, gamma=0.01, weight_decay=1e-3)
-    out_reg, _ = reg_domain_perturb_step(spec, params, batch, cfg("reg_domain_perturb", **c_args), t=1)
-    out_gac, _ = gac_fas_step(spec, params, batch, cfg("gac_fas", **c_args), t=1)
+    out_reg, _ = take_step(spec, params, batch, cfg("reg_domain_perturb", **c_args), t=1)
+    out_gac, _ = take_step(spec, params, batch, cfg("gac_fas", **c_args), t=1)
     assert np.array_equal(out_reg.theta, out_gac.theta)
 
 
@@ -359,15 +343,15 @@ def test_reg_identical_domains_matches_gac():
         np.concatenate([np.zeros(6, dtype=np.int64), np.ones(6, dtype=np.int64)]),
     )
     c_args = dict(eta0=0.05, rho=0.1, gamma=0.01)
-    out_reg, _ = reg_domain_perturb_step(spec, params, batch2, cfg("reg_domain_perturb", **c_args), t=1)
-    out_gac, _ = gac_fas_step(spec, params, batch2, cfg("gac_fas", **c_args), t=1)
+    out_reg, _ = take_step(spec, params, batch2, cfg("reg_domain_perturb", **c_args), t=1)
+    out_gac, _ = take_step(spec, params, batch2, cfg("gac_fas", **c_args), t=1)
     assert np.allclose(out_reg.theta, out_gac.theta, rtol=1e-12, atol=1e-15)
 
 
 def test_reg_asymmetric_domains_differ_from_gac():
     spec, params, batch = random_instance(13, k=2, per_domain=8)
-    out_reg, _ = reg_domain_perturb_step(spec, params, batch, cfg("reg_domain_perturb"), t=1)
-    out_gac, _ = gac_fas_step(spec, params, batch, cfg("gac_fas"), t=1)
+    out_reg, _ = take_step(spec, params, batch, cfg("reg_domain_perturb"), t=1)
+    out_gac, _ = take_step(spec, params, batch, cfg("gac_fas"), t=1)
     dir_reg = out_reg.theta - params.theta
     dir_gac = out_gac.theta - params.theta
     assert np.linalg.norm(dir_reg - dir_gac) > 1e-8
@@ -377,18 +361,26 @@ def test_reg_asymmetric_domains_differ_from_gac():
 
 
 def test_take_step_dispatches_every_mode():
+    """take_step is the one step function, and cfg.mode alone picks its rule."""
+    import gacfas
+    from gacfas import optim
+
+    assert [name for module in (gacfas, optim) for name in dir(module) if name.endswith("_step")] == ["take_step"] * 2
     spec, params, batch = random_instance(14, k=2)
+    thetas = set()
     for mode in MODES:
-        out, diag = take_step(spec, params, batch, cfg(mode), t=1, n_domains=2)
+        out, diag = take_step(spec, params, batch, cfg(mode, gamma=0.01), t=1)
         assert out.theta.shape == params.theta.shape
         assert diag.step_index == 1 and diag.domain_ids == (0, 1)
+        thetas.add(out.theta.tobytes())
+    assert len(thetas) == len(MODES)
 
 
 def test_step_functions_never_mutate_input_params():
     spec, params, batch = random_instance(15, k=2)
     before = params.theta.copy()
     for mode in MODES:
-        take_step(spec, params, batch, cfg(mode, weight_decay=1e-3), t=3, n_domains=2)
+        take_step(spec, params, batch, cfg(mode, weight_decay=1e-3), t=3)
         assert np.array_equal(params.theta, before)
 
 
@@ -403,7 +395,7 @@ def test_alignment_cos_within_bounds_and_gap_toggle():
 
 def test_diagnostics_per_domain_losses_sum_to_loss_erm():
     spec, params, batch = random_instance(17, k=3)
-    _, diag = gac_fas_step(spec, params, batch, cfg(), t=1)
+    _, diag = take_step(spec, params, batch, cfg(), t=1)
     assert sum(diag.per_domain_loss) == pytest.approx(diag.loss_erm, rel=1e-12)
     assert diag.loss_erm == pytest.approx(batch_loss(spec, params.theta, batch), rel=1e-12)
 
@@ -483,8 +475,8 @@ def test_gac_reduction_identity_is_bit_exact_on_stacked_batches():
     for seed in range(50):
         spec, params, batch = random_instance(700 + seed, k=(seed % 3) + 1, per_domain=4)
         eta = 0.01 + 0.001 * (seed % 7)
-        out_gac, _ = gac_fas_step(spec, params, batch, cfg("gac_fas", eta0=eta, rho=0.0, gamma=0.0), t=1)
-        out_erm, _ = erm_step(spec, params, batch, cfg("erm", eta0=2.0 * eta), t=1)
+        out_gac, _ = take_step(spec, params, batch, cfg("gac_fas", eta0=eta, rho=0.0, gamma=0.0), t=1)
+        out_erm, _ = take_step(spec, params, batch, cfg("erm", eta0=2.0 * eta), t=1)
         assert np.array_equal(out_gac.theta, out_erm.theta)
 
 
@@ -494,7 +486,7 @@ def test_gac_reduction_identity_is_bit_exact_on_stacked_batches():
 def test_balanced_mlp_step_makes_stacked_kernel_calls(monkeypatch, mode, calls):
     spec, params, batch = random_instance(5, sizes=(2, 16, 16, 2), k=3, per_domain=32)
     shapes = count_kernel_calls(monkeypatch)
-    take_step(spec, params, batch, cfg(mode), t=1, n_domains=3)
+    take_step(spec, params, batch, cfg(mode), t=1)
     assert shapes == [(3, 32, 2)] * calls
 
 
@@ -507,8 +499,28 @@ def test_a_sampler_batch_makes_the_stacked_kernel_calls(monkeypatch):
     shapes = count_kernel_calls(monkeypatch)
     for t in (1, 2):
         batch = datagen.sample_minibatch(source, 32, Prng(t, 1))
-        params, _ = gac_fas_step(spec, params, batch, cfg("gac_fas"), t=t, n_domains=3)
+        params, _ = take_step(spec, params, batch, cfg("gac_fas"), t=t)
     assert shapes == [(3, 32, 2)] * 4
+
+
+@pytest.mark.parametrize("held", range(4))
+@pytest.mark.parametrize("per_domain", [1, 7, 32])
+def test_a_sampler_batch_holds_every_source_domain_as_one_stacked_part(held, per_domain):
+    """A step's k is the number of domains its batch holds. Every batch the
+    sampler draws from a split of the default task holds the source set's
+    ids in ascending order, one stacked (k, m, d) part each."""
+    from gacfas import datagen
+    from gacfas.harness import default_domains
+
+    source, _ = datagen.leave_one_out(default_domains(), held)
+    ids = tuple(sorted(int(b.domain_ids[0]) for _, b in source.domains))
+    spec = model_mod.MlpSpec((2, 16, 16, 2), "tanh")
+    prng = Prng(held, 1)
+    for _ in range(3):
+        parts = _domain_parts(spec, datagen.sample_minibatch(source, per_domain, prng))
+        assert parts.ids == ids and len(ids) == 3 and held not in ids
+        assert parts.stacked
+        assert parts.inputs.shape == (3, per_domain, 2) and parts.labels.shape == (3, per_domain)
 
 
 @pytest.mark.parametrize(
@@ -551,7 +563,7 @@ def test_unequal_domain_batch_takes_the_loop_with_unchanged_results(monkeypatch)
     parts = [(batch.inputs[:3], batch.labels[:3]), (batch.inputs[3:], batch.labels[3:])]
     eta, rho, gamma, wd = 0.05, 0.1, 0.01, 1e-3
     shapes = count_kernel_calls(monkeypatch)
-    out, _ = gac_fas_step(spec, params, batch, cfg("gac_fas", eta0=eta, rho=rho, gamma=gamma, weight_decay=wd), t=1)
+    out, _ = take_step(spec, params, batch, cfg("gac_fas", eta0=eta, rho=rho, gamma=gamma, weight_decay=wd), t=1)
     assert shapes == [(3, 2), (5, 2)] * 3
 
     def whole_grad(theta):
@@ -573,7 +585,7 @@ def test_unequal_domain_batch_takes_the_loop_with_unchanged_results(monkeypatch)
 def test_oracle_models_take_the_loop_on_balanced_batches():
     model = CountingQuadratic()
     c = cfg("gac_fas", eta0=0.1, rho=0.1, gamma=0.05)
-    params, _ = gac_fas_step(model, scalar_params(1.0), k_domain_batch(2), c, t=1)
+    params, _ = take_step(model, scalar_params(1.0), k_domain_batch(2), c, t=1)
     assert model.calls == 2 + 4
     assert abs(params.theta[0] - 0.6) <= 1e-12
 
@@ -593,7 +605,7 @@ def test_full_domain_parts_go_pair_by_pair(monkeypatch):
     assert shapes == [(2000, 2)] * 12
     spec, params, batch = random_instance(13, sizes=(2, 16, 16, 2), k=3, per_domain=2000)
     shapes.clear()
-    gac_fas_step(spec, params, batch, cfg("gac_fas"), t=1, n_domains=3)
+    take_step(spec, params, batch, cfg("gac_fas"), t=1)
     assert shapes == [(3, 2000, 2)] * 2
 
 
