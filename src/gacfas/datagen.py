@@ -135,14 +135,15 @@ def gen_two_moons(n: int, sigma: float, prng: Prng) -> Batch:
 def shift_domain(batch: Batch, spec: DomainSpec, domain_index: int = 0) -> Batch:
     """Rotate inputs by spec.rotation about the origin, then translate.
 
-    Labels are untouched; domain_ids are overwritten with domain_index.
+    Labels are untouched; domain_ids are overwritten with domain_index, an int.
     """
+    _expect(_is_int(domain_index), "domain index", "an integer", domain_index)
     if batch.inputs.shape[1] != 2:
         raise ValueError(f"shift_domain needs 2-D inputs, got width {batch.inputs.shape[1]}")
     c, s = math.cos(spec.rotation), math.sin(spec.rotation)
     rot = np.array([[c, -s], [s, c]], dtype=np.float64)
     shifted = batch.inputs @ rot.T + np.asarray(spec.translation, dtype=np.float64)
-    ids = np.full(batch.n, int(domain_index), dtype=np.int64)
+    ids = np.full(batch.n, domain_index, dtype=np.int64)
     return Batch(shifted, batch.labels, ids)
 
 
@@ -155,9 +156,10 @@ def _realize(spec: DomainSpec, domain_index: int, seed_offset: int = 0) -> Batch
 def build_source_set(specs, indices=None) -> SourceSet:
     """Realize every domain with its own seed.
 
-    indices assigns each domain's id, an int; by default domains are
-    numbered by position. leave_one_out passes original positions so id sets
-    stay disjoint from the held-out domain.
+    indices assigns each domain's id, an int (shift_domain refuses any
+    other); by default domains are numbered by position. leave_one_out
+    passes original positions so id sets stay disjoint from the held-out
+    domain.
     """
     specs = tuple(specs)
     if not specs:
@@ -166,8 +168,6 @@ def build_source_set(specs, indices=None) -> SourceSet:
         indices = tuple(range(len(specs)))
     else:
         indices = tuple(indices)
-        for i in indices:
-            _expect(_is_int(i), "domain index", "an integer", i)
         if len(indices) != len(specs):
             raise ValueError("indices and specs must have equal length")
     realized = tuple(
@@ -185,6 +185,7 @@ def leave_one_out(specs, held: int) -> tuple[SourceSet, Batch]:
     specs = tuple(specs)
     if len(specs) < 2:
         raise ValueError("leave-one-out needs at least two domains")
+    _expect(_is_int(held), "held-out index", "an integer", held)
     if not 0 <= held < len(specs):
         raise ValueError(f"held-out index {held} out of range for {len(specs)} domains")
     train_specs = [s for i, s in enumerate(specs) if i != held]

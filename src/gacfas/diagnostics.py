@@ -18,7 +18,15 @@ import numpy as np
 from . import numerics
 from .model import Batch, ParamVector
 from .numerics import Prng, _is_int, axpy, dot, l2_norm
-from .optim import _check_nonneg, _domain_parts, _part_terms, _parts_loss, _sum_terms, ascending_vector, batch_loss
+from .optim import (
+    _check_nonneg,
+    _domain_parts,
+    _grad_sum,
+    _pair_losses_grads,
+    ascending_vector,
+    batch_loss,
+    batch_loss_and_grad,
+)
 
 
 @dataclass(frozen=True)
@@ -76,13 +84,11 @@ def surrogate_gap(model, params: ParamVector, batch, rho: float):
     """(h(theta), L(theta)): the whole-batch sharpness gap h(theta) =
     L(theta + eps) - L(theta), eps = ascending_vector(grad L(theta; B), rho),
     on a Batch or on the whole of a SourceSet, and the loss it is measured
-    from, the same value batch_loss gives.
-
-    The batch is split into its domain parts once for both losses."""
+    from, the same value batch_loss gives: bit for bit the (surrogate_gap,
+    loss_erm) of a sam_whole step's record with rho_t = rho."""
     _check_nonneg("rho", rho)
-    parts = _domain_parts(model, batch)
-    loss, g = _sum_terms(_part_terms(model, params.theta, parts))
-    loss_p = _parts_loss(model, ascending_vector(g, rho) + params.theta, parts)
+    loss, g = batch_loss_and_grad(model, params.theta, batch)
+    loss_p = batch_loss(model, ascending_vector(g, rho) + params.theta, batch)
     return loss_p - loss, loss
 
 
@@ -94,7 +100,8 @@ def alignment_inner_products(model, params: ParamVector, source, i: int, rho: fl
     Summing M over both indices gives the inner product of the whole-set
     perturbed gradient with the whole-set plain gradient (the decomposition
     the alignment reward maximizes domain-by-domain)."""
-    k = len(source.domains)
+    parts = _domain_parts(model, source)
+    k = len(parts.ids)
     if not _is_int(i):
         raise ValueError(f"domain index must be an int, got {i!r}")
     if not 0 <= i < k:
@@ -102,15 +109,13 @@ def alignment_inner_products(model, params: ParamVector, source, i: int, rho: fl
     _check_nonneg("rho", rho)
     _check_nonneg("gamma", gamma)
     theta = params.theta
-    parts = _domain_parts(model, source)
-    plain = _part_terms(model, theta, parts)
-    _, g = _sum_terms(plain)
-    theta_adv = ascending_vector(plain.grads[i], rho) + axpy(-gamma, g, theta)
-    perturbed = _part_terms(model, theta_adv, parts)
+    _, grads = _pair_losses_grads(model, theta, parts)
+    g = _grad_sum(grads)
+    _, perturbed = _pair_losses_grads(model, ascending_vector(grads[i], rho) + axpy(-gamma, g, theta), parts)
     out = np.empty((k, k), dtype=np.float64)
     for m in range(k):
         for n in range(k):
-            out[m, n] = dot(perturbed.grads[m], plain.grads[n])
+            out[m, n] = dot(perturbed[m], grads[n])
     return out
 
 

@@ -4,12 +4,13 @@ perturbation ablation (reg_domain_perturb).
 
 One entry, per-mode directions: take_step is the one step function, and
 cfg.mode alone picks the rule, through _DIRECTIONS. _descent takes the
-schedule values, the domain parts and their plain terms, the mode's direction
-and the record, and take_step updates theta - eta_t (d + grad R);
-gac_fas_record stops before the update. Each mode supplies only its
-direction: d, its per-domain perturbed gradients and its surrogate gap (_erm,
-_sam_whole, _sam_domain, and _aligned for gac_fas and reg_domain_perturb).
-_eps_rows is the one ascent helper; an ascending point is eps_i + base.
+schedule values, the domain parts, their plain (losses, gradients) pair from
+_pair_losses_grads, the mode's direction and the record, and take_step
+updates theta - eta_t (d + grad R); gac_fas_record stops before the update.
+Each mode supplies only its direction: d, its per-domain perturbed gradients
+and its surrogate gap (_erm, _sam_whole, _sam_domain, and _aligned for
+gac_fas and reg_domain_perturb). _eps_rows is the one ascent helper; an
+ascending point is eps_i + base.
 
 Loss convention: the whole-batch loss L(theta; B) is the SUM of per-domain
 batch-mean losses, and its gradient is the matching sum of per-domain mean
@@ -55,7 +56,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import NamedTuple
 
 import numpy as np
 
@@ -178,8 +178,7 @@ def regularizer_grad(params: ParamVector, weight_decay: float) -> np.ndarray:
 
 
 def schedule_value(schedule: Schedule, base: float, t: int) -> float:
-    if t < 1:
-        raise ValueError(f"step index must be >= 1, got {t}")
+    numerics._expect(numerics._is_int(t) and t >= 1, "step index", "an integer >= 1", t)
     if schedule.kind == "constant":
         return base
     if schedule.kind == "theorem1":
@@ -215,10 +214,6 @@ class _Parts:
     ids: tuple[int, ...]
     inputs: object
     labels: object
-
-    @property
-    def stacked(self) -> bool:
-        return isinstance(self.inputs, np.ndarray)
 
 
 def _block_size(ids: np.ndarray) -> int:
@@ -274,7 +269,7 @@ def _pair_losses_grads(model, points: np.ndarray, parts: _Parts, grid: bool = Fa
     per (point, part) pair, with equal bits."""
     if grid:
         points = points[:, None, :]
-    if parts.stacked:
+    if isinstance(parts.inputs, np.ndarray):
         return model_mod.mean_loss_and_grad(model, points, parts.inputs, parts.labels)
     lead = np.broadcast_shapes(points.shape[:-1], (len(parts.ids),))
     points = np.broadcast_to(points, lead + points.shape[-1:])
@@ -284,26 +279,6 @@ def _pair_losses_grads(model, points: np.ndarray, parts: _Parts, grid: bool = Fa
         j = idx[-1]
         losses[idx], grads[idx] = _loss_and_grad(model, points[idx], parts.inputs[j], parts.labels[j])
     return losses, grads
-
-
-class _Terms(NamedTuple):
-    """Mean losses and gradients of one parameter point against each domain
-    part, in part order: losses a list of floats, grads a (k, P) array."""
-
-    ids: tuple[int, ...]
-    losses: list
-    grads: np.ndarray
-
-
-def _part_terms(model, theta: np.ndarray, parts: _Parts) -> _Terms:
-    """Terms of one parameter vector against every domain part."""
-    losses, grads = _pair_losses_grads(model, theta, parts)
-    return _Terms(parts.ids, losses.tolist(), grads)
-
-
-def _domain_terms(model, theta: np.ndarray, batch: Batch) -> _Terms:
-    """Terms per domain, ascending id order."""
-    return _part_terms(model, theta, _domain_parts(model, batch))
 
 
 def _loss_sum(losses) -> float:
@@ -335,26 +310,17 @@ def _deviation_sum(adv_grads: np.ndarray, g: np.ndarray) -> np.ndarray:
     return np.add.reduce(adv_grads - g, axis=0, initial=0.0)
 
 
-def _sum_terms(terms: _Terms):
-    """Sum per-domain losses and gradients in ascending domain-id order."""
-    return _loss_sum(terms.losses), _grad_sum(terms.grads)
-
-
 def batch_loss_and_grad(model, theta: np.ndarray, batch: Batch):
-    """Whole-batch loss/gradient under the sum-of-domain-means convention."""
-    return _sum_terms(_domain_terms(model, theta, batch))
-
-
-def _parts_loss(model, theta: np.ndarray, parts: _Parts) -> float:
-    """Sum of the per-part mean losses, in part order."""
-    total = 0.0
-    for inputs, labels in zip(parts.inputs, parts.labels):
-        total += _mean_loss(model, theta, inputs, labels)
-    return total
+    """Whole-batch loss/gradient under the sum-of-domain-means convention,
+    summed in ascending domain-id order."""
+    losses, grads = _pair_losses_grads(model, theta, _domain_parts(model, batch))
+    return _loss_sum(losses.tolist()), _grad_sum(grads)
 
 
 def batch_loss(model, theta: np.ndarray, batch: Batch) -> float:
-    return _parts_loss(model, theta, _domain_parts(model, batch))
+    """The loss of batch_loss_and_grad, one loss call per domain part."""
+    parts = _domain_parts(model, batch)
+    return _loss_sum(_mean_loss(model, theta, x, y) for x, y in zip(parts.inputs, parts.labels))
 
 
 def _cos(dot_ab: float, norm_a: float, norm_b: float) -> float:
@@ -367,16 +333,17 @@ def _cos(dot_ab: float, norm_a: float, norm_b: float) -> float:
     return min(1.0, max(-1.0, cos))
 
 
-def _diagnostics(t: int, terms: _Terms, loss: float, g: np.ndarray, adv_grads, gap: float) -> StepDiagnostics:
-    """The step record: adv_grads[i] is domain i's perturbed (or, for erm,
-    plain) gradient; gap is already NaN when tracking is off."""
+def _diagnostics(t: int, ids, losses: list, loss: float, g: np.ndarray, adv_grads, gap: float) -> StepDiagnostics:
+    """The step record: losses[i] is domain i's plain loss and adv_grads[i]
+    its perturbed (or, for erm, plain) gradient; gap is already NaN when
+    tracking is off."""
     g_norm = l2_norm(g)
     adv_norms = tuple(l2_norm(gp) for gp in adv_grads)
     return StepDiagnostics(
         step_index=t,
-        domain_ids=terms.ids,
+        domain_ids=ids,
         loss_erm=loss,
-        per_domain_loss=tuple(terms.losses),
+        per_domain_loss=tuple(losses),
         grad_norm=g_norm,
         alignment_cos=tuple(_cos(dot(gp, g), norm, g_norm) for gp, norm in zip(adv_grads, adv_norms)),
         adv_grad_norms=adv_norms,
@@ -384,40 +351,41 @@ def _diagnostics(t: int, terms: _Terms, loss: float, g: np.ndarray, adv_grads, g
     )
 
 
-def _descent(direction, model, theta: np.ndarray, batch, cfg: OptimizerConfig, t: int, record: bool):
+def _descent(direction, model, theta: np.ndarray, batch, cfg: OptimizerConfig, t: int, record: bool, track_gap: bool):
     """(eta_t, d, the record) for the step at theta, or with record=False
     (eta_t, d, loss_erm), with (d, per-domain perturbed gradients, gap) from
-    direction. The schedule values come first, so a bad t or an unresolved
-    period fails before any model call."""
+    direction; the record's gap is NaN unless track_gap. The schedule values
+    come first, so a bad t or an unresolved period fails before any model call."""
     eta_t, rho_t, gamma_t = (schedule_value(cfg.schedule, base, t) for base in (cfg.eta0, cfg.rho, cfg.gamma))
     parts = _domain_parts(model, batch)
-    terms = _part_terms(model, theta, parts)
-    loss, g = _sum_terms(terms)
-    d, adv_grads, gap = direction(model, theta, parts, terms, loss, g, rho_t, gamma_t, cfg.zero_grad_eps)
-    if not cfg.track_surrogate_gap:
-        gap = math.nan
-    return eta_t, d, (_diagnostics(t, terms, loss, g, adv_grads, gap) if record else loss)
+    plain = _pair_losses_grads(model, theta, parts)
+    losses = plain[0].tolist()
+    loss, g = _loss_sum(losses), _grad_sum(plain[1])
+    d, adv_grads, gap = direction(model, theta, parts, plain, loss, g, rho_t, gamma_t, cfg.zero_grad_eps)
+    if not record:
+        return eta_t, d, loss
+    return eta_t, d, _diagnostics(t, parts.ids, losses, loss, g, adv_grads, gap if track_gap else math.nan)
 
 
-def _erm(model, theta, parts, terms, loss, g, rho_t, gamma_t, zero_grad_eps):
+def _erm(model, theta, parts, plain, loss, g, rho_t, gamma_t, zero_grad_eps):
     """d = g; the record's per-domain slots hold the plain gradients."""
-    return g, terms.grads, 0.0
+    return g, plain[1], 0.0
 
 
-def _sam_whole(model, theta, parts, terms, loss, g, rho_t, gamma_t, zero_grad_eps):
+def _sam_whole(model, theta, parts, plain, loss, g, rho_t, gamma_t, zero_grad_eps):
     """d = the whole-batch gradient at theta + eps(g), replicated across the
     record's per-domain slots."""
-    loss_p, g_p = _sum_terms(_part_terms(model, ascending_vector(g, rho_t, zero_grad_eps) + theta, parts))
-    return g_p, [g_p] * len(terms.ids), loss_p - loss
+    losses_p, gps = _pair_losses_grads(model, ascending_vector(g, rho_t, zero_grad_eps) + theta, parts)
+    g_p = _grad_sum(gps)
+    return g_p, [g_p] * len(parts.ids), _loss_sum(losses_p.tolist()) - loss
 
 
-def _sam_domain(model, theta, parts, terms, loss, g, rho_t, gamma_t, zero_grad_eps):
+def _sam_domain(model, theta, parts, plain, loss, g, rho_t, gamma_t, zero_grad_eps):
     """d = the mean over domains of domain i's gradient at theta + eps_i, on
     its own part."""
-    k = len(terms.ids)
-    losses_p, gps = _pair_losses_grads(model, _eps_rows(terms.grads, rho_t, zero_grad_eps) + theta, parts)
-    gaps = [loss_p - dom_loss for loss_p, dom_loss in zip(losses_p.tolist(), terms.losses)]
-    return _grad_sum(gps) * (1.0 / k), gps, _loss_sum(gaps) / k
+    k = len(parts.ids)
+    losses_p, gps = _pair_losses_grads(model, _eps_rows(plain[1], rho_t, zero_grad_eps) + theta, parts)
+    return _grad_sum(gps) * (1.0 / k), gps, _loss_sum((losses_p - plain[0]).tolist()) / k
 
 
 def _aligned(domain_scope: bool):
@@ -433,9 +401,9 @@ def _aligned(domain_scope: bool):
     The reg_domain_perturb ablation takes gp_i on B_i alone, rescaled by k;
     on B, gp_i sums its parts in ascending id order."""
 
-    def direction(model, theta, parts, terms, loss, g, rho_t, gamma_t, zero_grad_eps):
-        k = len(terms.ids)
-        points = _eps_rows(terms.grads, rho_t, zero_grad_eps) + axpy(-gamma_t, g, theta)
+    def direction(model, theta, parts, plain, loss, g, rho_t, gamma_t, zero_grad_eps):
+        k = len(parts.ids)
+        points = _eps_rows(plain[1], rho_t, zero_grad_eps) + axpy(-gamma_t, g, theta)
         losses, grads = _pair_losses_grads(model, points, parts, grid=not domain_scope)
         if domain_scope:
             # Rescale the single-domain estimate to whole-batch (sum) units so
@@ -467,11 +435,13 @@ def take_step(model, params: ParamVector, batch: Batch, cfg: OptimizerConfig, t:
     """One step of the rule cfg.mode names, theta <- theta - eta_t (d + grad R):
     (new params, StepDiagnostics), or with record=False (new params, the
     step's loss_erm as a float). The batch's domains are the step's k."""
-    eta_t, d, out = _descent(_DIRECTIONS[cfg.mode], model, params.theta, batch, cfg, t, record)
+    eta_t, d, out = _descent(_DIRECTIONS[cfg.mode], model, params.theta, batch, cfg, t, record, cfg.track_surrogate_gap)
     return params.with_theta(axpy(-eta_t, d + regularizer_grad(params, cfg.weight_decay), params.theta)), out
 
 
 def gac_fas_record(model, params: ParamVector, batch, cfg: OptimizerConfig, t: int) -> StepDiagnostics:
     """The record of a gac_fas step, whatever cfg.mode, without the step's
-    update of theta."""
-    return _descent(_DIRECTIONS["gac_fas"], model, params.theta, batch, cfg, t, True)[2]
+    update of theta. Its surrogate gap is tracked whatever
+    cfg.track_surrogate_gap says: the full-set records of a convergence run
+    (harness.fullset_step_diagnostics) always carry it."""
+    return _descent(_DIRECTIONS["gac_fas"], model, params.theta, batch, cfg, t, True, True)[2]

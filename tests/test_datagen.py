@@ -159,6 +159,19 @@ def test_build_source_set_refuses_a_domain_index_that_is_not_an_int_by_name(indi
         build_source_set(specs, indices=indices)
 
 
+@pytest.mark.parametrize("index", [1.7, True])
+def test_shift_domain_refuses_a_domain_index_that_is_not_an_int_by_name(index):
+    with pytest.raises(ValueError, match=f"^domain index must be an integer, got {index!r}$"):
+        shift_domain(gen_two_moons(4, 0.0, Prng(0)), DomainSpec(), index)
+
+
+@pytest.mark.parametrize("held", [True, 1.5])
+def test_leave_one_out_refuses_a_held_out_index_that_is_not_an_int_by_name(held):
+    specs = [DomainSpec(n_samples=4, seed=i) for i in range(3)]
+    with pytest.raises(ValueError, match=f"^held-out index must be an integer, got {held!r}$"):
+        leave_one_out(specs, held)
+
+
 def test_source_set_refuses_two_domains_with_one_id():
     specs = [DomainSpec(n_samples=4, seed=0), DomainSpec(n_samples=4, seed=1)]
     with pytest.raises(ValueError, match=r"distinct ids, got \[1, 1\] \(repeated: \[1\]\)"):

@@ -7,7 +7,7 @@ import re
 import numpy as np
 import pytest
 
-from gacfas.datagen import DomainSpec, build_source_set
+from gacfas.datagen import DomainSpec, build_source_set, sample_minibatch
 from gacfas.diagnostics import (
     ConvergenceTrace,
     LandscapeGrid,
@@ -17,9 +17,17 @@ from gacfas.diagnostics import (
     surrogate_gap,
 )
 from gacfas.harness import convergence_csv, landscape_csv
-from gacfas.model import MlpSpec, init_params
+from gacfas.model import MlpSpec, ParamVector, init_params
 from gacfas.numerics import Prng
-from gacfas.optim import StepDiagnostics, ascending_vector, batch_loss, batch_loss_and_grad
+from gacfas.optim import (
+    OptimizerConfig,
+    StepDiagnostics,
+    _domain_parts,
+    ascending_vector,
+    batch_loss,
+    batch_loss_and_grad,
+    take_step,
+)
 
 from helpers import ScalarQuadratic, VectorQuadratic, k_domain_batch, random_instance, scalar_params
 
@@ -69,6 +77,32 @@ def test_surrogate_gap_zero_for_every_theta_at_rho_zero():
         assert surrogate_gap(spec, params, batch, 0.0)[0] == 0.0
     with pytest.raises(ValueError):
         surrogate_gap(ScalarQuadratic(), scalar_params(1.0), k_domain_batch(1), -0.1)
+
+
+def _gap_cases(kind: str, seed: int):
+    """(model, params, batch) on a source set (list parts), a sampler batch
+    (stacked parts) or, for a duck-typed model, a k-domain batch."""
+    if kind == "duck":
+        theta = Prng(seed, 0).generator.standard_normal(4)
+        return VectorQuadratic(), ParamVector.from_flat(theta), k_domain_batch(3)
+    spec = MlpSpec((2, 6, 2), "tanh")
+    source = _three_domain_source(seed)
+    batch = source if kind == "source set" else sample_minibatch(source, 8, Prng(seed, 1))
+    assert isinstance(_domain_parts(spec, batch).inputs, np.ndarray) == (kind == "sampler batch")
+    return spec, init_params(spec, Prng(seed, 0)), batch
+
+
+@pytest.mark.parametrize("kind", ["source set", "sampler batch", "duck"])
+def test_surrogate_gap_is_the_gap_of_a_sam_whole_step_record_bit_for_bit(kind):
+    """The gap the evaluation reports and the gap a sam_whole step records
+    share one definition: equal bits, loss included."""
+    for seed in range(10):
+        model, params, batch = _gap_cases(kind, seed)
+        rho = 0.05 * (seed + 1)
+        _, diag = take_step(model, params, batch, OptimizerConfig(mode="sam_whole", rho=rho), t=1)
+        want = (diag.surrogate_gap, diag.loss_erm)
+        assert [v.hex() for v in surrogate_gap(model, params, batch, rho)] == [v.hex() for v in want]
+        assert diag.surrogate_gap != 0.0
 
 
 @pytest.mark.parametrize("rho", [math.nan, math.inf, -math.inf, -0.1])

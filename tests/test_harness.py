@@ -4,6 +4,7 @@ output files, leave-one-out and sweep drivers, and the CLI."""
 import ast
 import dataclasses
 import importlib
+import importlib.util
 import json
 import math
 import os
@@ -17,7 +18,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from gacfas import cli, diagnostics, harness
+from gacfas import cli, diagnostics, harness, optim
 from gacfas.datagen import DomainSpec, build_source_set, leave_one_out, sample_minibatch
 from gacfas.harness import (
     ConfigKeyError,
@@ -1333,6 +1334,43 @@ def test_every_function_the_benchmark_traces_still_resolves():
     assert traced
     for module, function, _ in traced:
         assert callable(getattr(importlib.import_module(f"gacfas.{module}"), function)), (module, function)
+
+
+def test_a_traced_in_process_run_reaches_every_traced_layer(tmp_path, monkeypatch):
+    """perfbench/tracer.py, as it is, around tiny train, loo and convergence
+    calls through cli.main on one CPU: every TRACED category records a call,
+    every step goes through the traced take_step, and the harness computes
+    each full-set record through the traced fullset_step_diagnostics, which
+    is optim.gac_fas_record under the harness's name."""
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", PERFBENCH / "tracer.py")
+    tracer_mod = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer_mod)
+    assert harness.fullset_step_diagnostics is optim.gac_fas_record
+    # Tracer.install rebinds every traced function in every gacfas module;
+    # setting each binding to itself through monkeypatch undoes that afterwards.
+    modules = [m for name, m in sys.modules.items() if name == "gacfas" or name.startswith("gacfas.")]
+    for module_name, attr, _ in tracer_mod.TRACED:
+        original = getattr(sys.modules["gacfas." + module_name], attr)
+        for module in modules:
+            for name, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, name, value)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    tracer = tracer_mod.Tracer()
+    tracer.install()
+    out = tmp_path / "out"
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(tiny_config_json(str(out)))
+    config = ["--config", str(cfg_path)]
+    assert cli.main(["train", *config, "--seed", "0"]) == 0
+    assert cli.main(["loo", *config]) == 0
+    assert cli.main(["convergence", *config, "--window", "1", "--trace-every", "5"]) == 0
+    categories = {category for _, _, category in tracer_mod.TRACED}
+    assert sorted(c for c in categories if not tracer.calls[c]) == []
+    metrics = tracer.metrics()
+    assert metrics["optim.steps"] == 10 + 3 * 10 + 10  # train, loo over 3 held-out domains, convergence
+    records = (out / "convergence_run" / "diagnostics.csv").read_text(encoding="utf-8").splitlines()[1:]
+    assert metrics["harness.fullset_diag_calls"] == len(records) == 2
 
 
 @pytest.mark.parametrize("run", ["training", "convergence"])

@@ -27,6 +27,7 @@ from gacfas.optim import (
     ascending_vector,
     batch_loss,
     batch_loss_and_grad,
+    gac_fas_record,
     regularizer_grad,
     schedule_value,
     take_step,
@@ -159,6 +160,22 @@ def test_schedule_values():
         schedule_value(const, 0.1, 0)
     with pytest.raises(ValueError):
         schedule_value(Schedule(kind="step"), 0.1, 5)  # period not resolved to steps
+
+
+@pytest.mark.parametrize("t", [2.5, True, 0])
+def test_a_step_index_that_is_not_an_int_is_refused_by_name_before_any_model_call(t):
+    """t = 2.5 ran as a step with step_index 2.5, and t = True as step 1."""
+    message = f"^step index must be an integer >= 1, got {t!r}$"
+    for kind in ("constant", "theorem1"):
+        with pytest.raises(ValueError, match=message):
+            schedule_value(Schedule(kind), 1.0, t)
+    model = CountingQuadratic()
+    for mode in MODES:
+        with pytest.raises(ValueError, match=message):
+            take_step(model, scalar_params(1.0), k_domain_batch(2), cfg(mode), t)
+    with pytest.raises(ValueError, match=message):
+        gac_fas_record(model, scalar_params(1.0), k_domain_batch(2), cfg("erm"), t)
+    assert model.calls == 0
 
 
 def test_theorem1_schedule_coupling():
@@ -404,16 +421,14 @@ def test_taylor_first_order_error_shrinks_quadratically():
     """Moving the ascending point by -gamma*g changes the perturbed loss by
     -gamma*<grad L_p, g> to first order; halving gamma must shrink the
     remainder at least 3x (it is ~4x for a smooth model)."""
-    from gacfas.optim import _domain_terms
-
     gammas = (1e-2, 5e-3, 2.5e-3)
     for seed in range(10):
         spec, params, batch = random_instance(900 + seed, sizes=(2, 8, 2), k=3, per_domain=6)
         theta = params.theta
-        terms = _domain_terms(spec, theta, batch)
         _, g = batch_loss_and_grad(spec, theta, batch)
-        i = seed % 3
-        eps = ascending_vector(terms.grads[i], 0.1)
+        rows = batch.domain_ids == seed % 3
+        _, g_i = model_mod.mean_loss_and_grad(spec, theta, batch.inputs[rows], batch.labels[rows])
+        eps = ascending_vector(g_i, 0.1)
 
         def phi(gamma):
             return batch_loss(spec, theta + eps - gamma * g, batch)
@@ -519,7 +534,7 @@ def test_a_sampler_batch_holds_every_source_domain_as_one_stacked_part(held, per
     for _ in range(3):
         parts = _domain_parts(spec, datagen.sample_minibatch(source, per_domain, prng))
         assert parts.ids == ids and len(ids) == 3 and held not in ids
-        assert parts.stacked
+        assert isinstance(parts.inputs, np.ndarray)
         assert parts.inputs.shape == (3, per_domain, 2) and parts.labels.shape == (3, per_domain)
 
 
