@@ -19,7 +19,7 @@ from . import numerics
 from .model import Batch, ParamVector
 from .numerics import Prng, _is_int, axpy, dot, l2_norm
 from .optim import (
-    _check_nonneg,
+    OptimizerConfig,
     _domain_parts,
     _grad_sum,
     _pair_losses_grads,
@@ -80,22 +80,21 @@ class ConvergenceTrace:
         return self.fitted_C * math.log(t + 1.0) / math.sqrt(t)
 
 
-def surrogate_gap(model, params: ParamVector, batch, rho: float):
+def surrogate_gap(model, params: ParamVector, batch, opt: OptimizerConfig):
     """(h(theta), L(theta)): the whole-batch sharpness gap h(theta) =
-    L(theta + eps) - L(theta), eps = ascending_vector(grad L(theta; B), rho),
-    on a Batch or on the whole of a SourceSet, and the loss it is measured
-    from, the same value batch_loss gives: bit for bit the (surrogate_gap,
-    loss_erm) of a sam_whole step's record with rho_t = rho."""
-    _check_nonneg("rho", rho)
+    L(theta + eps) - L(theta), eps the ascent of grad L(theta; B) at opt's rho
+    and dead zone, on a Batch or on the whole of a SourceSet, and the loss it
+    is measured from, the same value batch_loss gives: bit for bit the
+    (surrogate_gap, loss_erm) of a sam_whole step's record with rho_t = opt.rho."""
     loss, g = batch_loss_and_grad(model, params.theta, batch)
-    loss_p = batch_loss(model, ascending_vector(g, rho) + params.theta, batch)
+    loss_p = batch_loss(model, ascending_vector(g, opt.rho, opt.zero_grad_eps) + params.theta, batch)
     return loss_p - loss, loss
 
 
-def alignment_inner_products(model, params: ParamVector, source, i: int, rho: float, gamma: float) -> np.ndarray:
+def alignment_inner_products(model, params: ParamVector, source, i: int, opt: OptimizerConfig) -> np.ndarray:
     """M[m][n] = <grad L(theta_adv_i; S_m), grad L(theta; S_n)> over full
     domain batches in ascending id order, with theta_adv_i = theta + eps_i -
-    gamma * g and g = sum_m grad L(theta; S_m).
+    gamma * g, g = sum_m grad L(theta; S_m), at opt's rho, gamma and dead zone.
 
     Summing M over both indices gives the inner product of the whole-set
     perturbed gradient with the whole-set plain gradient (the decomposition
@@ -106,12 +105,9 @@ def alignment_inner_products(model, params: ParamVector, source, i: int, rho: fl
         raise ValueError(f"domain index must be an int, got {i!r}")
     if not 0 <= i < k:
         raise ValueError(f"domain index {i} out of range for k={k}")
-    _check_nonneg("rho", rho)
-    _check_nonneg("gamma", gamma)
-    theta = params.theta
-    _, grads = _pair_losses_grads(model, theta, parts)
-    g = _grad_sum(grads)
-    _, perturbed = _pair_losses_grads(model, ascending_vector(grads[i], rho) + axpy(-gamma, g, theta), parts)
+    _, grads = _pair_losses_grads(model, params.theta, parts)
+    eps = ascending_vector(grads[i], opt.rho, opt.zero_grad_eps)
+    _, perturbed = _pair_losses_grads(model, eps + axpy(-opt.gamma, _grad_sum(grads), params.theta), parts)
     out = np.empty((k, k), dtype=np.float64)
     for m in range(k):
         for n in range(k):

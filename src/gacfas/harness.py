@@ -38,10 +38,6 @@ from .model import Batch, MlpSpec, ParamVector, layout_for
 from .numerics import Prng, _as_tuple, _expect, _is_int
 from .optim import OptimizerConfig, StepDiagnostics, batch_loss, gac_fas_record, take_step
 
-METRICS_HEADER = "step,hter,auc,tpr95,train_loss,surrogate_gap"
-_WINDOW_KEYS = METRICS_HEADER.split(",")[1:]  # window_means' keys, in this order
-
-
 class ConfigError(Exception):
     """Base class for configuration failures (CLI exit code 1)."""
 
@@ -142,6 +138,10 @@ class EvalReport:
     tpr95: float
     train_loss: float
     surrogate_gap: float
+
+
+METRICS_HEADER = ",".join(f.name for f in dataclasses.fields(EvalReport))
+_WINDOW_KEYS = METRICS_HEADER.split(",")[1:]  # window_means' keys, in this order
 
 
 @dataclass(frozen=True)
@@ -259,7 +259,10 @@ def load_config(path: str) -> ExperimentConfig:
     if not os.path.exists(path):
         raise ConfigNotFoundError(f"config file not found: {path}")
     with open(path, "r", encoding="utf-8") as fh:
-        return parse_config(fh.read(), origin=path)
+        try:
+            return parse_config(fh.read(), origin=path)
+        except UnicodeDecodeError as exc:
+            raise ConfigParseError(f"{path}: not UTF-8 text: {exc.reason} at byte {exc.start}") from exc
 
 
 def config_to_dict(value) -> dict:
@@ -311,7 +314,7 @@ def _evaluate(cfg: ExperimentConfig, spec, params, test: Batch, source, step: in
     tpr95 = evalmetrics.tpr_at_fpr(scored, 0.05)
     if cfg.optimizer.track_surrogate_gap:
         # The gap is measured from the training loss at theta; reuse it.
-        gap, train_loss = diagnostics.surrogate_gap(spec, params, source, cfg.optimizer.rho)
+        gap, train_loss = diagnostics.surrogate_gap(spec, params, source, cfg.optimizer)
     else:
         gap, train_loss = math.nan, batch_loss(spec, params.theta, source)
     return EvalReport(step, float(hter), float(auc), float(tpr95), float(train_loss), float(gap))

@@ -164,7 +164,7 @@ def _eps_rows(grads: np.ndarray, rho: float, zero_grad_eps: float) -> np.ndarray
     return eps
 
 
-def ascending_vector(grad: np.ndarray, rho: float, zero_grad_eps: float = 1e-12) -> np.ndarray:
+def ascending_vector(grad: np.ndarray, rho: float, zero_grad_eps: float) -> np.ndarray:
     """eps = rho * grad / ||grad|| when ||grad|| > zero_grad_eps, else zero.
 
     The guard prevents division blow-up at exact minima."""

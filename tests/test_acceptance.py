@@ -81,11 +81,11 @@ def test_c03_ascending_vector_contract():
     for i in range(1000):
         grad = gaussian(Prng(10_000 + i, 0), (i % 16) + 1)
         for rho in rhos:
-            norm = l2_norm(ascending_vector(grad, rho))
+            norm = l2_norm(ascending_vector(grad, rho, 1e-12))
             worst = max(worst, abs(norm - rho))
     for rho in rhos:
         tiny = np.full(4, 1e-13)  # norm 2e-13, inside the 1e-12 dead zone
-        zero_ok = zero_ok and not np.any(ascending_vector(tiny, rho))
+        zero_ok = zero_ok and not np.any(ascending_vector(tiny, rho, 1e-12))
     _report(
         3,
         worst <= 1e-12 and zero_ok,
@@ -112,7 +112,7 @@ def test_c05_taylor_consistency():
         theta = params.theta
         _, g = batch_loss_and_grad(spec, theta, batch)
         rows = batch.domain_ids == seed % 3
-        eps = ascending_vector(mean_loss_and_grad(spec, theta, batch.inputs[rows], batch.labels[rows])[1], 0.1)
+        eps = ascending_vector(mean_loss_and_grad(spec, theta, batch.inputs[rows], batch.labels[rows])[1], 0.1, 1e-12)
         _, gp = batch_loss_and_grad(spec, theta + eps, batch)
         ip = float(np.dot(gp, g))
         phi0 = batch_loss(spec, theta + eps, batch)
@@ -152,7 +152,7 @@ def test_c06_alignment_decomposition():
             mean_loss_and_grad(spec, theta_adv, b.inputs, b.labels)[1] for _, b in source.domains
         )
         want = float(np.dot(gp_all, g_all))
-        m = diagnostics.alignment_inner_products(spec, params, source, i=i, rho=rho, gamma=gamma)
+        m = diagnostics.alignment_inner_products(spec, params, source, i, OptimizerConfig(rho=rho, gamma=gamma))
         worst = max(worst, abs(float(m.sum()) - want) / max(1.0, abs(want)))
     _report(
         6,

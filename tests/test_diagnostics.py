@@ -1,6 +1,7 @@
 """Surrogate gap, alignment inner-product tensor, landscape slices, and
 convergence traces."""
 
+import dataclasses
 import math
 import re
 
@@ -39,44 +40,48 @@ from helpers import ScalarQuadratic, VectorQuadratic, k_domain_batch, random_ins
 
 def test_perturbed_loss_rho_zero_equals_loss():
     spec, params, batch = random_instance(0)
-    assert surrogate_gap(spec, params, batch, 0.0) == (0.0, batch_loss(spec, params.theta, batch))
+    assert surrogate_gap(spec, params, batch, OptimizerConfig(rho=0.0)) == (0.0, batch_loss(spec, params.theta, batch))
 
 
 def test_perturbed_loss_scalar_quadratic():
-    gap, loss = surrogate_gap(ScalarQuadratic(), scalar_params(1.0), k_domain_batch(1), 0.1)
+    gap, loss = surrogate_gap(ScalarQuadratic(), scalar_params(1.0), k_domain_batch(1), OptimizerConfig(rho=0.1))
     assert loss == 0.5
     assert abs(gap + loss - 0.605) <= 1e-12
 
 
 def test_perturbed_loss_dominates_loss_on_convex_quadratic():
     for rho in (0.0, 0.05, 0.1, 0.5):
-        gap, loss = surrogate_gap(ScalarQuadratic(), scalar_params(0.7), k_domain_batch(1), rho)
+        gap, loss = surrogate_gap(ScalarQuadratic(), scalar_params(0.7), k_domain_batch(1), OptimizerConfig(rho=rho))
         assert gap + loss >= 0.5 * 0.7**2 - 1e-15
 
 
 def test_surrogate_gap_examples_and_monotonicity():
-    assert surrogate_gap(ScalarQuadratic(), scalar_params(1.0), k_domain_batch(1), 0.0)[0] == 0.0
-    gap, _ = surrogate_gap(ScalarQuadratic(), scalar_params(1.0), k_domain_batch(1), 0.1)
+    assert surrogate_gap(ScalarQuadratic(), scalar_params(1.0), k_domain_batch(1), OptimizerConfig(rho=0.0))[0] == 0.0
+    gap, _ = surrogate_gap(ScalarQuadratic(), scalar_params(1.0), k_domain_batch(1), OptimizerConfig(rho=0.1))
     assert abs(gap - 0.105) <= 1e-12
-    gaps = [surrogate_gap(ScalarQuadratic(), scalar_params(1.0), k_domain_batch(1), r)[0] for r in (0.0, 0.1, 0.2, 0.4)]
+    gaps = [
+        surrogate_gap(ScalarQuadratic(), scalar_params(1.0), k_domain_batch(1), OptimizerConfig(rho=r))[0]
+        for r in (0.0, 0.1, 0.2, 0.4)
+    ]
     assert all(a <= b + 1e-15 for a, b in zip(gaps, gaps[1:]))
 
 
 def test_surrogate_gap_is_measured_from_the_batch_loss():
     for seed in range(5):
         spec, params, batch = random_instance(seed)
-        gap, loss = surrogate_gap(spec, params, batch, 0.1)
+        opt = OptimizerConfig(rho=0.1)
+        gap, loss = surrogate_gap(spec, params, batch, opt)
         assert loss == batch_loss(spec, params.theta, batch)
         _, g = batch_loss_and_grad(spec, params.theta, batch)
-        assert gap == batch_loss(spec, ascending_vector(g, 0.1) + params.theta, batch) - loss
+        assert gap == batch_loss(spec, ascending_vector(g, opt.rho, opt.zero_grad_eps) + params.theta, batch) - loss
 
 
 def test_surrogate_gap_zero_for_every_theta_at_rho_zero():
     for seed in range(5):
         spec, params, batch = random_instance(seed)
-        assert surrogate_gap(spec, params, batch, 0.0)[0] == 0.0
+        assert surrogate_gap(spec, params, batch, OptimizerConfig(rho=0.0))[0] == 0.0
     with pytest.raises(ValueError):
-        surrogate_gap(ScalarQuadratic(), scalar_params(1.0), k_domain_batch(1), -0.1)
+        surrogate_gap(ScalarQuadratic(), scalar_params(1.0), k_domain_batch(1), OptimizerConfig(rho=-0.1))
 
 
 def _gap_cases(kind: str, seed: int):
@@ -98,10 +103,10 @@ def test_surrogate_gap_is_the_gap_of_a_sam_whole_step_record_bit_for_bit(kind):
     share one definition: equal bits, loss included."""
     for seed in range(10):
         model, params, batch = _gap_cases(kind, seed)
-        rho = 0.05 * (seed + 1)
-        _, diag = take_step(model, params, batch, OptimizerConfig(mode="sam_whole", rho=rho), t=1)
+        opt = OptimizerConfig(mode="sam_whole", rho=0.05 * (seed + 1))
+        _, diag = take_step(model, params, batch, opt, t=1)
         want = (diag.surrogate_gap, diag.loss_erm)
-        assert [v.hex() for v in surrogate_gap(model, params, batch, rho)] == [v.hex() for v in want]
+        assert [v.hex() for v in surrogate_gap(model, params, batch, opt)] == [v.hex() for v in want]
         assert diag.surrogate_gap != 0.0
 
 
@@ -109,7 +114,7 @@ def test_surrogate_gap_is_the_gap_of_a_sam_whole_step_record_bit_for_bit(kind):
 def test_surrogate_gap_refuses_a_non_finite_or_negative_rho_by_name(rho):
     spec, params, batch = random_instance(0)
     with pytest.raises(ValueError, match=f"^rho must be finite and >= 0, got {rho}$"):
-        surrogate_gap(spec, params, batch, rho)
+        surrogate_gap(spec, params, batch, OptimizerConfig(rho=rho))
 
 
 # ------------------------------------------------- alignment inner products ----
@@ -127,7 +132,7 @@ def test_alignment_tensor_rho_gamma_zero_symmetric_positive_diagonal():
     source = _three_domain_source(1)
     spec = MlpSpec((2, 6, 2), "tanh")
     params = init_params(spec, Prng(4, 0))
-    m = alignment_inner_products(spec, params, source, i=0, rho=0.0, gamma=0.0)
+    m = alignment_inner_products(spec, params, source, 0, OptimizerConfig(rho=0.0, gamma=0.0))
     assert m.shape == (3, 3)
     assert np.max(np.abs(m - m.T)) <= 1e-10
     assert all(m[i, i] > 0.0 for i in range(3))
@@ -137,7 +142,7 @@ def test_alignment_tensor_single_domain_is_direct_dot():
     source = build_source_set([DomainSpec(noise_sigma=0.1, n_samples=40, seed=3)])
     spec = MlpSpec((2, 6, 2), "tanh")
     params = init_params(spec, Prng(5, 0))
-    m = alignment_inner_products(spec, params, source, i=0, rho=0.1, gamma=0.01)
+    m = alignment_inner_products(spec, params, source, 0, OptimizerConfig(rho=0.1, gamma=0.01))
     batch = source.domains[0][1]
     _, g = batch_loss_and_grad(spec, params.theta, batch)
     eps = g * (0.1 / np.linalg.norm(g))
@@ -168,8 +173,30 @@ def test_alignment_tensor_decomposition_matches_whole_set_inner_product():
             mean_loss_and_grad(spec, theta_adv, b.inputs, b.labels)[1] for _, b in source.domains
         )
         want = float(np.dot(gp_all, g_all))
-        m = alignment_inner_products(spec, params, source, i=i, rho=rho, gamma=gamma)
+        m = alignment_inner_products(spec, params, source, i, OptimizerConfig(rho=rho, gamma=gamma))
         assert abs(float(m.sum()) - want) <= 1e-9 * max(1.0, abs(want))
+
+
+def test_alignment_tensor_takes_the_dead_zone_from_the_config():
+    """With a dead zone above every domain's gradient norm, eps_i is zero and
+    M[m][n] = <grad L_m(theta - gamma g), grad L_n(theta)>, whatever rho is."""
+    from gacfas.model import mean_loss_and_grad
+
+    for seed in range(3):
+        source = _three_domain_source(seed)
+        spec = MlpSpec((2, 6, 2), "tanh")
+        params = init_params(spec, Prng(seed, 0))
+        grads = [mean_loss_and_grad(spec, params.theta, b.inputs, b.labels)[1] for _, b in source.domains]
+        opt = OptimizerConfig(rho=0.1, gamma=0.05, zero_grad_eps=1e6)
+        assert max(np.linalg.norm(g) for g in grads) < opt.zero_grad_eps
+        theta_adv = params.theta - opt.gamma * (grads[0] + grads[1] + grads[2])
+        perturbed = [mean_loss_and_grad(spec, theta_adv, b.inputs, b.labels)[1] for _, b in source.domains]
+        want = np.array([[float(np.dot(gp, g)) for g in grads] for gp in perturbed])
+        m = alignment_inner_products(spec, params, source, seed % 3, opt)
+        assert np.max(np.abs(m - want)) <= 1e-12 * max(1.0, np.max(np.abs(want)))
+        outside_zone = dataclasses.replace(opt, zero_grad_eps=1e-12)
+        outside = alignment_inner_products(spec, params, source, seed % 3, outside_zone)
+        assert np.max(np.abs(outside - want)) > 1e-6 * np.max(np.abs(want))
 
 
 def test_alignment_tensor_rejects_bad_domain_index():
@@ -177,27 +204,29 @@ def test_alignment_tensor_rejects_bad_domain_index():
     spec = MlpSpec((2, 6, 2), "tanh")
     params = init_params(spec, Prng(0, 0))
     with pytest.raises(ValueError):
-        alignment_inner_products(spec, params, source, i=3, rho=0.1, gamma=0.0)
+        alignment_inner_products(spec, params, source, 3, OptimizerConfig(rho=0.1, gamma=0.0))
 
 
 @pytest.mark.parametrize(
-    "args,message",
+    "i,rho,gamma,message",
     [
-        (dict(i=0, rho=0.1, gamma=-1.0), "gamma must be finite and >= 0, got -1.0"),
-        (dict(i=0, rho=0.1, gamma=math.nan), "gamma must be finite and >= 0, got nan"),
-        (dict(i=0, rho=0.1, gamma=math.inf), "gamma must be finite and >= 0, got inf"),
-        (dict(i=0, rho=math.nan, gamma=0.0), "rho must be finite and >= 0, got nan"),
-        (dict(i=0, rho=-0.1, gamma=0.0), "rho must be finite and >= 0, got -0.1"),
-        (dict(i=True, rho=0.1, gamma=0.0), "domain index must be an int, got True"),
-        (dict(i=1.0, rho=0.1, gamma=0.0), "domain index must be an int, got 1.0"),
+        (0, 0.1, -1.0, "gamma must be finite and >= 0, got -1.0"),
+        (0, 0.1, math.nan, "gamma must be finite and >= 0, got nan"),
+        (0, 0.1, math.inf, "gamma must be finite and >= 0, got inf"),
+        (0, math.nan, 0.0, "rho must be finite and >= 0, got nan"),
+        (0, -0.1, 0.0, "rho must be finite and >= 0, got -0.1"),
+        (True, 0.1, 0.0, "domain index must be an int, got True"),
+        (1.0, 0.1, 0.0, "domain index must be an int, got 1.0"),
     ],
 )
-def test_alignment_tensor_refuses_bad_arguments_by_name(args, message):
+def test_alignment_tensor_refuses_bad_arguments_by_name(i, rho, gamma, message):
+    """A bad rho or gamma is refused when the run's OptimizerConfig is
+    built, a bad domain index by alignment_inner_products itself."""
     source = _three_domain_source(2)
     spec = MlpSpec((2, 6, 2), "tanh")
     params = init_params(spec, Prng(0, 0))
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-        alignment_inner_products(spec, params, source, **args)
+        alignment_inner_products(spec, params, source, i, OptimizerConfig(rho=rho, gamma=gamma))
 
 
 # --------------------------------------------------------- landscape slice ----

@@ -118,6 +118,16 @@ def test_parse_reports_json_error_position():
         parse_config('{\n  bad json\n}', origin="cfg.json")
 
 
+def test_cli_refuses_a_config_file_that_is_not_utf8_by_its_path(tmp_path, capsys):
+    path = tmp_path / "bad.json"
+    path.write_bytes(b"\xff\xfe{}")
+    message = f"{path}: not UTF-8 text: invalid start byte at byte 0"
+    with pytest.raises(ConfigParseError, match=f"^{re.escape(message)}$"):
+        load_config(str(path))
+    assert cli.main(["train", "--config", str(path), "--seed", "0"]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 def _cli_train_exit(tmp_path, text: str) -> int:
     path = tmp_path / "cfg.json"
     path.write_text(text)
@@ -568,7 +578,7 @@ def test_evaluate_takes_the_loss_and_gap_of_the_concatenated_source_set(track, h
         params = init_params(cfg.model, Prng(seed, 0))
         params = params.with_theta(params.theta + rng.standard_normal(params.theta.shape))
         report = harness._evaluate(cfg, cfg.model, params, test, source, 5)
-        gap, loss = diagnostics.surrogate_gap(cfg.model, params, source.concatenated(), 0.3)
+        gap, loss = diagnostics.surrogate_gap(cfg.model, params, source.concatenated(), opt)
         assert report.train_loss == loss
         if track:
             assert report.surrogate_gap == gap
@@ -576,13 +586,33 @@ def test_evaluate_takes_the_loss_and_gap_of_the_concatenated_source_set(track, h
             assert math.isnan(report.surrogate_gap)
 
 
+def test_the_evaluation_gap_and_the_step_gap_read_the_config_dead_zone():
+    """metrics.csv's surrogate_gap is the sam_whole gap under the run's own
+    OptimizerConfig: with a dead zone above every gradient norm, no step and
+    no evaluation moves theta to an ascending point, so every gap is 0."""
+    gaps = {}
+    for eps in (1e6, 1e-12):
+        cfg = default_experiment(
+            "sam_whole", optimizer={"rho": 0.1, "zero_grad_eps": eps},
+            held_out=3, steps=20, eval_every=10, eval_window=1, diagnostics_every=1,
+        )
+        record = run_training(cfg, 0)
+        rows = metrics_csv(record).splitlines()
+        column = rows[0].split(",").index("surrogate_gap")
+        gaps[eps] = ([d.surrogate_gap for d in record.diagnostics], [float(r.split(",")[column]) for r in rows[1:]])
+    assert gaps[1e6] == ([0.0] * 20, [0.0, 0.0])
+    steps, evals = gaps[1e-12]  # the default dead zone: the same run has a gap
+    assert len(evals) == 2 and all(gap > 0.0 for gap in steps + evals)
+
+
 def test_surrogate_gap_of_a_source_set_takes_its_domains_in_ascending_id_order():
     specs = [DomainSpec(rotation=0.4 * i, noise_sigma=0.1, n_samples=30 + 7 * i, seed=i) for i in range(3)]
     source = build_source_set(specs, indices=(5, 1, 3))
     spec = MlpSpec((2, 6, 2), "tanh")
     params = init_params(spec, Prng(4, 0))
-    assert diagnostics.surrogate_gap(spec, params, source, 0.2) == diagnostics.surrogate_gap(
-        spec, params, source.concatenated(), 0.2
+    opt = OptimizerConfig(rho=0.2)
+    assert diagnostics.surrogate_gap(spec, params, source, opt) == diagnostics.surrogate_gap(
+        spec, params, source.concatenated(), opt
     )
 
 
@@ -615,6 +645,55 @@ def test_train_loo_and_convergence_never_import_numpy_ma(tmp_path):
     )
     assert done.returncode == 0, done.stderr
     assert done.stdout.splitlines()[-1] == "False"
+
+
+_THREADS_AT_FORK = """
+import json
+import os
+import sys
+from gacfas import cli
+
+def threads() -> int:
+    with open("/proc/self/status", encoding="utf-8") as fh:
+        return next(int(line.split()[1]) for line in fh if line.startswith("Threads:"))
+
+seen = {}
+real_fork = os.fork
+
+def fork():
+    seen[command].append(threads())
+    return real_fork()
+
+os.fork = fork
+os.sched_getaffinity = lambda pid: {0, 1}
+config = sys.argv[1]
+for command, args in (("loo", []), ("convergence", ["--window", "4", "--trace-every", "5"])):
+    seen[command] = []
+    assert cli.main([command, "--config", config, *args]) == 0
+print(json.dumps(seen))
+"""
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="needs /proc/self/status to count threads")
+def test_loo_and_convergence_fork_from_a_single_threaded_process_under_the_blas_pin(tmp_path):
+    """With BLAS pinned to one thread, as the benchmark runs it, the process
+    that forks the loo and convergence workers holds one OS thread: the
+    package itself starts none. Python 3.12 and later warn on a fork from a
+    process with more."""
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(tiny_config_json(str(tmp_path / "out"), steps=60, eval_every=30, eval_window=1))
+    src = str(Path(harness.__file__).parents[1])
+    pins = {name: "1" for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}
+    env = {**os.environ, **pins, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    done = subprocess.run(
+        [sys.executable, "-c", _THREADS_AT_FORK, str(cfg_path)],
+        capture_output=True, text=True, env=env, timeout=300,
+    )
+    assert done.returncode == 0, done.stderr
+    seen = json.loads(done.stdout.splitlines()[-1])
+    assert sorted(seen) == ["convergence", "loo"]
+    for command, counts in seen.items():
+        assert counts and counts == [1] * len(counts), (command, counts)
 
 
 def test_run_training_manifest_contents():

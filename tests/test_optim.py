@@ -95,16 +95,16 @@ def test_config_refuses_non_finite_values_by_name(name, value):
 
 
 def test_ascending_vector_direct_example():
-    eps = ascending_vector(np.array([3.0, 4.0]), 0.1)
+    eps = ascending_vector(np.array([3.0, 4.0]), 0.1, 1e-12)
     assert np.max(np.abs(eps - np.array([0.06, 0.08]))) <= 1e-15
 
 
 def test_ascending_vector_zero_gradient_guard():
-    eps = ascending_vector(np.zeros(4), 0.3)
+    eps = ascending_vector(np.zeros(4), 0.3, 1e-12)
     assert np.all(eps == 0.0)
-    tiny = ascending_vector(np.full(4, 1e-14), 0.3)
+    tiny = ascending_vector(np.full(4, 1e-14), 0.3, 1e-12)
     assert np.all(tiny == 0.0)  # norm 2e-14 is within the 1e-12 guard
-    just_above = ascending_vector(np.full(4, 1e-12), 0.3)
+    just_above = ascending_vector(np.full(4, 1e-12), 0.3, 1e-12)
     assert abs(l2_norm(just_above) - 0.3) <= 1e-12  # norm 2e-12 exceeds the guard
 
 
@@ -114,19 +114,19 @@ def test_ascending_vector_norm_equals_rho():
         dim = 1 + trial % 40
         g = gaussian(prng, dim)
         for rho in (0.005, 0.05, 0.1, 0.2, 0.4):
-            eps = ascending_vector(g, rho)
+            eps = ascending_vector(g, rho, 1e-12)
             assert abs(l2_norm(eps) - rho) <= 1e-12
 
 
 def test_ascending_vector_rejects_negative_rho():
     with pytest.raises(ValueError):
-        ascending_vector(np.ones(2), -0.1)
+        ascending_vector(np.ones(2), -0.1, 1e-12)
 
 
 @pytest.mark.parametrize("rho", [math.nan, math.inf, -math.inf, -0.1])
 def test_ascending_vector_refuses_a_non_finite_or_negative_rho_by_name(rho):
     with pytest.raises(ValueError, match=f"^rho must be finite and >= 0, got {rho}$"):
-        ascending_vector(np.ones(3), rho)
+        ascending_vector(np.ones(3), rho, 1e-12)
 
 
 # ------------------------------------------------------------ regularizer ----
@@ -428,7 +428,7 @@ def test_taylor_first_order_error_shrinks_quadratically():
         _, g = batch_loss_and_grad(spec, theta, batch)
         rows = batch.domain_ids == seed % 3
         _, g_i = model_mod.mean_loss_and_grad(spec, theta, batch.inputs[rows], batch.labels[rows])
-        eps = ascending_vector(g_i, 0.1)
+        eps = ascending_vector(g_i, 0.1, 1e-12)
 
         def phi(gamma):
             return batch_loss(spec, theta + eps - gamma * g, batch)
@@ -592,7 +592,7 @@ def test_unequal_domain_batch_takes_the_loop_with_unchanged_results(monkeypatch)
     deviations = np.zeros_like(theta)
     for inputs, labels in parts:
         g_i = model_mod.mean_loss_and_grad(spec, theta, inputs, labels)[1]
-        deviations += whole_grad(axpy(1.0, ascending_vector(g_i, rho), offset)) - g
+        deviations += whole_grad(axpy(1.0, ascending_vector(g_i, rho, 1e-12), offset)) - g
     want = axpy(-eta, (g + axpy(0.5, deviations, g)) + theta * wd, theta)
     assert np.array_equal(out.theta, want)
 
