@@ -38,7 +38,6 @@ from .numerics import Prng
 from .optim import (
     MODES,
     OptimizerConfig,
-    Schedule,
     StepDiagnostics,
     ascending_vector,
     take_step,
@@ -60,7 +59,6 @@ __all__ = [
     "ParamVector",
     "Prng",
     "RunRecord",
-    "Schedule",
     "ScoredSet",
     "SourceSet",
     "StepDiagnostics",

@@ -46,7 +46,7 @@ def _refuse_other_seed(output_dir: str, seed: int) -> None:
     with open(path, "r", encoding="utf-8") as fh:
         try:
             manifest = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # not JSON, or not UTF-8
             raise ConfigValueError(f"{path} is not a readable run manifest: {exc}") from exc
     recorded = manifest.get("seed") if isinstance(manifest, dict) else None
     if recorded != seed:

@@ -164,16 +164,10 @@ def build_source_set(specs, indices=None) -> SourceSet:
     specs = tuple(specs)
     if not specs:
         raise ValueError("need at least one domain spec")
-    if indices is None:
-        indices = tuple(range(len(specs)))
-    else:
-        indices = tuple(indices)
-        if len(indices) != len(specs):
-            raise ValueError("indices and specs must have equal length")
-    realized = tuple(
-        (spec, _realize(spec, idx)) for spec, idx in zip(specs, indices)
-    )
-    return SourceSet(realized)
+    indices = tuple(range(len(specs)) if indices is None else indices)
+    if len(indices) != len(specs):
+        raise ValueError("indices and specs must have equal length")
+    return SourceSet(tuple((spec, _realize(spec, idx)) for spec, idx in zip(specs, indices)))
 
 
 def leave_one_out(specs, held: int) -> tuple[SourceSet, Batch]:
@@ -188,9 +182,8 @@ def leave_one_out(specs, held: int) -> tuple[SourceSet, Batch]:
     _expect(_is_int(held), "held-out index", "an integer", held)
     if not 0 <= held < len(specs):
         raise ValueError(f"held-out index {held} out of range for {len(specs)} domains")
-    train_specs = [s for i, s in enumerate(specs) if i != held]
     train_indices = [i for i in range(len(specs)) if i != held]
-    train = build_source_set(train_specs, train_indices)
+    train = build_source_set([specs[i] for i in train_indices], train_indices)
     test = _realize(specs[held], held, seed_offset=TEST_SEED_OFFSET)
     return train, test
 

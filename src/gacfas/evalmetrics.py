@@ -24,6 +24,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import numerics
+
 __all__ = ["ScoredSet", "hter_at_eer", "roc_auc", "tpr_at_fpr"]
 
 
@@ -45,7 +47,7 @@ class ScoredSet:
 
     def __post_init__(self):
         scores = np.ascontiguousarray(self.scores, dtype=np.float64)
-        labels = np.ascontiguousarray(self.labels, dtype=np.int64)
+        labels = np.ascontiguousarray(numerics._as_ints(self.labels, "labels"))
         if scores.ndim != 1 or scores.shape != labels.shape:
             raise ValueError(
                 f"scores and labels must be equal-length vectors, got {scores.shape} and {labels.shape}"

@@ -27,7 +27,6 @@ import struct
 import sys
 import tempfile
 from dataclasses import dataclass
-from operator import attrgetter
 from typing import BinaryIO, Callable, NamedTuple
 
 import numpy as np
@@ -93,10 +92,10 @@ class ExperimentConfig:
                 raise ConfigValueError(f"held_out must be a domain index or \"all\", got {self.held_out!r}")
         elif not 0 <= self.held_out < len(self.domains):
             raise ConfigValueError(f"held_out index {self.held_out} out of range for {len(self.domains)} domains")
-        if self.optimizer.schedule.period_steps != 0:
+        if self.optimizer.period_steps != 0:
             raise ConfigValueError(
-                f"optimizer.schedule.period_steps must be 0 (a run derives it from step_period_epochs), "
-                f"got {self.optimizer.schedule.period_steps}"
+                f"optimizer.period_steps must be 0 (a run derives it from step_period_epochs), "
+                f"got {self.optimizer.period_steps}"
             )
         if self.model.input_dim != 2 or self.model.n_classes != 2:
             raise ConfigValueError(
@@ -159,13 +158,11 @@ def _require_index(held, command: str) -> int:
 
 
 class _Key(NamedTuple):
-    """One row of a section table: a JSON key, the dataclass field it sets
-    when that is not the key itself, and the reader of a nested section's
-    value; any other value goes to the dataclass as it is. A dotted field
-    ("schedule.kind") sets a field of the dataclass that the first field holds."""
+    """One row of a section table: a JSON key, which is the name of the
+    dataclass field it sets, and the reader of a nested section's value; any
+    other value goes to the dataclass as it is."""
 
     name: str
-    field: str = ""
     read: Callable | None = None
 
 
@@ -184,26 +181,18 @@ def _section(cls):
         if unknown:
             raise ConfigKeyError(f"{ctx}: unknown key {unknown[0]!r} (allowed: {sorted(allowed)})")
         fields = {f.name: f for f in dataclasses.fields(cls)}
-        values, nested = {}, {}
+        values = {}
         for key in keys:
-            name, _, sub = (key.field or key.name).partition(".")
             if key.name in obj:
-                value = key.read(obj[key.name], f"{ctx}.{key.name}") if key.read else obj[key.name]
-                if sub:
-                    nested.setdefault(name, {})[sub] = value
-                else:
-                    values[name] = value
-            elif fields[name].default is fields[name].default_factory is dataclasses.MISSING:
+                values[key.name] = key.read(obj[key.name], f"{ctx}.{key.name}") if key.read else obj[key.name]
+            elif fields[key.name].default is fields[key.name].default_factory is dataclasses.MISSING:
                 raise ConfigValueError(f"{ctx}: missing required key {key.name!r}")
         try:
-            for name, sub_values in nested.items():
-                values[name] = fields[name].default_factory(**sub_values)
             return cls(**values)
         except ValueError as exc:
             field, named, expected = str(exc).partition(" must be ")
-            paths = {(key.field or key.name).rpartition(".")[2]: key.name for key in keys}
-            if named and field in paths:
-                raise ConfigValueError(f"{ctx}.{paths[field]}: expected {expected}") from exc
+            if named and field in allowed:
+                raise ConfigValueError(f"{ctx}.{field}: expected {expected}") from exc
             raise ConfigValueError(f"{ctx}: {exc}") from exc
 
     return read
@@ -227,13 +216,11 @@ _TABLES = {
     ),
     MlpSpec: tuple(map(_Key, ("layer_sizes", "activation"))),
     DomainSpec: tuple(map(_Key, ("rotation", "translation", "noise_sigma", "n_samples", "seed"))),
-    # The schedule's keys sit flat in the optimizer object.
-    OptimizerConfig: (
-        *map(_Key, ("mode", "eta0", "rho", "gamma", "weight_decay", "zero_grad_eps", "track_surrogate_gap")),
-        _Key("schedule", "schedule.kind"),
-        _Key("step_period_epochs", "schedule.period_epochs"),
-        _Key("step_factor", "schedule.factor"),
-    ),
+    # Every OptimizerConfig field but period_steps, which a run derives.
+    OptimizerConfig: tuple(map(_Key, (
+        "mode", "eta0", "rho", "gamma", "weight_decay", "zero_grad_eps", "track_surrogate_gap",
+        "schedule", "step_period_epochs", "step_factor",
+    ))),
 }
 
 
@@ -269,7 +256,7 @@ def config_to_dict(value) -> dict:
     """The config as plain JSON data, by the section tables: a section is a
     dict of its keys, and a tuple is a list."""
     if type(value) in _TABLES:
-        return {key.name: config_to_dict(attrgetter(key.field or key.name)(value)) for key in _TABLES[type(value)]}
+        return {key.name: config_to_dict(getattr(value, key.name)) for key in _TABLES[type(value)]}
     if isinstance(value, tuple):
         return [config_to_dict(v) for v in value]
     return value
@@ -291,11 +278,8 @@ def steps_per_epoch(cfg: ExperimentConfig, train_indices) -> int:
 
 
 def _resolved_optimizer(cfg: ExperimentConfig, speh: int) -> OptimizerConfig:
-    sched = cfg.optimizer.schedule
-    if sched.kind == "step":
-        sched = dataclasses.replace(sched, period_steps=sched.period_epochs * speh)
-        return dataclasses.replace(cfg.optimizer, schedule=sched)
-    return cfg.optimizer
+    opt = cfg.optimizer
+    return dataclasses.replace(opt, period_steps=opt.step_period_epochs * speh) if opt.schedule == "step" else opt
 
 
 def _score(spec: MlpSpec, params: ParamVector, inputs: np.ndarray) -> np.ndarray:
@@ -830,9 +814,7 @@ def run_convergence(cfg: ExperimentConfig, window: int = 40, trace_every: int = 
         raise ConfigValueError(
             f"window={window} must be in [1, {n_records}] (the number of full-set records, steps // trace_every)"
         )
-    sched = dataclasses.replace(cfg.optimizer.schedule, kind="theorem1")
-    opt_base = dataclasses.replace(cfg.optimizer, schedule=sched)
-    cfg = dataclasses.replace(cfg, optimizer=opt_base)
+    cfg = dataclasses.replace(cfg, optimizer=dataclasses.replace(cfg.optimizer, schedule="theorem1"))
     held = cfg.held_out if _is_int(cfg.held_out) else 0
     split = datagen.leave_one_out(list(cfg.domains), held)
     record = _train_on_split(cfg, cfg.seeds[0], held, split, fullset_every=trace_every)

@@ -168,24 +168,19 @@ class Batch:
 
     def __post_init__(self):
         inputs = np.ascontiguousarray(self.inputs, dtype=np.float64)
-        labels = np.ascontiguousarray(self.labels, dtype=np.int64)
-        domain_ids = np.ascontiguousarray(self.domain_ids, dtype=np.int64)
         if inputs.ndim != 2:
             raise ValueError(f"inputs must be an n x d matrix, got shape {inputs.shape}")
         n = inputs.shape[0]
         if n < 1:
             raise ValueError("batch must contain at least one sample")
-        if labels.shape != (n,) or domain_ids.shape != (n,):
-            raise ValueError(
-                f"labels/domain_ids must have length {n}, got {labels.shape} and {domain_ids.shape}"
-            )
-        if labels.min() < 0:
-            raise ValueError("labels must be non-negative class indices")
-        if domain_ids.min() < 0:
-            raise ValueError("domain_ids must be non-negative")
         object.__setattr__(self, "inputs", inputs)
-        object.__setattr__(self, "labels", labels)
-        object.__setattr__(self, "domain_ids", domain_ids)
+        for name in ("labels", "domain_ids"):
+            values = np.ascontiguousarray(numerics._as_ints(getattr(self, name), name))
+            if values.shape != (n,):
+                raise ValueError(f"{name} must have length {n}, got shape {values.shape}")
+            if values.min() < 0:
+                raise ValueError(f"{name} must be non-negative, got {values.min()}")
+            object.__setattr__(self, name, values)
 
     @property
     def n(self) -> int:
@@ -225,14 +220,16 @@ def _check_labeled(spec: MlpSpec, theta_shape, inputs, labels):
     the call's _Plan, whose lead is the shape of the (theta, sub-batch)
     pairs, which theta (..., P), inputs and labels broadcast to."""
     inputs = _check_inputs(spec, inputs)
-    labels = np.asarray(labels, dtype=np.int64)
+    labels = numerics._as_ints(labels, "labels")
     n = inputs.shape[-2]
     if n == 0:
         raise ValueError("cannot evaluate loss on an empty batch")
     if labels.ndim < 1 or labels.shape[-1] != n:
         raise ValueError(f"labels must be (..., {n}) to match the inputs, got shape {labels.shape}")
-    if labels.max() >= spec.n_classes:
-        raise ValueError(f"label {labels.max()} out of range for {spec.n_classes} classes")
+    # One reduction: a negative label, viewed as unsigned, is above any class count.
+    if labels.view(np.uint64).max() >= spec.n_classes:
+        bad = labels[(labels < 0) | (labels >= spec.n_classes)].flat[0]
+        raise ValueError(f"label {bad} out of range for {spec.n_classes} classes")
     plan = _plan_for(spec, theta_shape[:-1], inputs.shape[:-2], labels.shape[:-1], n)
     # Labels may carry leading axes the inputs lack; give the inputs every
     # pair's axes (a read-only view) so the logits cover every pair.

@@ -60,6 +60,19 @@ def _as_tuple(value, name: str) -> tuple:
     return tuple(value)
 
 
+def _as_ints(values, name: str) -> np.ndarray:
+    """values as int64: an integer or bool array as it is, with no reduction;
+    any other must hold whole numbers in int64's range, or is refused by name."""
+    values = np.asarray(values)
+    if values.dtype.kind in "biu":
+        return np.asarray(values, dtype=np.int64)
+    floats = np.asarray(values, dtype=np.float64)
+    whole = (floats == np.trunc(floats)) & (np.abs(floats) < 2.0**63)
+    if not whole.all():
+        raise ValueError(f"{name} must be whole numbers, got {float(floats[~whole].flat[0])}")
+    return floats.astype(np.int64)
+
+
 def zeros(n: int) -> np.ndarray:
     if n < 0:
         raise ValueError(f"vector length must be >= 0, got {n}")

@@ -55,7 +55,7 @@ gradients add in one np.add.reduce over the parts axis (see _grad_sum).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -70,51 +70,42 @@ SCHEDULE_KINDS = ("constant", "step", "theorem1")
 
 
 @dataclass(frozen=True)
-class Schedule:
-    """Decay rule applied to eta, rho and gamma alike.
-
-    kind "constant" keeps the base value; "step" multiplies by factor every
-    period; "theorem1" decays as base / sqrt(t). The step period is
-    configured in epochs and resolved to steps by the harness before any
-    step runs (period_steps = 0 means unresolved).
-    """
-
-    kind: str = "constant"
-    period_epochs: int = 40
-    factor: float = 0.1
-    period_steps: int = 0
-
-    def __post_init__(self):
-        if self.kind not in SCHEDULE_KINDS:
-            raise ValueError(f"kind must be one of {SCHEDULE_KINDS}, got {self.kind!r}")
-        for name in ("period_epochs", "period_steps"):
-            numerics._expect(numerics._is_int(getattr(self, name)), name, "an integer", getattr(self, name))
-        object.__setattr__(self, "factor", numerics._as_float(self.factor, "factor"))
-        if self.kind == "step":
-            if self.period_epochs < 1:
-                raise ValueError(f"step period must be >= 1 epoch, got {self.period_epochs}")
-            if not 0.0 < self.factor <= 1.0:
-                raise ValueError(f"step factor must be in (0, 1], got {self.factor}")
-
-
-@dataclass(frozen=True)
 class OptimizerConfig:
+    """One field per key of the config's optimizer object, and period_steps.
+
+    The schedule decays eta, rho and gamma alike: "constant" keeps the base
+    value; "step" multiplies it by step_factor every step_period_epochs, which
+    the harness resolves to period_steps (0: unresolved) before any step runs;
+    "theorem1" decays it as base / sqrt(t). The schedule is checked first."""
+
     mode: str = "gac_fas"
     eta0: float = 0.005
     rho: float = 0.1
     gamma: float = 0.0002
     weight_decay: float = 1e-4
-    schedule: Schedule = field(default_factory=Schedule)
+    schedule: str = "constant"
+    step_period_epochs: int = 40
+    step_factor: float = 0.1
+    period_steps: int = 0
     zero_grad_eps: float = 1e-12
     track_surrogate_gap: bool = True
 
     def __post_init__(self):
+        if self.schedule not in SCHEDULE_KINDS:
+            raise ValueError(f"schedule must be one of {SCHEDULE_KINDS}, got {self.schedule!r}")
+        for name in ("step_period_epochs", "period_steps"):
+            numerics._expect(numerics._is_int(getattr(self, name)), name, "an integer", getattr(self, name))
+        object.__setattr__(self, "step_factor", numerics._as_float(self.step_factor, "step_factor"))
+        if self.schedule == "step":
+            if self.step_period_epochs < 1:
+                raise ValueError(f"step period must be >= 1 epoch, got {self.step_period_epochs}")
+            if not 0.0 < self.step_factor <= 1.0:
+                raise ValueError(f"step factor must be in (0, 1], got {self.step_factor}")
         if self.mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
         for name in ("eta0", "rho", "gamma", "weight_decay", "zero_grad_eps"):
             object.__setattr__(self, name, numerics._as_float(getattr(self, name), name))
             _check_nonneg(name, getattr(self, name))
-        numerics._expect(isinstance(self.schedule, Schedule), "schedule", "a Schedule", self.schedule)
         gap = self.track_surrogate_gap
         numerics._expect(isinstance(gap, bool), "track_surrogate_gap", "true/false", gap)
 
@@ -177,15 +168,15 @@ def regularizer_grad(params: ParamVector, weight_decay: float) -> np.ndarray:
     return params.theta * float(weight_decay)
 
 
-def schedule_value(schedule: Schedule, base: float, t: int) -> float:
+def schedule_value(opt: OptimizerConfig, base: float, t: int) -> float:
     numerics._expect(numerics._is_int(t) and t >= 1, "step index", "an integer >= 1", t)
-    if schedule.kind == "constant":
+    if opt.schedule == "constant":
         return base
-    if schedule.kind == "theorem1":
+    if opt.schedule == "theorem1":
         return base / math.sqrt(t)
-    if schedule.period_steps < 1:
+    if opt.period_steps < 1:
         raise ValueError("step schedule period not resolved to steps (see harness)")
-    return base * schedule.factor ** ((t - 1) // schedule.period_steps)
+    return base * opt.step_factor ** ((t - 1) // opt.period_steps)
 
 
 def _loss_and_grad(model, theta: np.ndarray, inputs, labels):
@@ -356,7 +347,7 @@ def _descent(direction, model, theta: np.ndarray, batch, cfg: OptimizerConfig, t
     (eta_t, d, loss_erm), with (d, per-domain perturbed gradients, gap) from
     direction; the record's gap is NaN unless track_gap. The schedule values
     come first, so a bad t or an unresolved period fails before any model call."""
-    eta_t, rho_t, gamma_t = (schedule_value(cfg.schedule, base, t) for base in (cfg.eta0, cfg.rho, cfg.gamma))
+    eta_t, rho_t, gamma_t = (schedule_value(cfg, base, t) for base in (cfg.eta0, cfg.rho, cfg.gamma))
     parts = _domain_parts(model, batch)
     plain = _pair_losses_grads(model, theta, parts)
     losses = plain[0].tolist()

@@ -54,6 +54,13 @@ def test_scored_set_validation():
         hter_at_eer(single)
 
 
+def test_scored_set_refuses_labels_that_are_not_whole_numbers():
+    """0.6 was truncated to 0, and the set read AUC 0.5."""
+    with pytest.raises(ValueError, match=r"^labels must be whole numbers, got 0\.6$"):
+        ScoredSet([0.1, 0.2, 0.3], [0.0, 1.0, 0.6])
+    assert ScoredSet([0.1, 0.2, 0.3], [0.0, 1.0, 1.0]).labels.tolist() == [0, 1, 1]
+
+
 def test_scored_set_rejects_non_finite_scores():
     labels = np.array([1, 0, 1, 0])
     for bad in (math.nan, math.inf, -math.inf):

@@ -51,7 +51,7 @@ from gacfas.harness import (
 )
 from gacfas.model import MlpSpec, ParamVector, init_params, layout_for
 from gacfas.numerics import Prng
-from gacfas.optim import MODES, OptimizerConfig, Schedule, StepDiagnostics, take_step
+from gacfas.optim import MODES, OptimizerConfig, StepDiagnostics, take_step
 
 
 def tiny_config(output_dir: str = "out", **overrides) -> ExperimentConfig:
@@ -126,6 +126,29 @@ def test_cli_refuses_a_config_file_that_is_not_utf8_by_its_path(tmp_path, capsys
         load_config(str(path))
     assert cli.main(["train", "--config", str(path), "--seed", "0"]) == 1
     assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_cli_refuses_a_manifest_that_is_not_utf8_by_its_path(tmp_path, capsys):
+    out_dir = tmp_path / "out"
+    out_dir.mkdir()
+    manifest = out_dir / "manifest.json"
+    manifest.write_bytes(b"\xff\xfe{}")
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(tiny_config_json(str(out_dir)))
+    assert cli.main(["train", "--config", str(cfg_path), "--seed", "0"]) == 1
+    reason = "'utf-8' codec can't decode byte 0xff in position 0: invalid start byte"
+    assert capsys.readouterr().err == f"error: {manifest} is not a readable run manifest: {reason}\n"
+    assert sorted(p.name for p in out_dir.iterdir()) == ["manifest.json"]
+    assert manifest.read_bytes() == b"\xff\xfe{}"
+
+
+def test_the_readme_config_parses_and_round_trips():
+    """The JSON block under README's CLI section is the format's one example."""
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    block = re.search(r"^## CLI$.*?^```json$(.*?)^```$", readme, re.S | re.M).group(1)
+    cfg = parse_config(block, "README.md")
+    again = parse_config(config_to_json(cfg))
+    assert again == cfg and config_digest(again) == config_digest(cfg)
 
 
 def _cli_train_exit(tmp_path, text: str) -> int:
@@ -251,18 +274,25 @@ def test_parse_names_the_path_of_a_wrong_typed_value(path, value):
     assert str(info.value).startswith(f"{named}: ")
 
 
-# The dataclass field that each JSON key sets: the schedule's keys set
-# Schedule's fields, and every other key the field of its own name.
-_SCHEDULE_FIELDS = {"schedule": "kind", "step_period_epochs": "period_epochs", "step_factor": "factor"}
 _SECTIONS = {"": ExperimentConfig, "model": MlpSpec, "domains[0]": DomainSpec, "optimizer": OptimizerConfig}
 
 
+def test_every_json_key_is_the_name_of_the_field_it_sets():
+    """Each section's keys are its dataclass's fields, but for period_steps,
+    which a run derives from step_period_epochs."""
+    assert harness._TABLES.keys() == set(_SECTIONS.values())
+    for cls, keys in harness._TABLES.items():
+        fields = [f.name for f in dataclasses.fields(cls) if (cls, f.name) != (OptimizerConfig, "period_steps")]
+        assert sorted(key.name for key in keys) == sorted(fields)
+
+
 def _field_of(path: str):
+    """The dataclass and field that the JSON key at path sets."""
     section, _, key = path.rpartition(".")
-    return (Schedule, _SCHEDULE_FIELDS[key]) if key in _SCHEDULE_FIELDS else (_SECTIONS[section], key)
+    return _SECTIONS[section], key
 
 
-# Every field of the five config dataclasses, built in code with a value
+# Every field of the four config dataclasses, built in code with a value
 # that is not of its type: each WRONG_TYPED value, then the values that were
 # once accepted or failed far from their field.
 IN_CODE = [(*_field_of(path), value) for path, value in WRONG_TYPED] + [
@@ -281,15 +311,14 @@ IN_CODE = [(*_field_of(path), value) for path, value in WRONG_TYPED] + [
     (OptimizerConfig, "eta0", True),
     (OptimizerConfig, "eta0", 10**400),
     (OptimizerConfig, "track_surrogate_gap", 1),
-    (OptimizerConfig, "schedule", "step"),
-    (Schedule, "period_epochs", 2.5),
-    (Schedule, "factor", True),
-    (Schedule, "period_steps", 2.5),
+    (OptimizerConfig, "step_period_epochs", 2.5),
+    (OptimizerConfig, "step_factor", True),
+    (OptimizerConfig, "period_steps", 2.5),
 ]
 
 
 def test_in_code_cases_cover_every_config_field():
-    classes = (ExperimentConfig, MlpSpec, DomainSpec, OptimizerConfig, Schedule)
+    classes = (ExperimentConfig, MlpSpec, DomainSpec, OptimizerConfig)
     every = {(cls, f.name) for cls in classes for f in dataclasses.fields(cls)}
     assert {(cls, name) for cls, name, _ in IN_CODE} == every
 
@@ -298,7 +327,7 @@ def test_in_code_cases_cover_every_config_field():
     "cls,name,value", IN_CODE, ids=[f"{cls.__name__}.{name}={value!r:.20}" for cls, name, value in IN_CODE]
 )
 def test_a_config_built_in_code_refuses_a_wrong_typed_field_by_name(cls, name, value):
-    base = {MlpSpec: {"layer_sizes": (2, 4, 2)}, Schedule: {"kind": "step"}}.get(cls, {})
+    base = {MlpSpec: {"layer_sizes": (2, 4, 2)}}.get(cls, {})
     with pytest.raises((ValueError, ConfigValueError)) as info:
         if cls is ExperimentConfig:
             dataclasses.replace(tiny_config(), **{name: value})
@@ -382,9 +411,9 @@ def test_a_config_refuses_a_step_period_the_run_would_derive(kind):
     """A run sets period_steps from step_period_epochs, and the config echo
     does not hold it, so a config that sets it would train on a period its
     manifest does not record."""
-    schedule = Schedule(kind=kind, period_epochs=40, period_steps=5)
-    with pytest.raises(ConfigValueError, match=r"optimizer\.schedule\.period_steps must be 0 .*got 5"):
-        default_experiment(held_out=3, steps=40, eval_every=20, eval_window=1, optimizer={"eta0": 0.1, "schedule": schedule})
+    optimizer = {"eta0": 0.1, "schedule": kind, "step_period_epochs": 40, "period_steps": 5}
+    with pytest.raises(ConfigValueError, match=r"optimizer\.period_steps must be 0 .*got 5"):
+        default_experiment(held_out=3, steps=40, eval_every=20, eval_window=1, optimizer=optimizer)
 
 
 def test_config_invariants():
@@ -628,13 +657,14 @@ config = sys.argv[1]
 assert cli.main(["train", "--config", config, "--seed", "0"]) == 0
 assert cli.main(["loo", "--config", config]) == 0
 assert cli.main(["convergence", "--config", config, "--window", "1", "--trace-every", "5"]) == 0
-print("numpy.ma" in sys.modules)
+print("numpy.ma" in sys.modules, "decimal" in sys.modules)
 """
 
 
 def test_train_loo_and_convergence_never_import_numpy_ma(tmp_path):
     """numpy.ma costs 15-20 ms to import, and np.unique imports it; no run
-    command needs either."""
+    command needs either. Nor does a valid config need decimal (0.44 MiB of
+    RSS), which the config reader loads only for a non-finite literal."""
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(tiny_config_json(str(tmp_path / "out")))
     src = str(Path(harness.__file__).parents[1])
@@ -644,7 +674,7 @@ def test_train_loo_and_convergence_never_import_numpy_ma(tmp_path):
         capture_output=True, text=True, env=env, timeout=300,
     )
     assert done.returncode == 0, done.stderr
-    assert done.stdout.splitlines()[-1] == "False"
+    assert done.stdout.splitlines()[-1] == "False False"
 
 
 _THREADS_AT_FORK = """
@@ -710,8 +740,8 @@ def test_run_training_manifest_contents():
 
 
 def test_run_training_step_schedule_resolves_period():
-    sched = Schedule(kind="step", period_epochs=1, factor=0.5)
-    cfg = tiny_config(optimizer=OptimizerConfig(mode="erm", eta0=0.1, schedule=sched))
+    opt = OptimizerConfig(mode="erm", eta0=0.1, schedule="step", step_period_epochs=1, step_factor=0.5)
+    cfg = tiny_config(optimizer=opt)
     rec = run_training(cfg, seed=0)  # would raise if the period stayed unresolved
     assert rec.manifest["steps_per_epoch"] == 3
 
@@ -1347,7 +1377,7 @@ def test_gac_fas_step_on_a_source_set_is_the_fullset_record():
     """fullset_step_diagnostics is the record of a gac_fas step on the whole
     source set, record for record along a run's iterates."""
     cfg, source, params = _fullset_case(0)
-    opt = dataclasses.replace(cfg.optimizer, schedule=Schedule("theorem1"))
+    opt = dataclasses.replace(cfg.optimizer, schedule="theorem1")
     for t in range(1, 6):
         params, step_diag = take_step(cfg.model, params, source, opt, t)
         full = fullset_step_diagnostics(cfg.model, params, source, opt, t + 1)

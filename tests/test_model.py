@@ -176,6 +176,46 @@ def test_label_out_of_range_rejected():
         loss_and_grad(spec, params, bad)
 
 
+@pytest.mark.parametrize(
+    "labels,message",
+    [
+        ([0, -2], r"^label -2 out of range for 2 classes$"),
+        ([0, -1], r"^label -1 out of range for 2 classes$"),
+        ([[0, 1], [1, -1]], r"^label -1 out of range for 2 classes$"),
+        ([0.0, 1.7], r"^labels must be whole numbers, got 1\.7$"),
+    ],
+    ids=["-2", "-1", "stacked -1", "1.7"],
+)
+def test_the_kernel_refuses_a_negative_or_fractional_label_by_name(labels, message):
+    """A negative label read another entry's logit ([0, -2] gave the loss of
+    [0, 1]), and 1.7 was read as 1."""
+    spec = MlpSpec((2, 4, 2), "tanh")
+    theta = init_params(spec, Prng(0, 0)).theta
+    inputs = np.array([[0.1, 0.2], [0.3, -0.4]])
+    assert mean_loss(spec, theta, inputs, [0.0, 1.0]) == mean_loss(spec, theta, inputs, [0, 1])
+    for fn in (mean_loss, mean_loss_and_grad):
+        with pytest.raises(ValueError, match=message):
+            fn(spec, theta, inputs, labels)
+
+
+@pytest.mark.parametrize(
+    "labels,domain_ids,message",
+    [
+        ([0.0, 1.7], [0, 0], r"^labels must be whole numbers, got 1\.7$"),
+        ([0, 1], [0, 0.9], r"^domain_ids must be whole numbers, got 0\.9$"),
+        ([0, 1], [0, float("nan")], r"^domain_ids must be whole numbers, got nan$"),
+    ],
+    ids=["labels 1.7", "domain_ids 0.9", "domain_ids nan"],
+)
+def test_a_batch_refuses_labels_and_domain_ids_that_are_not_whole_numbers(labels, domain_ids, message):
+    """Both were truncated: [0.0, 1.7] and [0, 0.9] held [0, 1] and [0, 0]."""
+    with pytest.raises(ValueError, match=message):
+        Batch(np.zeros((2, 2)), labels, domain_ids)
+    whole = Batch(np.zeros((2, 2)), [0.0, 1.0], [1.0, 0.0])
+    assert whole.labels.dtype == whole.domain_ids.dtype == np.int64
+    assert whole.labels.tolist() == [0, 1] and whole.domain_ids.tolist() == [1, 0]
+
+
 def test_labels_must_match_the_row_count():
     spec, params, batch = random_instance(3, sizes=(2, 4, 2))
     with pytest.raises(ValueError, match="labels"):

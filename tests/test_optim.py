@@ -23,7 +23,6 @@ from gacfas.optim import (
     _grad_sum,
     _loss_sum,
     OptimizerConfig,
-    Schedule,
     ascending_vector,
     batch_loss,
     batch_loss_and_grad,
@@ -45,14 +44,13 @@ from helpers import (
 )
 
 
-def cfg(mode="gac_fas", eta0=0.1, rho=0.1, gamma=0.0, weight_decay=0.0, schedule=None, **kw):
+def cfg(mode="gac_fas", eta0=0.1, rho=0.1, gamma=0.0, weight_decay=0.0, **kw):
     return OptimizerConfig(
         mode=mode,
         eta0=eta0,
         rho=rho,
         gamma=gamma,
         weight_decay=weight_decay,
-        schedule=schedule or Schedule(),
         **kw,
     )
 
@@ -63,7 +61,7 @@ def cfg(mode="gac_fas", eta0=0.1, rho=0.1, gamma=0.0, weight_decay=0.0, schedule
 def test_config_defaults_and_validation():
     c = OptimizerConfig()
     assert c.mode == "gac_fas" and c.gamma == 0.0002 and c.rho == 0.1 and c.eta0 == 0.005
-    assert c.schedule.kind == "constant" and c.schedule.period_epochs == 40 and c.schedule.factor == 0.1
+    assert c.schedule == "constant" and c.step_period_epochs == 40 and c.step_factor == 0.1 and c.period_steps == 0
     assert c.zero_grad_eps == 1e-12
     with pytest.raises(ValueError):
         OptimizerConfig(mode="adam")
@@ -76,11 +74,11 @@ def test_config_defaults_and_validation():
     with pytest.raises(ValueError):
         OptimizerConfig(weight_decay=-1.0)
     with pytest.raises(ValueError):
-        Schedule(kind="cosine")
+        OptimizerConfig(schedule="cosine")
     with pytest.raises(ValueError):
-        Schedule(kind="step", factor=0.0)
+        OptimizerConfig(schedule="step", step_factor=0.0)
     with pytest.raises(ValueError):
-        Schedule(kind="step", period_epochs=0)
+        OptimizerConfig(schedule="step", step_period_epochs=0)
 
 
 @pytest.mark.parametrize("name", ["eta0", "rho", "gamma", "weight_decay", "zero_grad_eps"])
@@ -146,20 +144,20 @@ def test_regularizer_grad_examples():
 
 
 def test_schedule_values():
-    const = Schedule()
+    const = OptimizerConfig()
     assert schedule_value(const, 0.3, 1) == 0.3
     assert schedule_value(const, 0.3, 999) == 0.3
-    th = Schedule(kind="theorem1")
+    th = OptimizerConfig(schedule="theorem1")
     assert schedule_value(th, 0.1, 1) == 0.1
     assert schedule_value(th, 0.1, 4) == 0.05
-    step = Schedule(kind="step", period_epochs=2, factor=0.1, period_steps=10)
+    step = OptimizerConfig(schedule="step", step_period_epochs=2, step_factor=0.1, period_steps=10)
     assert schedule_value(step, 1.0, 10) == 1.0
     assert schedule_value(step, 1.0, 11) == pytest.approx(0.1)
     assert schedule_value(step, 1.0, 21) == pytest.approx(0.01)
     with pytest.raises(ValueError):
         schedule_value(const, 0.1, 0)
     with pytest.raises(ValueError):
-        schedule_value(Schedule(kind="step"), 0.1, 5)  # period not resolved to steps
+        schedule_value(OptimizerConfig(schedule="step"), 0.1, 5)  # period not resolved to steps
 
 
 @pytest.mark.parametrize("t", [2.5, True, 0])
@@ -168,7 +166,7 @@ def test_a_step_index_that_is_not_an_int_is_refused_by_name_before_any_model_cal
     message = f"^step index must be an integer >= 1, got {t!r}$"
     for kind in ("constant", "theorem1"):
         with pytest.raises(ValueError, match=message):
-            schedule_value(Schedule(kind), 1.0, t)
+            schedule_value(OptimizerConfig(schedule=kind), 1.0, t)
     model = CountingQuadratic()
     for mode in MODES:
         with pytest.raises(ValueError, match=message):
@@ -179,11 +177,11 @@ def test_a_step_index_that_is_not_an_int_is_refused_by_name_before_any_model_cal
 
 
 def test_theorem1_schedule_coupling():
-    c = OptimizerConfig(schedule=Schedule(kind="theorem1"), eta0=0.3, rho=0.1, gamma=0.0002)
+    c = OptimizerConfig(schedule="theorem1", eta0=0.3, rho=0.1, gamma=0.0002)
     for t in (1, 2, 7, 100, 999):
-        assert abs(schedule_value(c.schedule, c.eta0, t) * math.sqrt(t) - c.eta0) <= 1e-12
-        assert abs(schedule_value(c.schedule, c.rho, t) * math.sqrt(t) - c.rho) <= 1e-12
-        assert abs(schedule_value(c.schedule, c.gamma, t) * math.sqrt(t) - c.gamma) <= 1e-12
+        assert abs(schedule_value(c, c.eta0, t) * math.sqrt(t) - c.eta0) <= 1e-12
+        assert abs(schedule_value(c, c.rho, t) * math.sqrt(t) - c.rho) <= 1e-12
+        assert abs(schedule_value(c, c.gamma, t) * math.sqrt(t) - c.gamma) <= 1e-12
 
 
 # ------------------------------------------------------------------- erm ----
@@ -334,7 +332,7 @@ def test_gac_gamma_offset_moves_ascending_point():
 
 
 def test_gac_schedules_apply_to_eta_rho_gamma_together():
-    c = cfg("gac_fas", eta0=0.1, rho=0.1, gamma=0.05, schedule=Schedule(kind="theorem1"))
+    c = cfg("gac_fas", eta0=0.1, rho=0.1, gamma=0.05, schedule="theorem1")
     params, _ = take_step(ScalarQuadratic(), scalar_params(1.0), k_domain_batch(2), c, t=4)
     # hand recomputation at t=4: eta=rho=0.05, gamma=0.025
     # g=2, eps=0.05, theta_adv=1+0.05-0.05=1, gp=2, update=-0.05*4=-0.2

@@ -45,7 +45,7 @@ from gacfas.harness import (
     write_outputs,
 )
 from gacfas.model import MlpSpec
-from gacfas.optim import MODES, OptimizerConfig, Schedule
+from gacfas.optim import MODES, OptimizerConfig
 
 
 def pin_config(mode: str, activation: str = "tanh", opt=None, **overrides) -> ExperimentConfig:
@@ -178,7 +178,7 @@ STEP_SCHEDULE_RUN_PINS = {
 @pytest.mark.parametrize("mode", MODES)
 def test_step_schedule_run_outputs_match_pinned_digests(tmp_path, mode):
     # 5 steps per epoch: eta, rho and gamma halve every 10 of the 40 steps.
-    cfg = pin_config(mode, opt={"schedule": Schedule("step", period_epochs=2, factor=0.5)})
+    cfg = pin_config(mode, opt={"schedule": "step", "step_period_epochs": 2, "step_factor": 0.5})
     assert _run_digests(cfg, tmp_path) == STEP_SCHEDULE_RUN_PINS[mode]
 
 
