@@ -30,7 +30,7 @@ class _Parser(argparse.ArgumentParser):
 
 def _parse_grid(text: str, name: str):
     try:
-        values = [float(v) for v in text.split(",") if v.strip() != ""]
+        values = [float(v) for v in text.split(",")]
     except ValueError as exc:
         raise ConfigValueError(f"--{name}: expected comma-separated numbers, got {text!r}") from exc
     return values
@@ -64,13 +64,12 @@ def _cmd_train(args) -> int:
     _refuse_other_seed(cfg.output_dir, args.seed)
     record = harness.run_training(cfg, args.seed)
     paths = harness.write_outputs(record, cfg.output_dir)
-    final = record.evals[-1] if record.evals else None
-    if final is not None:
-        print(
-            f"seed {args.seed} held_out {record.manifest['held_out']} step {final.step}: "
-            f"hter={final.hter:.4f} auc={final.auc:.4f} tpr95={final.tpr95:.4f} "
-            f"train_loss={final.train_loss:.4f} surrogate_gap={final.surrogate_gap:.6f}"
-        )
+    final = record.evals[-1]
+    print(
+        f"seed {args.seed} held_out {record.manifest['held_out']} step {final.step}: "
+        f"hter={final.hter:.4f} auc={final.auc:.4f} tpr95={final.tpr95:.4f} "
+        f"train_loss={final.train_loss:.4f} surrogate_gap={final.surrogate_gap:.6f}"
+    )
     print(f"wrote {paths['metrics']}")
     return 0
 

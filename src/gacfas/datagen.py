@@ -60,14 +60,14 @@ class DomainSpec:
 
 @dataclass(frozen=True)
 class SourceSet:
-    """Realized domains; every batch carries its domain's index uniformly.
+    """Realized domain batches, each carrying its domain's index uniformly.
 
     The set stacks its domains' rows once, on construction, and keeps each
     domain's batch as a read-only view of its block. It also keeps what the
     sampler needs: where each domain's rows start and the smallest domain
     size."""
 
-    domains: tuple[tuple[DomainSpec, Batch], ...]
+    domains: tuple[Batch, ...]
     _rows: Batch = field(init=False, repr=False, compare=False)
     _starts: np.ndarray = field(init=False, repr=False, compare=False)
     _sizes: tuple[int, ...] = field(init=False, repr=False, compare=False)
@@ -76,28 +76,27 @@ class SourceSet:
     def __post_init__(self):
         if not self.domains:
             raise ValueError("a source set needs at least one realized domain")
-        for _, batch in self.domains:
+        for batch in self.domains:
             if batch.domain_ids.min() != batch.domain_ids.max():
                 raise ValueError(f"realized domain batch mixes domain ids {sorted(set(batch.domain_ids.tolist()))}")
-        ids = [int(batch.domain_ids[0]) for _, batch in self.domains]
+        ids = [int(batch.domain_ids[0]) for batch in self.domains]
         repeated = sorted({i for i in ids if ids.count(i) > 1})
         if repeated:
             raise ValueError(f"a source set's domains must hold distinct ids, got {ids} (repeated: {repeated})")
-        batches = [batch for _, batch in self.domains]
         rows = Batch(
-            np.concatenate([b.inputs for b in batches]),
-            np.concatenate([b.labels for b in batches]),
-            np.concatenate([b.domain_ids for b in batches]),
+            np.concatenate([b.inputs for b in self.domains]),
+            np.concatenate([b.labels for b in self.domains]),
+            np.concatenate([b.domain_ids for b in self.domains]),
         )
         # Every caller shares these rows; make a stray write fail loudly.
         for array in (rows.inputs, rows.labels, rows.domain_ids):
             array.flags.writeable = False
-        sizes = tuple(b.n for b in batches)
+        sizes = tuple(b.n for b in self.domains)
         starts = np.cumsum((0,) + sizes[:-1], dtype=np.int64)
         # Hold the rows once: each domain's batch becomes a view of its block.
         views = tuple(
-            (spec, Batch(rows.inputs[a : a + n], rows.labels[a : a + n], rows.domain_ids[a : a + n]))
-            for (spec, _), a, n in zip(self.domains, starts.tolist(), sizes)
+            Batch(rows.inputs[a : a + n], rows.labels[a : a + n], rows.domain_ids[a : a + n])
+            for a, n in zip(starts.tolist(), sizes)
         )
         object.__setattr__(self, "domains", views)
         object.__setattr__(self, "_rows", rows)
@@ -167,7 +166,7 @@ def build_source_set(specs, indices=None) -> SourceSet:
     indices = tuple(range(len(specs)) if indices is None else indices)
     if len(indices) != len(specs):
         raise ValueError("indices and specs must have equal length")
-    return SourceSet(tuple((spec, _realize(spec, idx)) for spec, idx in zip(specs, indices)))
+    return SourceSet(tuple(_realize(spec, idx) for spec, idx in zip(specs, indices)))
 
 
 def leave_one_out(specs, held: int) -> tuple[SourceSet, Batch]:

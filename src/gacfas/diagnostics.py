@@ -36,20 +36,20 @@ class LandscapeGrid:
     offsets is a (steps,) array of s values for dims=1, or an (n_points, 2)
     array of (s, u) pairs in row-major order (s outer, u inner) for dims=2.
     losses[i] is the loss at theta + s*d1 (+ u*d2) for offsets[i].
-    center_loss duplicates the loss at the zero offset.
     """
 
     offsets: np.ndarray
     losses: np.ndarray
-    directions: tuple[np.ndarray, ...]
-    center_loss: float
 
     def __post_init__(self):
         n = self.offsets.shape[0]
         if self.losses.shape != (n,):
             raise ValueError(f"losses shape {self.losses.shape} does not match {n} offsets")
-        if len(self.directions) not in (1, 2):
-            raise ValueError("directions must hold 1 or 2 vectors")
+
+    @property
+    def center_loss(self) -> float:
+        """The loss at the zero offset, the grid's center index."""
+        return float(self.losses[len(self.losses) // 2])
 
 
 @dataclass(frozen=True)
@@ -58,15 +58,15 @@ class ConvergenceTrace:
     constant C fitted so that C log(t+1)/sqrt(t) matches the first-quartile
     windows (the larger of the two per-series fits; one curve covers both).
 
-    t[i] is the last step index of window i. exceed_frac_* is the fraction of
-    post-fit windows whose mean lies above the fitted curve.
+    t[i] is the last step index of window i. C is fitted on the first
+    ceil(len(t)/4) windows; exceed_frac_* is the fraction of the others whose
+    mean lies above the fitted curve.
     """
 
     t: tuple[int, ...]
     grad_sq: tuple[float, ...]
     adv_grad_sq: tuple[float, ...]
     fitted_C: float
-    n_fit_windows: int
     exceed_frac_grad: float
     exceed_frac_adv: float
 
@@ -77,7 +77,12 @@ class ConvergenceTrace:
             raise ValueError("squared gradient norms must be >= 0")
 
     def bound(self, t: int) -> float:
-        return self.fitted_C * math.log(t + 1.0) / math.sqrt(t)
+        return _bound(self.fitted_C, t)
+
+
+def _bound(c: float, t: int) -> float:
+    """The curve c log(t+1)/sqrt(t) at step t."""
+    return c * math.log(t + 1.0) / math.sqrt(t)
 
 
 def surrogate_gap(model, params: ParamVector, batch, opt: OptimizerConfig):
@@ -152,11 +157,11 @@ def landscape_slice(model, params: ParamVector, batch: Batch, dims: int, radius:
             point = axpy(x, d, point)
         losses[j] = batch_loss(model, point, batch)
     offsets = coords if dims == 1 else np.array(grid, dtype=np.float64)
-    return LandscapeGrid(offsets, losses, directions, float(losses[len(grid) // 2]))
+    return LandscapeGrid(offsets, losses)
 
 
 def convergence_trace(diag_stream, window: int) -> ConvergenceTrace:
-    """Windowed means of grad_norm^2 and of mean(adv_grad_norms^2), with C
+    """Windowed means of grad_norm^2 and of adv_grad_sq_mean, with C
     fitted on the first quartile of windows and exceed fractions over the
     rest. Only full windows are used; the stream must cover at least one."""
     stream = list(diag_stream)
@@ -174,9 +179,7 @@ def convergence_trace(diag_stream, window: int) -> ConvergenceTrace:
         chunk = stream[w * window : (w + 1) * window]
         t_vals.append(int(chunk[-1].step_index))
         grad_means.append(sum(d.grad_norm**2 for d in chunk) / window)
-        adv_means.append(
-            sum(sum(v**2 for v in d.adv_grad_norms) / len(d.adv_grad_norms) for d in chunk) / window
-        )
+        adv_means.append(sum(d.adv_grad_sq_mean for d in chunk) / window)
     n_fit = max(1, math.ceil(n_windows / 4))
 
     def _fit(means):
@@ -188,15 +191,13 @@ def convergence_trace(diag_stream, window: int) -> ConvergenceTrace:
         later = range(n_fit, n_windows)
         if not len(later):
             return 0.0
-        bound = [fitted_c * math.log(t_vals[w] + 1.0) / math.sqrt(t_vals[w]) for w in later]
-        return sum(1 for w, b in zip(later, bound) if means[w] > b) / len(later)
+        return sum(1 for w in later if means[w] > _bound(fitted_c, t_vals[w])) / len(later)
 
     return ConvergenceTrace(
         t=tuple(t_vals),
         grad_sq=tuple(grad_means),
         adv_grad_sq=tuple(adv_means),
         fitted_C=fitted_c,
-        n_fit_windows=n_fit,
         exceed_frac_grad=_exceed(grad_means),
         exceed_frac_adv=_exceed(adv_means),
     )

@@ -120,8 +120,8 @@ class ExperimentConfig:
             raise ConfigValueError(
                 f"eval_window={self.eval_window} must be in [1, {n_evals}] (the number of evaluations)"
             )
-        if self.diagnostics_every < 1:
-            raise ConfigValueError(f"diagnostics_every must be >= 1, got {self.diagnostics_every}")
+        if not 1 <= self.diagnostics_every <= self.steps:
+            raise ConfigValueError(f"diagnostics_every={self.diagnostics_every} must be in [1, steps={self.steps}]")
         if not self.seeds:
             raise ConfigValueError("seeds must be nonempty")
         repeated = sorted({seed for seed in self.seeds if self.seeds.count(seed) > 1})
@@ -437,8 +437,7 @@ def diagnostics_csv(record: RunRecord) -> str:
     return _csv(
         ["t", "loss_erm", "grad_norm", "surrogate_gap", *cos_cols, "adv_grad_sq_mean"],
         (
-            [d.step_index, d.loss_erm, d.grad_norm, d.surrogate_gap, *d.alignment_cos,
-             sum(v**2 for v in d.adv_grad_norms) / len(d.adv_grad_norms)]
+            [d.step_index, d.loss_erm, d.grad_norm, d.surrogate_gap, *d.alignment_cos, d.adv_grad_sq_mean]
             for d in record.diagnostics
         ),
     )

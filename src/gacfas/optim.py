@@ -118,7 +118,7 @@ class StepDiagnostics:
     loop asks on the steps it keeps), and it holds plain floats and ints,
     never a gradient array.
 
-    Per-domain entries follow ascending domain-id order (see domain_ids).
+    Per-domain entries follow ascending domain-id order.
     Modes without per-domain perturbed gradients fill the per-domain slots
     with their closest analog: erm records the plain per-domain gradients,
     sam_whole replicates its single perturbed gradient across domains.
@@ -126,13 +126,16 @@ class StepDiagnostics:
     """
 
     step_index: int
-    domain_ids: tuple[int, ...]
     loss_erm: float
-    per_domain_loss: tuple[float, ...]
     grad_norm: float
     alignment_cos: tuple[float, ...]
     adv_grad_norms: tuple[float, ...]
     surrogate_gap: float
+
+    @property
+    def adv_grad_sq_mean(self) -> float:
+        """The mean of adv_grad_norms squared, read by diagnostics.csv and the convergence fit."""
+        return sum(v**2 for v in self.adv_grad_norms) / len(self.adv_grad_norms)
 
 
 def _check_nonneg(name: str, value) -> None:
@@ -229,7 +232,7 @@ def _domain_parts(model, batch) -> _Parts:
     split into. Other batches and the duck-typed models take per-domain
     copies through domain_slices."""
     if isinstance(batch, SourceSet):
-        batches = sorted((b for _, b in batch.domains), key=lambda b: int(b.domain_ids[0]))
+        batches = sorted(batch.domains, key=lambda b: int(b.domain_ids[0]))
         return _Parts(
             tuple(int(b.domain_ids[0]) for b in batches), [b.inputs for b in batches], [b.labels for b in batches]
         )
@@ -324,17 +327,14 @@ def _cos(dot_ab: float, norm_a: float, norm_b: float) -> float:
     return min(1.0, max(-1.0, cos))
 
 
-def _diagnostics(t: int, ids, losses: list, loss: float, g: np.ndarray, adv_grads, gap: float) -> StepDiagnostics:
-    """The step record: losses[i] is domain i's plain loss and adv_grads[i]
-    its perturbed (or, for erm, plain) gradient; gap is already NaN when
-    tracking is off."""
+def _diagnostics(t: int, loss: float, g: np.ndarray, adv_grads, gap: float) -> StepDiagnostics:
+    """The step record: adv_grads[i] is domain i's perturbed (or, for erm,
+    plain) gradient; gap is already NaN when tracking is off."""
     g_norm = l2_norm(g)
     adv_norms = tuple(l2_norm(gp) for gp in adv_grads)
     return StepDiagnostics(
         step_index=t,
-        domain_ids=ids,
         loss_erm=loss,
-        per_domain_loss=tuple(losses),
         grad_norm=g_norm,
         alignment_cos=tuple(_cos(dot(gp, g), norm, g_norm) for gp, norm in zip(adv_grads, adv_norms)),
         adv_grad_norms=adv_norms,
@@ -350,12 +350,11 @@ def _descent(direction, model, theta: np.ndarray, batch, cfg: OptimizerConfig, t
     eta_t, rho_t, gamma_t = (schedule_value(cfg, base, t) for base in (cfg.eta0, cfg.rho, cfg.gamma))
     parts = _domain_parts(model, batch)
     plain = _pair_losses_grads(model, theta, parts)
-    losses = plain[0].tolist()
-    loss, g = _loss_sum(losses), _grad_sum(plain[1])
+    loss, g = _loss_sum(plain[0].tolist()), _grad_sum(plain[1])
     d, adv_grads, gap = direction(model, theta, parts, plain, loss, g, rho_t, gamma_t, cfg.zero_grad_eps)
     if not record:
         return eta_t, d, loss
-    return eta_t, d, _diagnostics(t, parts.ids, losses, loss, g, adv_grads, gap if track_gap else math.nan)
+    return eta_t, d, _diagnostics(t, loss, g, adv_grads, gap if track_gap else math.nan)
 
 
 def _erm(model, theta, parts, plain, loss, g, rho_t, gamma_t, zero_grad_eps):

@@ -316,7 +316,7 @@ def reference_sample_minibatch(source, per_domain: int, prng: Prng) -> Batch:
     must match it bit for bit, and leave the stream at the same draw."""
     picks = [
         (batch, prng.generator.choice(batch.n, size=per_domain, replace=False))
-        for _, batch in source.domains
+        for batch in source.domains
     ]
     return Batch(
         np.concatenate([batch.inputs[idx] for batch, idx in picks]),

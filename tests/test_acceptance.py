@@ -143,13 +143,13 @@ def test_c06_alignment_decomposition():
         i = seed % 3
         grads = [
             mean_loss_and_grad(spec, params.theta, b.inputs, b.labels)[1]
-            for _, b in source.domains
+            for b in source.domains
         ]
         g_all = grads[0] + grads[1] + grads[2]
         eps = grads[i] * (rho / np.linalg.norm(grads[i]))
         theta_adv = params.theta + eps - gamma * g_all
         gp_all = sum(
-            mean_loss_and_grad(spec, theta_adv, b.inputs, b.labels)[1] for _, b in source.domains
+            mean_loss_and_grad(spec, theta_adv, b.inputs, b.labels)[1] for b in source.domains
         )
         want = float(np.dot(gp_all, g_all))
         m = diagnostics.alignment_inner_products(spec, params, source, i, OptimizerConfig(rho=rho, gamma=gamma))

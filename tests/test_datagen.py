@@ -113,9 +113,9 @@ def test_build_source_set_single_and_seed_sensitivity():
     single = build_source_set([DomainSpec(n_samples=10, seed=0)])
     assert len(single.domains) == 1
     a = build_source_set([DomainSpec(n_samples=40, seed=0), DomainSpec(n_samples=40, seed=1)])
-    assert not np.array_equal(a.domains[0][1].inputs, a.domains[1][1].inputs)
+    assert not np.array_equal(a.domains[0].inputs, a.domains[1].inputs)
     b = build_source_set([DomainSpec(n_samples=40, seed=0), DomainSpec(n_samples=40, seed=1)])
-    for (_, ba), (_, bb) in zip(a.domains, b.domains):
+    for ba, bb in zip(a.domains, b.domains):
         assert np.array_equal(ba.inputs, bb.inputs)
 
 
@@ -127,7 +127,7 @@ def test_rotated_domains_have_rotated_class_means():
     ]
     source = build_source_set(specs)
     base_mean = None
-    for (spec, batch), deg in zip(source.domains, degs):
+    for spec, batch in zip(specs, source.domains):
         class0 = batch.inputs[batch.labels == 0]
         mean = class0.mean(axis=0)
         c, s = math.cos(-spec.rotation), math.sin(-spec.rotation)
@@ -137,8 +137,8 @@ def test_rotated_domains_have_rotated_class_means():
         else:
             assert np.max(np.abs(unrotated - base_mean)) <= 0.05  # sampling noise only
     # and the rotations genuinely moved the raw means
-    m0 = source.domains[0][1].inputs[source.domains[0][1].labels == 0].mean(axis=0)
-    m2 = source.domains[2][1].inputs[source.domains[2][1].labels == 0].mean(axis=0)
+    m0 = source.domains[0].inputs[source.domains[0].labels == 0].mean(axis=0)
+    m2 = source.domains[2].inputs[source.domains[2].labels == 0].mean(axis=0)
     assert np.linalg.norm(m0 - m2) > 0.1
 
 
@@ -146,7 +146,7 @@ def test_source_set_rejects_mixed_ids_and_bad_k():
     base = gen_two_moons(4, 0.0, Prng(0, 0))
     mixed = Batch(base.inputs, base.labels, np.array([0, 0, 1, 1]))
     with pytest.raises(ValueError, match="mixes domain ids"):
-        SourceSet(((DomainSpec(n_samples=4), mixed),))
+        SourceSet((mixed,))
     # k is the number of domains, so the one k to refuse is 0.
     with pytest.raises(ValueError, match="at least one realized domain"):
         SourceSet(())
@@ -184,17 +184,17 @@ def test_source_set_refuses_two_domains_with_one_id():
 def test_leave_one_out_partition_and_disjoint_samples():
     specs = [DomainSpec(rotation=0.1 * i, noise_sigma=0.05, n_samples=60, seed=i) for i in range(4)]
     train, test = leave_one_out(specs, held=3)
-    train_ids = tuple(int(b.domain_ids[0]) for _, b in train.domains)
+    train_ids = tuple(int(b.domain_ids[0]) for b in train.domains)
     assert train_ids == (0, 1, 2)
     assert np.all(test.domain_ids == 3)
     # train-domain ids and the held-out id are disjoint
     assert 3 not in train_ids
     # exhaustive membership scan: no test row appears in any train domain
-    train_rows = {row.tobytes() for _, b in train.domains for row in b.inputs}
+    train_rows = {row.tobytes() for b in train.domains for row in b.inputs}
     assert all(row.tobytes() not in train_rows for row in test.inputs)
     # the held-out test realization differs from its training realization
     full = build_source_set(specs)
-    assert not np.array_equal(full.domains[3][1].inputs, test.inputs)
+    assert not np.array_equal(full.domains[3].inputs, test.inputs)
     assert TEST_SEED_OFFSET >= 1_000_000
 
 
@@ -225,7 +225,7 @@ def test_sample_minibatch_full_domain_is_complete_pass():
     specs = [DomainSpec(n_samples=8, seed=5)]
     source = build_source_set(specs)
     batch = sample_minibatch(source, 8, Prng(1, 1))
-    want = {row.tobytes() for row in source.domains[0][1].inputs}
+    want = {row.tobytes() for row in source.domains[0].inputs}
     got = {row.tobytes() for row in batch.inputs}
     assert got == want  # without replacement: a full pass visits every sample
 
@@ -273,7 +273,7 @@ def test_source_set_holds_one_read_only_stack_of_its_rows():
     assert rows.domain_ids.tolist() == [0] * 5 + [1] * 5
     with pytest.raises(ValueError):
         rows.inputs[0, 0] = 1.0
-    for (_, batch), start in zip(source.domains, (0, 5)):
+    for batch, start in zip(source.domains, (0, 5)):
         assert batch.inputs.base is rows.inputs and np.array_equal(batch.inputs, rows.inputs[start : start + 5])
 
 
@@ -284,7 +284,7 @@ def test_sampler_frequencies_within_three_sigma_of_uniform():
     counts = np.zeros((2, 20))
     prng = Prng(321, 1)
     lookup = [
-        {row.tobytes(): i for i, row in enumerate(b.inputs)} for _, b in source.domains
+        {row.tobytes(): i for i, row in enumerate(b.inputs)} for b in source.domains
     ]
     for _ in range(draws):
         batch = sample_minibatch(source, per_domain, prng)

@@ -12,6 +12,7 @@ from gacfas.datagen import DomainSpec, build_source_set, sample_minibatch
 from gacfas.diagnostics import (
     ConvergenceTrace,
     LandscapeGrid,
+    _block_normalized_direction,
     alignment_inner_products,
     convergence_trace,
     landscape_slice,
@@ -19,7 +20,7 @@ from gacfas.diagnostics import (
 )
 from gacfas.harness import convergence_csv, landscape_csv
 from gacfas.model import MlpSpec, ParamVector, init_params
-from gacfas.numerics import Prng
+from gacfas.numerics import Prng, axpy
 from gacfas.optim import (
     OptimizerConfig,
     StepDiagnostics,
@@ -143,7 +144,7 @@ def test_alignment_tensor_single_domain_is_direct_dot():
     spec = MlpSpec((2, 6, 2), "tanh")
     params = init_params(spec, Prng(5, 0))
     m = alignment_inner_products(spec, params, source, 0, OptimizerConfig(rho=0.1, gamma=0.01))
-    batch = source.domains[0][1]
+    batch = source.domains[0]
     _, g = batch_loss_and_grad(spec, params.theta, batch)
     eps = g * (0.1 / np.linalg.norm(g))
     _, gp = batch_loss_and_grad(spec, params.theta + eps - 0.01 * g, batch)
@@ -164,13 +165,13 @@ def test_alignment_tensor_decomposition_matches_whole_set_inner_product():
         i = seed % 3
         grads = [
             mean_loss_and_grad(spec, params.theta, b.inputs, b.labels)[1]
-            for _, b in source.domains
+            for b in source.domains
         ]
         g_all = grads[0] + grads[1] + grads[2]
         eps = grads[i] * (rho / np.linalg.norm(grads[i]))
         theta_adv = params.theta + eps - gamma * g_all
         gp_all = sum(
-            mean_loss_and_grad(spec, theta_adv, b.inputs, b.labels)[1] for _, b in source.domains
+            mean_loss_and_grad(spec, theta_adv, b.inputs, b.labels)[1] for b in source.domains
         )
         want = float(np.dot(gp_all, g_all))
         m = alignment_inner_products(spec, params, source, i, OptimizerConfig(rho=rho, gamma=gamma))
@@ -186,11 +187,11 @@ def test_alignment_tensor_takes_the_dead_zone_from_the_config():
         source = _three_domain_source(seed)
         spec = MlpSpec((2, 6, 2), "tanh")
         params = init_params(spec, Prng(seed, 0))
-        grads = [mean_loss_and_grad(spec, params.theta, b.inputs, b.labels)[1] for _, b in source.domains]
+        grads = [mean_loss_and_grad(spec, params.theta, b.inputs, b.labels)[1] for b in source.domains]
         opt = OptimizerConfig(rho=0.1, gamma=0.05, zero_grad_eps=1e6)
         assert max(np.linalg.norm(g) for g in grads) < opt.zero_grad_eps
         theta_adv = params.theta - opt.gamma * (grads[0] + grads[1] + grads[2])
-        perturbed = [mean_loss_and_grad(spec, theta_adv, b.inputs, b.labels)[1] for _, b in source.domains]
+        perturbed = [mean_loss_and_grad(spec, theta_adv, b.inputs, b.labels)[1] for b in source.domains]
         want = np.array([[float(np.dot(gp, g)) for g in grads] for gp in perturbed])
         m = alignment_inner_products(spec, params, source, seed % 3, opt)
         assert np.max(np.abs(m - want)) <= 1e-12 * max(1.0, np.max(np.abs(want)))
@@ -284,7 +285,8 @@ def test_landscape_deterministic_given_seed():
     a = landscape_slice(spec, params, batch, dims=1, radius=1.0, steps=9, prng=Prng(7, 2))
     b = landscape_slice(spec, params, batch, dims=1, radius=1.0, steps=9, prng=Prng(7, 2))
     assert np.array_equal(a.losses, b.losses)
-    assert np.array_equal(a.directions[0], b.directions[0])
+    d = _block_normalized_direction(params, Prng(7, 2))
+    assert np.array_equal(d, _block_normalized_direction(params, Prng(7, 2)))
     c = landscape_slice(spec, params, batch, dims=1, radius=1.0, steps=9, prng=Prng(8, 2))
     assert not np.array_equal(a.losses, c.losses)
 
@@ -301,7 +303,10 @@ def test_landscape_quadratic_slice_is_parabola():
 def test_landscape_direction_blocks_match_theta_block_norms():
     spec, params, batch = random_instance(6, sizes=(2, 4, 2))
     grid = landscape_slice(spec, params, batch, dims=1, radius=1.0, steps=5, prng=Prng(2, 2))
-    d = grid.directions[0]
+    d = _block_normalized_direction(params, Prng(2, 2))
+    # The slice runs along this direction: the same prng draws it first.
+    for s, loss in zip(grid.offsets.tolist(), grid.losses.tolist()):
+        assert loss == batch_loss(spec, axpy(s, d, params.theta), batch)
     for block in params.layout:
         theta_norm = np.linalg.norm(block.view(params.theta))
         d_norm = np.linalg.norm(d[block.offset : block.offset + block.size])
@@ -313,9 +318,7 @@ def test_landscape_direction_blocks_match_theta_block_norms():
 
 def test_landscape_grid_validation():
     with pytest.raises(ValueError):
-        LandscapeGrid(np.zeros(3), np.zeros(4), (np.zeros(2),), 0.0)
-    with pytest.raises(ValueError):
-        LandscapeGrid(np.zeros(3), np.zeros(3), (), 0.0)
+        LandscapeGrid(np.zeros(3), np.zeros(4))
 
 
 # -------------------------------------------------------- convergence trace ----
@@ -326,9 +329,7 @@ def _diag(t: int, grad_sq: float, adv_sq: float) -> StepDiagnostics:
     a = math.sqrt(adv_sq)
     return StepDiagnostics(
         step_index=t,
-        domain_ids=(0,),
         loss_erm=0.0,
-        per_domain_loss=(0.0,),
         grad_norm=g,
         alignment_cos=(1.0,),
         adv_grad_norms=(a,),
@@ -352,7 +353,13 @@ def test_convergence_trace_decaying_stream_monotone_windows():
     assert all(a > b for a, b in zip(trace.grad_sq, trace.grad_sq[1:]))
     # a 1/sqrt(t) stream obeys its own fitted log(t+1)/sqrt(t) envelope
     assert trace.exceed_frac_grad == 0.0 and trace.exceed_frac_adv == 0.0
-    assert trace.n_fit_windows == 10
+    # C is fitted on the first ceil(40 / 4) = 10 windows.
+    n_fit = math.ceil(len(trace.t) / 4)
+
+    def fit(means):
+        return sum(means[w] * math.sqrt(trace.t[w]) / math.log(trace.t[w] + 1.0) for w in range(n_fit)) / n_fit
+
+    assert n_fit == 10 and trace.fitted_C == max(fit(trace.grad_sq), fit(trace.adv_grad_sq))
 
 
 def test_convergence_trace_partial_window_dropped():
@@ -370,11 +377,11 @@ def test_convergence_trace_validation():
     with pytest.raises(ValueError):
         convergence_trace([_diag(1, 1.0, 1.0)], window=5)
     with pytest.raises(ValueError):
-        ConvergenceTrace((1,), (-1.0,), (0.0,), 1.0, 1, 0.0, 0.0)
+        ConvergenceTrace((1,), (-1.0,), (0.0,), 1.0, 0.0, 0.0)
 
 
 def test_bound_curve_shape():
-    trace = ConvergenceTrace((10,), (0.1,), (0.1,), 2.0, 1, 0.0, 0.0)
+    trace = ConvergenceTrace((10,), (0.1,), (0.1,), 2.0, 0.0, 0.0)
     assert trace.bound(100) == pytest.approx(2.0 * math.log(101.0) / 10.0)
 
 
@@ -400,7 +407,7 @@ def test_landscape_csv_round_trip_text():
 
 
 def test_convergence_csv_format():
-    trace = ConvergenceTrace((10, 20), (0.5, 0.25), (0.6, 0.3), 1.5, 1, 0.0, 0.0)
+    trace = ConvergenceTrace((10, 20), (0.5, 0.25), (0.6, 0.3), 1.5, 0.0, 0.0)
     lines = convergence_csv(trace).strip().split("\n")
     assert lines[0] == "t,grad_sq_mean,adv_grad_sq_mean,bound"
     first = lines[1].split(",")

@@ -1378,11 +1378,11 @@ def test_gac_fas_step_on_a_source_set_is_the_fullset_record():
     source set, record for record along a run's iterates."""
     cfg, source, params = _fullset_case(0)
     opt = dataclasses.replace(cfg.optimizer, schedule="theorem1")
+    assert optim._domain_parts(cfg.model, source).ids == (0, 1)  # the records' domain order
     for t in range(1, 6):
-        params, step_diag = take_step(cfg.model, params, source, opt, t)
+        params, _ = take_step(cfg.model, params, source, opt, t)
         full = fullset_step_diagnostics(cfg.model, params, source, opt, t + 1)
         assert repr(take_step(cfg.model, params, source, opt, t + 1)[1]) == repr(full)
-        assert step_diag.domain_ids == full.domain_ids == (0, 1)
 
 
 @pytest.mark.parametrize("mode", MODES)
@@ -1583,6 +1583,29 @@ def test_cli_train_error_paths(tmp_path, capsys):
     assert "error:" in err
 
 
+def test_cli_train_refuses_diagnostics_every_above_steps_by_name(tmp_path, capsys):
+    """A record interval past the last step would keep no record and write a
+    diagnostics.csv of its header alone: refused before anything is written,
+    as an eval_every past the last step is."""
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(tiny_config_json(str(tmp_path / "run"), diagnostics_every=20))
+    assert cli.main(["train", "--config", str(cfg_path), "--seed", "0"]) == 1
+    assert "diagnostics_every=20 must be in [1, steps=10]" in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
+    assert tiny_config(diagnostics_every=10).diagnostics_every == 10  # one record, at the last step
+
+
+@pytest.mark.parametrize("grid", ["0.1,,0.2", "0.1,", ",0.1"])
+def test_cli_sweep_refuses_an_empty_grid_item(tmp_path, monkeypatch, capsys, grid):
+    steps = []
+    monkeypatch.setattr(harness, "take_step", lambda *args, **kwargs: steps.append(args[4]))
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(tiny_config_json(str(tmp_path / "sweep")))
+    assert cli.main(["sweep", "--config", str(cfg_path), "--gammas", grid]) == 1
+    assert f"--gammas: expected comma-separated numbers, got {grid!r}" in capsys.readouterr().err
+    assert steps == [] and not (tmp_path / "sweep").exists()
+
+
 def test_cli_loo_and_sweep(tmp_path, capsys):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(tiny_config_json(str(tmp_path / "loo"), seeds=[0]))
@@ -1653,6 +1676,22 @@ def test_cli_convergence(tmp_path, capsys):
     assert (tmp_path / "conv" / "convergence.csv").exists()
     out = capsys.readouterr().out
     assert "fitted_C=" in out
+
+
+def test_convergence_csv_and_the_run_diagnostics_share_adv_grad_sq_mean(tmp_path):
+    """With one record per window, convergence.csv's adv_grad_sq_mean is the
+    run's diagnostics.csv column, text for text: one definition serves both."""
+    cfg = tiny_config(str(tmp_path), steps=60, eval_every=30, eval_window=1)
+    record, _ = run_convergence(cfg, window=1, trace_every=5)
+    assert len(record.manifest["train_domains"]) >= 2
+
+    def column(path):
+        header, *rows = [line.split(",") for line in path.read_text().splitlines()]
+        return [row[header.index("adv_grad_sq_mean")] for row in rows]
+
+    ours = column(tmp_path / "convergence.csv")
+    assert len(ours) == 12 and len(set(ours)) > 1
+    assert ours == column(tmp_path / "convergence_run" / "diagnostics.csv")
 
 
 def test_cli_gradcheck(capsys):
