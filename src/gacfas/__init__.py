@@ -6,11 +6,13 @@ Modules: numerics (float64 vector kernels, seeded streams), model (minimal
 MLP with hand-written backprop), datagen (rotated two-moons domains), optim
 (the optimizer family: take_step is the one step entry, and cfg.mode selects
 its update rule), diagnostics (surrogate gap, alignment tensor, landscape
-slices, convergence traces), evalmetrics (HTER/AUC/TPR@FPR), harness
-(configs, training loops, leave-one-out, sweeps, CSV outputs), cli (the
-`gacfas` command).
+slices, convergence traces), evalmetrics (HTER/AUC/TPR@FPR), config (the
+experiment config and its strict JSON reader), _procs (the forked workers
+that share runs and records), harness (training loops, leave-one-out,
+sweeps, CSV outputs), cli (the `gacfas` command).
 """
 
+from .config import ConfigError, ExperimentConfig, default_experiment, load_config
 from .datagen import DomainSpec, SourceSet
 from .diagnostics import (
     ConvergenceTrace,
@@ -22,12 +24,8 @@ from .diagnostics import (
 )
 from .evalmetrics import ScoredSet, hter_at_eer, roc_auc, tpr_at_fpr
 from .harness import (
-    ConfigError,
     EvalReport,
-    ExperimentConfig,
     RunRecord,
-    default_experiment,
-    load_config,
     run_leave_one_out,
     run_sweep,
     run_training,

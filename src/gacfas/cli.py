@@ -13,7 +13,7 @@ import os
 import sys
 
 from . import datagen, diagnostics, harness
-from .harness import ConfigError, ConfigNotFoundError, ConfigValueError
+from .config import ConfigError, ConfigValueError, _require_file, _require_index
 from .numerics import Prng
 
 PAPER_GAMMA_GRID = "0.0,0.0001,0.0002,0.001,0.002"
@@ -58,7 +58,7 @@ def _refuse_other_seed(output_dir: str, seed: int) -> None:
 
 def _cmd_train(args) -> int:
     cfg = harness.load_config(args.config)
-    harness._require_index(cfg.held_out, "train")
+    _require_index(cfg.held_out, "train")
     if args.seed < 0:
         raise ConfigValueError(f"--seed: expected a non-negative integer, got {args.seed}")
     _refuse_other_seed(cfg.output_dir, args.seed)
@@ -103,9 +103,8 @@ def _cmd_sweep(args) -> int:
 
 def _cmd_landscape(args) -> int:
     cfg = harness.load_config(args.config)
-    held = harness._require_index(cfg.held_out, "landscape")
-    if not os.path.exists(args.checkpoint):
-        raise ConfigNotFoundError(f"checkpoint not found: {args.checkpoint}")
+    held = _require_index(cfg.held_out, "landscape")
+    _require_file(args.checkpoint, "checkpoint")
     params = harness.read_params_bin(args.checkpoint, cfg.model)
     source, _ = datagen.leave_one_out(list(cfg.domains), held)
     batch = source.concatenated()

@@ -1,10 +1,9 @@
-"""Config-driven experiment orchestration: training runs, the leave-one-out
-rotation, gamma x rho sweeps, convergence runs, and deterministic outputs.
+"""Experiment orchestration: training runs, the leave-one-out rotation,
+gamma x rho sweeps, convergence runs, and deterministic outputs.
 
-Config format is a single flat JSON document with strict unknown-key
-rejection. Every run is fully determined by (config, seed): data realization
-comes from the domain seeds, parameter init from stream 0 of the run seed,
-minibatch sampling from stream 1, and landscape directions from stream 2.
+Every run is fully determined by (config, seed): data realization comes from
+the domain seeds, parameter init from stream 0 of the run seed, minibatch
+sampling from stream 1, and landscape directions from stream 2.
 
 Per-run files: manifest.json (canonical config echo + sha256 digest),
 metrics.csv, diagnostics.csv, params.bin (uint64-le length prefix, then
@@ -17,116 +16,24 @@ from __future__ import annotations
 import contextlib
 import dataclasses
 import functools
-import hashlib
 import json
 import math
 import os
-import pickle
-import signal
 import struct
-import sys
 import tempfile
 from dataclasses import dataclass
-from typing import BinaryIO, Callable, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
 from . import datagen, diagnostics, evalmetrics, model as model_mod
-from .datagen import DomainSpec
+from ._procs import _process_count, _spread
+# load_config is bound here but not called: perfbench/tracer.py times the
+# config load as harness.load_config.
+from .config import ConfigValueError, ExperimentConfig, _require_index, config_digest, config_to_dict, load_config
 from .model import Batch, MlpSpec, ParamVector, layout_for
-from .numerics import Prng, _as_tuple, _expect, _is_int
+from .numerics import Prng, _is_int
 from .optim import OptimizerConfig, StepDiagnostics, batch_loss, gac_fas_record, take_step
-
-class ConfigError(Exception):
-    """Base class for configuration failures (CLI exit code 1)."""
-
-
-class ConfigNotFoundError(ConfigError):
-    pass
-
-
-class ConfigParseError(ConfigError):
-    """Malformed JSON; message carries file, line and column."""
-
-
-class ConfigKeyError(ConfigError):
-    """Unknown key (strict mode names the offending key)."""
-
-
-class ConfigValueError(ConfigError):
-    """Type error or invariant violation in a config value."""
-
-
-@dataclass(frozen=True)
-class ExperimentConfig:
-    model: MlpSpec
-    domains: tuple[DomainSpec, ...]
-    held_out: int | str
-    steps: int
-    per_domain_batch: int
-    seeds: tuple[int, ...]
-    output_dir: str
-    optimizer: OptimizerConfig = dataclasses.field(default_factory=OptimizerConfig)
-    eval_every: int = 100
-    eval_window: int = 10
-    diagnostics_every: int = 10
-
-    def __post_init__(self):
-        # A wrong type is a ValueError naming the field; a broken invariant, a ConfigValueError.
-        _expect(isinstance(self.model, MlpSpec), "model", "an MlpSpec", self.model)
-        object.__setattr__(self, "domains", _as_tuple(self.domains, "domains"))
-        for dom in self.domains:
-            _expect(isinstance(dom, DomainSpec), "domains", "a DomainSpec", dom)
-        _expect(isinstance(self.held_out, str) or _is_int(self.held_out), "held_out", 'an index or "all"', self.held_out)
-        _expect(isinstance(self.optimizer, OptimizerConfig), "optimizer", "an OptimizerConfig", self.optimizer)
-        for name in ("steps", "per_domain_batch", "eval_every", "eval_window", "diagnostics_every"):
-            _expect(_is_int(getattr(self, name)), name, "an integer", getattr(self, name))
-        object.__setattr__(self, "seeds", _as_tuple(self.seeds, "seeds"))
-        for seed in self.seeds:
-            _expect(_is_int(seed) and seed >= 0, "seeds", "a non-negative integer", seed)
-        _expect(isinstance(self.output_dir, str), "output_dir", "a string", self.output_dir)
-        if len(self.domains) < 2:
-            raise ConfigValueError("at least 2 domains are required (one may be held out)")
-        if isinstance(self.held_out, str):
-            if self.held_out != "all":
-                raise ConfigValueError(f"held_out must be a domain index or \"all\", got {self.held_out!r}")
-        elif not 0 <= self.held_out < len(self.domains):
-            raise ConfigValueError(f"held_out index {self.held_out} out of range for {len(self.domains)} domains")
-        if self.optimizer.period_steps != 0:
-            raise ConfigValueError(
-                f"optimizer.period_steps must be 0 (a run derives it from step_period_epochs), "
-                f"got {self.optimizer.period_steps}"
-            )
-        if self.model.input_dim != 2 or self.model.n_classes != 2:
-            raise ConfigValueError(
-                f"model must map 2 input features to 2 classes for the synthetic task, "
-                f"got {self.model.layer_sizes}"
-            )
-        if self.steps < 1:
-            raise ConfigValueError(f"steps must be >= 1, got {self.steps}")
-        if self.per_domain_batch < 1:
-            raise ConfigValueError(f"per_domain_batch must be >= 1, got {self.per_domain_batch}")
-        for i, dom in enumerate(self.domains):
-            if dom.n_samples < self.per_domain_batch:
-                raise ConfigValueError(
-                    f"domain {i} has {dom.n_samples} samples, fewer than per_domain_batch={self.per_domain_batch}"
-                )
-        if self.eval_every < 1:
-            raise ConfigValueError(f"eval_every must be >= 1, got {self.eval_every}")
-        if self.steps % self.eval_every != 0:
-            raise ConfigValueError(f"steps={self.steps} must be a multiple of eval_every={self.eval_every}")
-        n_evals = self.steps // self.eval_every
-        if self.eval_window < 1 or self.eval_window > n_evals:
-            raise ConfigValueError(
-                f"eval_window={self.eval_window} must be in [1, {n_evals}] (the number of evaluations)"
-            )
-        if not 1 <= self.diagnostics_every <= self.steps:
-            raise ConfigValueError(f"diagnostics_every={self.diagnostics_every} must be in [1, steps={self.steps}]")
-        if not self.seeds:
-            raise ConfigValueError("seeds must be nonempty")
-        repeated = sorted({seed for seed in self.seeds if self.seeds.count(seed) > 1})
-        if repeated:
-            raise ConfigValueError(f"seeds must be distinct, got {list(self.seeds)} (repeated: {repeated})")
 
 
 @dataclass(frozen=True)
@@ -149,127 +56,6 @@ class RunRecord:
     evals: tuple[EvalReport, ...]
     diagnostics: tuple[StepDiagnostics, ...]
     final_params: ParamVector
-
-
-def _require_index(held, command: str) -> int:
-    if not _is_int(held):
-        raise ConfigValueError(f"{command} requires an integer held_out domain, got {held!r}")
-    return held
-
-
-class _Key(NamedTuple):
-    """One row of a section table: a JSON key, which is the name of the
-    dataclass field it sets, and the reader of a nested section's value; any
-    other value goes to the dataclass as it is."""
-
-    name: str
-    read: Callable | None = None
-
-
-def _section(cls):
-    """The reader of a JSON object into cls, by cls's table in _TABLES. A key
-    left out takes the dataclass default; a field without one is required.
-    A dataclass's "<field> must be X, got V" is raised as "<key path>: expected X, got V"."""
-
-    def read(obj, context: str):
-        ctx = context.removeprefix("config.")  # sections name their keys from themselves: model.activation
-        if not isinstance(obj, dict):
-            raise ConfigValueError(f"{ctx}: expected an object, got {obj!r}")
-        keys = _TABLES[cls]
-        allowed = [key.name for key in keys]
-        unknown = [k for k in obj if k not in allowed]
-        if unknown:
-            raise ConfigKeyError(f"{ctx}: unknown key {unknown[0]!r} (allowed: {sorted(allowed)})")
-        fields = {f.name: f for f in dataclasses.fields(cls)}
-        values = {}
-        for key in keys:
-            if key.name in obj:
-                values[key.name] = key.read(obj[key.name], f"{ctx}.{key.name}") if key.read else obj[key.name]
-            elif fields[key.name].default is fields[key.name].default_factory is dataclasses.MISSING:
-                raise ConfigValueError(f"{ctx}: missing required key {key.name!r}")
-        try:
-            return cls(**values)
-        except ValueError as exc:
-            field, named, expected = str(exc).partition(" must be ")
-            if named and field in allowed:
-                raise ConfigValueError(f"{ctx}.{field}: expected {expected}") from exc
-            raise ConfigValueError(f"{ctx}: {exc}") from exc
-
-    return read
-
-
-def _as_domains(value, path: str):
-    """A list's items read as DomainSpecs; any other value is left for ExperimentConfig to refuse."""
-    return [_section(DomainSpec)(d, f"{path}[{i}]") for i, d in enumerate(value)] if isinstance(value, list) else value
-
-
-# One table per config section: every JSON key of the format, once. Parsing,
-# the unknown- and missing-key checks and config_to_dict all follow them, and
-# every default and every check of a value lives in its dataclass.
-_TABLES = {
-    ExperimentConfig: (
-        _Key("model", read=_section(MlpSpec)),
-        _Key("domains", read=_as_domains),
-        _Key("optimizer", read=_section(OptimizerConfig)),
-        *map(_Key, ("held_out", "steps", "per_domain_batch", "eval_every", "eval_window", "diagnostics_every")),
-        *map(_Key, ("seeds", "output_dir")),
-    ),
-    MlpSpec: tuple(map(_Key, ("layer_sizes", "activation"))),
-    DomainSpec: tuple(map(_Key, ("rotation", "translation", "noise_sigma", "n_samples", "seed"))),
-    # Every OptimizerConfig field but period_steps, which a run derives.
-    OptimizerConfig: tuple(map(_Key, (
-        "mode", "eta0", "rho", "gamma", "weight_decay", "zero_grad_eps", "track_surrogate_gap",
-        "schedule", "step_period_epochs", "step_factor",
-    ))),
-}
-
-
-def _json_number(text: str):
-    """A JSON number as a float when it is finite; NaN, Infinity and 1e999 as
-    a Decimal, which every config field refuses as not a finite number."""
-    value = float(text)
-    if math.isfinite(value):
-        return value
-    import decimal  # here, so that a valid config does not load it
-    return decimal.Decimal(text)
-
-
-def parse_config(text: str, origin: str = "<string>") -> ExperimentConfig:
-    try:
-        raw = json.loads(text, parse_float=_json_number, parse_constant=_json_number)
-    except json.JSONDecodeError as exc:
-        raise ConfigParseError(f"{origin}:{exc.lineno}:{exc.colno}: {exc.msg}") from exc
-    return _section(ExperimentConfig)(raw, "config")
-
-
-def load_config(path: str) -> ExperimentConfig:
-    if not os.path.exists(path):
-        raise ConfigNotFoundError(f"config file not found: {path}")
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            return parse_config(fh.read(), origin=path)
-        except UnicodeDecodeError as exc:
-            raise ConfigParseError(f"{path}: not UTF-8 text: {exc.reason} at byte {exc.start}") from exc
-
-
-def config_to_dict(value) -> dict:
-    """The config as plain JSON data, by the section tables: a section is a
-    dict of its keys, and a tuple is a list."""
-    if type(value) in _TABLES:
-        return {key.name: config_to_dict(getattr(value, key.name)) for key in _TABLES[type(value)]}
-    if isinstance(value, tuple):
-        return [config_to_dict(v) for v in value]
-    return value
-
-
-def config_to_json(cfg: ExperimentConfig) -> str:
-    """Canonical serialization: sorted keys, fixed separators. Parsing it
-    back yields an equal config; its sha256 is the manifest digest."""
-    return json.dumps(config_to_dict(cfg), sort_keys=True, indent=2) + "\n"
-
-
-def config_digest(cfg: ExperimentConfig) -> str:
-    return hashlib.sha256(config_to_json(cfg).encode("utf-8")).hexdigest()
 
 
 def steps_per_epoch(cfg: ExperimentConfig, train_indices) -> int:
@@ -547,15 +333,6 @@ class _Run(NamedTuple):
     output_dir: str
 
 
-def _process_count(n_items: int) -> int:
-    """How many processes share n_items runs or records: one per CPU the
-    calling process may run on, at most one per item, and 1 where the
-    platform cannot fork."""
-    if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")):
-        return 1
-    return min(len(os.sched_getaffinity(0)), n_items)
-
-
 def _train_runs(runs) -> list[dict]:
     """The window means of runs, in order, as one serial loop over them gives.
 
@@ -579,145 +356,6 @@ def _train_runs(runs) -> list[dict]:
         for i in sorted(range(len(runs)), key=lambda i: owners[i] < 0):  # the workers' runs first
             submit(i, i)
     return windows
-
-
-@contextlib.contextmanager
-def _spread(fn, owners, doing):
-    """Yield (submit, results) to compute fn over the items 0 .. len(owners) - 1
-    on the processes owners names, as one serial loop over the items gives.
-    submit(i, arg) runs fn(arg) here and returns its value when owners[i] < 0;
-    otherwise it sends (i, arg) to forked worker owners[i] and returns None.
-    The caller submits each item once, its own in index order. On the way
-    out, results[i] holds every item's value.
-
-    A worker computes its items in the order sent and stops at its first
-    failure; one that exits without a result fails at its first item i as
-    "the process {doing(i)} exited without a result". The failure with the
-    lowest index is raised, ahead of a failure of the block's own, such as a
-    training step's. A failing item of the caller's is raised at once, and
-    the workers killed, when no lower index is a worker's. With no worker,
-    nothing is forked: that is the serial loop."""
-    results = [None] * len(owners)
-    failures = {}  # index: exception; the block's own failure takes len(owners), after every item
-    firsts = [owners.index(w) for w in range(max(owners, default=-1) + 1)]
-    unsent = [owners.count(w) for w in range(len(firsts))]
-
-    def submit(i, arg):
-        w = owners[i]
-        if w >= 0:
-            view = memoryview(pickle.dumps((i, arg)))
-            with contextlib.suppress(BrokenPipeError):  # a worker that has gone is found to have no result
-                while view:
-                    view = view[children[w].inbox.write(view) :]
-            unsent[w] -= 1
-            if not unsent[w]:  # its last item: the worker can finish and exit while the caller works on
-                children[w].inbox.close()
-            return None
-        try:
-            results[i] = fn(arg)
-        except Exception as exc:
-            failures[i] = exc
-            raise
-        return results[i]
-
-    def work(inbox):
-        done, failure = {}, None
-        while True:
-            try:
-                i, arg = pickle.load(inbox)
-            except EOFError:  # the caller has sent every item
-                return done, failure
-            if failure is None:  # after a failure, read on: the caller must never wait on a full pipe
-                try:
-                    done[i] = fn(arg)
-                except Exception as exc:
-                    failure = (i, exc, exc.__cause__)  # pickle drops the cause
-
-    with _forked(work, len(firsts)) as children:
-        try:
-            yield submit, results
-        except Exception as exc:
-            if not failures:
-                failures[len(owners)] = exc
-            elif max(owners[: min(failures)], default=-1) < 0:
-                raise  # no lower index is a worker's
-        for child in children:
-            child.inbox.close()
-        for first, child in zip(firsts, children):
-            if min(failures, default=first) < first:
-                continue  # every item of this worker comes after a failure
-            try:
-                done, failure = pickle.load(child.results)
-            except Exception:  # no result: killed by a signal, or a failure that did not pickle
-                done, failure = {}, (first, RuntimeError(f"the process {doing(first)} exited without a result"), None)
-            for i, value in done.items():
-                results[i] = value
-            if failure is not None:
-                i, exc, exc.__cause__ = failure
-                failures[i] = exc
-        if failures:
-            raise failures[min(failures)]
-
-
-class _Child(NamedTuple):
-    """A process that _forked started: its pid, the write end of the pipe it
-    reads and the read end of the pipe its result comes back on."""
-
-    pid: int
-    inbox: BinaryIO
-    results: BinaryIO
-
-
-@contextlib.contextmanager
-def _forked(work, n: int):
-    """Fork n processes and yield their _Child handles, in order. Each runs
-    work(inbox), inbox being a binary file of what the caller sends it, sends
-    back its pickled return value, and exits: it never returns into the
-    caller's stack. Every child is killed and reaped before the block is
-    left, by a return, a failure or KeyboardInterrupt."""
-    children = []
-    try:
-        for _ in range(n):
-            sys.stdout.flush()  # a child must not write out what the caller has buffered
-            sys.stderr.flush()
-            fds = os.pipe() + os.pipe()  # the child's inbox (read, write), then its results (read, write)
-            try:
-                pid = os.fork()
-            except OSError:
-                for fd in fds:
-                    os.close(fd)
-                raise
-            if pid == 0:
-                for child in children:  # an earlier child sees the end of its inbox only when no process holds it open
-                    child.inbox.close()
-                    child.results.close()
-                os.close(fds[1])
-                os.close(fds[2])
-                _child_main(work, fds[0], fds[3])
-            os.close(fds[0])
-            os.close(fds[3])
-            children.append(_Child(pid, open(fds[1], "wb", buffering=0), open(fds[2], "rb")))
-        yield children
-    finally:
-        for child in children:
-            os.kill(child.pid, signal.SIGKILL)
-            os.waitpid(child.pid, 0)
-            child.inbox.close()
-            child.results.close()
-
-
-def _child_main(work, inbox_fd: int, results_fd: int) -> None:
-    """The body of a forked process: run work on its inbox, send its pickled
-    return value through results_fd, and exit. A failure sends nothing."""
-    code = 1
-    try:
-        with open(inbox_fd, "rb") as inbox:
-            payload = pickle.dumps(work(inbox))  # before the first byte is sent: a failure to pickle sends none
-        with open(results_fd, "wb") as fh:
-            fh.write(payload)
-        code = 0
-    finally:
-        os._exit(code)
 
 
 def run_leave_one_out(cfg: ExperimentConfig):
@@ -821,37 +459,6 @@ def run_convergence(cfg: ExperimentConfig, window: int = 40, trace_every: int = 
     write_outputs(record, os.path.join(cfg.output_dir, "convergence_run"))
     _atomic_write(os.path.join(cfg.output_dir, "convergence.csv"), convergence_csv(trace))
     return record, trace
-
-
-def default_domains() -> tuple[DomainSpec, ...]:
-    """The default synthetic task's domains: four two-moons copies at
-    rotations 0/20/40/60 degrees, noise 0.15, DomainSpec's default 2000
-    samples each, one seed per domain."""
-    return tuple(
-        DomainSpec(rotation=math.radians(deg), noise_sigma=0.15, seed=i)
-        for i, deg in enumerate((0.0, 20.0, 40.0, 60.0))
-    )
-
-
-def default_experiment(mode: str = "gac_fas", **overrides) -> ExperimentConfig:
-    """The default experiment: the default four-domain task, a small tanh
-    MLP, and paper-transferable optimizer defaults, leave-one-out over all
-    four domains. Holding one domain out leaves three training sources.
-    Keyword overrides replace top-level ExperimentConfig fields; optimizer
-    overrides are a dict of OptimizerConfig fields under "optimizer", whose
-    mode is mode unless the dict sets one. Every other value is the
-    dataclass default."""
-    base = dict(
-        model=MlpSpec((2, 16, 16, 2), "tanh"),
-        domains=default_domains(),
-        held_out="all",
-        optimizer=OptimizerConfig(**{"mode": mode, **overrides.pop("optimizer", {})}),
-        steps=1000,
-        per_domain_batch=32,
-        seeds=(0,),
-        output_dir="runs",
-    )
-    return ExperimentConfig(**{**base, **overrides})
 
 
 def finite_difference_suite(n_models: int = 10, tol: float = 1e-5, h: float = 1e-6, seed: int = 2024):

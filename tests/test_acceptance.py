@@ -13,8 +13,8 @@ import numpy as np
 from gacfas import cli, diagnostics, evalmetrics
 from gacfas.datagen import DomainSpec, build_source_set
 from gacfas.evalmetrics import ScoredSet
+from gacfas.config import default_experiment
 from gacfas.harness import (
-    default_experiment,
     finite_difference_suite,
     run_convergence,
     run_leave_one_out,

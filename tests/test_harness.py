@@ -20,25 +20,27 @@ import pytest
 
 from gacfas import cli, diagnostics, harness, optim
 from gacfas.datagen import DomainSpec, build_source_set, leave_one_out, sample_minibatch
-from gacfas.harness import (
+from gacfas.config import (
     ConfigKeyError,
     ConfigNotFoundError,
     ConfigParseError,
     ConfigValueError,
-    EvalReport,
     ExperimentConfig,
-    RunRecord,
     config_digest,
     config_to_dict,
     config_to_json,
     default_domains,
     default_experiment,
+    load_config,
+    parse_config,
+)
+from gacfas.harness import (
+    EvalReport,
+    RunRecord,
     diagnostics_csv,
     finite_difference_suite,
     fullset_step_diagnostics,
-    load_config,
     metrics_csv,
-    parse_config,
     params_bin,
     read_params_bin,
     run_convergence,
@@ -277,13 +279,51 @@ def test_parse_names_the_path_of_a_wrong_typed_value(path, value):
 _SECTIONS = {"": ExperimentConfig, "model": MlpSpec, "domains[0]": DomainSpec, "optimizer": OptimizerConfig}
 
 
-def test_every_json_key_is_the_name_of_the_field_it_sets():
-    """Each section's keys are its dataclass's fields, but for period_steps,
-    which a run derives from step_period_epochs."""
-    assert harness._TABLES.keys() == set(_SECTIONS.values())
-    for cls, keys in harness._TABLES.items():
-        fields = [f.name for f in dataclasses.fields(cls) if (cls, f.name) != (OptimizerConfig, "period_steps")]
-        assert sorted(key.name for key in keys) == sorted(fields)
+def test_each_section_s_json_keys_are_its_dataclass_s_fields_but_period_steps():
+    """The unknown-key message's allowed list and the config echo both give a
+    section's keys: its dataclass's fields, but period_steps, which a run
+    derives from step_period_epochs, and which every section refuses."""
+    echo = config_to_dict(tiny_config())
+    echoed = {"": echo, "model": echo["model"], "domains[0]": echo["domains"][0], "optimizer": echo["optimizer"]}
+    for section, cls in _SECTIONS.items():
+        fields = sorted(f.name for f in dataclasses.fields(cls) if (cls, f.name) != (OptimizerConfig, "period_steps"))
+        assert sorted(echoed[section]) == fields
+        path = f"{section}.period_steps" if section else "period_steps"
+        with pytest.raises(ConfigKeyError) as info:
+            parse_config(json.dumps(_set_key(json.loads(tiny_config_json("out")), path, 5)))
+        assert str(info.value) == f"{section or 'config'}: unknown key 'period_steps' (allowed: {fields})"
+
+
+@pytest.mark.parametrize(
+    "named,tweak,missing",
+    [
+        ("optimizer.eta0: expected", {"optimizer": {"eta0": "fast"}}, ["seeds"]),
+        ("model.layer_sizes: expected", {"model": {"layer_sizes": [2, 0, 2]}}, ["held_out"]),
+        ("config: missing required key 'held_out'", {}, ["held_out", "seeds"]),
+    ],
+)
+def test_a_config_with_two_faults_names_the_nested_section_s_first(named, tweak, missing):
+    """The nested sections are read before the other keys, and the other
+    keys in their field order."""
+    raw = json.loads(tiny_config_json("out", **tweak))
+    with pytest.raises(ConfigValueError) as info:
+        parse_config(json.dumps({k: v for k, v in raw.items() if k not in missing}))
+    assert str(info.value).startswith(named)
+
+
+@pytest.mark.parametrize(
+    "old,new,key",
+    [
+        ('"steps": 10', '"steps": 20, "steps": 10', "steps"),
+        ('"activation": "tanh"', '"activation": "relu", "activation": "tanh"', "activation"),
+    ],
+)
+def test_a_config_that_repeats_a_key_is_refused_by_its_path_and_key(tmp_path, capsys, old, new, key):
+    """json.loads would keep the last value and train on it."""
+    text = tiny_config_json(str(tmp_path / "out")).replace(old, new, 1)
+    assert _cli_train_exit(tmp_path, text) == 1
+    assert capsys.readouterr().err == f"error: {tmp_path / 'cfg.json'}: key {key!r} is repeated in one object\n"
+    assert not (tmp_path / "out").exists()
 
 
 def _field_of(path: str):
@@ -1411,6 +1451,35 @@ def test_harness_imports_no_private_name_from_optim():
     assert private == []
 
 
+def test_the_process_model_has_one_home():
+    """Every fork, pipe, kill and exit of a process, and every import of
+    pickle and signal, is in _procs; the harness reaches it through _spread
+    and _process_count only."""
+    calls = {"fork", "pipe", "kill", "_exit"}
+    homes = set()
+    for path in Path(harness.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+                used = node.value.id == "os" and node.attr in calls
+            elif isinstance(node, ast.Import):
+                used = any(alias.name in ("pickle", "signal") for alias in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                used = node.module in ("pickle", "signal") or (node.module == "os" and calls & {a.name for a in node.names})
+            else:
+                used = False
+            if used:
+                homes.add(path.name)
+    assert homes == {"_procs.py"}
+    tree = ast.parse(Path(harness.__file__).read_text(encoding="utf-8"))
+    imported = [
+        alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.module == "_procs" and node.level == 1
+        for alias in node.names
+    ]
+    assert sorted(imported) == ["_process_count", "_spread"]
+
+
 def test_run_convergence_forces_theorem1_and_writes_outputs(tmp_path):
     cfg = tiny_config(output_dir=str(tmp_path), steps=60, eval_every=30, eval_window=1)
     record, trace = run_convergence(cfg, window=4, trace_every=5)
@@ -1634,6 +1703,19 @@ def test_cli_landscape_from_checkpoint(tmp_path, capsys):
     assert len(text.strip().split("\n")) == 6
     assert cli.main(["landscape", "--config", str(cfg_path), "--checkpoint", "/missing.bin"]) == 1
     capsys.readouterr()
+
+
+def test_cli_refuses_a_config_or_checkpoint_path_that_is_a_directory(tmp_path, capsys):
+    out_dir = tmp_path / "out"
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(tiny_config_json(str(out_dir)))
+    for argv, what in (
+        (["train", "--config", str(tmp_path), "--seed", "0"], "config file"),
+        (["landscape", "--config", str(cfg_path), "--checkpoint", str(tmp_path)], "checkpoint"),
+    ):
+        assert cli.main(argv) == 1
+        assert capsys.readouterr().err == f"error: {what} is not a regular file: {tmp_path}\n"
+    assert not out_dir.exists()
 
 
 def _landscape_setup(tmp_path, nan_from=None):

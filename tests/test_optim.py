@@ -527,7 +527,7 @@ def test_a_sampler_batch_holds_every_source_domain_as_one_stacked_part(held, per
     sampler draws from a split of the default task holds the source set's
     ids in ascending order, one stacked (k, m, d) part each."""
     from gacfas import datagen
-    from gacfas.harness import default_domains
+    from gacfas.config import default_domains
 
     source, _ = datagen.leave_one_out(default_domains(), held)
     ids = tuple(sorted(int(b.domain_ids[0]) for b in source.domains))

@@ -32,9 +32,8 @@ import pytest
 
 from gacfas import cli
 from gacfas.datagen import DomainSpec
+from gacfas.config import ExperimentConfig, config_to_json
 from gacfas.harness import (
-    ExperimentConfig,
-    config_to_json,
     convergence_csv,
     diagnostics_csv,
     metrics_csv,
