@@ -36,6 +36,16 @@ def _parse_grid(text: str, name: str):
     return values
 
 
+def _refuse_output_dir(output_dir: str) -> None:
+    """Refuse an output_dir that is, or lies under, something other than a
+    directory, before any step is trained: no file could be written there."""
+    path = os.path.abspath(output_dir)
+    while not os.path.lexists(path):
+        path = os.path.dirname(path)
+    if not os.path.isdir(path):
+        raise ConfigValueError(f"output_dir {output_dir}: {path} is not a directory")
+
+
 def _refuse_other_seed(output_dir: str, seed: int) -> None:
     """Refuse to train into a directory whose manifest records another seed:
     its files would be overwritten. The same seed overwrites them, as a
@@ -43,6 +53,7 @@ def _refuse_other_seed(output_dir: str, seed: int) -> None:
     path = os.path.join(output_dir, "manifest.json")
     if not os.path.exists(path):
         return
+    _require_file(path, "run manifest")
     with open(path, "r", encoding="utf-8") as fh:
         try:
             manifest = json.load(fh)
@@ -61,6 +72,7 @@ def _cmd_train(args) -> int:
     _require_index(cfg.held_out, "train")
     if args.seed < 0:
         raise ConfigValueError(f"--seed: expected a non-negative integer, got {args.seed}")
+    _refuse_output_dir(cfg.output_dir)
     _refuse_other_seed(cfg.output_dir, args.seed)
     record = harness.run_training(cfg, args.seed)
     paths = harness.write_outputs(record, cfg.output_dir)
@@ -76,6 +88,7 @@ def _cmd_train(args) -> int:
 
 def _cmd_loo(args) -> int:
     cfg = harness.load_config(args.config)
+    _refuse_output_dir(cfg.output_dir)
     summary, _ = harness.run_leave_one_out(cfg)
     for row in summary:
         print(
@@ -89,6 +102,7 @@ def _cmd_loo(args) -> int:
 
 def _cmd_sweep(args) -> int:
     cfg = harness.load_config(args.config)
+    _refuse_output_dir(cfg.output_dir)
     gammas = _parse_grid(args.gammas, "gammas")
     rhos = _parse_grid(args.rhos, "rhos")
     cells = harness.run_sweep(cfg, gammas, rhos)
@@ -104,6 +118,7 @@ def _cmd_sweep(args) -> int:
 def _cmd_landscape(args) -> int:
     cfg = harness.load_config(args.config)
     held = _require_index(cfg.held_out, "landscape")
+    _refuse_output_dir(cfg.output_dir)
     _require_file(args.checkpoint, "checkpoint")
     params = harness.read_params_bin(args.checkpoint, cfg.model)
     source, _ = datagen.leave_one_out(list(cfg.domains), held)
@@ -119,6 +134,7 @@ def _cmd_landscape(args) -> int:
 
 def _cmd_convergence(args) -> int:
     cfg = harness.load_config(args.config)
+    _refuse_output_dir(cfg.output_dir)
     record, trace = harness.run_convergence(cfg, window=args.window, trace_every=args.trace_every)
     print(
         f"windows={len(trace.t)} fitted_C={trace.fitted_C:.6f} "

@@ -33,17 +33,19 @@ it stands for, without numpy's slow reduce over a narrow inner axis.
   width-1 layer numpy sums the single column pairwise, so the kernel keeps
   sum there.
 
-Scratch rule: each spec keeps one grow-only buffer (_Scratch) for a call's
-per-layer temporaries: the hidden layers' outputs, the backward deltas at
-them and the relu masks. A call writes these in place (np.matmul with out=,
+Scratch rule: each spec keeps one grow-only float64 array (_scratch_for)
+for a call's per-layer temporaries: the hidden layers' outputs and the
+backward deltas at them. A call writes these in place (np.matmul with out=,
 in-place bias add, activation and derivative), so it allocates only what it
-returns. Losses, gradients and forward's logits are always fresh arrays and
-never alias the buffer. The buffer holds what the largest single call
-needed, whatever the number of shapes seen. The next call on the same spec
-overwrites it, so the kernel assumes single-threaded use. What a call needs
-that depends only on the operands' shapes (the broadcast leading shape, the
-scratch shapes, the label rows' flat starts) is built once per call shape
-and kept in a bounded cache (_plan_for); it holds no view of the buffer.
+returns and, for relu, the dead-unit mask of each backward layer. Losses,
+gradients and forward's logits are always fresh arrays and never alias the
+scratch. The array holds what the largest single call needed, whatever the
+number of shapes seen. The next call on the same spec overwrites it, so the
+kernel assumes single-threaded use. What a call needs that depends only on
+the spec and the operands' shapes (the broadcast leading shape, the scratch
+shapes, the label rows' flat starts, the layer table) is built once per
+call shape and kept in a bounded cache (_plan_for); it holds no view of the
+scratch.
 """
 
 from __future__ import annotations
@@ -241,13 +243,17 @@ def _check_labeled(spec: MlpSpec, theta_shape, inputs, labels):
 class _Plan(NamedTuple):
     """What a call needs that depends only on the spec and the operands'
     shapes: the pairs' leading shape, each hidden layer's scratch shape and
-    size, and the flat index of every logits row's first entry (read-only)."""
+    size, the flat index of every logits row's first entry (read-only), and
+    the spec's layer table: per layer, the slice of theta its weights fill,
+    their matrix shape and the slice its bias fills."""
 
     lead: tuple[int, ...]
     shapes: tuple[tuple[int, ...], ...]
     sizes: tuple[int, ...]
     total: int
     row_starts: np.ndarray
+    layers: tuple[tuple[slice, tuple[int, int], slice], ...]
+    relu: bool
 
 
 @functools.lru_cache(maxsize=128)
@@ -259,45 +265,33 @@ def _plan_for(spec: MlpSpec, theta_lead, inputs_lead, labels_lead, n: int) -> _P
     sizes = tuple(math.prod(shape) for shape in shapes)
     row_starts = np.arange(0, math.prod(lead) * n * spec.n_classes, spec.n_classes).reshape(lead + (n,))
     row_starts.flags.writeable = False
-    return _Plan(lead, shapes, sizes, sum(sizes), row_starts)
+    layout = layout_for(spec)
+    layers = tuple(
+        (slice(w.offset, w.offset + w.size), w.shape, slice(b.offset, b.offset + b.size))
+        for w, b in zip(layout[::2], layout[1::2])
+    )
+    return _Plan(lead, shapes, sizes, sum(sizes), row_starts, layers, spec.activation == "relu")
 
 
-class _Scratch:
-    """A spec's layer table and the grow-only byte storage for its per-call
-    temporaries.
+@functools.lru_cache(maxsize=64)
+def _scratch_for(spec: MlpSpec) -> list[np.ndarray]:
+    """A one-item list holding the spec's grow-only float64 scratch, shared
+    by every call on that spec."""
+    return [np.empty(0)]
 
-    A call takes all its arrays, C-contiguous and back to back, from the
-    front of one buffer, so the buffer only ever grows to what the largest
-    single call needed. The float arrays come first, read through a float64
-    view of the buffer."""
 
-    def __init__(self, spec: MlpSpec):
-        layout = layout_for(spec)
-        # Per layer: the slice of theta its weights fill, their matrix
-        # shape, and the slice its bias fills.
-        self.layers = tuple(
-            (slice(w.offset, w.offset + w.size), w.shape, slice(b.offset, b.offset + b.size))
-            for w, b in zip(layout[::2], layout[1::2])
-        )
-        self.relu = spec.activation == "relu"
-        self.buffer = np.empty(0, dtype=np.uint8)
-        self.floats = self.buffer.view(np.float64)
-
-    def arrays(self, plan: _Plan, backward: bool):
-        """(outs, deltas, masks) for the call of plan: per hidden layer,
-        float64 arrays of its scratch shape for its output and, with
-        backward, for the delta at its output, plus bool masks for a relu
-        spec. Their contents are left over from earlier calls."""
-        total = plan.total
-        n_floats = 2 * total if backward else total
-        n_masks = total if backward and self.relu else 0
-        if 8 * n_floats + n_masks > self.buffer.size:
-            self.buffer = np.empty(8 * n_floats + n_masks, dtype=np.uint8)
-            self.floats = self.buffer[: self.buffer.size // 8 * 8].view(np.float64)
-        outs = _cut(self.floats, 0, plan)
-        deltas = _cut(self.floats, total, plan) if backward else []
-        masks = _cut(self.buffer[8 * n_floats :].view(np.bool_), 0, plan) if n_masks else []
-        return outs, deltas, masks
+def _arrays(spec: MlpSpec, plan: _Plan, backward: bool):
+    """(outs, deltas) for the call of plan: per hidden layer, a float64 array
+    of its scratch shape for its output and, with backward, one for the delta
+    at its output. They are cut back to back from the front of the spec's
+    scratch, which grows only when this call needs more than any before it;
+    their contents are left over from earlier calls."""
+    need = 2 * plan.total if backward else plan.total
+    held = _scratch_for(spec)
+    if held[0].size < need:
+        held[0] = np.empty(need)
+    deltas = _cut(held[0], plan.total, plan) if backward else []
+    return _cut(held[0], 0, plan), deltas
 
 
 def _cut(flat: np.ndarray, start: int, plan: _Plan) -> list[np.ndarray]:
@@ -309,34 +303,28 @@ def _cut(flat: np.ndarray, start: int, plan: _Plan) -> list[np.ndarray]:
     return views
 
 
-@functools.lru_cache(maxsize=64)
-def _scratch_for(spec: MlpSpec) -> _Scratch:
-    """The scratch store of a spec, shared by every call on that spec."""
-    return _Scratch(spec)
-
-
 def _weights(theta: np.ndarray, layer) -> np.ndarray:
     """The layer's weight matrices in theta (..., P), shape (...) + its shape."""
     span, shape, _ = layer
     return theta[..., span].reshape(theta.shape[:-1] + shape)
 
 
-def _forward_cached(scratch: _Scratch, theta: np.ndarray, inputs: np.ndarray, outs):
+def _forward_cached(plan: _Plan, theta: np.ndarray, inputs: np.ndarray, outs):
     """Logits (..., n, C), the input of every layer, [inputs, *outs], and
     every layer's weight matrix; theta (..., P) and inputs (..., n, d)
     broadcast.
 
-    outs holds one array per hidden layer (see _Scratch.arrays); that
-    layer's product, bias add and activation all run in it. The logits are a
-    fresh array."""
-    layers = scratch.layers
+    outs holds one array per hidden layer (see _arrays); that layer's
+    product, bias add and activation all run in it. The logits are a fresh
+    array."""
+    layers = plan.layers
     weights = [_weights(theta, layer) for layer in layers]
     h = inputs
     hiddens = [h]
     for (_, _, bias), w, z in zip(layers, weights, outs):
         np.matmul(h, w, out=z)
         z += theta[..., None, bias]
-        if scratch.relu:
+        if plan.relu:
             h = np.maximum(z, 0.0, out=z)
         else:
             h = np.tanh(z, out=z)
@@ -349,10 +337,9 @@ def _forward_cached(scratch: _Scratch, theta: np.ndarray, inputs: np.ndarray, ou
 def forward(spec: MlpSpec, params: ParamVector, inputs) -> np.ndarray:
     """Row i of the result holds the C logits for sample i."""
     inputs = _check_inputs(spec, inputs)
-    scratch = _scratch_for(spec)
     plan = _plan_for(spec, params.theta.shape[:-1], inputs.shape[:-2], (), inputs.shape[-2])
-    outs, _, _ = scratch.arrays(plan, False)
-    logits, _, _ = _forward_cached(scratch, params.theta, inputs, outs)
+    outs, _ = _arrays(spec, plan, False)
+    logits, _, _ = _forward_cached(plan, params.theta, inputs, outs)
     return logits
 
 
@@ -397,9 +384,8 @@ def mean_loss(spec: MlpSpec, theta: np.ndarray, inputs, labels):
     """Mean softmax cross-entropy over the given samples, per broadcast
     (theta, sub-batch) pair."""
     inputs, labels, plan = _check_labeled(spec, theta.shape, inputs, labels)
-    scratch = _scratch_for(spec)
-    outs, _, _ = scratch.arrays(plan, False)
-    logits, _, _ = _forward_cached(scratch, theta, inputs, outs)
+    outs, _ = _arrays(spec, plan, False)
+    logits, _, _ = _forward_cached(plan, theta, inputs, outs)
     _, total = _shift_and_sum(logits)
     return _as_loss(_mean_cross_entropy(logits, total, (plan.row_starts + labels).reshape(-1)))
 
@@ -409,10 +395,9 @@ def mean_loss_and_grad(spec: MlpSpec, theta: np.ndarray, inputs, labels):
     per broadcast (theta, sub-batch) pair: losses of the leading shape and
     gradients of that shape + (P,)."""
     inputs, labels, plan = _check_labeled(spec, theta.shape, inputs, labels)
-    scratch = _scratch_for(spec)
     n = inputs.shape[-2]
-    outs, deltas, masks = scratch.arrays(plan, True)
-    logits, hiddens, weights = _forward_cached(scratch, theta, inputs, outs)
+    outs, deltas = _arrays(spec, plan, True)
+    logits, hiddens, weights = _forward_cached(plan, theta, inputs, outs)
     delta, total = _shift_and_sum(logits)
     # Flat index of each row's label entry in logits (and in delta).
     picks = (plan.row_starts + labels).reshape(-1)
@@ -424,7 +409,7 @@ def mean_loss_and_grad(spec: MlpSpec, theta: np.ndarray, inputs, labels):
 
     grad = np.empty(plan.lead + (theta.shape[-1],), dtype=np.float64)
     for i in range(len(outs), -1, -1):
-        layer = scratch.layers[i]
+        layer = plan.layers[i]
         np.matmul(hiddens[i].swapaxes(-1, -2), delta, out=_weights(grad, layer))
         # Row sums with delta.sum(axis=-2)'s bits: einsum adds the rows in
         # the same order from width 2 on (see the reduction rule above).
@@ -436,13 +421,10 @@ def mean_loss_and_grad(spec: MlpSpec, theta: np.ndarray, inputs, labels):
         if i > 0:
             out = deltas[i - 1]
             np.matmul(delta, weights[i].swapaxes(-1, -2), out=out)
-            if scratch.relu:
+            if plan.relu:
                 # hiddens[i] = max(z, 0) is > 0 exactly where z is (for NaN
                 # neither is), so this zeroes the entries where z > 0 fails.
-                dead = masks[i - 1]
-                np.greater(hiddens[i], 0.0, out=dead)
-                np.logical_not(dead, out=dead)
-                np.copyto(out, 0.0, where=dead)
+                np.copyto(out, 0.0, where=~(hiddens[i] > 0.0))
             else:
                 # tanh' = 1 - tanh^2, built in place in the forward pass's
                 # output for this layer, which no later step reads.

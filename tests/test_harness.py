@@ -1709,13 +1709,37 @@ def test_cli_refuses_a_config_or_checkpoint_path_that_is_a_directory(tmp_path, c
     out_dir = tmp_path / "out"
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(tiny_config_json(str(out_dir)))
-    for argv, what in (
-        (["train", "--config", str(tmp_path), "--seed", "0"], "config file"),
-        (["landscape", "--config", str(cfg_path), "--checkpoint", str(tmp_path)], "checkpoint"),
+    # A run manifest in train's output_dir is read before the first step too.
+    manifest = tmp_path / "run" / "manifest.json"
+    manifest.mkdir(parents=True)
+    run_cfg = tmp_path / "run.json"
+    run_cfg.write_text(tiny_config_json(str(manifest.parent)))
+    for argv, what, path in (
+        (["train", "--config", str(tmp_path), "--seed", "0"], "config file", tmp_path),
+        (["landscape", "--config", str(cfg_path), "--checkpoint", str(tmp_path)], "checkpoint", tmp_path),
+        (["train", "--config", str(run_cfg), "--seed", "0"], "run manifest", manifest),
     ):
         assert cli.main(argv) == 1
-        assert capsys.readouterr().err == f"error: {what} is not a regular file: {tmp_path}\n"
+        assert capsys.readouterr().err == f"error: {what} is not a regular file: {path}\n"
     assert not out_dir.exists()
+    assert list(manifest.parent.iterdir()) == [manifest] and not any(manifest.iterdir())
+
+
+@pytest.mark.parametrize("nested", [False, True])
+@pytest.mark.parametrize("command", ["train", "loo", "sweep", "landscape", "convergence"])
+def test_cli_refuses_an_output_dir_at_or_under_a_file(tmp_path, monkeypatch, capsys, command, nested):
+    """Refused by name before any step is trained, and the file is left as it was."""
+    steps = []
+    monkeypatch.setattr(harness, "take_step", lambda *args, **kwargs: steps.append(args[4]))
+    cfg_path, ckpt, _ = _landscape_setup(tmp_path)
+    blocker = tmp_path / "afile"
+    blocker.write_bytes(b"not a directory\n")
+    out_dir = blocker / "run" if nested else blocker
+    cfg_path.write_text(tiny_config_json(str(out_dir)))
+    extra = {"train": ["--seed", "0"], "landscape": ["--checkpoint", str(ckpt)]}.get(command, [])
+    assert cli.main([command, "--config", str(cfg_path), *extra]) == 1
+    assert capsys.readouterr().err == f"error: output_dir {out_dir}: {blocker} is not a directory\n"
+    assert blocker.read_bytes() == b"not a directory\n" and steps == []
 
 
 def _landscape_setup(tmp_path, nan_from=None):

@@ -329,15 +329,16 @@ def test_returned_arrays_do_not_alias_the_scratch(activation):
     assert _same(losses, kept[0]) and _same(grads, kept[1]) and _same(logits, kept[2])
 
 
-def test_retained_scratch_is_bounded_by_the_largest_call():
-    spec = MlpSpec((3, 7, 5, 2), "relu")  # used by no other test: its scratch starts empty
+@pytest.mark.parametrize("activation", ["relu", "tanh"])
+def test_retained_scratch_is_bounded_by_the_largest_call(activation):
+    spec = MlpSpec((3, 7, 5, 2), activation)  # used by no other test: its scratch starts empty
     widths = spec.layer_sizes[1:-1]
     rng = np.random.default_rng(8)
 
     def need(rows: int) -> int:
-        """Bytes of a gradient call's scratch arrays: the hidden outputs,
-        their deltas and the relu masks."""
-        return sum(8 * rows * w for w in widths) * 2 + sum(rows * w for w in widths)
+        """Bytes of a gradient call's scratch arrays: the hidden outputs
+        and their deltas."""
+        return sum(8 * rows * w for w in widths) * 2
 
     largest = 0
     for n in [41, 700] + list(range(1, 60)) + [350]:
@@ -348,16 +349,16 @@ def test_retained_scratch_is_bounded_by_the_largest_call():
                 mean_loss_and_grad(spec, theta, inputs, labels)
                 mean_loss(spec, theta, inputs, labels)
             largest = max(largest, need(pairs * n))
-            assert _scratch_for(spec).buffer.nbytes <= largest
+            assert _scratch_for(spec)[0].nbytes <= largest
     # Exactly the largest call's arrays (3 x 3 pairs of 700 rows), after
     # hundreds of smaller call shapes.
-    assert _scratch_for(spec).buffer.nbytes == largest
+    assert _scratch_for(spec)[0].nbytes == largest
 
 
 def test_call_plans_are_cached_read_only_and_hold_no_scratch():
     """The per-shape plan is built once and holds only values that no call
     can change: shapes, and row starts that are read-only and not views of
-    the scratch buffer (which the next call overwrites)."""
+    the scratch array (which the next call overwrites)."""
     spec = MlpSpec((2, 5, 3, 2), "relu")
     rng = np.random.default_rng(3)
     for layout in ("plain", "pairs", "grid"):
@@ -371,7 +372,7 @@ def test_call_plans_are_cached_read_only_and_hold_no_scratch():
         arrays = [v for v in plan if isinstance(v, np.ndarray)]
         assert arrays == [plan.row_starts]
         assert not plan.row_starts.flags.writeable
-        assert not np.shares_memory(plan.row_starts, _scratch_for(spec).buffer)
+        assert not np.shares_memory(plan.row_starts, _scratch_for(spec)[0])
         assert np.array_equal(plan.row_starts.reshape(-1), np.arange(0, 2 * plan.row_starts.size, 2))
 
 
