@@ -8,13 +8,11 @@ preconditions), 2 runtime error.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 
-from . import datagen, diagnostics, harness
-from .config import ConfigError, ConfigValueError, _require_file, _require_index
-from .numerics import Prng
+from . import harness
+from .config import ConfigError, ConfigValueError
 
 PAPER_GAMMA_GRID = "0.0,0.0001,0.0002,0.001,0.002"
 PAPER_RHO_GRID = "0.005,0.05,0.1,0.2,0.4"
@@ -30,52 +28,13 @@ class _Parser(argparse.ArgumentParser):
 
 def _parse_grid(text: str, name: str):
     try:
-        values = [float(v) for v in text.split(",")]
+        return [float(v) for v in text.split(",")]
     except ValueError as exc:
         raise ConfigValueError(f"--{name}: expected comma-separated numbers, got {text!r}") from exc
-    return values
 
 
-def _refuse_output_dir(output_dir: str) -> None:
-    """Refuse an output_dir that is, or lies under, something other than a
-    directory, before any step is trained: no file could be written there."""
-    path = os.path.abspath(output_dir)
-    while not os.path.lexists(path):
-        path = os.path.dirname(path)
-    if not os.path.isdir(path):
-        raise ConfigValueError(f"output_dir {output_dir}: {path} is not a directory")
-
-
-def _refuse_other_seed(output_dir: str, seed: int) -> None:
-    """Refuse to train into a directory whose manifest records another seed:
-    its files would be overwritten. The same seed overwrites them, as a
-    rerun should."""
-    path = os.path.join(output_dir, "manifest.json")
-    if not os.path.exists(path):
-        return
-    _require_file(path, "run manifest")
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            manifest = json.load(fh)
-        except ValueError as exc:  # not JSON, or not UTF-8
-            raise ConfigValueError(f"{path} is not a readable run manifest: {exc}") from exc
-    recorded = manifest.get("seed") if isinstance(manifest, dict) else None
-    if recorded != seed:
-        raise ConfigValueError(
-            f"{path} records seed {recorded!r}; train --seed {seed} would overwrite that run's files "
-            f"(set a different output_dir for seed {seed})"
-        )
-
-
-def _cmd_train(args) -> int:
-    cfg = harness.load_config(args.config)
-    _require_index(cfg.held_out, "train")
-    if args.seed < 0:
-        raise ConfigValueError(f"--seed: expected a non-negative integer, got {args.seed}")
-    _refuse_output_dir(cfg.output_dir)
-    _refuse_other_seed(cfg.output_dir, args.seed)
-    record = harness.run_training(cfg, args.seed)
-    paths = harness.write_outputs(record, cfg.output_dir)
+def _cmd_train(args, cfg) -> int:
+    record, paths = harness.train_and_write(cfg, args.seed)
     final = record.evals[-1]
     print(
         f"seed {args.seed} held_out {record.manifest['held_out']} step {final.step}: "
@@ -86,9 +45,7 @@ def _cmd_train(args) -> int:
     return 0
 
 
-def _cmd_loo(args) -> int:
-    cfg = harness.load_config(args.config)
-    _refuse_output_dir(cfg.output_dir)
+def _cmd_loo(args, cfg) -> int:
     summary, _ = harness.run_leave_one_out(cfg)
     for row in summary:
         print(
@@ -100,12 +57,8 @@ def _cmd_loo(args) -> int:
     return 0
 
 
-def _cmd_sweep(args) -> int:
-    cfg = harness.load_config(args.config)
-    _refuse_output_dir(cfg.output_dir)
-    gammas = _parse_grid(args.gammas, "gammas")
-    rhos = _parse_grid(args.rhos, "rhos")
-    cells = harness.run_sweep(cfg, gammas, rhos)
+def _cmd_sweep(args, cfg) -> int:
+    cells = harness.run_sweep(cfg, _parse_grid(args.gammas, "gammas"), _parse_grid(args.rhos, "rhos"))
     for cell in cells:
         print(
             f"gamma={cell['gamma']} rho={cell['rho']}: auc={cell['auc_mean']:.4f}±{cell['auc_std']:.4f} "
@@ -115,26 +68,13 @@ def _cmd_sweep(args) -> int:
     return 0
 
 
-def _cmd_landscape(args) -> int:
-    cfg = harness.load_config(args.config)
-    held = _require_index(cfg.held_out, "landscape")
-    _refuse_output_dir(cfg.output_dir)
-    _require_file(args.checkpoint, "checkpoint")
-    params = harness.read_params_bin(args.checkpoint, cfg.model)
-    source, _ = datagen.leave_one_out(list(cfg.domains), held)
-    batch = source.concatenated()
-    grid = diagnostics.landscape_slice(
-        cfg.model, params, batch, args.dims, args.radius, args.steps, Prng(cfg.seeds[0], 2)
-    )
-    out = os.path.join(cfg.output_dir, "landscape.csv")
-    harness._atomic_write(out, harness.landscape_csv(grid))
-    print(f"center loss {grid.center_loss:.6f}; wrote {out}")
+def _cmd_landscape(args, cfg) -> int:
+    grid, path = harness.run_landscape(cfg, args.checkpoint, args.dims, args.radius, args.steps)
+    print(f"center loss {grid.center_loss:.6f}; wrote {path}")
     return 0
 
 
-def _cmd_convergence(args) -> int:
-    cfg = harness.load_config(args.config)
-    _refuse_output_dir(cfg.output_dir)
+def _cmd_convergence(args, cfg) -> int:
     record, trace = harness.run_convergence(cfg, window=args.window, trace_every=args.trace_every)
     print(
         f"windows={len(trace.t)} fitted_C={trace.fitted_C:.6f} "
@@ -144,7 +84,7 @@ def _cmd_convergence(args) -> int:
     return 0
 
 
-def _cmd_gradcheck(args) -> int:
+def _cmd_gradcheck(args, cfg) -> int:
     passed, worst, errors = harness.finite_difference_suite()
     for i, err in enumerate(errors):
         print(f"model {i}: max relative error {err:.3e}")
@@ -155,32 +95,29 @@ def _cmd_gradcheck(args) -> int:
 def build_parser() -> _Parser:
     parser = _Parser(prog="gacfas", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
+    config = argparse.ArgumentParser(add_help=False)
+    config.add_argument("--config", required=True)
 
-    p = sub.add_parser("train", help="one training run", parents=[], add_help=True)
-    p.add_argument("--config", required=True)
+    p = sub.add_parser("train", help="one training run", parents=[config])
     p.add_argument("--seed", required=True, type=int)
     p.set_defaults(fn=_cmd_train)
 
-    p = sub.add_parser("loo", help="full leave-one-out rotation over domains and seeds")
-    p.add_argument("--config", required=True)
+    p = sub.add_parser("loo", help="full leave-one-out rotation over domains and seeds", parents=[config])
     p.set_defaults(fn=_cmd_loo)
 
-    p = sub.add_parser("sweep", help="gamma x rho sensitivity grid")
-    p.add_argument("--config", required=True)
+    p = sub.add_parser("sweep", help="gamma x rho sensitivity grid", parents=[config])
     p.add_argument("--gammas", default=PAPER_GAMMA_GRID)
     p.add_argument("--rhos", default=PAPER_RHO_GRID)
     p.set_defaults(fn=_cmd_sweep)
 
-    p = sub.add_parser("landscape", help="loss slice around a saved checkpoint")
-    p.add_argument("--config", required=True)
+    p = sub.add_parser("landscape", help="loss slice around a saved checkpoint", parents=[config])
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--dims", type=int, choices=(1, 2), default=1)
     p.add_argument("--radius", type=float, default=1.0)
     p.add_argument("--steps", type=int, default=51)
     p.set_defaults(fn=_cmd_landscape)
 
-    p = sub.add_parser("convergence", help="decay-schedule run with a fitted rate curve")
-    p.add_argument("--config", required=True)
+    p = sub.add_parser("convergence", help="decay-schedule run with a fitted rate curve", parents=[config])
     p.add_argument("--window", type=int, default=40)
     p.add_argument("--trace-every", type=int, default=5)
     p.set_defaults(fn=_cmd_convergence)
@@ -191,10 +128,16 @@ def build_parser() -> _Parser:
 
 
 def main(argv=None) -> int:
+    """A subcommand with --config loads it, runs harness.preflight, then one
+    harness driver, and prints what it did."""
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        return args.fn(args)
+        cfg = None
+        if "config" in args:
+            cfg = harness.load_config(args.config)
+            harness.preflight(cfg, getattr(args, "seed", None))
+        return args.fn(args, cfg)
     except (ConfigError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

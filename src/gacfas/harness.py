@@ -30,7 +30,7 @@ from . import datagen, diagnostics, evalmetrics, model as model_mod
 from ._procs import _process_count, _spread
 # load_config is bound here but not called: perfbench/tracer.py times the
 # config load as harness.load_config.
-from .config import ConfigValueError, ExperimentConfig, _require_index, config_digest, config_to_dict, load_config
+from .config import ConfigValueError, ExperimentConfig, _require_file, _require_index, config_digest, config_to_dict, load_config
 from .model import Batch, MlpSpec, ParamVector, layout_for
 from .numerics import Prng, _is_int
 from .optim import OptimizerConfig, StepDiagnostics, batch_loss, gac_fas_record, take_step
@@ -283,20 +283,67 @@ def _atomic_write(path: str, data) -> None:
         raise RuntimeError(f"failed writing {path}: {exc}") from exc
 
 
+# The files of one run, by their key in write_outputs' path map.
+RUN_FILES = {"manifest": "manifest.json", "metrics": "metrics.csv", "diagnostics": "diagnostics.csv", "params": "params.bin"}
+
+
 def write_outputs(record: RunRecord, output_dir: str) -> dict:
     """Write manifest.json, metrics.csv, diagnostics.csv, params.bin into
     output_dir atomically; returns the path map."""
-    paths = {
-        "manifest": os.path.join(output_dir, "manifest.json"),
-        "metrics": os.path.join(output_dir, "metrics.csv"),
-        "diagnostics": os.path.join(output_dir, "diagnostics.csv"),
-        "params": os.path.join(output_dir, "params.bin"),
-    }
+    paths = {key: os.path.join(output_dir, name) for key, name in RUN_FILES.items()}
     _atomic_write(paths["manifest"], json.dumps(record.manifest, sort_keys=True, indent=2) + "\n")
     _atomic_write(paths["metrics"], metrics_csv(record))
     _atomic_write(paths["diagnostics"], diagnostics_csv(record))
     _atomic_write(paths["params"], params_bin(record.final_params))
     return paths
+
+
+def _read_manifest(path: str):
+    """The run manifest at path, None if there is none and {} if it is not a
+    JSON object; refused by its path if it is not a readable JSON file."""
+    if not os.path.exists(path):
+        return None
+    _require_file(path, "run manifest")
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            manifest = json.load(fh)
+        except ValueError as exc:  # not JSON, or not UTF-8
+            raise ConfigValueError(f"{path} is not a readable run manifest: {exc}") from exc
+    return manifest if isinstance(manifest, dict) else {}
+
+
+def preflight(cfg: ExperimentConfig, seed=None) -> None:
+    """Refuse, before the first step and before any fork, an output_dir that
+    is, or lies under, something other than a directory; and for train's run
+    of seed, a negative seed, a run file there (RUN_FILES) that is not a
+    regular file, or a manifest there that records another seed (the same
+    seed overwrites its files, as a rerun should)."""
+    if seed is not None and seed < 0:
+        raise ConfigValueError(f"--seed: expected a non-negative integer, got {seed}")
+    path = os.path.abspath(cfg.output_dir)
+    while not os.path.lexists(path):
+        path = os.path.dirname(path)
+    if not os.path.isdir(path):
+        raise ConfigValueError(f"output_dir {cfg.output_dir}: {path} is not a directory")
+    if seed is None:
+        return
+    for key, name in RUN_FILES.items():
+        path = os.path.join(cfg.output_dir, name)
+        if os.path.exists(path):
+            _require_file(path, f"run {key}")
+    path = os.path.join(cfg.output_dir, RUN_FILES["manifest"])
+    manifest = _read_manifest(path)
+    if manifest is not None and manifest.get("seed") != seed:
+        raise ConfigValueError(
+            f"{path} records seed {manifest.get('seed')!r}; train --seed {seed} would overwrite that run's files "
+            f"(set a different output_dir for seed {seed})"
+        )
+
+
+def train_and_write(cfg: ExperimentConfig, seed: int):
+    """train: one run of seed, written into cfg.output_dir; returns (record, paths)."""
+    record = run_training(cfg, seed, _require_index(cfg.held_out, "train"))
+    return record, write_outputs(record, cfg.output_dir)
 
 
 def window_means(record: RunRecord, eval_window: int) -> dict:
@@ -459,6 +506,33 @@ def run_convergence(cfg: ExperimentConfig, window: int = 40, trace_every: int = 
     write_outputs(record, os.path.join(cfg.output_dir, "convergence_run"))
     _atomic_write(os.path.join(cfg.output_dir, "convergence.csv"), convergence_csv(trace))
     return record, trace
+
+
+def run_landscape(cfg: ExperimentConfig, checkpoint: str, dims: int, radius: float, steps: int):
+    """landscape: the loss slice around the checkpoint's parameters on
+    cfg.held_out's source set, directions from stream 2 of the first seed,
+    written to <output_dir>/landscape.csv. Returns (grid, that path).
+
+    A manifest.json beside the checkpoint must record cfg's model and
+    domains, and cfg.held_out as the run's held_out; a checkpoint with none
+    beside it is read as cfg's model."""
+    held = _require_index(cfg.held_out, "landscape")
+    _require_file(checkpoint, "checkpoint")
+    path = os.path.join(os.path.dirname(checkpoint), RUN_FILES["manifest"])
+    manifest = _read_manifest(path)
+    if manifest is not None:
+        recorded = manifest.get("config")
+        theirs = {**recorded, "held_out": manifest.get("held_out")} if isinstance(recorded, dict) else {}
+        ours = {**config_to_dict(cfg), "held_out": held}
+        for key in ("model", "domains", "held_out"):
+            if theirs.get(key) != ours[key]:
+                raise ConfigValueError(f"checkpoint {checkpoint} is not a run of this config: {path} records another {key}")
+    params = read_params_bin(checkpoint, cfg.model)
+    source, _ = datagen.leave_one_out(list(cfg.domains), held)
+    grid = diagnostics.landscape_slice(cfg.model, params, source.concatenated(), dims, radius, steps, Prng(cfg.seeds[0], 2))
+    path = os.path.join(cfg.output_dir, "landscape.csv")
+    _atomic_write(path, landscape_csv(grid))
+    return grid, path
 
 
 def finite_difference_suite(n_models: int = 10, tol: float = 1e-5, h: float = 1e-6, seed: int = 2024):

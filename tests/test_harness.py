@@ -13,10 +13,13 @@ import signal
 import struct
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 from gacfas import cli, diagnostics, harness, optim
 from gacfas.datagen import DomainSpec, build_source_set, leave_one_out, sample_minibatch
@@ -1480,6 +1483,37 @@ def test_the_process_model_has_one_home():
     assert sorted(imported) == ["_process_count", "_spread"]
 
 
+def test_the_cli_reaches_the_package_through_config_and_harness_only():
+    """cli parses, loads, runs harness.preflight and one harness driver, and
+    prints: it imports only config and harness from the package and names no
+    private harness attribute, and only harness names the run manifest."""
+    package = Path(harness.__file__).parent
+    tree = ast.parse((package / "cli.py").read_text(encoding="utf-8"))
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            imported |= {node.module} if node.module else {alias.name for alias in node.names}
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "gacfas":
+            imported.add(node.module)
+        elif isinstance(node, ast.Import):
+            imported |= {alias.name for alias in node.names if alias.name.split(".")[0] == "gacfas"}
+    assert imported == {"config", "harness"}
+    private = [
+        node.attr
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id == "harness"
+        if node.attr.startswith("_")
+    ]
+    assert private == []
+    homes = {
+        path.name
+        for path in package.glob("*.py")
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Constant) and node.value == "manifest.json"
+    }
+    assert homes == {"harness.py"}
+
+
 def test_run_convergence_forces_theorem1_and_writes_outputs(tmp_path):
     cfg = tiny_config(output_dir=str(tmp_path), steps=60, eval_every=30, eval_window=1)
     record, trace = run_convergence(cfg, window=4, trace_every=5)
@@ -1742,6 +1776,101 @@ def test_cli_refuses_an_output_dir_at_or_under_a_file(tmp_path, monkeypatch, cap
     assert blocker.read_bytes() == b"not a directory\n" and steps == []
 
 
+@pytest.mark.parametrize("name", ["manifest.json", "metrics.csv", "diagnostics.csv", "params.bin"])
+def test_cli_train_refuses_a_run_file_that_is_not_a_regular_file(tmp_path, monkeypatch, capsys, name):
+    """A directory where train would write one of its files is refused by
+    its path before the first step, and the tree is left as it was."""
+    steps = []
+    monkeypatch.setattr(harness, "take_step", lambda *args, **kwargs: steps.append(args[4]))
+    out_dir = tmp_path / "run"
+    (out_dir / name).mkdir(parents=True)
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(tiny_config_json(str(out_dir)))
+    assert cli.main(["train", "--config", str(cfg_path), "--seed", "0"]) == 1
+    key = name.split(".")[0]
+    assert capsys.readouterr().err == f"error: run {key} is not a regular file: {out_dir / name}\n"
+    assert steps == [] and list(out_dir.iterdir()) == [out_dir / name] and not any((out_dir / name).iterdir())
+
+
+def _bytes_and_listings(root) -> dict:
+    """Every file's bytes and every directory's listing under root."""
+    return {
+        path: path.read_bytes() if path.is_file() else sorted(p.name for p in path.iterdir())
+        for path in [Path(root), *Path(root).rglob("*")]
+    }
+
+
+_PREFLIGHT_ARGS = {
+    "train": ["--seed", "0"],
+    "loo": [],
+    "sweep": ["--gammas", "0.0", "--rhos", "0.1"],
+    "landscape": ["--steps", "3"],
+    "convergence": ["--window", "1", "--trace-every", "5"],
+}
+_MANIFESTS = {
+    "same seed": b'{"seed": 0}',
+    "other seed": b'{"seed": 1}',
+    "bad JSON": b"{truncated",
+    "not UTF-8": b"\xff\xfe{}",
+}
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(
+    command=st.sampled_from(sorted(_PREFLIGHT_ARGS)),
+    out=st.sampled_from(["absent", "a directory", "a file", "under a file"]),
+    run_files=st.tuples(*[st.sampled_from(["absent", "a file", "a directory"])] * 4),
+    manifest=st.sampled_from(sorted(_MANIFESTS)),
+)
+@example(command="train", out="a directory", run_files=("a file", "a directory", "absent", "absent"), manifest="same seed")
+@example(command="train", out="a directory", run_files=("a file", "a file", "a file", "a file"), manifest="same seed")
+@example(command="train", out="a directory", run_files=("a file", "absent", "absent", "absent"), manifest="other seed")
+@example(command="train", out="a directory", run_files=("a file", "absent", "absent", "absent"), manifest="bad JSON")
+@example(command="train", out="a directory", run_files=("a file", "absent", "absent", "absent"), manifest="not UTF-8")
+@example(command="loo", out="a directory", run_files=("a directory",) * 4, manifest="same seed")
+def test_the_preflight_refuses_exactly_what_its_rule_names(tmp_path, monkeypatch, capsys, command, out, run_files, manifest):
+    """Every subcommand refuses an output_dir that is, or lies under, a file;
+    train also refuses a run file that is a directory and a manifest that
+    is unreadable or records another seed. A refusal exits 1, names a path,
+    trains no step and changes no byte or listing; anything else exits 0."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    steps = []
+    real_step = optim.take_step
+    monkeypatch.setattr(harness, "take_step", lambda *args, **kwargs: steps.append(args[4]) or real_step(*args, **kwargs))
+    root = Path(tempfile.mkdtemp(dir=tmp_path))
+    out_dir = root / "out"
+    if out == "a directory":
+        out_dir.mkdir()
+        for name, kind in zip(("manifest.json", "metrics.csv", "diagnostics.csv", "params.bin"), run_files):
+            if kind == "a directory":
+                (out_dir / name).mkdir()
+            elif kind == "a file":
+                (out_dir / name).write_bytes(_MANIFESTS[manifest] if name == "manifest.json" else b"old\n")
+    elif out == "a file":
+        out_dir.write_bytes(b"not a directory\n")
+    elif out == "under a file":
+        (root / "afile").write_bytes(b"not a directory\n")
+        out_dir = root / "afile" / "out"
+    text = tiny_config_json(str(out_dir))
+    (root / "cfg.json").write_text(text)
+    (root / "params.bin").write_bytes(params_bin(init_params(parse_config(text).model, Prng(0, 0))))
+    extra = ["--checkpoint", str(root / "params.bin")] if command == "landscape" else []
+    before = _bytes_and_listings(root)
+
+    code = cli.main([command, "--config", str(root / "cfg.json"), *_PREFLIGHT_ARGS[command], *extra])
+    err = capsys.readouterr().err
+
+    refused = out in ("a file", "under a file") or (
+        command == "train"
+        and out == "a directory"
+        and ("a directory" in run_files or (run_files[0] == "a file" and manifest != "same seed"))
+    )
+    assert code == (1 if refused else 0), err
+    if refused:
+        assert str(root) in err
+        assert steps == [] and _bytes_and_listings(root) == before
+
+
 def _landscape_setup(tmp_path, nan_from=None):
     """A config and a checkpoint of the config's model, with every
     parameter from index nan_from on set to NaN if given."""
@@ -1764,6 +1893,56 @@ def test_cli_landscape_refuses_a_non_finite_checkpoint(tmp_path, capsys):
     err = capsys.readouterr().err
     assert str(ckpt) in err and "parameter 5 is nan" in err
     assert not (out_dir / "landscape.csv").exists()
+
+
+def test_cli_landscape_refuses_a_checkpoint_of_another_model_domains_or_held_out(tmp_path, capsys):
+    """The manifest beside a checkpoint names the run that wrote it: a slice
+    under a config of another model, other domains or another held_out is
+    refused by both paths and the first key that differs, and writes nothing."""
+    run_dir = tmp_path / "run"
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(tiny_config_json(str(run_dir)))
+    assert cli.main(["train", "--config", str(cfg_path), "--seed", "0"]) == 0
+    capsys.readouterr()
+    ckpt, manifest = run_dir / "params.bin", run_dir / "manifest.json"
+    domains = json.loads(tiny_config_json("out"))["domains"]
+    domains[0]["noise_sigma"] = 0.2
+    for key, tweaks in (
+        ("model", {"model": {"layer_sizes": [2, 4, 2], "activation": "relu"}}),  # the same parameter count
+        ("domains", {"domains": domains}),
+        ("held_out", {"held_out": 1}),
+        ("model", {"model": {"layer_sizes": [2, 4, 2], "activation": "relu"}, "held_out": 1}),
+    ):
+        other = tmp_path / "other.json"
+        other.write_text(tiny_config_json(str(tmp_path / "other"), **tweaks))
+        assert cli.main(["landscape", "--config", str(other), "--checkpoint", str(ckpt), "--steps", "5"]) == 1
+        message = f"error: checkpoint {ckpt} is not a run of this config: {manifest} records another {key}\n"
+        assert capsys.readouterr().err == message
+        assert not (tmp_path / "other").exists()
+    manifest.write_text("[]")  # JSON, but no run's manifest
+    assert cli.main(["landscape", "--config", str(cfg_path), "--checkpoint", str(ckpt), "--steps", "5"]) == 1
+    assert capsys.readouterr().err.endswith(f"{manifest} records another model\n")
+    assert not (run_dir / "landscape.csv").exists()
+
+
+def test_cli_landscape_matches_a_rotation_run_by_the_run_s_own_held_out(tmp_path, capsys):
+    """A leave-one-out run's manifest echoes held_out "all" in its config;
+    the slice must match the held_out the run records for itself. A
+    checkpoint with no manifest beside it is read as the config's model."""
+    loo_cfg = tmp_path / "loo.json"
+    loo_cfg.write_text(tiny_config_json(str(tmp_path / "loo"), held_out="all"))
+    assert cli.main(["loo", "--config", str(loo_cfg)]) == 0
+    ckpt = tmp_path / "loo" / "held1_seed0" / "params.bin"
+    for held, code in ((1, 0), (2, 1)):
+        land = tmp_path / f"land{held}.json"
+        land.write_text(tiny_config_json(str(tmp_path / f"land{held}"), held_out=held))
+        assert cli.main(["landscape", "--config", str(land), "--checkpoint", str(ckpt), "--steps", "5"]) == code
+    assert capsys.readouterr().err.endswith("records another held_out\n")
+    assert (tmp_path / "land1" / "landscape.csv").exists() and not (tmp_path / "land2").exists()
+    (tmp_path / "bare").mkdir()
+    cfg_path, bare, out_dir = _landscape_setup(tmp_path / "bare")
+    assert cli.main(["landscape", "--config", str(cfg_path), "--checkpoint", str(bare), "--steps", "5"]) == 0
+    assert (out_dir / "landscape.csv").exists()
 
 
 @pytest.mark.parametrize("radius", ["nan", "inf", "-inf"])
