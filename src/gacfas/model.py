@@ -34,18 +34,21 @@ it stands for, without numpy's slow reduce over a narrow inner axis.
   sum there.
 
 Scratch rule: each spec keeps one grow-only float64 array (_scratch_for)
-for a call's per-layer temporaries: the hidden layers' outputs and the
-backward deltas at them. A call writes these in place (np.matmul with out=,
-in-place bias add, activation and derivative), so it allocates only what it
-returns and, for relu, the dead-unit mask of each backward layer. Losses,
-gradients and forward's logits are always fresh arrays and never alias the
-scratch. The array holds what the largest single call needed, whatever the
-number of shapes seen. The next call on the same spec overwrites it, so the
-kernel assumes single-threaded use. What a call needs that depends only on
-the spec and the operands' shapes (the broadcast leading shape, the scratch
-shapes, the label rows' flat starts, the layer table) is built once per
-call shape and kept in a bounded cache (_plan_for); it holds no view of the
-scratch.
+for a call's per-layer temporaries: the hidden layers' outputs and, for a
+tanh backward, one spare the size of the widest hidden layer. A call writes
+these in place (np.matmul with out=, in-place bias add, activation and
+derivative). The backward reads a layer's output for its weight gradient
+and then writes the delta at that output over it; a tanh layer's product
+goes to the spare while 1 - h^2 is built in the output. So a call allocates
+only what it returns and, for relu, the dead-unit mask of each backward
+layer. Losses, gradients and forward's logits are always fresh arrays and
+never alias the scratch. The array holds what the largest single call
+needed, whatever the number of shapes seen. The next call on the same spec
+overwrites it, so the kernel assumes single-threaded use. What a call needs
+that depends only on the spec and the operands' shapes (the broadcast
+leading shape, the scratch shapes, the label rows' flat starts, the layer
+table) is built once per call shape and kept in a bounded cache
+(_plan_for); it holds no view of the scratch.
 """
 
 from __future__ import annotations
@@ -233,6 +236,7 @@ def _check_labeled(spec: MlpSpec, theta_shape, inputs, labels):
         bad = labels[(labels < 0) | (labels >= spec.n_classes)].flat[0]
         raise ValueError(f"label {bad} out of range for {spec.n_classes} classes")
     plan = _plan_for(spec, theta_shape[:-1], inputs.shape[:-2], labels.shape[:-1], n)
+    _check_theta(plan, theta_shape)
     # Labels may carry leading axes the inputs lack; give the inputs every
     # pair's axes (a read-only view) so the logits cover every pair.
     if labels.shape[:-1] not in ((), inputs.shape[:-2]):
@@ -243,17 +247,20 @@ def _check_labeled(spec: MlpSpec, theta_shape, inputs, labels):
 class _Plan(NamedTuple):
     """What a call needs that depends only on the spec and the operands'
     shapes: the pairs' leading shape, each hidden layer's scratch shape and
-    size, the flat index of every logits row's first entry (read-only), and
-    the spec's layer table: per layer, the slice of theta its weights fill,
-    their matrix shape and the slice its bias fills."""
+    size, their total and largest size, the flat index of every logits
+    row's first entry (read-only), the spec's layer table (per layer, the
+    slice of theta its weights fill, their matrix shape and the slice its
+    bias fills) and theta's length."""
 
     lead: tuple[int, ...]
     shapes: tuple[tuple[int, ...], ...]
     sizes: tuple[int, ...]
     total: int
+    widest: int
     row_starts: np.ndarray
     layers: tuple[tuple[slice, tuple[int, int], slice], ...]
     relu: bool
+    params: int
 
 
 @functools.lru_cache(maxsize=128)
@@ -270,7 +277,16 @@ def _plan_for(spec: MlpSpec, theta_lead, inputs_lead, labels_lead, n: int) -> _P
         (slice(w.offset, w.offset + w.size), w.shape, slice(b.offset, b.offset + b.size))
         for w, b in zip(layout[::2], layout[1::2])
     )
-    return _Plan(lead, shapes, sizes, sum(sizes), row_starts, layers, spec.activation == "relu")
+    return _Plan(
+        lead, shapes, sizes, sum(sizes), max(sizes, default=0), row_starts, layers,
+        spec.activation == "relu", layers[-1][2].stop,
+    )
+
+
+def _check_theta(plan: _Plan, theta_shape) -> None:
+    """Refuse theta unless its last axis holds exactly the spec's parameters."""
+    if theta_shape[-1:] != (plan.params,):
+        raise ValueError(f"theta must have {plan.params} parameters on its last axis, got shape {theta_shape}")
 
 
 @functools.lru_cache(maxsize=64)
@@ -281,25 +297,29 @@ def _scratch_for(spec: MlpSpec) -> list[np.ndarray]:
 
 
 def _arrays(spec: MlpSpec, plan: _Plan, backward: bool):
-    """(outs, deltas) for the call of plan: per hidden layer, a float64 array
-    of its scratch shape for its output and, with backward, one for the delta
-    at its output. They are cut back to back from the front of the spec's
-    scratch, which grows only when this call needs more than any before it;
-    their contents are left over from earlier calls."""
-    need = 2 * plan.total if backward else plan.total
+    """(outs, spares) for the call of plan: per hidden layer, a float64 array
+    of its scratch shape for its output and, for a tanh backward, one for
+    the product at its output. The outputs are cut back to back from the
+    front of the spec's scratch and the spares all from the one region after
+    them. The scratch grows only when this call needs more than any before
+    it; the arrays' contents are left over from earlier calls."""
+    spare = backward and not plan.relu
+    need = plan.total + plan.widest if spare else plan.total
     held = _scratch_for(spec)
     if held[0].size < need:
         held[0] = np.empty(need)
-    deltas = _cut(held[0], plan.total, plan) if backward else []
-    return _cut(held[0], 0, plan), deltas
+    spares = _cut(held[0], plan.total, plan, False) if spare else []
+    return _cut(held[0], 0, plan, True), spares
 
 
-def _cut(flat: np.ndarray, start: int, plan: _Plan) -> list[np.ndarray]:
-    """Consecutive views of flat from start on, one per scratch shape."""
+def _cut(flat: np.ndarray, start: int, plan: _Plan, back_to_back: bool) -> list[np.ndarray]:
+    """Views of flat, one per scratch shape: back to back from start on, or
+    all from start."""
     views = []
     for shape, size in zip(plan.shapes, plan.sizes):
         views.append(flat[start : start + size].reshape(shape))
-        start += size
+        if back_to_back:
+            start += size
     return views
 
 
@@ -338,6 +358,7 @@ def forward(spec: MlpSpec, params: ParamVector, inputs) -> np.ndarray:
     """Row i of the result holds the C logits for sample i."""
     inputs = _check_inputs(spec, inputs)
     plan = _plan_for(spec, params.theta.shape[:-1], inputs.shape[:-2], (), inputs.shape[-2])
+    _check_theta(plan, params.theta.shape)
     outs, _ = _arrays(spec, plan, False)
     logits, _, _ = _forward_cached(plan, params.theta, inputs, outs)
     return logits
@@ -396,7 +417,7 @@ def mean_loss_and_grad(spec: MlpSpec, theta: np.ndarray, inputs, labels):
     gradients of that shape + (P,)."""
     inputs, labels, plan = _check_labeled(spec, theta.shape, inputs, labels)
     n = inputs.shape[-2]
-    outs, deltas = _arrays(spec, plan, True)
+    outs, spares = _arrays(spec, plan, True)
     logits, hiddens, weights = _forward_cached(plan, theta, inputs, outs)
     delta, total = _shift_and_sum(logits)
     # Flat index of each row's label entry in logits (and in delta).
@@ -419,19 +440,22 @@ def mean_loss_and_grad(spec: MlpSpec, theta: np.ndarray, inputs, labels):
         else:
             np.einsum("...ij->...j", delta, out=bias_grad)
         if i > 0:
-            out = deltas[i - 1]
-            np.matmul(delta, weights[i].swapaxes(-1, -2), out=out)
+            # The delta at this layer's input, written over the forward
+            # pass's output there, which only the derivative still reads.
+            out = hiddens[i]
             if plan.relu:
-                # hiddens[i] = max(z, 0) is > 0 exactly where z is (for NaN
-                # neither is), so this zeroes the entries where z > 0 fails.
-                np.copyto(out, 0.0, where=~(hiddens[i] > 0.0))
+                # out = max(z, 0) is > 0 exactly where z is (for NaN neither
+                # is), so this zeroes the entries where z > 0 fails.
+                dead = ~(out > 0.0)
+                np.matmul(delta, weights[i].swapaxes(-1, -2), out=out)
+                np.copyto(out, 0.0, where=dead)
             else:
-                # tanh' = 1 - tanh^2, built in place in the forward pass's
-                # output for this layer, which no later step reads.
-                d_act = hiddens[i]
-                np.square(d_act, out=d_act)
-                np.subtract(1.0, d_act, out=d_act)
-                out *= d_act
+                # tanh' = 1 - tanh^2, built in place in out.
+                prod = spares[i - 1]
+                np.matmul(delta, weights[i].swapaxes(-1, -2), out=prod)
+                np.square(out, out=out)
+                np.subtract(1.0, out, out=out)
+                np.multiply(prod, out, out=out)
             delta = out
     return _as_loss(loss), grad
 

@@ -1,6 +1,7 @@
 """MLP forward/backward contracts and the finite-difference oracle."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -293,9 +294,11 @@ def test_kernel_equals_the_fresh_array_reference_bitwise(activation):
     The odd widths put some scratch arrays on offsets that are not multiples
     of 16 bytes. Class counts 7, 8 and 12 straddle the switch of the class
     sums' order, a width-1 layer takes the bias gradient's other reduction,
-    and 7 to 9 rows straddle numpy's switch to pairwise row sums."""
+    and 7 to 9 rows straddle numpy's switch to pairwise row sums. Widths
+    that rise and then fall cut the tanh backward's spare to every layer's
+    shape."""
     rng = np.random.default_rng(17)
-    for sizes in [(2, 16, 16, 2), (2, 7, 5, 3), (2, 16, 1, 7), (3, 1, 8), (2, 9, 12)]:
+    for sizes in [(2, 16, 16, 2), (2, 7, 5, 3), (2, 16, 1, 7), (3, 1, 8), (2, 9, 12), (2, 5, 17, 3, 2)]:
         spec = MlpSpec(sizes, activation)
         for n in (1, 7, 8, 9, 32, 2000, 3000, 32, 1):
             for layout in ("plain", "pairs", "grid"):
@@ -336,9 +339,10 @@ def test_retained_scratch_is_bounded_by_the_largest_call(activation):
     rng = np.random.default_rng(8)
 
     def need(rows: int) -> int:
-        """Bytes of a gradient call's scratch arrays: the hidden outputs
-        and their deltas."""
-        return sum(8 * rows * w for w in widths) * 2
+        """Bytes of a gradient call's scratch arrays: the hidden outputs,
+        which the backward's deltas overwrite, and for tanh one spare as
+        large as the widest of them."""
+        return 8 * rows * (sum(widths) + (max(widths) if activation == "tanh" else 0))
 
     largest = 0
     for n in [41, 700] + list(range(1, 60)) + [350]:
@@ -353,6 +357,42 @@ def test_retained_scratch_is_bounded_by_the_largest_call(activation):
     # Exactly the largest call's arrays (3 x 3 pairs of 700 rows), after
     # hundreds of smaller call shapes.
     assert _scratch_for(spec)[0].nbytes == largest
+
+
+@pytest.mark.parametrize("activation", ["relu", "tanh"])
+def test_a_warm_gradient_call_allocates_no_hidden_layer(activation):
+    """Once the scratch has grown to a call's shape, the backward keeps its
+    deltas and products there: no array as large as one hidden layer is
+    allocated, and the peak of all the call's allocations stays below that
+    size."""
+    spec, params, batch = random_instance(9, sizes=(2, 16, 16, 2), activation=activation, k=1, per_domain=2000)
+    theta, inputs, labels = params.theta, batch.inputs, batch.labels
+    mean_loss_and_grad(spec, theta, inputs, labels)
+    tracemalloc.start()
+    try:
+        mean_loss_and_grad(spec, theta, inputs, labels)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2000 * 16 * 8
+
+
+@pytest.mark.parametrize("extra", [1, -1])
+def test_the_kernel_refuses_theta_of_another_parameter_count(extra):
+    """With one value too many the gradient's last entry was uninitialized
+    memory, and with one too few mean_loss broadcast the one output bias
+    left over both classes; forward and mean_loss returned values in both
+    cases."""
+    spec, params, batch = random_instance(7, sizes=(2, 16, 16, 2), k=1, per_domain=32)
+    theta = np.resize(params.theta, spec.param_count() + extra)
+    message = rf"^theta must have 354 parameters on its last axis, got shape \({354 + extra},\)$"
+    for call in (mean_loss_and_grad, mean_loss):
+        with pytest.raises(ValueError, match=message):
+            call(spec, theta, batch.inputs, batch.labels)
+    with pytest.raises(ValueError, match=message):
+        forward(spec, ParamVector.from_flat(theta), batch.inputs)
+    with pytest.raises(ValueError, match=r"got shape \(\)$"):
+        mean_loss(spec, np.ones(()), batch.inputs, batch.labels)
 
 
 def test_call_plans_are_cached_read_only_and_hold_no_scratch():
