@@ -119,6 +119,12 @@ class StepDiagnostics:
     never a gradient array.
 
     Per-domain entries follow ascending domain-id order.
+    For gac_fas (and reg_domain_perturb), alignment_cos[i] is the cosine of
+    g with the gradient at theta + eps_i - gamma_t g, the shifted point the
+    step evaluates, not at the ascending point theta + eps_i. On a quadratic
+    loss with Hessian H its inner product with g is the one at the
+    ascending point less gamma_t g.H.g, which falls as gamma grows wherever
+    the curvature along g is positive.
     Modes without per-domain perturbed gradients fill the per-domain slots
     with their closest analog: erm records the plain per-domain gradients,
     sam_whole replicates its single perturbed gradient across domains.

@@ -44,3 +44,17 @@ def no_pipe_left_open():
     left = sorted(_open_pipes() - before)
     if left:
         pytest.fail(f"the test left {len(left)} pipe end(s) open: {left}")
+
+
+# Each acceptance criterion's PASS/FAIL line, in the order the criteria ran
+# (test_acceptance._report appends it).
+CLAIM_LINES: list[str] = []
+
+
+def pytest_terminal_summary(terminalreporter):
+    """Print every acceptance criterion's line at the end of the run, so a -q
+    log holds the claim readings, failures included."""
+    if CLAIM_LINES:
+        terminalreporter.section("claim readings")
+        for line in CLAIM_LINES:
+            terminalreporter.write_line(line)

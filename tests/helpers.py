@@ -54,6 +54,21 @@ class VectorQuadratic:
         return self.loss(theta, inputs, labels), np.asarray(theta, dtype=np.float64).copy()
 
 
+class DomainQuadratic:
+    """loss = theta.H.theta / 2 + c.theta on a domain part, c being the mean
+    of its input rows (which have len(theta) columns): every domain shares
+    the Hessian H and has its own gradient offset c."""
+
+    def __init__(self, hessian):
+        self.hessian = np.asarray(hessian, dtype=np.float64)
+
+    def loss(self, theta, inputs, labels):
+        return 0.5 * float(theta @ self.hessian @ theta) + float(inputs.mean(axis=0) @ theta)
+
+    def loss_and_grad(self, theta, inputs, labels):
+        return self.loss(theta, inputs, labels), self.hessian @ theta + inputs.mean(axis=0)
+
+
 def scalar_params(value: float) -> ParamVector:
     return ParamVector.from_flat(np.array([float(value)]))
 

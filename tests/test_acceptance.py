@@ -1,7 +1,8 @@
 """Acceptance suite: one test per shipped guarantee, in contract order.
 
 Each test prints exactly one ``PASS Cn: ...`` / ``FAIL Cn: ...`` line
-(visible with ``pytest -s``) and then asserts. Experiment-scale criteria
+(visible with ``pytest -s``), hands it to conftest.py, which prints every
+such line again at the end of the run, and then asserts. Experiment-scale criteria
 (C7-C10) use frozen configurations; all randomness is seeded, so reruns
 reproduce the reported numbers bit-for-bit.
 """
@@ -15,6 +16,7 @@ from gacfas.datagen import DomainSpec, build_source_set
 from gacfas.evalmetrics import ScoredSet
 from gacfas.config import default_experiment
 from gacfas.harness import (
+    RUN_FILES,
     finite_difference_suite,
     run_convergence,
     run_leave_one_out,
@@ -30,14 +32,16 @@ from gacfas.optim import (
     take_step,
 )
 
+from conftest import CLAIM_LINES
 from helpers import ScalarQuadratic, k_domain_batch, random_instance, scalar_params
 
 _T0 = time.time()
 
 
 def _report(criterion: int, passed: bool, detail: str) -> None:
-    tag = "PASS" if passed else "FAIL"
-    print(f"{tag} C{criterion}: {detail}")
+    line = f"{'PASS' if passed else 'FAIL'} C{criterion}: {detail}"
+    print(line)
+    CLAIM_LINES.append(line)
     assert passed, f"C{criterion}: {detail}"
 
 
@@ -291,6 +295,10 @@ def test_c10_leave_one_out_benefit(tmp_path):
                 f"      {s['tpr95_mean']:.4f}+/-{s['tpr95_std']:.4f}"
             )
     means = {m: float(np.mean([r["auc"] for r in results[m][1]])) for m in results}
+    auc = {m: {(r["held_out"], r["seed"]): r["auc"] for r in results[m][1]} for m in results}
+    pairs = sorted(auc["gac_fas"])
+    assert all(sorted(auc[m]) == pairs for m in auc)
+    above = {m: sum(auc["gac_fas"][key] > auc[m][key] for key in pairs) for m in ("erm", "sam_domain")}
     ok = (
         means["gac_fas"] >= means["erm"] - 0.01
         and means["gac_fas"] >= means["sam_domain"] - 0.01
@@ -298,8 +306,10 @@ def test_c10_leave_one_out_benefit(tmp_path):
     _report(
         10,
         ok,
-        f"mean held-out AUC over 4 rotations x 10 seeds: gac_fas {means['gac_fas']:.6f} "
-        f">= erm {means['erm']:.6f} - 0.01 and >= sam_domain {means['sam_domain']:.6f} - 0.01",
+        f"non-inferiority, margin 0.01: mean held-out AUC over 4 rotations x 10 seeds, gac_fas "
+        f"{means['gac_fas']:.6f} >= erm {means['erm']:.6f} - 0.01 and >= sam_domain "
+        f"{means['sam_domain']:.6f} - 0.01; gac_fas above erm on {above['erm']}/{len(pairs)} and above "
+        f"sam_domain on {above['sam_domain']}/{len(pairs)} (held, seed) pairs",
     )
 
 
@@ -373,16 +383,13 @@ def test_c12_determinism_byte_identical(tmp_path):
 }""" % out_dir
     )
     assert cli.main(["train", "--config", str(cfg_path), "--seed", "0"]) == 0
-    first = {
-        name: (out_dir / name).read_bytes() for name in ("metrics.csv", "diagnostics.csv")
-    }
+    first = {name: (out_dir / name).read_bytes() for name in RUN_FILES.values()}
     assert cli.main(["train", "--config", str(cfg_path), "--seed", "0"]) == 0
     same = all((out_dir / name).read_bytes() == first[name] for name in first)
     _report(
         12,
         same,
-        "train run twice with identical (config, seed): metrics.csv and "
-        "diagnostics.csv byte-identical",
+        f"train run twice with identical (config, seed): {', '.join(first)} byte-identical",
     )
 
 

@@ -33,6 +33,7 @@ from gacfas.optim import (
 )
 
 from helpers import (
+    DomainQuadratic,
     MirrorLinear,
     ScalarQuadratic,
     k_domain_batch,
@@ -337,6 +338,29 @@ def test_gac_schedules_apply_to_eta_rho_gamma_together():
     # hand recomputation at t=4: eta=rho=0.05, gamma=0.025
     # g=2, eps=0.05, theta_adv=1+0.05-0.05=1, gp=2, update=-0.05*4=-0.2
     assert abs(params.theta[0] - 0.8) <= 1e-12
+
+
+@pytest.mark.parametrize("gamma", [0.0, 2e-4, 2e-3, 2e-2, 0.2])
+def test_the_gac_fas_alignment_is_read_at_the_shifted_point(gamma):
+    """alignment_cos[i] is the cosine of g with the whole-batch gradient at
+    theta + eps_i - gamma g, the point the step evaluates. On a quadratic
+    whose whole-batch Hessian is H, the inner product there is the one at
+    the ascending point theta + eps_i less gamma g.H.g."""
+    rng = np.random.default_rng(5)
+    k, rho = 3, 0.3
+    a = rng.standard_normal((4, 4))
+    model = DomainQuadratic(a @ a.T + np.eye(4))
+    batch = Batch(rng.standard_normal((2 * k, 4)), np.zeros(2 * k, dtype=np.int64), np.repeat(np.arange(k), 2))
+    theta = rng.standard_normal(4)
+    diag = gac_fas_record(model, model_mod.ParamVector.from_flat(theta), batch, cfg(rho=rho, gamma=gamma), t=1)
+    offsets = [batch.inputs[batch.domain_ids == i].mean(axis=0) for i in range(k)]
+    hessian = k * model.hessian  # the whole-batch loss sums k domain means
+    g = hessian @ theta + sum(offsets)
+    for i, offset in enumerate(offsets):
+        g_i = model.hessian @ theta + offset
+        at_ascent = hessian @ (theta + rho * g_i / np.linalg.norm(g_i)) + sum(offsets)
+        measured = diag.alignment_cos[i] * diag.adv_grad_norms[i] * diag.grad_norm
+        assert measured == pytest.approx(at_ascent @ g - gamma * (g @ hessian @ g), rel=1e-12)
 
 
 # ---------------------------------------------------- reg_domain_perturb ----
