@@ -123,7 +123,7 @@ def _forked(work, n: int):
             fds = os.pipe() + os.pipe()  # the child's inbox (read, write), then its results (read, write)
             try:
                 pid = os.fork()
-            except OSError:
+            except BaseException:  # whatever os.fork raises, an interrupt too, closes this child's pipes
                 for fd in fds:
                     os.close(fd)
                 raise

@@ -1,9 +1,12 @@
 """The experiment config: its dataclass, the strict JSON reader, and the
 canonical echo that a run's manifest and digest hold.
 
-Config format is a single flat JSON document with strict unknown-key
-rejection. Every JSON key is the name of the dataclass field it sets, and
-every default and every check of a value lives in that dataclass.
+A config is one JSON object. Its "model" and "optimizer" keys hold objects,
+"domains" holds a list of objects, one per domain, and every other key holds
+a number, a string or a list of numbers. Every object refuses a key it does
+not know and a key it repeats. Every JSON key is the name of the dataclass
+field it sets, and every default and every check of a value lives in that
+dataclass.
 """
 
 from __future__ import annotations
@@ -68,7 +71,8 @@ class ExperimentConfig:
         object.__setattr__(self, "seeds", _as_tuple(self.seeds, "seeds"))
         for seed in self.seeds:
             _expect(_is_int(seed) and seed >= 0, "seeds", "a non-negative integer", seed)
-        _expect(isinstance(self.output_dir, str), "output_dir", "a string", self.output_dir)
+        path = self.output_dir
+        _expect(isinstance(path, str) and "\0" not in path, "output_dir", "a string without NUL bytes", path)
         if len(self.domains) < 2:
             raise ConfigValueError("at least 2 domains are required (one may be held out)")
         if isinstance(self.held_out, str):

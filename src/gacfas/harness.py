@@ -314,17 +314,22 @@ def _read_manifest(path: str):
 
 def preflight(cfg: ExperimentConfig, seed=None) -> None:
     """Refuse, before the first step and before any fork, an output_dir that
-    is, or lies under, something other than a directory; and for train's run
-    of seed, a negative seed, a run file there (RUN_FILES) that is not a
-    regular file, or a manifest there that records another seed (the same
-    seed overwrites its files, as a rerun should)."""
+    is, or lies under, something other than a directory, or that holds a
+    name longer than its filesystem allows; and for train's run of seed, a
+    negative seed, a run file there (RUN_FILES) that is not a regular file,
+    or a manifest there that records another seed (the same seed overwrites
+    its files, as a rerun should)."""
     if seed is not None and seed < 0:
         raise ConfigValueError(f"--seed: expected a non-negative integer, got {seed}")
-    path = os.path.abspath(cfg.output_dir)
-    while not os.path.lexists(path):
-        path = os.path.dirname(path)
+    path, lengths = os.path.abspath(cfg.output_dir), []  # the bytes of each name not made yet
+    while not os.path.lexists(path):  # False for a name longer than the filesystem allows, too
+        path, name = os.path.split(path)
+        lengths.append(len(os.fsencode(name)))
     if not os.path.isdir(path):
         raise ConfigValueError(f"output_dir {cfg.output_dir}: {path} is not a directory")
+    limit = os.pathconf(path, "PC_NAME_MAX") if hasattr(os, "pathconf") else 255
+    if max(lengths, default=0) > limit:
+        raise ConfigValueError(f"output_dir {cfg.output_dir}: a name in it is {max(lengths)} bytes, over its filesystem's {limit}")
     if seed is None:
         return
     for key, name in RUN_FILES.items():

@@ -1,5 +1,6 @@
 """Shared fixtures for the test suite: tiny duck-typed oracle models,
-independent brute-force metric oracles, and random-instance builders.
+independent brute-force metric oracles, random-instance builders, and the
+spies and snapshots with which the CLI tests check that nothing happened.
 
 The duck-typed models exercise the optimizer contract that any object with
 loss(theta, inputs, labels) and loss_and_grad(theta, inputs, labels) can be
@@ -9,6 +10,8 @@ stepped; they make hand-computable scalar oracles possible.
 from __future__ import annotations
 
 import math
+import os
+from pathlib import Path
 
 import numpy as np
 
@@ -358,3 +361,43 @@ def reference_deviation_sum(adv_grads, g):
     for gp in adv_grads:
         deviations += gp - g
     return deviations
+
+
+# The small config most harness and CLI tests run: three 24-sample domains, ten steps.
+TINY_CONFIG = {
+    "model": {"layer_sizes": [2, 4, 2], "activation": "tanh"},
+    "domains": [{"rotation": 0.3 * i, "noise_sigma": 0.1, "n_samples": 24, "seed": i} for i in range(3)],
+    "held_out": 2,
+    "optimizer": {"mode": "gac_fas", "eta0": 0.1},
+    "steps": 10,
+    "per_domain_batch": 8,
+    "eval_every": 5,
+    "eval_window": 2,
+    "diagnostics_every": 2,
+    "seeds": [0],
+    "output_dir": "out",
+}
+
+
+def spy(mp, owner, name) -> list:
+    """A list that gets the positional arguments of each call of owner.name,
+    which still runs."""
+    calls = []
+    real = getattr(owner, name)
+    mp.setattr(owner, name, lambda *args, **kwargs: calls.append(args) or real(*args, **kwargs))
+    return calls
+
+
+def refuse_forks(mp) -> None:
+    def no_fork():
+        raise AssertionError("os.fork was called")
+
+    mp.setattr(os, "fork", no_fork)
+
+
+def bytes_and_listings(root) -> dict:
+    """Every file's bytes and every directory's listing under root."""
+    return {
+        path: path.read_bytes() if path.is_file() else sorted(p.name for p in path.iterdir())
+        for path in [Path(root), *Path(root).rglob("*")]
+    }

@@ -23,22 +23,6 @@ from gacfas.optim import _block_size
 from helpers import arc_distance, reference_sample_minibatch
 
 
-def test_domain_spec_validation():
-    with pytest.raises(ValueError):
-        DomainSpec(noise_sigma=-0.1)
-    with pytest.raises(ValueError):
-        DomainSpec(n_samples=1)
-    with pytest.raises(ValueError):
-        DomainSpec(translation=(1.0, 2.0, 3.0))
-
-
-def test_domain_spec_refuses_a_negative_seed_by_name():
-    # Built in code, past the config reader's check: numpy's own refusal
-    # would name neither the seed nor the domain.
-    with pytest.raises(ValueError, match="seed must be a non-negative integer, got -5"):
-        DomainSpec(seed=-5)
-
-
 @pytest.mark.parametrize(
     "fields,named",
     [

@@ -28,17 +28,6 @@ from gacfas.numerics import Prng
 from helpers import random_instance, reference_forward_cached, reference_mean_loss_and_grad
 
 
-def test_spec_validation():
-    with pytest.raises(ValueError):
-        MlpSpec((2,))
-    with pytest.raises(ValueError):
-        MlpSpec((2, 0, 2))
-    with pytest.raises(ValueError):
-        MlpSpec((2, 4, 1))  # output must be >= 2 classes
-    with pytest.raises(ValueError):
-        MlpSpec((2, 4, 2), "sigmoid")
-
-
 def test_param_count_and_layout_cover_theta():
     spec = MlpSpec((2, 8, 8, 2), "tanh")
     assert spec.param_count() == 2 * 8 + 8 + 8 * 8 + 8 + 8 * 2 + 2

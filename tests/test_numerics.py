@@ -5,7 +5,6 @@ import importlib
 import numpy as np
 import pytest
 
-from gacfas import numerics
 from gacfas.numerics import Prng, as_vec64, axpy, dot, gaussian, l2_norm, zeros
 
 from helpers import kahan_dot

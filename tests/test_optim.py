@@ -59,27 +59,11 @@ def cfg(mode="gac_fas", eta0=0.1, rho=0.1, gamma=0.0, weight_decay=0.0, **kw):
 # ---------------------------------------------------------------- config ----
 
 
-def test_config_defaults_and_validation():
+def test_config_defaults():
     c = OptimizerConfig()
     assert c.mode == "gac_fas" and c.gamma == 0.0002 and c.rho == 0.1 and c.eta0 == 0.005
     assert c.schedule == "constant" and c.step_period_epochs == 40 and c.step_factor == 0.1 and c.period_steps == 0
     assert c.zero_grad_eps == 1e-12
-    with pytest.raises(ValueError):
-        OptimizerConfig(mode="adam")
-    with pytest.raises(ValueError):
-        OptimizerConfig(eta0=-0.1)
-    with pytest.raises(ValueError):
-        OptimizerConfig(rho=-0.1)
-    with pytest.raises(ValueError):
-        OptimizerConfig(gamma=-1e-9)
-    with pytest.raises(ValueError):
-        OptimizerConfig(weight_decay=-1.0)
-    with pytest.raises(ValueError):
-        OptimizerConfig(schedule="cosine")
-    with pytest.raises(ValueError):
-        OptimizerConfig(schedule="step", step_factor=0.0)
-    with pytest.raises(ValueError):
-        OptimizerConfig(schedule="step", step_period_epochs=0)
 
 
 @pytest.mark.parametrize("name", ["eta0", "rho", "gamma", "weight_decay", "zero_grad_eps"])
@@ -668,17 +652,6 @@ def same_float(a: float, b: float) -> bool:
     if math.isnan(a) and math.isnan(b):
         return True
     return struct.pack("<d", a) == struct.pack("<d", b)
-
-
-def assert_records_equal(a: StepDiagnostics, b: StepDiagnostics):
-    """Field by field; floats by their bits, NaN compared as NaN."""
-    for name in StepDiagnostics.__dataclass_fields__:
-        x, y = getattr(a, name), getattr(b, name)
-        xs, ys = (x, y) if isinstance(x, tuple) else ((x,), (y,))
-        assert len(xs) == len(ys), name
-        for u, v in zip(xs, ys):
-            assert type(u) is type(v), name
-            assert same_float(u, v) if isinstance(u, float) else u == v, name
 
 
 @pytest.mark.parametrize("mode", MODES)
