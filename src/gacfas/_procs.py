@@ -34,8 +34,9 @@ def _spread(fn, owners, doing):
     failure; one that exits without a result fails at its first item i as
     "the process {doing(i)} exited without a result". The failure with the
     lowest index is raised, ahead of a failure of the block's own, such as a
-    training step's. A failing item of the caller's is raised at once, and
-    the workers killed, when no lower index is a worker's. With no worker,
+    training step's. No worker whose first item comes after a failure is
+    waited on: it is killed. That needs workers numbered by their first
+    items; with any other numbering, one could be waited on. With no worker,
     nothing is forked: that is the serial loop."""
     results = [None] * len(owners)
     failures = {}  # index: exception; the block's own failure takes len(owners), after every item
@@ -79,8 +80,6 @@ def _spread(fn, owners, doing):
         except Exception as exc:
             if not failures:
                 failures[len(owners)] = exc
-            elif max(owners[: min(failures)], default=-1) < 0:
-                raise  # no lower index is a worker's
         for child in children:
             child.inbox.close()
         for first, child in zip(firsts, children):

@@ -135,16 +135,21 @@ def _block_normalized_direction(params: ParamVector, prng: Prng) -> np.ndarray:
     return d
 
 
-def landscape_slice(model, params: ParamVector, batch: Batch, dims: int, radius: float, steps: int, prng: Prng) -> LandscapeGrid:
-    """Loss on the grid theta + s*d1 (+ u*d2) with block-normalized gaussian
-    directions. steps must be odd so 0 is a grid point; spacing puts the
-    offsets at exact multiples of radius/((steps-1)/2)."""
+def check_slice(dims: int, radius: float, steps: int) -> None:
+    """Refuse a landscape_slice grid by the argument at fault."""
     if not (_is_int(dims) and dims in (1, 2)):
         raise ValueError(f"dims must be 1 or 2, got {dims!r}")
     if not (math.isfinite(radius) and radius > 0):
         raise ValueError(f"radius must be finite and > 0, got {radius}")
     if not _is_int(steps) or steps < 3 or steps % 2 == 0:
         raise ValueError(f"steps must be an odd int >= 3 so the center is a grid point, got {steps!r}")
+
+
+def landscape_slice(model, params: ParamVector, batch: Batch, dims: int, radius: float, steps: int, prng: Prng) -> LandscapeGrid:
+    """Loss on the grid theta + s*d1 (+ u*d2) with block-normalized gaussian
+    directions (check_slice). steps must be odd so 0 is a grid point; spacing
+    puts the offsets at exact multiples of radius/((steps-1)/2)."""
+    check_slice(dims, radius, steps)
     directions = tuple(_block_normalized_direction(params, prng) for _ in range(dims))
     c = steps // 2
     h = radius / c

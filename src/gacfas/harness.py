@@ -28,8 +28,8 @@ import numpy as np
 
 from . import datagen, diagnostics, evalmetrics, model as model_mod
 from ._procs import _process_count, _spread
-# load_config is bound here but not called: perfbench/tracer.py times the
-# config load as harness.load_config.
+# cli.main loads the config through this binding, so perfbench/tracer.py
+# times the config load as harness.load_config.
 from .config import ConfigValueError, ExperimentConfig, _require_file, _require_index, config_digest, config_to_dict, load_config
 from .model import Batch, MlpSpec, ParamVector, layout_for
 from .numerics import Prng, _is_int
@@ -521,6 +521,7 @@ def run_landscape(cfg: ExperimentConfig, checkpoint: str, dims: int, radius: flo
     A manifest.json beside the checkpoint must record cfg's model and
     domains, and cfg.held_out as the run's held_out; a checkpoint with none
     beside it is read as cfg's model."""
+    diagnostics.check_slice(dims, radius, steps)
     held = _require_index(cfg.held_out, "landscape")
     _require_file(checkpoint, "checkpoint")
     path = os.path.join(os.path.dirname(checkpoint), RUN_FILES["manifest"])

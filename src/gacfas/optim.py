@@ -96,6 +96,7 @@ class OptimizerConfig:
         for name in ("step_period_epochs", "period_steps"):
             numerics._expect(numerics._is_int(getattr(self, name)), name, "an integer", getattr(self, name))
         object.__setattr__(self, "step_factor", numerics._as_float(self.step_factor, "step_factor"))
+        numerics._expect(math.isfinite(self.step_factor), "step_factor", "a finite number", self.step_factor)
         if self.schedule == "step":
             if self.step_period_epochs < 1:
                 raise ValueError(f"step period must be >= 1 epoch, got {self.step_period_epochs}")

@@ -250,21 +250,6 @@ def test_landscape_center_matches_loss_and_grid_shape():
     assert tuple(grid2.offsets[center]) == (0.0, 0.0)
 
 
-def test_landscape_validation():
-    spec, params, batch = random_instance(4)
-    with pytest.raises(ValueError):
-        landscape_slice(spec, params, batch, dims=3, radius=1.0, steps=5, prng=Prng(0, 2))
-    with pytest.raises(ValueError):
-        landscape_slice(spec, params, batch, dims=1, radius=0.0, steps=5, prng=Prng(0, 2))
-    for radius in (math.nan, math.inf):
-        with pytest.raises(ValueError, match="radius"):
-            landscape_slice(spec, params, batch, dims=1, radius=radius, steps=5, prng=Prng(0, 2))
-    with pytest.raises(ValueError):
-        landscape_slice(spec, params, batch, dims=1, radius=1.0, steps=4, prng=Prng(0, 2))
-    with pytest.raises(ValueError):
-        landscape_slice(spec, params, batch, dims=1, radius=1.0, steps=1, prng=Prng(0, 2))
-
-
 @pytest.mark.parametrize(
     "args,message",
     [
@@ -272,6 +257,7 @@ def test_landscape_validation():
         (dict(dims=1.0, steps=5), "dims must be 1 or 2, got 1.0"),
         (dict(dims=1, steps=5.0), "steps must be an odd int >= 3 so the center is a grid point, got 5.0"),
         (dict(dims=1, steps=True), "steps must be an odd int >= 3 so the center is a grid point, got True"),
+        (dict(dims=3, steps=5), "dims must be 1 or 2, got 3"),  # an int, but neither
     ],
 )
 def test_landscape_slice_refuses_dims_or_steps_that_are_not_ints_by_name(args, message):

@@ -2,6 +2,7 @@
 output files, leave-one-out and sweep drivers, and the CLI."""
 
 import ast
+import contextlib
 import dataclasses
 import importlib
 import importlib.util
@@ -9,7 +10,6 @@ import json
 import math
 import os
 import re
-import signal
 import struct
 import subprocess
 import sys
@@ -22,7 +22,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from gacfas import _procs, cli, diagnostics, harness, optim
+from gacfas import cli, diagnostics, harness, optim
 from gacfas.datagen import DomainSpec, build_source_set, leave_one_out, sample_minibatch
 from gacfas.config import (
     ConfigNotFoundError,
@@ -72,10 +72,11 @@ def tiny_config(output_dir: str = "out", **overrides) -> ExperimentConfig:
 
 
 def test_the_readme_config_parses_and_round_trips():
-    """README's CLI JSON block, the format's one example, and the default experiment read back from their echo."""
+    """README's CLI JSON block, the format's one example, and the default experiment read back from their echo;
+    so does a step_factor outside (0, 1] under a schedule that does not read it."""
     readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
     block = re.search(r"^## CLI$.*?^```json$(.*?)^```$", readme, re.S | re.M).group(1)
-    for cfg in (parse_config(block, "README.md"), default_experiment(optimizer={"eta0": 1})):
+    for cfg in (parse_config(block, "README.md"), default_experiment(optimizer={"eta0": 1, "step_factor": 2.5})):
         again = parse_config(config_to_json(cfg))
         assert again == cfg and config_digest(again) == config_digest(cfg)
 
@@ -201,13 +202,12 @@ def test_run_convergence_names_the_failing_step(tmp_path, monkeypatch):
     monkeypatch.setattr(harness, "take_step", failing)
     with pytest.raises(RuntimeError, match="optimizer step 1 failed: boom"):
         run_convergence(tiny_config(str(tmp_path / "out"), eval_window=1), window=1)
-
-
-def test_cli_exits_2_on_a_diverged_run(tmp_path, capsys):
-    (tmp_path / "cfg.json").write_text(tiny_config_json(str(tmp_path / "out"), optimizer={"mode": "gac_fas", "eta0": 1e200}))
-    with np.errstate(all="ignore"):
-        assert cli.main(["train", "--config", str(tmp_path / "cfg.json"), "--seed", "0"]) == 2
-    assert "optimizer step 3 failed" in capsys.readouterr().err
+    monkeypatch.undo()  # a full-set record that is not finite names its step, its ValueError the cause
+    cfg = tiny_config(str(tmp_path / "out"), optimizer=OptimizerConfig(mode="gac_fas", eta0=1e200))
+    with np.errstate(all="ignore"), pytest.raises(RuntimeError, match="^full-set record at step 2 failed: not finite: ") as info:
+        run_convergence(cfg, window=1, trace_every=1)
+    cause = info.value.__cause__
+    assert (type(cause), f"full-set record at step 2 failed: {cause}") == (ValueError, str(info.value))
 
 
 def test_evaluate_refuses_nan_parameters_with_the_step():
@@ -566,84 +566,39 @@ def test_process_count_is_the_affinity_mask_capped_at_the_run_count(monkeypatch)
     assert harness._process_count(n_runs) == 1
 
 
-def test_a_diverging_loo_fails_alike_on_one_cpu_and_on_two(tmp_path, monkeypatch, capsys):
+_OVERFLOW = "optimizer step 2 failed: overflow encountered in multiply"
+_TRACED = ["convergence", "--window", "1", "--trace-every", "1"]
+# Runs with eta0 1e200: (the subcommand and its arguments, config tweaks, whether numpy's floating-point errors are
+# ignored, else raised by the suite's warning filter, the error line, the forks on 2 CPUs). A full-set record updates
+# nothing, so step 1's is finite; traced every step on 2 CPUs, step 2's is the worker's.
+DIVERGENCES = [
+    (["loo"], {"seeds": [0, 1]}, False, _OVERFLOW, 1),
+    (["train", "--seed", "0"], {}, False, _OVERFLOW, 0),
+    (["train", "--seed", "0"], {}, True, "optimizer step 3 failed: the step loss is nan", 0),
+    (_TRACED, {}, False, _OVERFLOW, 1),
+    (_TRACED, {}, True, "full-set record at step 2 failed: not finite: loss_erm nan, grad_norm nan, surrogate_gap nan, "
+     "alignment_cos (nan, nan), adv_grad_norms (nan, nan)", 1),
+]
+
+
+@pytest.mark.parametrize("call,tweaks,ignored,message,forks", DIVERGENCES,
+                         ids=[call[0] + ", errors ignored" * ignored for call, _, ignored, _, _ in DIVERGENCES])
+def test_a_diverging_run_fails_alike_on_one_cpu_and_on_two(tmp_path, monkeypatch, capsys, call, tweaks, ignored, message, forks):
+    """On 1 CPU and on 2, the run exits 2 with the error line of the step at which it diverged, prints
+    nothing to stdout, forks what its subcommand forks, writes nothing and leaves no child process."""
     cfg_path = tmp_path / "cfg.json"
-    cfg_path.write_text(tiny_config_json(str(tmp_path / "loo"), seeds=[0, 1], optimizer={"mode": "gac_fas", "eta0": 1e200}))
-    cfg = load_config(str(cfg_path))
-    outcomes = []
+    cfg_path.write_text(tiny_config_json(str(tmp_path / "out"), optimizer={"mode": "gac_fas", "eta0": 1e200}, **tweaks))
+    before = bytes_and_listings(tmp_path)
+    forked = spy(monkeypatch, os, "fork")
     for cpus in (1, 2):
         _set_cpus(monkeypatch, cpus)
-        with pytest.raises(Exception) as info:
-            run_leave_one_out(cfg)
-        code = cli.main(["loo", "--config", str(cfg_path)])
-        outcomes.append((type(info.value), str(info.value), code, capsys.readouterr().err))
-    assert outcomes[0] == outcomes[1]
-    kind, message, code, err = outcomes[0]
-    assert (kind, code) == (RuntimeError, 2) and message.startswith("optimizer step ")
-    assert err == f"runtime error: {message}\n"
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
-
-
-@pytest.mark.parametrize("kind,code", [(RuntimeError, 2), (ConfigValueError, 1)])
-def test_the_failing_run_with_the_lowest_index_is_raised_from_any_process(tmp_path, monkeypatch, capsys, kind, code):
-    real = harness._train_on_split
-
-    def failing(cfg, seed, held, split, *args):
-        if held >= 1:  # with 3 processes, the second and third blocks fail
-            raise kind(f"run held {held} seed {seed} failed")
-        return real(cfg, seed, held, split, *args)
-
-    monkeypatch.setattr(harness, "_train_on_split", failing)
-    cfg_path = tmp_path / "cfg.json"
-    cfg_path.write_text(tiny_config_json(str(tmp_path / "loo"), seeds=[0, 1]))
-    errors = []
-    for cpus in (1, 3):
-        _set_cpus(monkeypatch, cpus)
-        with pytest.raises(kind, match=r"^run held 1 seed 0 failed$"):
-            run_leave_one_out(load_config(str(cfg_path)))
-        assert cli.main(["loo", "--config", str(cfg_path)]) == code
-        errors.append(capsys.readouterr().err)
-    assert errors[0] == errors[1] and errors[0].endswith("run held 1 seed 0 failed\n")
-
-
-@pytest.mark.parametrize("how", ["signal", "unpicklable"])
-def test_a_process_that_exits_without_a_result_names_its_first_run(tmp_path, monkeypatch, how):
-    parent = os.getpid()
-    real = harness._train_on_split
-
-    class Unpicklable(Exception):  # a local class: pickle cannot name it
-        pass
-
-    def dying(cfg, seed, held, split, *args):
-        if held == 2 and os.getpid() != parent:
-            if how == "signal":
-                os.kill(os.getpid(), signal.SIGKILL)
-            raise Unpicklable("cannot be sent back")
-        return real(cfg, seed, held, split, *args)
-
-    monkeypatch.setattr(harness, "_train_on_split", dying)
-    _set_cpus(monkeypatch, 3)
-    with pytest.raises(RuntimeError, match="^the process training the runs from held_out 2 seed 0 exited without a result$"):
-        run_leave_one_out(tiny_config(str(tmp_path / "out"), seeds=(0, 1)))
-
-
-@pytest.mark.parametrize("kind", [RuntimeError, KeyboardInterrupt])
-def test_a_failure_in_the_calling_process_kills_and_reaps_every_other_process(tmp_path, monkeypatch, kind):
-    parent = os.getpid()
-    real = harness._train_on_split
-
-    def failing_here(cfg, seed, held, split, *args):
-        if os.getpid() == parent:
-            raise kind("stopped")
-        return real(cfg, seed, held, split, *args)
-
-    monkeypatch.setattr(harness, "_train_on_split", failing_here)
-    _set_cpus(monkeypatch, 3)
-    with pytest.raises(kind, match="stopped"):
-        run_leave_one_out(tiny_config(str(tmp_path / "out"), seeds=(0, 1)))
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
+        forked.clear()
+        with np.errstate(all="ignore") if ignored else contextlib.nullcontext():
+            code = cli.main([call[0], "--config", str(cfg_path), *call[1:]])
+        assert (code, *capsys.readouterr()) == (2, "", f"runtime error: {message}\n")
+        assert len(forked) == (forks if cpus == 2 else 0) and bytes_and_listings(tmp_path) == before
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
 
 
 # 60 steps traced every 5 give 12 full-set records: on up to 7 CPUs every
@@ -678,158 +633,25 @@ def test_cli_convergence_writes_the_same_files_on_one_cpu_and_on_several(tmp_pat
     assert parallel_io == serial_io and "fitted_C=" in serial_io.out
 
 
-def test_a_diverging_convergence_run_fails_alike_on_one_cpu_and_on_two(tmp_path, monkeypatch, capsys):
-    # Traced every step, the record of step 2 is NaN before step 3's loss
-    # is; on 2 CPUs that record is the worker's.
-    cfg_path = tmp_path / "cfg.json"
-    cfg_path.write_text(tiny_config_json(str(tmp_path / "conv"), optimizer={"mode": "gac_fas", "eta0": 1e200}))
-    argv = ["convergence", "--config", str(cfg_path), "--window", "1", "--trace-every", "1"]
-    forks = spy(monkeypatch, os, "fork")
-    outcomes = []
-    for cpus in (1, 2):
+def test_loo_and_convergence_give_the_fork_map_the_owners_and_names_their_docstrings_state(tmp_path, monkeypatch):
+    """tests/test_procs.py checks _spread's failure rule on any owners numbered by their first items.
+    loo gives it contiguous blocks of runs, the caller's first; convergence gives record i to share
+    i % (2n - 1), share 0 being the caller's and shares 2w + 1 and 2w + 2 worker w's; a training run
+    gives it no record, so it forks nothing. Each worker is named, in a failure, by its first item."""
+    real, seen = harness._spread, []
+    monkeypatch.setattr(harness, "_spread", lambda fn, owners, doing: seen.append((owners, doing)) or real(fn, owners, doing))
+    loo = {1: [-1] * 6, 2: [-1, -1, -1, 0, 0, 0], 3: [-1, -1, 0, 0, 1, 1]}
+    runs, records = "training the runs from held_out {} seed {}".format, "computing the full-set records from step {}".format
+    named = {1: ([], []), 2: ([runs(1, 1)], [records(10)]), 3: ([runs(1, 0), runs(2, 0)], [records(10), records(20)])}
+    for cpus in (1, 2, 3):
         _set_cpus(monkeypatch, cpus)
-        with np.errstate(all="ignore"):
-            with pytest.raises(Exception) as info:
-                run_convergence(load_config(str(cfg_path)), window=1, trace_every=1)
-            code = cli.main(argv)
-        outcomes.append((type(info.value), str(info.value), code, capsys.readouterr().err))
-    assert len(forks) == 2  # a worker for each of the two runs on 2 CPUs
-    message = (
-        "full-set record at step 2 failed: not finite: loss_erm nan, grad_norm nan, surrogate_gap nan, "
-        "alignment_cos (nan, nan), adv_grad_norms (nan, nan)"
-    )
-    assert outcomes == [(RuntimeError, message, 2, f"runtime error: {message}\n")] * 2
-    assert not (tmp_path / "conv").exists()
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
-
-
-def test_an_overflowing_run_traced_every_step_fails_where_training_does(tmp_path, monkeypatch, capsys):
-    # No np.errstate: under the suite's warning filter an overflow raises
-    # RuntimeWarning. The step-1 record holds finite values; it computes no
-    # update of theta, so the run fails in the update of step 2, as train does.
-    cfg_path = tmp_path / "cfg.json"
-    cfg_path.write_text(tiny_config_json(str(tmp_path / "conv"), optimizer={"mode": "gac_fas", "eta0": 1e200}))
-    forks = spy(monkeypatch, os, "fork")
-    outcomes = []
-    for cpus in (1, 2):
-        _set_cpus(monkeypatch, cpus)
-        code = cli.main(["convergence", "--config", str(cfg_path), "--window", "1", "--trace-every", "1"])
-        outcomes.append((code, capsys.readouterr().err))
-    assert len(forks) == 1
-    message = "optimizer step 2 failed: overflow encountered in multiply"
-    assert outcomes == [(2, f"runtime error: {message}\n")] * 2
-    assert cli.main(["train", "--config", str(cfg_path), "--seed", "0"]) == 2
-    assert capsys.readouterr().err == f"runtime error: {message}\n"
-    assert not (tmp_path / "conv").exists()
-
-
-def test_a_full_set_record_that_is_not_finite_fails_on_one_cpu_and_on_two(tmp_path, monkeypatch, capsys):
-    # Step 10's record is the worker's on 2 CPUs.
-    real = harness.fullset_step_diagnostics
-
-    def nan_at_10(spec, params, source, opt, t):
-        diag = real(spec, params, source, opt, t)
-        return dataclasses.replace(diag, grad_norm=math.nan) if t == 10 else diag
-
-    monkeypatch.setattr(harness, "fullset_step_diagnostics", nan_at_10)
-    cfg_path = tmp_path / "cfg.json"
-    cfg_path.write_text(tiny_config_json(str(tmp_path / "conv"), steps=60, eval_every=30, eval_window=1))
-    outcomes = []
-    for cpus in (1, 2):
-        _set_cpus(monkeypatch, cpus)
-        code = cli.main(["convergence", "--config", str(cfg_path), "--window", "4", "--trace-every", "5"])
-        outcomes.append((code, capsys.readouterr()))
-    for code, io in outcomes:
-        assert code == 2 and io.out == ""
-        assert io.err == "runtime error: full-set record at step 10 failed: not finite: grad_norm nan\n"
-    assert not (tmp_path / "conv").exists()
-
-
-@pytest.mark.parametrize("cpus", [1, 2, 3])
-def test_the_earliest_failing_full_set_record_is_raised_from_any_process(tmp_path, monkeypatch, cpus):
-    # Step 15's record is a worker's on 2 and 3 CPUs; the caller's own
-    # record of step 20 or 30 fails after it.
-    real = harness.fullset_step_diagnostics
-
-    def failing(spec, params, source, opt, t):
-        if t >= 15:
-            raise ValueError(f"the record of step {t} failed")
-        return real(spec, params, source, opt, t)
-
-    monkeypatch.setattr(harness, "fullset_step_diagnostics", failing)
-    _set_cpus(monkeypatch, cpus)
-    with pytest.raises(RuntimeError, match=r"^full-set record at step 15 failed: the record of step 15 failed$") as info:
-        run_convergence(_convergence_config(output_dir=str(tmp_path / "out")), window=4, trace_every=5)
-    cause = info.value.__cause__
-    assert (type(cause), str(cause)) == (ValueError, "the record of step 15 failed")
-
-
-def test_a_full_set_worker_killed_by_a_signal_is_named(tmp_path, monkeypatch):
-    parent = os.getpid()
-    real = harness.fullset_step_diagnostics
-
-    def dying(*args):
-        if os.getpid() != parent:
-            os.kill(os.getpid(), signal.SIGKILL)
-        return real(*args)
-
-    monkeypatch.setattr(harness, "fullset_step_diagnostics", dying)
-    _set_cpus(monkeypatch, 2)
-    with pytest.raises(RuntimeError, match="^the process computing the full-set records from step 10 exited without a result$"):
-        run_convergence(_convergence_config(output_dir=str(tmp_path / "out")), window=4, trace_every=5)
-
-
-def test_an_interrupt_in_the_caller_kills_and_reaps_the_full_set_worker(tmp_path, monkeypatch):
-    parent = os.getpid()
-    real = harness.fullset_step_diagnostics
-
-    def interrupted(*args):
-        if os.getpid() == parent:
-            raise KeyboardInterrupt("stopped")
-        return real(*args)
-
-    monkeypatch.setattr(harness, "fullset_step_diagnostics", interrupted)
-    forks = spy(monkeypatch, os, "fork")
-    _set_cpus(monkeypatch, 2)
-    with pytest.raises(KeyboardInterrupt, match="stopped"):
-        run_convergence(_convergence_config(output_dir=str(tmp_path / "out")), window=4, trace_every=5)
-    assert len(forks) == 1
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
-
-
-@pytest.mark.parametrize("raised", [KeyboardInterrupt("stopped"), OSError("no more processes")])
-@pytest.mark.parametrize("at", [1, 2])
-def test_a_fork_that_raises_closes_its_pipes_and_reaps_the_children_before_it(monkeypatch, raised, at):
-    """_forked closes the pipes it opened for a child that os.fork did not
-    start, whatever os.fork raised (the no_pipe_left_open fixture checks),
-    kills and reaps the child started before it, and raises the same exception."""
-    real, forks = os.fork, []
-
-    def fork():
-        forks.append(None)
-        if len(forks) == at:
-            raise raised
-        return real()
-
-    monkeypatch.setattr(os, "fork", fork)
-    with pytest.raises(type(raised)) as info:
-        with _procs._forked(lambda inbox: None, 2):
-            pass
-    assert info.value is raised and len(forks) == at
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
-
-
-def test_convergence_on_one_cpu_and_training_on_any_fork_nothing(tmp_path, monkeypatch):
-    refuse_forks(monkeypatch)
-    cfg = _convergence_config(output_dir=str(tmp_path / "out"))
-    _set_cpus(monkeypatch, 1)
-    record, _ = run_convergence(cfg, window=4, trace_every=5)
-    assert len(record.diagnostics) == 12
-    _set_cpus(monkeypatch, 3)
-    run_training(cfg, seed=0)
+        seen.clear()
+        run_leave_one_out(tiny_config(str(tmp_path / f"loo{cpus}"), seeds=(0, 1)))
+        run_convergence(_convergence_config(output_dir=str(tmp_path / f"conv{cpus}")), window=4, trace_every=5)
+        shares = [(i % (2 * cpus - 1) - 1) // 2 for i in range(12)]
+        assert [owners for owners, _ in seen] == [loo[cpus], *[[]] * (6 // cpus), shares]  # []: each run the caller trains
+        for (owners, doing), names in zip((seen[0], seen[-1]), named[cpus]):
+            assert [doing(owners.index(w)) for w in range(max(owners) + 1)] == names
 
 
 def test_loo_summary_json_is_strict_json_when_the_gap_is_not_tracked(tmp_path):
@@ -1287,6 +1109,10 @@ REFUSALS = [
     # argparse's list of choices is worded differently across Python versions.
     (["no-such-command"], {}, re.compile(r"argument command: invalid choice: 'no-such-command' \(choose from .*\)")),
     (["landscape", *_CONFIG, "--checkpoint", "{tmp}"], {}, "checkpoint is not a regular file: {tmp}"),
+    *[(["landscape", *_CONFIG, "--checkpoint", "{tmp}/missing.bin", f"--radius={r}"], {},
+       f"radius must be finite and > 0, got {float(r)}") for r in ("nan", "inf", "-inf", "0", "-1")],
+    *[(["landscape", *_CONFIG, "--checkpoint", "{tmp}/missing.bin", f"--steps={n}"], {},
+       f"steps must be an odd int >= 3 so the center is a grid point, got {n}") for n in (4, 1)],
     (["convergence", *_CONFIG, "--window", "100"], {"steps": 40}, f"window=100 must be in [1, 8]{_RECORDS}"),
     (["sweep", *_CONFIG, "--gammas", "abc", "--rhos", "0.1"], {}, "--gammas: expected comma-separated numbers, got 'abc'"),
     *[
@@ -1423,15 +1249,6 @@ def test_cli_landscape_matches_a_rotation_run_by_the_run_s_own_held_out(tmp_path
     cfg_path, bare, out_dir = _landscape_setup(tmp_path / "bare")
     assert cli.main(["landscape", "--config", str(cfg_path), "--checkpoint", str(bare), "--steps", "5"]) == 0
     assert (out_dir / "landscape.csv").exists()
-
-
-@pytest.mark.parametrize("radius", ["nan", "inf", "-inf"])
-def test_cli_landscape_refuses_a_non_finite_radius(tmp_path, capsys, radius):
-    cfg_path, ckpt, out_dir = _landscape_setup(tmp_path)
-    argv = ["landscape", "--config", str(cfg_path), "--checkpoint", str(ckpt), "--steps", "5", f"--radius={radius}"]
-    assert cli.main(argv) == 1
-    assert f"radius must be finite and > 0, got {radius}" in capsys.readouterr().err
-    assert not (out_dir / "landscape.csv").exists()
 
 
 def test_convergence_csv_and_the_run_diagnostics_share_adv_grad_sq_mean(tmp_path):

@@ -15,6 +15,7 @@ from gacfas.model import Batch
 from gacfas.numerics import Prng, axpy, gaussian, l2_norm
 from gacfas.optim import (
     MODES,
+    SCHEDULE_KINDS,
     StepDiagnostics,
     _block_size,
     _deviation_sum,
@@ -66,12 +67,16 @@ def test_config_defaults():
     assert c.zero_grad_eps == 1e-12
 
 
-@pytest.mark.parametrize("name", ["eta0", "rho", "gamma", "weight_decay", "zero_grad_eps"])
+@pytest.mark.parametrize("name", ["eta0", "rho", "gamma", "weight_decay", "zero_grad_eps", "step_factor"])
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
 def test_config_refuses_non_finite_values_by_name(name, value):
-    # NaN passes a plain "< 0" check.
-    with pytest.raises(ValueError, match=f"{name} must be finite and >= 0, got {value}"):
-        OptimizerConfig(**{name: value})
+    # NaN passes a plain "< 0" check. step_factor is refused whatever the schedule: its config echo
+    # would hold a literal that the config reader refuses.
+    must = "a finite number" if name == "step_factor" else "finite and >= 0"
+    for schedule in SCHEDULE_KINDS:
+        with pytest.raises(ValueError) as info:
+            OptimizerConfig(schedule=schedule, **{name: value})
+        assert str(info.value) == f"{name} must be {must}, got {value}"
 
 
 # ------------------------------------------------------- ascending vector ----
