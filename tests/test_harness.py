@@ -576,8 +576,6 @@ DIVERGENCES = [
     (["train", "--seed", "0"], {}, False, _OVERFLOW, 0),
     (["train", "--seed", "0"], {}, True, "optimizer step 3 failed: the step loss is nan", 0),
     (_TRACED, {}, False, _OVERFLOW, 1),
-    (_TRACED, {}, True, "full-set record at step 2 failed: not finite: loss_erm nan, grad_norm nan, surrogate_gap nan, "
-     "alignment_cos (nan, nan), adv_grad_norms (nan, nan)", 1),
 ]
 
 
@@ -599,6 +597,49 @@ def test_a_diverging_run_fails_alike_on_one_cpu_and_on_two(tmp_path, monkeypatch
         assert len(forked) == (forks if cpus == 2 else 0) and bytes_and_listings(tmp_path) == before
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
+
+
+def test_a_diverging_convergence_run_fails_alike_on_one_cpu_and_on_two(tmp_path, monkeypatch, capsys):
+    """With numpy's errors ignored, the record of step 2 is NaN before step 3's loss is; on 2 CPUs that record
+    is the worker's. The driver raises RuntimeError and the CLI exits 2, with the same line on 1 CPU and on 2."""
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(tiny_config_json(str(tmp_path / "out"), optimizer={"mode": "gac_fas", "eta0": 1e200}))
+    before = bytes_and_listings(tmp_path)
+    forked = spy(monkeypatch, os, "fork")
+    message = (
+        "full-set record at step 2 failed: not finite: loss_erm nan, grad_norm nan, surrogate_gap nan, "
+        "alignment_cos (nan, nan), adv_grad_norms (nan, nan)"
+    )
+    for cpus in (1, 2):
+        _set_cpus(monkeypatch, cpus)
+        forked.clear()
+        with np.errstate(all="ignore"):
+            with pytest.raises(RuntimeError) as info:
+                run_convergence(load_config(str(cfg_path)), window=1, trace_every=1)
+            code = cli.main([_TRACED[0], "--config", str(cfg_path), *_TRACED[1:]])
+        assert (str(info.value), code, *capsys.readouterr()) == (message, 2, "", f"runtime error: {message}\n")
+        assert len(forked) == (2 if cpus == 2 else 0) and bytes_and_listings(tmp_path) == before
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+
+def test_a_full_set_record_that_is_not_finite_fails_on_one_cpu_and_on_two(tmp_path, monkeypatch, capsys):
+    """A record whose grad_norm alone is NaN fails by that field alone; step 10's record is the worker's on 2 CPUs."""
+    real = harness.fullset_step_diagnostics
+
+    def nan_at_10(spec, params, source, opt, t):
+        diag = real(spec, params, source, opt, t)
+        return dataclasses.replace(diag, grad_norm=math.nan) if t == 10 else diag
+
+    monkeypatch.setattr(harness, "fullset_step_diagnostics", nan_at_10)
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(tiny_config_json(str(tmp_path / "conv"), steps=60, eval_every=30, eval_window=1))
+    for cpus in (1, 2):
+        _set_cpus(monkeypatch, cpus)
+        code = cli.main(["convergence", "--config", str(cfg_path), "--window", "4", "--trace-every", "5"])
+        message = "full-set record at step 10 failed: not finite: grad_norm nan"
+        assert (code, *capsys.readouterr()) == (2, "", f"runtime error: {message}\n")
+    assert not (tmp_path / "conv").exists()
 
 
 # 60 steps traced every 5 give 12 full-set records: on up to 7 CPUs every
@@ -1110,7 +1151,7 @@ REFUSALS = [
     (["no-such-command"], {}, re.compile(r"argument command: invalid choice: 'no-such-command' \(choose from .*\)")),
     (["landscape", *_CONFIG, "--checkpoint", "{tmp}"], {}, "checkpoint is not a regular file: {tmp}"),
     *[(["landscape", *_CONFIG, "--checkpoint", "{tmp}/missing.bin", f"--radius={r}"], {},
-       f"radius must be finite and > 0, got {float(r)}") for r in ("nan", "inf", "-inf", "0", "-1")],
+       f"radius must be finite and > 0, got {float(r)}") for r in ("0", "-1")],
     *[(["landscape", *_CONFIG, "--checkpoint", "{tmp}/missing.bin", f"--steps={n}"], {},
        f"steps must be an odd int >= 3 so the center is a grid point, got {n}") for n in (4, 1)],
     (["convergence", *_CONFIG, "--window", "100"], {"steps": 40}, f"window=100 must be in [1, 8]{_RECORDS}"),
@@ -1249,6 +1290,20 @@ def test_cli_landscape_matches_a_rotation_run_by_the_run_s_own_held_out(tmp_path
     cfg_path, bare, out_dir = _landscape_setup(tmp_path / "bare")
     assert cli.main(["landscape", "--config", str(cfg_path), "--checkpoint", str(bare), "--steps", "5"]) == 0
     assert (out_dir / "landscape.csv").exists()
+
+
+@pytest.mark.parametrize("radius", ["nan", "inf", "-inf"])
+def test_cli_landscape_refuses_a_non_finite_radius(tmp_path, monkeypatch, capsys, radius):
+    """With a checkpoint that would load, a non-finite --radius still exits 1
+    with the whole error line, realizes no domain and changes nothing."""
+    cfg_path, ckpt, out_dir = _landscape_setup(tmp_path)
+    realized = spy(monkeypatch, harness.datagen, "leave_one_out")
+    before = bytes_and_listings(tmp_path)
+    argv = ["landscape", "--config", str(cfg_path), "--checkpoint", str(ckpt), "--steps", "5", f"--radius={radius}"]
+    assert cli.main(argv) == 1
+    assert capsys.readouterr().err == f"error: radius must be finite and > 0, got {radius}\n"
+    assert realized == [] and bytes_and_listings(tmp_path) == before
+    assert not (out_dir / "landscape.csv").exists()
 
 
 def test_convergence_csv_and_the_run_diagnostics_share_adv_grad_sq_mean(tmp_path):
