@@ -112,7 +112,7 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("landscape", help="loss slice around a saved checkpoint", parents=[config])
     p.add_argument("--checkpoint", required=True)
-    p.add_argument("--dims", type=int, choices=(1, 2), default=1)
+    p.add_argument("--dims", type=int, default=1)
     p.add_argument("--radius", type=float, default=1.0)
     p.add_argument("--steps", type=int, default=51)
     p.set_defaults(fn=_cmd_landscape)

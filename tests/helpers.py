@@ -33,6 +33,17 @@ class ScalarQuadratic:
         return self.loss(theta, inputs, labels), np.array([float(theta[0])])
 
 
+class CountingQuadratic(ScalarQuadratic):
+    """ScalarQuadratic that counts its loss_and_grad calls."""
+
+    def __init__(self):
+        self.calls = 0
+
+    def loss_and_grad(self, theta, inputs, labels):
+        self.calls += 1
+        return super().loss_and_grad(theta, inputs, labels)
+
+
 class MirrorLinear:
     """loss = mean(inputs[:, 0]) * theta[0]: the gradient is the mean first
     feature, so sub-batches with opposite features produce exactly opposing

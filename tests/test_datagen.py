@@ -16,30 +16,10 @@ from gacfas.datagen import (
     sample_minibatch,
     shift_domain,
 )
-from gacfas.model import Batch
 from gacfas.numerics import Prng
 from gacfas.optim import _block_size
 
 from helpers import arc_distance, reference_sample_minibatch
-
-
-@pytest.mark.parametrize(
-    "fields,named",
-    [
-        ({"noise_sigma": math.nan}, "noise_sigma must be finite and >= 0, got nan"),
-        ({"noise_sigma": math.inf}, "noise_sigma must be finite and >= 0, got inf"),
-        ({"noise_sigma": -0.1}, "noise_sigma must be finite and >= 0, got -0.1"),
-        ({"rotation": math.inf}, "rotation must be finite, got inf"),
-        ({"rotation": -math.nan}, "rotation must be finite, got nan"),
-        ({"translation": (math.nan, 0)}, r"translation must be finite, got \(nan, 0.0\)"),
-        ({"translation": (0.0, -math.inf)}, r"translation must be finite, got \(0.0, -inf\)"),
-    ],
-)
-def test_domain_spec_refuses_a_non_finite_shift_or_noise_by_name(fields, named):
-    # Built in code, past the config reader's check: a NaN noise_sigma used to
-    # train on a noise-free domain, and the others failed without a name.
-    with pytest.raises(ValueError, match=named):
-        DomainSpec(**fields)
 
 
 def test_two_moons_noiseless_class0_on_unit_circle():
@@ -55,8 +35,6 @@ def test_two_moons_class_counts_near_balanced():
         n0 = int(np.sum(batch.labels == 0))
         n1 = int(np.sum(batch.labels == 1))
         assert n0 + n1 == n and abs(n0 - n1) <= 1
-    with pytest.raises(ValueError):
-        gen_two_moons(1, 0.0, Prng(0, 0))
 
 
 def test_two_moons_noise_arc_distance_matches_resampled_oracle():
@@ -126,45 +104,6 @@ def test_rotated_domains_have_rotated_class_means():
     assert np.linalg.norm(m0 - m2) > 0.1
 
 
-def test_source_set_rejects_mixed_ids_and_bad_k():
-    base = gen_two_moons(4, 0.0, Prng(0, 0))
-    mixed = Batch(base.inputs, base.labels, np.array([0, 0, 1, 1]))
-    with pytest.raises(ValueError, match="mixes domain ids"):
-        SourceSet((mixed,))
-    # k is the number of domains, so the one k to refuse is 0.
-    with pytest.raises(ValueError, match="at least one realized domain"):
-        SourceSet(())
-
-
-@pytest.mark.parametrize("indices", [(0.5, 1.7), (True, 1), ("0", 1)])
-def test_build_source_set_refuses_a_domain_index_that_is_not_an_int_by_name(indices):
-    specs = [DomainSpec(n_samples=4, seed=0), DomainSpec(n_samples=4, seed=1)]
-    with pytest.raises(ValueError, match=f"domain index must be an integer, got {indices[0]!r}"):
-        build_source_set(specs, indices=indices)
-
-
-@pytest.mark.parametrize("index", [1.7, True])
-def test_shift_domain_refuses_a_domain_index_that_is_not_an_int_by_name(index):
-    with pytest.raises(ValueError, match=f"^domain index must be an integer, got {index!r}$"):
-        shift_domain(gen_two_moons(4, 0.0, Prng(0)), DomainSpec(), index)
-
-
-@pytest.mark.parametrize("held", [True, 1.5])
-def test_leave_one_out_refuses_a_held_out_index_that_is_not_an_int_by_name(held):
-    specs = [DomainSpec(n_samples=4, seed=i) for i in range(3)]
-    with pytest.raises(ValueError, match=f"^held-out index must be an integer, got {held!r}$"):
-        leave_one_out(specs, held)
-
-
-def test_source_set_refuses_two_domains_with_one_id():
-    specs = [DomainSpec(n_samples=4, seed=0), DomainSpec(n_samples=4, seed=1)]
-    with pytest.raises(ValueError, match=r"distinct ids, got \[1, 1\] \(repeated: \[1\]\)"):
-        build_source_set(specs, indices=(1, 1))
-    realized = build_source_set(specs + [DomainSpec(n_samples=4, seed=2)]).domains
-    with pytest.raises(ValueError, match=r"distinct ids, got \[0, 1, 2, 0\] \(repeated: \[0\]\)"):
-        SourceSet(realized + realized[:1])
-
-
 def test_leave_one_out_partition_and_disjoint_samples():
     specs = [DomainSpec(rotation=0.1 * i, noise_sigma=0.05, n_samples=60, seed=i) for i in range(4)]
     train, test = leave_one_out(specs, held=3)
@@ -182,14 +121,6 @@ def test_leave_one_out_partition_and_disjoint_samples():
     assert TEST_SEED_OFFSET >= 1_000_000
 
 
-def test_leave_one_out_validation():
-    specs = [DomainSpec(n_samples=10, seed=i) for i in range(2)]
-    with pytest.raises(ValueError):
-        leave_one_out(specs, held=2)
-    with pytest.raises(ValueError):
-        leave_one_out(specs[:1], held=0)
-
-
 def test_sample_minibatch_balanced_and_within_domain():
     specs = [DomainSpec(rotation=0.2 * i, n_samples=30, seed=i) for i in range(3)]
     source = build_source_set(specs)
@@ -199,10 +130,6 @@ def test_sample_minibatch_balanced_and_within_domain():
     assert ids.tolist() == [0, 1, 2] and counts.tolist() == [4, 4, 4]
     # ascending domain order in the concatenation
     assert np.all(np.diff(batch.domain_ids) >= 0)
-    with pytest.raises(ValueError):
-        sample_minibatch(source, 31, Prng(0, 1))
-    with pytest.raises(ValueError):
-        sample_minibatch(source, 0, Prng(0, 1))
 
 
 def test_sample_minibatch_full_domain_is_complete_pass():

@@ -25,7 +25,6 @@ from hypothesis import strategies as st
 from gacfas import cli, diagnostics, harness, optim
 from gacfas.datagen import DomainSpec, build_source_set, leave_one_out, sample_minibatch
 from gacfas.config import (
-    ConfigNotFoundError,
     ConfigValueError,
     ExperimentConfig,
     config_digest,
@@ -96,11 +95,6 @@ def test_a_config_with_two_faults_names_the_nested_section_s_first(named, tweak,
     with pytest.raises(ConfigValueError) as info:
         parse_config(json.dumps({k: v for k, v in raw.items() if k not in missing}))
     assert str(info.value).startswith(named)
-
-
-def test_load_config_missing_file():
-    with pytest.raises(ConfigNotFoundError):
-        load_config("/nonexistent/config.json")
 
 
 def test_steps_per_epoch_uses_smallest_train_domain():
@@ -176,8 +170,6 @@ def test_run_training_held_out_override_and_all_rejected():
     rec = run_training(cfg, seed=0, held_out=1)
     assert rec.manifest["held_out"] == 1
     assert rec.manifest["train_domains"] == [0, 2]
-    with pytest.raises(ConfigValueError):
-        run_training(tiny_config(held_out="all"), seed=0)
 
 
 @pytest.mark.parametrize("command", ["train", "convergence"])
@@ -208,15 +200,6 @@ def test_run_convergence_names_the_failing_step(tmp_path, monkeypatch):
         run_convergence(cfg, window=1, trace_every=1)
     cause = info.value.__cause__
     assert (type(cause), f"full-set record at step 2 failed: {cause}") == (ValueError, str(info.value))
-
-
-def test_evaluate_refuses_nan_parameters_with_the_step():
-    cfg = tiny_config()
-    source, test = leave_one_out(list(cfg.domains), 2)
-    params = init_params(cfg.model, Prng(0, 0))
-    nan_params = params.with_theta(np.full_like(params.theta, math.nan))
-    with pytest.raises(RuntimeError, match="evaluation at step 7 failed: scores must be finite"):
-        harness._evaluate(cfg, cfg.model, nan_params, test, source, 7)
 
 
 @pytest.mark.parametrize("track", [True, False])
@@ -268,11 +251,6 @@ def test_surrogate_gap_of_a_source_set_takes_its_domains_in_ascending_id_order()
     assert diagnostics.surrogate_gap(spec, params, source, opt) == diagnostics.surrogate_gap(
         spec, params, source.concatenated(), opt
     )
-
-
-def test_run_training_refuses_a_negative_seed_by_name():
-    with pytest.raises(ValueError, match="Prng seed must be a non-negative integer, got -1"):
-        run_training(tiny_config(), -1)
 
 
 _NO_MASKED_ARRAYS = """
@@ -389,10 +367,6 @@ def test_window_means_and_validation():
     assert wm["hter"] == pytest.approx(0.35)
     assert wm["auc"] == pytest.approx(0.7)
     assert wm["train_loss"] == 1.0
-    with pytest.raises(ValueError):
-        window_means(rec, 5)
-    with pytest.raises(ValueError):
-        window_means(rec, 0)
 
 
 # -------------------------------------------------------------- file layer ----
@@ -426,22 +400,6 @@ def test_params_bin_round_trip(tmp_path):
     path.write_bytes(params_bin(params))
     back = read_params_bin(str(path), spec)
     assert np.array_equal(back.theta, theta)
-
-
-def test_read_params_bin_rejects_mismatch(tmp_path):
-    spec = MlpSpec((2, 4, 2), "tanh")
-    path = tmp_path / "params.bin"
-    path.write_bytes(params_bin(ParamVector.from_flat(np.zeros(3))))
-    with pytest.raises(ValueError):
-        read_params_bin(str(path), spec)
-    path.write_bytes(b"\x01\x02")
-    with pytest.raises(ValueError):
-        read_params_bin(str(path), spec)
-    theta = np.zeros(spec.param_count())
-    theta[7] = math.inf
-    path.write_bytes(params_bin(ParamVector(theta, layout_for(spec))))
-    with pytest.raises(ValueError, match="parameter 7 is inf"):
-        read_params_bin(str(path), spec)
 
 
 def test_write_outputs_creates_all_files(tmp_path):
@@ -1154,6 +1112,7 @@ REFUSALS = [
        f"radius must be finite and > 0, got {float(r)}") for r in ("0", "-1")],
     *[(["landscape", *_CONFIG, "--checkpoint", "{tmp}/missing.bin", f"--steps={n}"], {},
        f"steps must be an odd int >= 3 so the center is a grid point, got {n}") for n in (4, 1)],
+    (["landscape", *_CONFIG, "--checkpoint", "{tmp}/missing.bin", "--dims", "3"], {}, "dims must be 1 or 2, got 3"),
     (["convergence", *_CONFIG, "--window", "100"], {"steps": 40}, f"window=100 must be in [1, 8]{_RECORDS}"),
     (["sweep", *_CONFIG, "--gammas", "abc", "--rhos", "0.1"], {}, "--gammas: expected comma-separated numbers, got 'abc'"),
     *[
@@ -1237,8 +1196,7 @@ def _landscape_setup(tmp_path, nan_from=None):
 def test_cli_landscape_refuses_a_non_finite_checkpoint(tmp_path, capsys):
     cfg_path, ckpt, out_dir = _landscape_setup(tmp_path, nan_from=5)
     assert cli.main(["landscape", "--config", str(cfg_path), "--checkpoint", str(ckpt), "--steps", "5"]) == 1
-    err = capsys.readouterr().err
-    assert str(ckpt) in err and "parameter 5 is nan" in err
+    assert capsys.readouterr().err == f"error: {ckpt}: parameter 5 is nan, expected a finite value\n"
     assert not (out_dir / "landscape.csv").exists()
 
 

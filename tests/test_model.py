@@ -48,19 +48,15 @@ def test_layout_is_built_once_per_spec_with_int_sizes():
     assert all(type(b.size) is int and b.size == math.prod(b.shape) for b in layout)
 
 
-def test_param_vector_rejects_bad_layout():
-    spec = MlpSpec((2, 2), "tanh")
-    with pytest.raises(ValueError):
-        ParamVector(np.zeros(spec.param_count() + 1), layout_for(spec))
-
-
-def test_batch_validation():
-    with pytest.raises(ValueError):
-        Batch(np.zeros((0, 2)), np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64))
-    with pytest.raises(ValueError):
-        Batch(np.zeros((2, 2)), np.array([0, -1]), np.zeros(2, dtype=np.int64))
-    with pytest.raises(ValueError):
-        Batch(np.zeros((2, 2)), np.zeros(2, dtype=np.int64), np.array([0, -1]))
+def test_whole_numbers_given_as_floats_are_labels_and_domain_ids():
+    """Fractions are refused by name (tests/test_refusals.py); whole floats read as the ints they hold."""
+    whole = Batch(np.zeros((2, 2)), [0.0, 1.0], [1.0, 0.0])
+    assert whole.labels.dtype == whole.domain_ids.dtype == np.int64
+    assert whole.labels.tolist() == [0, 1] and whole.domain_ids.tolist() == [1, 0]
+    spec = MlpSpec((2, 4, 2), "tanh")
+    theta = init_params(spec, Prng(0, 0)).theta
+    inputs = np.array([[0.1, 0.2], [0.3, -0.4]])
+    assert mean_loss(spec, theta, inputs, [0.0, 1.0]) == mean_loss(spec, theta, inputs, [0, 1])
 
 
 def test_domain_slices_ascending_order():
@@ -117,13 +113,6 @@ def test_forward_relu_saturation_returns_output_bias():
     assert np.array_equal(out[0], out_bias)
 
 
-def test_forward_rejects_wrong_width():
-    spec = MlpSpec((2, 2), "tanh")
-    params = ParamVector(np.zeros(spec.param_count()), layout_for(spec))
-    with pytest.raises(ValueError):
-        forward(spec, params, np.zeros((3, 5)))
-
-
 def test_zero_theta_loss_is_ln2_for_two_classes():
     spec, _, batch = random_instance(0, sizes=(2, 6, 2))
     loss = mean_loss(spec, np.zeros(spec.param_count()), batch.inputs, batch.labels)
@@ -157,61 +146,6 @@ def test_permuting_batch_rows_preserves_loss_and_grad():
     loss_p, grad_p = loss_and_grad(spec, params, Batch(batch.inputs[perm], batch.labels[perm], batch.domain_ids[perm]))
     assert loss_p == pytest.approx(loss, rel=1e-12)
     assert np.allclose(grad_p, grad, rtol=1e-12, atol=1e-15)
-
-
-def test_label_out_of_range_rejected():
-    spec, params, batch = random_instance(3, sizes=(2, 4, 2))
-    bad = Batch(batch.inputs, np.full(batch.n, 2, dtype=np.int64), batch.domain_ids)
-    with pytest.raises(ValueError):
-        loss_and_grad(spec, params, bad)
-
-
-@pytest.mark.parametrize(
-    "labels,message",
-    [
-        ([0, -2], r"^label -2 out of range for 2 classes$"),
-        ([0, -1], r"^label -1 out of range for 2 classes$"),
-        ([[0, 1], [1, -1]], r"^label -1 out of range for 2 classes$"),
-        ([0.0, 1.7], r"^labels must be whole numbers, got 1\.7$"),
-    ],
-    ids=["-2", "-1", "stacked -1", "1.7"],
-)
-def test_the_kernel_refuses_a_negative_or_fractional_label_by_name(labels, message):
-    """A negative label read another entry's logit ([0, -2] gave the loss of
-    [0, 1]), and 1.7 was read as 1."""
-    spec = MlpSpec((2, 4, 2), "tanh")
-    theta = init_params(spec, Prng(0, 0)).theta
-    inputs = np.array([[0.1, 0.2], [0.3, -0.4]])
-    assert mean_loss(spec, theta, inputs, [0.0, 1.0]) == mean_loss(spec, theta, inputs, [0, 1])
-    for fn in (mean_loss, mean_loss_and_grad):
-        with pytest.raises(ValueError, match=message):
-            fn(spec, theta, inputs, labels)
-
-
-@pytest.mark.parametrize(
-    "labels,domain_ids,message",
-    [
-        ([0.0, 1.7], [0, 0], r"^labels must be whole numbers, got 1\.7$"),
-        ([0, 1], [0, 0.9], r"^domain_ids must be whole numbers, got 0\.9$"),
-        ([0, 1], [0, float("nan")], r"^domain_ids must be whole numbers, got nan$"),
-    ],
-    ids=["labels 1.7", "domain_ids 0.9", "domain_ids nan"],
-)
-def test_a_batch_refuses_labels_and_domain_ids_that_are_not_whole_numbers(labels, domain_ids, message):
-    """Both were truncated: [0.0, 1.7] and [0, 0.9] held [0, 1] and [0, 0]."""
-    with pytest.raises(ValueError, match=message):
-        Batch(np.zeros((2, 2)), labels, domain_ids)
-    whole = Batch(np.zeros((2, 2)), [0.0, 1.0], [1.0, 0.0])
-    assert whole.labels.dtype == whole.domain_ids.dtype == np.int64
-    assert whole.labels.tolist() == [0, 1] and whole.domain_ids.tolist() == [1, 0]
-
-
-def test_labels_must_match_the_row_count():
-    spec, params, batch = random_instance(3, sizes=(2, 4, 2))
-    with pytest.raises(ValueError, match="labels"):
-        mean_loss_and_grad(spec, params.theta, batch.inputs, batch.labels[:1])
-    with pytest.raises(ValueError, match="inputs"):
-        mean_loss_and_grad(spec, params.theta, batch.inputs[0], batch.labels)
 
 
 @st.composite
@@ -366,24 +300,6 @@ def test_a_warm_gradient_call_allocates_no_hidden_layer(activation):
     assert peak < 2000 * 16 * 8
 
 
-@pytest.mark.parametrize("extra", [1, -1])
-def test_the_kernel_refuses_theta_of_another_parameter_count(extra):
-    """With one value too many the gradient's last entry was uninitialized
-    memory, and with one too few mean_loss broadcast the one output bias
-    left over both classes; forward and mean_loss returned values in both
-    cases."""
-    spec, params, batch = random_instance(7, sizes=(2, 16, 16, 2), k=1, per_domain=32)
-    theta = np.resize(params.theta, spec.param_count() + extra)
-    message = rf"^theta must have 354 parameters on its last axis, got shape \({354 + extra},\)$"
-    for call in (mean_loss_and_grad, mean_loss):
-        with pytest.raises(ValueError, match=message):
-            call(spec, theta, batch.inputs, batch.labels)
-    with pytest.raises(ValueError, match=message):
-        forward(spec, ParamVector.from_flat(theta), batch.inputs)
-    with pytest.raises(ValueError, match=r"got shape \(\)$"):
-        mean_loss(spec, np.ones(()), batch.inputs, batch.labels)
-
-
 def test_call_plans_are_cached_read_only_and_hold_no_scratch():
     """The per-shape plan is built once and holds only values that no call
     can change: shapes, and row starts that are read-only and not views of
@@ -435,12 +351,6 @@ def test_finite_diff_error_shrinks_quadratically_in_h():
     errs = [np.max(np.abs(finite_diff_grad(spec, params, batch, h) - grad)) for h in (1e-3, 5e-4)]
     ratio = errs[0] / errs[1]
     assert 2.0 <= ratio <= 8.0  # central differences: error ~ h^2, so ~4x
-
-
-def test_finite_diff_rejects_nonpositive_h():
-    spec, params, batch = random_instance(6)
-    with pytest.raises(ValueError):
-        finite_diff_grad(spec, params, batch, 0.0)
 
 
 def test_gradcheck_tanh_random_instances():

@@ -15,7 +15,6 @@ from gacfas.model import Batch
 from gacfas.numerics import Prng, axpy, gaussian, l2_norm
 from gacfas.optim import (
     MODES,
-    SCHEDULE_KINDS,
     StepDiagnostics,
     _block_size,
     _deviation_sum,
@@ -34,6 +33,7 @@ from gacfas.optim import (
 )
 
 from helpers import (
+    CountingQuadratic,
     DomainQuadratic,
     MirrorLinear,
     ScalarQuadratic,
@@ -67,18 +67,6 @@ def test_config_defaults():
     assert c.zero_grad_eps == 1e-12
 
 
-@pytest.mark.parametrize("name", ["eta0", "rho", "gamma", "weight_decay", "zero_grad_eps", "step_factor"])
-@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
-def test_config_refuses_non_finite_values_by_name(name, value):
-    # NaN passes a plain "< 0" check. step_factor is refused whatever the schedule: its config echo
-    # would hold a literal that the config reader refuses.
-    must = "a finite number" if name == "step_factor" else "finite and >= 0"
-    for schedule in SCHEDULE_KINDS:
-        with pytest.raises(ValueError) as info:
-            OptimizerConfig(schedule=schedule, **{name: value})
-        assert str(info.value) == f"{name} must be {must}, got {value}"
-
-
 # ------------------------------------------------------- ascending vector ----
 
 
@@ -104,17 +92,6 @@ def test_ascending_vector_norm_equals_rho():
         for rho in (0.005, 0.05, 0.1, 0.2, 0.4):
             eps = ascending_vector(g, rho, 1e-12)
             assert abs(l2_norm(eps) - rho) <= 1e-12
-
-
-def test_ascending_vector_rejects_negative_rho():
-    with pytest.raises(ValueError):
-        ascending_vector(np.ones(2), -0.1, 1e-12)
-
-
-@pytest.mark.parametrize("rho", [math.nan, math.inf, -math.inf, -0.1])
-def test_ascending_vector_refuses_a_non_finite_or_negative_rho_by_name(rho):
-    with pytest.raises(ValueError, match=f"^rho must be finite and >= 0, got {rho}$"):
-        ascending_vector(np.ones(3), rho, 1e-12)
 
 
 # ------------------------------------------------------------ regularizer ----
@@ -144,26 +121,6 @@ def test_schedule_values():
     assert schedule_value(step, 1.0, 10) == 1.0
     assert schedule_value(step, 1.0, 11) == pytest.approx(0.1)
     assert schedule_value(step, 1.0, 21) == pytest.approx(0.01)
-    with pytest.raises(ValueError):
-        schedule_value(const, 0.1, 0)
-    with pytest.raises(ValueError):
-        schedule_value(OptimizerConfig(schedule="step"), 0.1, 5)  # period not resolved to steps
-
-
-@pytest.mark.parametrize("t", [2.5, True, 0])
-def test_a_step_index_that_is_not_an_int_is_refused_by_name_before_any_model_call(t):
-    """t = 2.5 ran as a step with step_index 2.5, and t = True as step 1."""
-    message = f"^step index must be an integer >= 1, got {t!r}$"
-    for kind in ("constant", "theorem1"):
-        with pytest.raises(ValueError, match=message):
-            schedule_value(OptimizerConfig(schedule=kind), 1.0, t)
-    model = CountingQuadratic()
-    for mode in MODES:
-        with pytest.raises(ValueError, match=message):
-            take_step(model, scalar_params(1.0), k_domain_batch(2), cfg(mode), t)
-    with pytest.raises(ValueError, match=message):
-        gac_fas_record(model, scalar_params(1.0), k_domain_batch(2), cfg("erm"), t)
-    assert model.calls == 0
 
 
 def test_theorem1_schedule_coupling():
@@ -478,15 +435,6 @@ def count_kernel_calls(monkeypatch) -> list:
 
     monkeypatch.setattr(model_mod, "mean_loss_and_grad", counting)
     return shapes
-
-
-class CountingQuadratic(ScalarQuadratic):
-    def __init__(self):
-        self.calls = 0
-
-    def loss_and_grad(self, theta, inputs, labels):
-        self.calls += 1
-        return super().loss_and_grad(theta, inputs, labels)
 
 
 @pytest.mark.parametrize("mode", MODES)
